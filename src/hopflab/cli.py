@@ -17,9 +17,18 @@ from .cohomology import cocycles, coboundaries
 from .expressions import format_tensor, parse_element
 from .families import FamilySpec, build
 from .hopf import Tensor, verify_hopf
-from .precartier import ClassificationReport, classify, classify_enumerated, solve_infinitesimal
+from .precartier import ClassificationReport, cached_commutant, classify, classify_enumerated, solve_infinitesimal
 from .quantize import verify_quantized_qtr
-from .rmatrices import RSpec, build_r, enumerate_group_rmatrices, registered_rspecs, verify_qtr
+from .rmatrices import (
+    FamilyMismatch,
+    RSpec,
+    RSpecError,
+    build_r,
+    enumerate_group_rmatrices,
+    r_inverse,
+    registered_rspecs,
+    verify_qtr,
+)
 from .scalars import FieldSpec
 
 
@@ -154,16 +163,17 @@ def run(cfg: RunConfig) -> int:
             out = []
             for spec in rspecs:
                 r = build_r(h, spec)
+                rinv = r_inverse(h, r)
                 if cfg.chi:
                     chis = [parse_element(h, cfg.chi)]
                 else:
-                    space = solve_infinitesimal(h, r)
+                    space = solve_infinitesimal(h, r, rinv=rinv, commutant=cached_commutant(h))
                     chis = [Tensor(h, 2, v) for v in space.basis()]
                 for chi in chis:
                     if not isinstance(chi, Tensor) or chi.legs != 2:
                         sys.stderr.write("config error: --chi must be a 2-tensor\n")
                         return 2
-                    qrep = verify_quantized_qtr(h, r, chi)
+                    qrep = verify_quantized_qtr(h, r, chi, rinv)
                     out.append({
                         "r": str(spec),
                         "chi": format_tensor(chi),
@@ -215,6 +225,9 @@ def main(argv=None) -> int:
     )
     try:
         return run(cfg)
+    except (RSpecError, FamilyMismatch) as exc:
+        sys.stderr.write(f"config error: {exc}\n")
+        return 2
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -450,41 +450,6 @@ def antipode(a: Elem) -> Elem:
     return Elem(h, out)
 
 
-def delta_op(a: Elem) -> Tensor:
-    return delta(a).flip()
-
-
-def mul_elem(a: Elem, b: Elem) -> Elem:
-    return a * b
-
-
-def mul_t2(s: Tensor, t: Tensor) -> Tensor:
-    return s * t
-
-
-def mul_t3(s: Tensor, t: Tensor) -> Tensor:
-    return s * t
-
-
-def flip(t: Tensor) -> Tensor:
-    return t.flip()
-
-
-def leg(t: Tensor, placement: int) -> Tensor:
-    return t.leg(placement)
-
-
-def dmaps(t: Tensor, which: str) -> Tensor:
-    """Apply Delta (x) Id ("left") or Id (x) Delta ("right") to a 2-tensor."""
-    if t.legs != 2:
-        raise HopfError("dmaps is defined on 2-tensors")
-    if which == "left":
-        return t.apply_delta(0)
-    if which == "right":
-        return t.apply_delta(1)
-    raise HopfError("which must be 'left' or 'right'")
-
-
 # -- verification ---------------------------------------------------------
 
 

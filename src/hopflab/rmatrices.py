@@ -34,6 +34,10 @@ class NotInvertible(RMatrixError):
     pass
 
 
+class RSpecError(RMatrixError):
+    """Malformed R spec text: a configuration error, not a failed check."""
+
+
 @dataclass(frozen=True)
 class RSpec:
     """R-matrix selector; params depend on the kind."""
@@ -43,7 +47,16 @@ class RSpec:
 
     @staticmethod
     def parse(text: str, field=None) -> "RSpec":
-        text = text.strip()
+        """Parse the text form; any malformed text raises RSpecError."""
+        try:
+            return RSpec._parse(text.strip())
+        except KeyError as exc:
+            raise RSpecError(f"R spec {text!r} lacks the key {exc}") from None
+        except ValueError as exc:
+            raise RSpecError(f"cannot parse R spec {text!r}: {exc}") from None
+
+    @staticmethod
+    def _parse(text: str) -> "RSpec":
         if text == "ac4dual":
             return RSpec("ac4dual")
         if text.startswith("en-a:"):
@@ -62,7 +75,7 @@ class RSpec:
             return RSpec("bichar", (tuple(tuple(r) for r in mat),))
         if text.startswith("explicit:"):
             return RSpec("explicit", (text[len("explicit:") :],))
-        raise ValueError(f"cannot parse R spec {text!r}")
+        raise ValueError("unknown R kind")
 
     def __str__(self) -> str:
         if self.kind == "en_a":
@@ -92,7 +105,7 @@ def _parse_int_matrix(text: str) -> list[list[int]]:
 def _parse_scalar_matrix(field, text: str) -> list[list]:
     text = text.strip()
     if not (text.startswith("[[") and text.endswith("]]")):
-        raise ValueError(f"expected [[..],[..]] matrix, got {text!r}")
+        raise RSpecError(f"expected [[..],[..]] matrix, got {text!r}")
     rows = re.findall(r"\[([^\[\]]*)\]", text)
     return [[parse_scalar(field, x) for x in row.split(",")] for row in rows]
 
@@ -230,11 +243,6 @@ def build_r_h8_omega(h: HopfData, omega) -> Tensor:
     r11 = ex.tensor(ex).scaled(winv) + ex.tensor(ey).scaled(omega) + ey.tensor(ex).scaled(omega) + ey.tensor(ey).scaled(winv)
     printed = r00 + r10 * z.tensor(one) + r01 * one.tensor(z) + r11 * z.tensor(z)
     return printed.flip()
-
-
-def h8_omega_printed(h: HopfData, omega) -> Tensor:
-    """The classical block-form tensor (the flip of what build_r returns)."""
-    return build_r_h8_omega(h, omega).flip()
 
 
 def build_r_ac4dual(h: HopfData) -> Tensor:

@@ -135,3 +135,39 @@ def test_runconfig_multiple_tasks(capsys):
 
 def test_runconfig_no_tasks():
     assert run(RunConfig(family="en:1", tasks=())) == 2
+
+
+@pytest.mark.parametrize(
+    "family, rspec",
+    [
+        ("en:2", "bogus"),  # unparsable R spec
+        ("h8", "en-a:[[0]]"),  # R kind of another family
+        ("ac2n:2", "ac22:a=1"),  # missing key q
+    ],
+)
+def test_bad_r_spec_exit_2(capsys, family, rspec):
+    code, out, err = run_cli(capsys, "classify", "--family", family, "--r", rspec)
+    assert code == 2
+    assert err.startswith("config error:")
+    assert out == ""
+
+
+def test_quantize_inverts_each_r_once(capsys, monkeypatch):
+    import hopflab.precartier as pc
+    import hopflab.quantize as qz
+    from hopflab.rmatrices import r_inverse
+
+    calls = []
+
+    def counting(h, r):
+        calls.append(r)
+        return r_inverse(h, r)
+
+    for module in (cli, pc, qz):
+        monkeypatch.setattr(module, "r_inverse", counting)
+    code, out, _ = run_cli(capsys, "quantize", "--family", "en:2", "--r", "enumerate")
+    assert code == 0
+    reps = json.loads(out)
+    assert len({rep["r"] for rep in reps}) == 3
+    assert len(reps) == 12  # four chi per R
+    assert len(calls) == 3

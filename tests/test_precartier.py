@@ -1,11 +1,13 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from conftest import pe, random_sparse_tensor
 from hopflab.cohomology import cocycles
 from hopflab.families import build, coradical_projection
-from hopflab.hopf import Tensor
+from hopflab.hopf import HopfData, Tensor, verify_hopf
 from hopflab.precartier import (
     PreCartierError,
     build_system,
@@ -22,6 +24,7 @@ from hopflab.precartier import (
     eval_cqtr2_rmul,
     eval_cqtr3,
     eval_cqtr3_rmul,
+    generators_span,
     solve_infinitesimal,
     solve_rfree,
 )
@@ -237,3 +240,54 @@ def test_classify_enumerated_ac22():
     reports = classify_enumerated("ac2n:2", with_cohomology=False)
     assert len(reports) == 4
     assert all(r.dims["precartier"] == 1 for r in reports)
+
+
+def _batch_families() -> list[str]:
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_classifications.py"
+    spec = importlib.util.spec_from_file_location("run_classifications", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [family for family, _ in module.FAMILIES]
+
+
+def _copy_tables(h, comult=None, generators=None) -> HopfData:
+    """A fresh, unverified HopfData over the same tables (own analysis cache)."""
+    return HopfData(
+        h.field,
+        h.labels,
+        h.mult,
+        h.unit_index,
+        h.comult if comult is None else comult,
+        h.counit,
+        h.antipode,
+        generators=h.generators if generators is None else generators,
+        name=f"copy of {h.name}",
+    )
+
+
+@pytest.mark.parametrize("family", _batch_families())
+def test_generators_span_every_batch_family(family):
+    assert generators_span(build(family)) is True
+
+
+def test_generators_span_rejects_non_spanning_generators(en2):
+    only_g = _copy_tables(en2, generators={"g": en2.generators["g"]})
+    assert generators_span(only_g) is False
+    with pytest.raises(PreCartierError, match="cannot certify C1"):
+        solve_rfree(only_g)
+    with pytest.raises(PreCartierError, match="cannot certify C1"):
+        solve_infinitesimal(only_g, build_r(en2, "en-a:[[0,0],[0,0]]"))
+
+
+def test_generators_span_rejects_non_multiplicative_coproduct(en2):
+    """Delta(x1 x2) gains a 1 (x) 1 term: the generators still span, but the
+    closure reaches x1*x2 and its direct multiplicativity check fails."""
+    comult = [dict(d) for d in en2.comult]
+    i12 = en2.index["x{1,2}"]
+    unit2 = en2.unit_index * en2.dim + en2.unit_index
+    comult[i12][unit2] = comult[i12].get(unit2, en2.field.zero) + en2.field.one
+    broken = _copy_tables(en2, comult=comult)
+    assert not verify_hopf(broken).ok
+    assert generators_span(broken) is False
+    with pytest.raises(PreCartierError, match="cannot certify C1"):
+        solve_rfree(broken)
