@@ -1061,7 +1061,17 @@ def _build_cached(spec: FamilySpec, field_spec: FieldSpec, checked: bool) -> Hop
 
 
 def build(spec, field_spec: FieldSpec | None = None, checked: bool = True) -> HopfData:
-    """Build (and cache) the verified HopfData for a family spec or its string form."""
+    """Build (and cache) the verified HopfData for a family spec or its string form.
+
+    What this caches lives as long as the process and is never evicted: the
+    ``_build_cached`` instance per (family, field, checked); on each instance,
+    its term table ``mult_terms`` and the ``precartier._analysis_cache`` memo
+    of R-independent results (commutant, R-free space, cocycles,
+    coboundaries, the generator certificate); and, per interned cyclotomic
+    field, the ``CycElt`` product and sum caches, which stop growing at
+    300000 entries each.  A long-lived process that builds many families
+    holds all of them; cold processes are the measured configuration.
+    """
     if isinstance(spec, str):
         spec = FamilySpec.parse(spec)
     if field_spec is None:

@@ -7,6 +7,14 @@ and -cube indices use the frozen row-major pairing (i, j) -> i*dim + j.
 
 Axiom verification is exhaustive over basis tuples: multilinearity makes this
 a complete check.
+
+The structure tables are immutable after construction.  HopfData derives from
+``mult`` once, at construction, the term table ``mult_terms``: for each cell
+(i, j) a tuple of (k, v) pairs with the zero entries of ``mult[i][j]`` dropped
+and v = None where the coefficient is the field's one.  The legwise products
+of 2- and 3-tensors run over this table, so they skip zero cells and never
+multiply by one; they perform the same remaining multiplications and zero
+tests as a product over ``mult``, and so yield the same coefficients.
 """
 
 from __future__ import annotations
@@ -58,6 +66,10 @@ class HopfData:
         self.name = name
         self.family = family
         self.index = {lab: i for i, lab in enumerate(labels)}
+        one = field.one
+        self.mult_terms = [
+            [tuple((k, None if v == one else v) for k, v in cell.items() if v) for cell in row] for row in mult
+        ]
 
     # -- element / tensor factories -------------------------------------
 
@@ -240,24 +252,18 @@ class Tensor:
         return self.scaled(c)
 
     def __mul__(self, other):
-        """Componentwise (legwise) algebra product."""
+        """Componentwise (legwise) algebra product of 2- or 3-tensors."""
         if not isinstance(other, Tensor):
             return self.scaled(other)
         _check_parents(self, other)
         if self.legs != other.legs:
             raise HopfError("tensor leg-count mismatch")
-        dim = self.parent.dim
-        mult = self.parent.mult
-        legs = self.legs
-        out: dict = {}
-        for ka, a in self.coeffs.items():
-            ia = self._split(ka)
-            for kb, b in other.coeffs.items():
-                ib = other._split(kb)
-                c = a * b
-                # product of basis tensors: legwise structure constants
-                parts = [mult[ia[t]][ib[t]] for t in range(legs)]
-                _scatter_product(out, parts, c, dim)
+        if self.legs == 2:
+            out = _product2(self.parent, self.coeffs, other.coeffs)
+        elif self.legs == 3:
+            out = _product3(self.parent, self.coeffs, other.coeffs)
+        else:
+            raise HopfError(f"legwise products are defined on 2- and 3-tensors, not {self.legs}-tensors")
         return Tensor._raw(self.parent, self.legs, out)
 
     def __pow__(self, k: int):
@@ -374,48 +380,111 @@ class Tensor:
         return " + ".join(parts)
 
 
-def _scatter_product(out: dict, parts: list[dict], c, dim: int) -> None:
-    """Accumulate c * (parts[0] (x) parts[1] (x) ...) into out."""
-    if len(parts) == 2:
-        p0, p1 = parts
-        for k0, v0 in p0.items():
-            base = k0 * dim
-            cv0 = c * v0
-            for k1, v1 in p1.items():
-                w = cv0 * v1
-                if not w:
-                    continue
-                idx = base + k1
-                cur = out.get(idx)
-                if cur is None:
-                    out[idx] = w
+def _product2(h: HopfData, ca: dict, cb: dict) -> dict:
+    """Coefficients of a * b for 2-tensors, from the term table.
+
+    Every multiplication actually performed is followed by a zero test (zero
+    divisors exist over F_p with p composite); a term None stands for the
+    coefficient one and is not multiplied by.
+    """
+    dim = h.dim
+    terms = h.mult_terms
+    split = [(kb // dim, kb % dim, b) for kb, b in cb.items()]
+    out: dict = {}
+    for ka, a in ca.items():
+        row0, row1 = terms[ka // dim], terms[ka % dim]
+        for j0, j1, b in split:
+            t0 = row0[j0]
+            t1 = row1[j1]
+            if not t0 or not t1:
+                continue
+            c = a * b
+            if not c:
+                continue
+            for k0, v0 in t0:
+                if v0 is None:
+                    c0 = c
                 else:
-                    w = cur + w
-                    if w:
+                    c0 = c * v0
+                    if not c0:
+                        continue
+                base = k0 * dim
+                for k1, v1 in t1:
+                    if v1 is None:
+                        w = c0
+                    else:
+                        w = c0 * v1
+                        if not w:
+                            continue
+                    idx = base + k1
+                    cur = out.get(idx)
+                    if cur is None:
                         out[idx] = w
                     else:
-                        del out[idx]
-        return
-    p0, p1, p2 = parts
-    for k0, v0 in p0.items():
-        cv0 = c * v0
-        for k1, v1 in p1.items():
-            base = (k0 * dim + k1) * dim
-            cv01 = cv0 * v1
-            for k2, v2 in p2.items():
-                w = cv01 * v2
-                if not w:
-                    continue
-                idx = base + k2
-                cur = out.get(idx)
-                if cur is None:
-                    out[idx] = w
+                        w = cur + w
+                        if w:
+                            out[idx] = w
+                        else:
+                            del out[idx]
+    return out
+
+
+def _product3(h: HopfData, ca: dict, cb: dict) -> dict:
+    """Coefficients of a * b for 3-tensors; see ``_product2``."""
+    dim = h.dim
+    terms = h.mult_terms
+    split = []
+    for kb, b in cb.items():
+        j01, j2 = divmod(kb, dim)
+        j0, j1 = divmod(j01, dim)
+        split.append((j0, j1, j2, b))
+    out: dict = {}
+    for ka, a in ca.items():
+        i01, i2 = divmod(ka, dim)
+        i0, i1 = divmod(i01, dim)
+        row0, row1, row2 = terms[i0], terms[i1], terms[i2]
+        for j0, j1, j2, b in split:
+            t0 = row0[j0]
+            t1 = row1[j1]
+            t2 = row2[j2]
+            if not t0 or not t1 or not t2:
+                continue
+            c = a * b
+            if not c:
+                continue
+            for k0, v0 in t0:
+                if v0 is None:
+                    c0 = c
                 else:
-                    w = cur + w
-                    if w:
-                        out[idx] = w
+                    c0 = c * v0
+                    if not c0:
+                        continue
+                for k1, v1 in t1:
+                    if v1 is None:
+                        c01 = c0
                     else:
-                        del out[idx]
+                        c01 = c0 * v1
+                        if not c01:
+                            continue
+                    base = (k0 * dim + k1) * dim
+                    for k2, v2 in t2:
+                        if v2 is None:
+                            w = c01
+                        else:
+                            w = c01 * v2
+                            if not w:
+                                continue
+                        idx = base + k2
+                        cur = out.get(idx)
+                        if cur is None:
+                            out[idx] = w
+                        else:
+                            w = cur + w
+                            if w:
+                                out[idx] = w
+                            else:
+                                del out[idx]
+    return out
 
 
 # -- coalgebra operations ------------------------------------------------

@@ -478,28 +478,32 @@ def classify(
     flags = {}
     cache = _analysis_cache(h)
 
+    r = None
+    r_str = None
+    if rspec is not None:
+        # a malformed R spec is a configuration error: raise it before any solve
+        if isinstance(rspec, str):
+            rspec = RSpec.parse(rspec)
+        r = build_r(h, rspec)
+        r_str = str(rspec)
+
     if "rfree" not in cache:
         cache["rfree"] = solve_rfree(h)
     rfree = cache["rfree"]
     dims = {"rfree": rfree.dim}
 
-    r = None
-    r_str = None
-    if rspec is not None:
-        if isinstance(rspec, str):
-            rspec = RSpec.parse(rspec)
-        r = build_r(h, rspec)
-        r_str = str(rspec)
+    if r is not None:
         qrep = verify_qtr(h, r)
         if not qrep.ok:
             raise PreCartierError(f"R fails the axioms: {qrep.summary()}")
         flags["r_verified"] = True
-        flags["r_triangular"] = is_triangular(h, r)
+        rinv = qrep.r_inv  # the verified two-sided inverse, reused below
+        flags["r_triangular"] = is_triangular(h, r, rinv)
 
     basis_exprs = []
     cart_exprs = []
     if r is not None:
-        chi_space = solve_infinitesimal(h, r, rinv=None, commutant=cached_commutant(h))
+        chi_space = solve_infinitesimal(h, r, rinv=rinv, commutant=cached_commutant(h))
         dims["precartier"] = chi_space.dim
         cart = cartier_subspace(h, r, chi_space)
         dims["cartier"] = cart.dim

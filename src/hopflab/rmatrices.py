@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
 
-from .expressions import parse_element, parse_scalar
+from .expressions import ExprError, parse_element, parse_scalar
 from .families import h8_idempotents
 from .hopf import HopfData, HopfError, Tensor, VerifyReport, antipode, delta
 from .linalg import solve
@@ -107,7 +107,15 @@ def _parse_scalar_matrix(field, text: str) -> list[list]:
     if not (text.startswith("[[") and text.endswith("]]")):
         raise RSpecError(f"expected [[..],[..]] matrix, got {text!r}")
     rows = re.findall(r"\[([^\[\]]*)\]", text)
-    return [[parse_scalar(field, x) for x in row.split(",")] for row in rows]
+    return [[_parse_body_scalar(field, x) for x in row.split(",")] for row in rows]
+
+
+def _parse_body_scalar(field, text: str):
+    """A scalar of an R spec body; malformed text raises RSpecError."""
+    try:
+        return parse_scalar(field, text)
+    except ExprError as exc:
+        raise RSpecError(f"cannot parse scalar {text.strip()!r} of the R spec: {exc}") from None
 
 
 # -- constructors ------------------------------------------------------------
@@ -155,7 +163,7 @@ def build_r_en(h: HopfData, A: list[list]) -> Tensor:
         raise FamilyMismatch("en-a R-matrices live on the E(n) family")
     n = fam.params[0]
     if len(A) != n or any(len(row) != n for row in A):
-        raise RMatrixError(f"matrix must be {n}x{n}")
+        raise RSpecError(f"matrix must be {n}x{n}")
     f = h.field
     half = f.one / f.from_int(2)
     subsets = [()] + [t for k in range(1, n + 1) for t in combinations(range(1, n + 1), k)]
@@ -198,7 +206,7 @@ def build_r_ac22(h: HopfData, q: int, a) -> Tensor:
                     right = (g ** ((j + q * (j + l)) % 2)) * (hh ** ((q * (j + l)) % 2))
                     rq = rq + left.tensor(right).scaled(sgn * quarter)
     if not isinstance(a, (int, Fraction)) and not hasattr(a, "field"):
-        a = parse_scalar(f, a)
+        a = _parse_body_scalar(f, a)
     elif isinstance(a, (int, Fraction)):
         a = f.from_fraction(Fraction(a))
     return rq * (h.unit_tensor(2) + x.tensor(g * x).scaled(a))
@@ -229,7 +237,7 @@ def build_r_h8_omega(h: HopfData, omega) -> Tensor:
     """
     f = h.field
     if isinstance(omega, str):
-        omega = parse_scalar(f, omega)
+        omega = _parse_body_scalar(f, omega)
     if omega**4 != -f.one:
         raise RMatrixError("omega must be a primitive 8th root of unity")
     e1, ex, ey, exy = h8_idempotents(h)
@@ -270,6 +278,8 @@ def build_r_bichar(h: HopfData, mat: tuple) -> Tensor:
     n = fam.params[0] if fam and fam.kind == "h2n2" else (2 if fam and fam.kind == "h8" else None)
     if n is None:
         raise FamilyMismatch("bicharacter R-matrices live on the semisimple family")
+    if len(mat) != 2 or any(len(row) != 2 for row in mat):
+        raise RSpecError("bicharacter matrix must be 2x2")
     f = h.field
     q = f.make_root(n)
     qpow = [q**t for t in range(n)]
@@ -317,9 +327,12 @@ def build_r(h: HopfData, spec: RSpec | str) -> Tensor:
         val = spec.params[0]
         if isinstance(val, Tensor):
             return val
-        t = parse_element(h, val)
+        try:
+            t = parse_element(h, val)
+        except ExprError as exc:
+            raise RSpecError(f"cannot parse explicit R: {exc}") from None
         if not isinstance(t, Tensor) or t.legs != 2:
-            raise RMatrixError("explicit R must be a 2-tensor expression")
+            raise RSpecError("explicit R must be a 2-tensor expression")
         return t
     raise RMatrixError(f"unknown R kind {spec.kind!r}")
 
@@ -328,6 +341,28 @@ def build_r(h: HopfData, spec: RSpec | str) -> Tensor:
 
 
 def r_inverse(h: HopfData, r: Tensor) -> Tensor:
+    """Two-sided inverse of a 2-tensor in H (x) H.
+
+    When H has an antipode, the candidate (S (x) Id)(R) is tried first: for a
+    quasitriangular R it is the inverse (Drinfeld; Kassel, Quantum Groups,
+    Prop. VIII.2.4).  It is returned only when R * cand = 1 (x) 1 and
+    cand * R = 1 (x) 1 both hold by multiplication, the same two-sided check
+    that ends the solve path.  Otherwise, and when H has no antipode, the
+    inverse comes from the exact linear solve of ``_solve_inverse``.  In an
+    associative algebra a two-sided inverse is unique, so both routes return
+    the same tensor, and a candidate that fails falls through to the solve,
+    which raises NotInvertible exactly when it did before.
+    """
+    # a tensor of another algebra or leg count fails in the solve path, as before
+    if h.antipode is not None and r.parent is h and r.legs == 2:
+        cand = apply_antipode_leg(r, 0)
+        one2 = h.unit_tensor(2)
+        if r * cand == one2 and cand * r == one2:
+            return cand
+    return _solve_inverse(h, r)
+
+
+def _solve_inverse(h: HopfData, r: Tensor) -> Tensor:
     """Two-sided inverse in H (x) H by exact linear solve."""
     f = h.field
     dim2 = h.dim * h.dim
@@ -395,7 +430,13 @@ class QtrReport:
 
 def verify_qtr(h: HopfData, r: Tensor) -> QtrReport:
     """Invertibility, quasi-cocommutativity on every basis element, both
-    hexagons, plus the derived counit and quantum Yang-Baxter checks."""
+    hexagons, plus the derived counit and quantum Yang-Baxter checks.
+
+    The inverse is ``r_inverse``'s, verified two-sided by multiplication, and
+    is kept as ``r_inv``.  The law ``antipode-inverse`` compares
+    (S (x) Id)(R) with that verified inverse; when ``r_inverse`` accepted the
+    antipode candidate this restates its two-sided check.
+    """
     rep = QtrReport(f"qtr({h.name})")
     try:
         rinv = r_inverse(h, r)
@@ -420,9 +461,12 @@ def verify_qtr(h: HopfData, r: Tensor) -> QtrReport:
     return rep
 
 
-def is_triangular(h: HopfData, r: Tensor) -> bool:
-    """R is triangular when its inverse is its flip."""
-    return r_inverse(h, r) == r.flip()
+def is_triangular(h: HopfData, r: Tensor, rinv: Tensor | None = None) -> bool:
+    """R is triangular when its inverse is its flip.  ``rinv`` is the
+    inverse when the caller already holds it verified (``QtrReport.r_inv``)."""
+    if rinv is None:
+        rinv = r_inverse(h, r)
+    return rinv == r.flip()
 
 
 # -- identity suites -----------------------------------------------------------

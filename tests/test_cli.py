@@ -143,6 +143,10 @@ def test_runconfig_no_tasks():
         ("en:2", "bogus"),  # unparsable R spec
         ("h8", "en-a:[[0]]"),  # R kind of another family
         ("ac2n:2", "ac22:a=1"),  # missing key q
+        ("en:2", "en-a:[[1,2]]"),  # en-a matrix of the wrong shape
+        ("en:1", "en-a:[[x]]"),  # en-a matrix entry that is not a scalar
+        ("h2n2:3", "bichar:[[0]]"),  # bicharacter matrix of the wrong shape
+        ("en:1", "explicit:foo"),  # explicit body that does not parse
     ],
 )
 def test_bad_r_spec_exit_2(capsys, family, rspec):
@@ -170,4 +174,24 @@ def test_quantize_inverts_each_r_once(capsys, monkeypatch):
     reps = json.loads(out)
     assert len({rep["r"] for rep in reps}) == 3
     assert len(reps) == 12  # four chi per R
+    assert len(calls) == 3
+
+
+def test_classify_inverts_each_r_once(capsys, monkeypatch):
+    import hopflab.precartier as pc
+    import hopflab.quantize as qz
+    import hopflab.rmatrices as rm
+
+    calls = []
+    r_inverse = rm.r_inverse
+
+    def counting(h, r):
+        calls.append(r)
+        return r_inverse(h, r)
+
+    for module in (cli, pc, qz, rm):
+        monkeypatch.setattr(module, "r_inverse", counting)
+    code, out, _ = run_cli(capsys, "classify", "--family", "en:2", "--r", "enumerate")
+    assert code == 0
+    assert len(json.loads(out)) == 3
     assert len(calls) == 3

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import pe, random_sparse_tensor
 from hopflab.families import build, build_en
 from hopflab.hopf import (
     HopfData,
+    HopfError,
     ParentMismatch,
     Tensor,
     antipode,
@@ -16,6 +19,7 @@ from hopflab.hopf import (
     verify_bialgebra,
     verify_hopf,
 )
+from hopflab.scalars import FieldSpec
 
 
 def test_unit_multiplication(en2):
@@ -205,3 +209,67 @@ def test_tensor_pow_and_elem_pow(en2):
     assert g**2 == en2.unit()
     t = g.tensor(g)
     assert t**2 == en2.unit_tensor(2)
+
+
+# -- the legwise product kernel against a plain reference -----------------------
+
+# (family, field, root order): Q, F_97, Q(zeta4) and Q(zeta8); h8 has cells
+# with several terms and coefficients other than one
+KERNEL_ALGEBRAS = [("en:2", None, 2), ("en:2", "prime:97", 8), ("ac4dual", None, 4), ("h8", None, 8)]
+
+
+def _kernel_algebra(i):
+    family, field, _ = KERNEL_ALGEBRAS[i]
+    return build(family, FieldSpec.parse(field) if field else None)
+
+
+def reference_product(a: Tensor, b: Tensor) -> Tensor:
+    """Sum over pairs of basis tensors of the legwise mult cells, no shortcuts."""
+    h = a.parent
+    dim = h.dim
+    out = {}
+    for ka, ca in a.coeffs.items():
+        for kb, cb in b.coeffs.items():
+            ia, ib = a._split(ka), b._split(kb)
+            terms = {0: ca * cb}  # flattened index of the legs so far -> coefficient
+            for t in range(a.legs):
+                cell = h.mult[ia[t]][ib[t]]
+                terms = {p * dim + k: c * v for p, c in terms.items() for k, v in cell.items()}
+            for k, c in terms.items():
+                out[k] = out.get(k, h.field.zero) + c
+    return Tensor(h, a.legs, out)
+
+
+@st.composite
+def tensor_pairs(draw):
+    which = draw(st.integers(0, len(KERNEL_ALGEBRAS) - 1))
+    h = _kernel_algebra(which)
+    root = h.field.make_root(KERNEL_ALGEBRAS[which][2])
+    legs = draw(st.sampled_from((2, 3)))
+
+    def tensor():
+        coeffs = {}
+        for idx in draw(st.lists(st.integers(0, h.dim**legs - 1), max_size=6, unique=True)):
+            q = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+            coeffs[idx] = h.field.from_fraction(q) * root ** draw(st.integers(0, 7))
+        return Tensor(h, legs, coeffs)
+
+    return tensor(), tensor()
+
+
+@settings(max_examples=80, deadline=None)
+@given(tensor_pairs())
+def test_product_kernel_matches_reference(pair):
+    a, b = pair
+    assert a * b == reference_product(a, b)
+    assert b * a == reference_product(b, a)
+
+
+def test_product_kernel_leg_counts(en2):
+    two = en2.unit_tensor(2)
+    with pytest.raises(HopfError):
+        two * en2.unit_tensor(3)
+    for legs in (1, 4):
+        t = en2.unit_tensor(legs)
+        with pytest.raises(HopfError):
+            t * t

@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import pe
-from hopflab.families import build
-from hopflab.hopf import delta
+import hopflab.rmatrices as rm
+from hopflab.families import FamilySpec, build
+from hopflab.hopf import HopfData, Tensor, delta
 from hopflab.rmatrices import (
     FamilyMismatch,
     NotInvertible,
     RSpec,
+    _solve_inverse,
     apply_antipode_leg,
     build_r,
     build_r_h8_pm,
@@ -16,6 +18,7 @@ from hopflab.rmatrices import (
     enumerate_group_rmatrices,
     is_triangular,
     r_inverse,
+    registered_rspecs,
     rswap_identities_en,
     verify_qtr,
 )
@@ -134,6 +137,57 @@ def test_r_inverse_examples(en2, h8):
     assert rinv == apply_antipode_leg(r, 0)
     with pytest.raises(NotInvertible):
         r_inverse(en2, en2.gen("x1").tensor(en2.gen("x1")))
+
+
+def _counting_solve(monkeypatch):
+    calls = []
+
+    def counting(h, r):
+        calls.append(r)
+        return _solve_inverse(h, r)
+
+    monkeypatch.setattr(rm, "_solve_inverse", counting)
+    return calls
+
+
+def test_r_inverse_candidate_equals_solve(en2, h8, monkeypatch):
+    calls = _counting_solve(monkeypatch)
+    for h, family in ((en2, "en:2"), (h8, "h8")):
+        for spec in registered_rspecs(FamilySpec.parse(family)):
+            r = build_r(h, spec)
+            rinv = r_inverse(h, r)
+            assert rinv == _solve_inverse(h, r), str(spec)
+            assert rinv == apply_antipode_leg(r, 0)
+    assert calls == []  # every registered R took the antipode candidate
+
+
+def test_r_inverse_falls_back_when_not_qtr(en1, monkeypatch):
+    r = pe(en1, "1 (x) 1 + x1 (x) x1")
+    assert not verify_qtr(en1, r).ok
+    one2 = en1.unit_tensor(2)
+    cand = apply_antipode_leg(r, 0)
+    assert r * cand != one2
+    calls = _counting_solve(monkeypatch)
+    assert r_inverse(en1, r) == pe(en1, "1 (x) 1 - x1 (x) x1")
+    assert len(calls) == 1
+
+
+def test_r_inverse_not_invertible(en1):
+    for text in ("x1 (x) x1", "1 (x) 1 + g (x) g"):
+        with pytest.raises(NotInvertible):
+            r_inverse(en1, pe(en1, text))
+
+
+def test_r_inverse_without_antipode_solves(en2, monkeypatch):
+    bare = HopfData(
+        en2.field, en2.labels, en2.mult, en2.unit_index, en2.comult, en2.counit,
+        None, en2.generators, "en2-without-antipode", en2.family,
+    )
+    r = build_r(en2, "en-a:[[1,2],[3,5]]")
+    calls = _counting_solve(monkeypatch)
+    rinv = r_inverse(bare, Tensor(bare, 2, dict(r.coeffs)))
+    assert len(calls) == 1
+    assert rinv.coeffs == r_inverse(en2, r).coeffs
 
 
 def test_conjugation_identities(h8):
