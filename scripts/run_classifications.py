@@ -2,11 +2,12 @@
 """Batch driver: reproduce every classification and write the reports.
 
 Runs each family with its registered (or enumerated) R-matrices, prints one
-summary line per report, and writes the full JSON bundle.  Exits nonzero when
-any report misses its expected dimensions.
+summary line per report, and writes the full JSON bundle and prints its
+sha256.  Exits nonzero when any report misses its expected dimensions.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -58,8 +59,10 @@ def main() -> int:
             print(f"{mark:8s} {d['family']:12s} r={str(d['r']):30.30s} {dims}")
         print(f"         {family}: {len(reports)} report(s) in {time.time() - t0:.1f}s")
 
-    Path(args.out).write_text(json.dumps(bundle, indent=2) + "\n")
+    data = (json.dumps(bundle, indent=2) + "\n").encode()
+    Path(args.out).write_bytes(data)
     print(f"\nwrote {len(bundle)} reports to {args.out}")
+    print(f"bundle sha256 {hashlib.sha256(data).hexdigest()}")
     return 1 if failures else 0
 
 

@@ -53,7 +53,7 @@ def _resolve_rspecs(cfg: RunConfig, h) -> list[RSpec] | None:
     if cfg.r == "enumerate":
         fam = h.family
         if fam.kind == "h2n2":
-            return [spec for spec, _ in enumerate_group_rmatrices(h, with_specs=True)]
+            return [spec for spec, _, _ in enumerate_group_rmatrices(h, with_specs=True)]
         return registered_rspecs(fam)
     return [RSpec.parse(cfg.r)]
 
@@ -136,11 +136,14 @@ def run(cfg: RunConfig) -> int:
             _emit(cfg, payload)
         elif task == "classify":
             h = build(fam_spec, field_spec)
-            rspecs = _resolve_rspecs(cfg, h)
-            if rspecs is None:
-                reports = [classify(fam_spec, None, field_spec).to_dict()]
+            if cfg.r == "enumerate":
+                reports = [rep.to_dict() for rep in classify_enumerated(fam_spec, field_spec)]
             else:
-                reports = [classify(fam_spec, spec, field_spec).to_dict() for spec in rspecs]
+                rspecs = _resolve_rspecs(cfg, h)
+                if rspecs is None:
+                    reports = [classify(fam_spec, None, field_spec).to_dict()]
+                else:
+                    reports = [classify(fam_spec, spec, field_spec).to_dict() for spec in rspecs]
             problems = _report_failures(reports)
             if problems:
                 status = max(status, 1)
@@ -190,7 +193,7 @@ def run(cfg: RunConfig) -> int:
             h = build(fam_spec, field_spec)
             if fam_spec.kind in ("h2n2", "h8"):
                 found = enumerate_group_rmatrices(h, with_specs=True)
-                payload = [{"r": str(spec), "tensor": format_tensor(r)} for spec, r in found]
+                payload = [{"r": str(spec), "tensor": format_tensor(r)} for spec, r, _ in found]
             else:
                 payload = [{"r": str(spec), "tensor": format_tensor(build_r(h, spec))}
                            for spec in registered_rspecs(fam_spec)]

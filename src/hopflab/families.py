@@ -1065,7 +1065,8 @@ def build(spec, field_spec: FieldSpec | None = None, checked: bool = True) -> Ho
 
     What this caches lives as long as the process and is never evicted: the
     ``_build_cached`` instance per (family, field, checked); on each instance,
-    its term table ``mult_terms`` and the ``precartier._analysis_cache`` memo
+    its term table ``mult_terms``, over a cyclotomic field one packed copy of
+    it per slot width used, and the ``precartier._analysis_cache`` memo
     of R-independent results (commutant, R-free space, cocycles,
     coboundaries, the generator certificate); and, per interned cyclotomic
     field, the ``CycElt`` product and sum caches, which stop growing at

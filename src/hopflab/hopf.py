@@ -15,6 +15,38 @@ and v = None where the coefficient is the field's one.  The legwise products
 of 2- and 3-tensors run over this table, so they skip zero cells and never
 multiply by one; they perform the same remaining multiplications and zero
 tests as a product over ``mult``, and so yield the same coefficients.
+
+Over a cyclotomic field Q(zeta_M) the same two product loops run on Python
+ints instead of field elements (Kronecker substitution; von zur Gathen and
+Gerhard, Modern Computer Algebra, section 8.4).  Each operand is put over
+one common denominator (D_a, D_b) and each coefficient x becomes the integer
+polynomial x*D in Z[t], packed into one int as its value at t = 2^B.  The
+loops read a packed copy of ``mult_terms``, made once per slot width B and
+kept on the algebra: every entry times the lcm D_m of the table's
+denominators, and a None (one) entry stays None when D_m = 1 and becomes
+D_m otherwise.  Each output int is unpacked in balanced base-2^B digits,
+reduced modulo Phi_M once and divided by D_a * D_b * D_m^legs.  Why the
+coefficients are exactly those of the element loops:
+
+- Reduction Z[t] -> Z[zeta_M] = Z[t]/(Phi_M) is a ring morphism, so summing
+  unreduced integer products and reducing once gives the same field element
+  as stepwise element arithmetic, and the canonical form (den > 0,
+  gcd(den, *nums) = 1) is unique, so ``nums`` and ``den`` are identical.
+- Evaluation at 2^B is a ring morphism Z[t] -> Z, so every int in the loop
+  is the value at 2^B of the corresponding unreduced polynomial.  It is
+  injective on polynomials whose coefficients are all below 2^(B-1) in
+  absolute value.  B is chosen with 2^(B-1) > S_a * S_b * V^legs, where S_a
+  and S_b are the sums of the l1 norms of the lifted operand polynomials and
+  V bounds the l1 norm of every lifted table entry.  The l1 norm of a
+  product is at most the product of the l1 norms, V >= 1, and each output
+  index gets at most one term per pair (ka, kb) of operand indices, so the
+  bound covers every partial product, every term and every partial sum.
+- Hence a zero test on a packed int is a zero test of an unreduced
+  polynomial: a skip on zero never drops a nonzero term, and the final
+  reduction removes the true zeros.
+
+Rationals and prime fields keep the element loops: lifting them too was
+measured slower.
 """
 
 from __future__ import annotations
@@ -22,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .linalg import SparseMat, Subspace, kernel_of_rows, vec_axpy
+from .scalars import CycField
 
 
 class HopfError(ValueError):
@@ -70,6 +103,28 @@ class HopfData:
         self.mult_terms = [
             [tuple((k, None if v == one else v) for k, v in cell.items() if v) for cell in row] for row in mult
         ]
+        self._packed_terms: dict = {}  # slot width -> packed mult_terms (cyclotomic fields)
+        if type(field) is CycField:
+            # the lcm D_m of the table's denominators and a bound V on the l1 norm of
+            # every lifted entry (a None entry lifts to the constant D_m)
+            entries = [v for row in self.mult_terms for cell in row for _, v in cell if v is not None]
+            self.table_den, norms = field.lift(entries)
+            self.table_norm = max(norms + [self.table_den])
+
+    def packed_terms(self, bits: int) -> list:
+        """``mult_terms`` over Z with slot width ``bits``: each entry v as
+        ``field.pack(v, table_den, bits)``, and a None entry as
+        ``table_den`` unless that is 1.  Made once per width."""
+        table = self._packed_terms.get(bits)
+        if table is None:
+            f, den = self.field, self.table_den
+            one = None if den == 1 else den
+            table = [
+                [tuple((k, one if v is None else f.pack(v, den, bits)) for k, v in cell) for cell in row]
+                for row in self.mult_terms
+            ]
+            self._packed_terms[bits] = table
+        return table
 
     # -- element / tensor factories -------------------------------------
 
@@ -259,12 +314,17 @@ class Tensor:
         if self.legs != other.legs:
             raise HopfError("tensor leg-count mismatch")
         if self.legs == 2:
-            out = _product2(self.parent, self.coeffs, other.coeffs)
+            loop = _product2
         elif self.legs == 3:
-            out = _product3(self.parent, self.coeffs, other.coeffs)
+            loop = _product3
         else:
             raise HopfError(f"legwise products are defined on 2- and 3-tensors, not {self.legs}-tensors")
-        return Tensor._raw(self.parent, self.legs, out)
+        h = self.parent
+        if type(h.field) is CycField:
+            out = _packed_product(h, loop, self.legs, self.coeffs, other.coeffs)
+        else:
+            out = loop(h.mult_terms, h.dim, self.coeffs, other.coeffs)
+        return Tensor._raw(h, self.legs, out)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -380,15 +440,38 @@ class Tensor:
         return " + ".join(parts)
 
 
-def _product2(h: HopfData, ca: dict, cb: dict) -> dict:
-    """Coefficients of a * b for 2-tensors, from the term table.
+SLOT_ALIGN = 32  # slot widths are rounded up to this, so few packed tables exist
+
+
+def _packed_product(h: HopfData, loop, legs: int, ca: dict, cb: dict) -> dict:
+    """``loop`` (``_product2`` or ``_product3``) over a cyclotomic field, run
+    on packed ints; see the module docstring for why it is exact."""
+    if not ca or not cb:
+        return {}
+    f = h.field
+    den_a, norms_a = f.lift(ca.values())
+    den_b, norms_b = f.lift(cb.values())
+    bound = sum(norms_a) * sum(norms_b) * h.table_norm**legs
+    bits = -(-(bound.bit_length() + 1) // SLOT_ALIGN) * SLOT_ALIGN  # 2^(bits-1) > bound
+    pa = {k: f.pack(v, den_a, bits) for k, v in ca.items()}
+    pb = {k: f.pack(v, den_b, bits) for k, v in cb.items()}
+    packed = loop(h.packed_terms(bits), h.dim, pa, pb)
+    den = den_a * den_b * h.table_den**legs
+    out = {}
+    for k, x in packed.items():
+        v = f.unpack(x, bits, den)
+        if v:
+            out[k] = v
+    return out
+
+
+def _product2(terms: list, dim: int, ca: dict, cb: dict) -> dict:
+    """Coefficients of a * b for 2-tensors, from a term table.
 
     Every multiplication actually performed is followed by a zero test (zero
     divisors exist over F_p with p composite); a term None stands for the
     coefficient one and is not multiplied by.
     """
-    dim = h.dim
-    terms = h.mult_terms
     split = [(kb // dim, kb % dim, b) for kb, b in cb.items()]
     out: dict = {}
     for ka, a in ca.items():
@@ -429,10 +512,8 @@ def _product2(h: HopfData, ca: dict, cb: dict) -> dict:
     return out
 
 
-def _product3(h: HopfData, ca: dict, cb: dict) -> dict:
+def _product3(terms: list, dim: int, ca: dict, cb: dict) -> dict:
     """Coefficients of a * b for 3-tensors; see ``_product2``."""
-    dim = h.dim
-    terms = h.mult_terms
     split = []
     for kb, b in cb.items():
         j01, j2 = divmod(kb, dim)

@@ -33,7 +33,15 @@ from .expressions import format_tensor, parse_element
 from .families import FamilySpec, build
 from .hopf import Elem, HopfData, HopfError, Tensor, antipode, delta
 from .linalg import Echelon, SparseMat, Subspace, kernel_of_rows
-from .rmatrices import RSpec, build_r, enumerate_group_rmatrices, is_triangular, r_inverse, verify_qtr
+from .rmatrices import (
+    FamilyMismatch,
+    RSpec,
+    build_r,
+    enumerate_group_rmatrices,
+    is_triangular,
+    r_inverse,
+    verify_qtr,
+)
 
 
 class PreCartierError(HopfError):
@@ -268,35 +276,21 @@ def solve_rfree(h: HopfData) -> Subspace:
     """Kernel of the C1 commutation rows plus both counit conditions: an
     R-independent upper bound for the solution space over any R.
 
-    The C1 rows come from the generators only.  Every kernel vector is
-    rechecked by direct evaluation against Delta(g) for each generator g,
-    an oracle independent of the elimination.  This implies C1 for every
-    basis element because ``generators_span`` holds: if chi commutes with
-    Delta(g) for each generator g, and Delta(w*g) = Delta(w) Delta(g) for
-    each accepted word w*g (checked by the certificate itself, not taken
-    from the axiom check of ``build``), then by induction chi commutes with
-    Delta(w) for every accepted word w; those words span H and Delta is
-    linear, so chi commutes with Delta(b) for every b.  When the certificate
-    fails, PreCartierError is raised.
+    It is the counit cut of ``cached_commutant(h)``, whose C1 rows come from
+    the generators only.  Every kernel vector is rechecked by direct
+    evaluation against Delta(g) for each generator g, an oracle independent
+    of the elimination.  This implies C1 for every basis element because
+    ``generators_span`` holds: if chi commutes with Delta(g) for each
+    generator g, and Delta(w*g) = Delta(w) Delta(g) for each accepted word
+    w*g (checked by the certificate itself, not taken from the axiom check
+    of ``build``), then by induction chi commutes with Delta(w) for every
+    accepted word w; those words span H and Delta is linear, so chi commutes
+    with Delta(b) for every b.  When the certificate fails, PreCartierError
+    is raised.
     """
     _require_generators_span(h)
-    dim = h.dim
-    dim2 = dim * dim
-    rows: dict[tuple, dict] = {}
-    for gi, e in enumerate(_generator_elems(h)):
-        d = delta(e)
-        for t in range(dim2):
-            et = Tensor(h, 2, {t: h.field.one})
-            resid = et * d - d * et
-            for rcoord, v in resid.coeffs.items():
-                rows.setdefault((0, gi, rcoord), {})[t] = v
-    for t in range(dim2):
-        i, j = divmod(t, dim)
-        if h.counit[j]:
-            rows.setdefault((1, 0, i), {})[t] = h.counit[j]
-        if h.counit[i]:
-            rows.setdefault((2, 0, j), {})[t] = h.counit[i]
-    space = kernel_of_rows(rows.values(), dim2)
+    counits = [lambda t: t.apply_counit(1), lambda t: t.apply_counit(0)]
+    space = _restrict_and_cut(h, cached_commutant(h), counits)
     for vec in space.basis():
         if not _commutes_with_generators(h, Tensor(h, 2, vec)):
             raise PreCartierError("a kernel vector violates C1 against a generator on recheck")
@@ -464,11 +458,15 @@ def classify(
     rspec: RSpec | str | None = None,
     field_spec=None,
     with_cohomology: bool = True,
+    prebuilt: tuple | None = None,
 ) -> ClassificationReport:
     """Build the family and an R-matrix, solve, and fill a report.
 
     ``rspec`` may be None (R-free bound only, used for the Radford family and
-    group algebras where the classification is R-independent).
+    group algebras where the classification is R-independent).  ``prebuilt``
+    is (R, QtrReport) when the caller already built R from ``rspec`` over
+    this family and verified it (an enumeration survivor); R is then not
+    rebuilt nor verified again, and a report that is not ok is refused.
     """
     if isinstance(family_spec, str):
         family_spec = FamilySpec.parse(family_spec)
@@ -480,11 +478,19 @@ def classify(
 
     r = None
     r_str = None
+    qrep = None
+    if prebuilt is not None and rspec is None:
+        raise PreCartierError("a prebuilt R needs the spec it was built from")
     if rspec is not None:
         # a malformed R spec is a configuration error: raise it before any solve
         if isinstance(rspec, str):
             rspec = RSpec.parse(rspec)
-        r = build_r(h, rspec)
+        if prebuilt is None:
+            r = build_r(h, rspec)
+        else:
+            r, qrep = prebuilt
+            if r.parent is not h:
+                raise FamilyMismatch(f"the prebuilt R belongs to {r.parent.name}, not {h.name}")
         r_str = str(rspec)
 
     if "rfree" not in cache:
@@ -493,7 +499,8 @@ def classify(
     dims = {"rfree": rfree.dim}
 
     if r is not None:
-        qrep = verify_qtr(h, r)
+        if qrep is None:
+            qrep = verify_qtr(h, r)
         if not qrep.ok:
             raise PreCartierError(f"R fails the axioms: {qrep.summary()}")
         flags["r_verified"] = True
@@ -579,7 +586,7 @@ def classify_enumerated(family_spec: FamilySpec | str, field_spec=None, with_coh
     if family_spec.kind == "h2n2":
         h = build(family_spec, field_spec)
         out = []
-        for spec, _r in enumerate_group_rmatrices(h, with_specs=True):
-            out.append(classify(family_spec, spec, field_spec, with_cohomology))
+        for spec, r, qrep in enumerate_group_rmatrices(h, with_specs=True):
+            out.append(classify(family_spec, spec, field_spec, with_cohomology, prebuilt=(r, qrep)))
         return out
     return [classify(family_spec, spec, field_spec, with_cohomology) for spec in registered_rspecs(family_spec)]

@@ -545,7 +545,8 @@ def enumerate_group_rmatrices(h: HopfData, n: int | None = None, with_specs: boo
     filtering the n^4 bicharacter candidates through the full axiom check.
 
     Completeness relative to the cited classification of all R-matrices is
-    assumed, not proved; callers should surface that flag.
+    assumed, not proved; callers should surface that flag.  With
+    ``with_specs`` each survivor comes as (spec, R, its ok ``QtrReport``).
     """
     fam = h.family
     fam_n = fam.params[0] if fam and fam.kind == "h2n2" else (2 if fam and fam.kind == "h8" else None)
@@ -571,11 +572,12 @@ def enumerate_group_rmatrices(h: HopfData, n: int | None = None, with_specs: boo
                     # can fail, and on generators it decides all of Q1
                     if r * dz != dz_op * r:
                         continue
-                    if verify_qtr(h, r).ok:
-                        survivors.append((mat, r))
+                    rep = verify_qtr(h, r)
+                    if rep.ok:
+                        survivors.append((RSpec("bichar", (mat,)), r, rep))
     if with_specs:
-        return [(RSpec("bichar", (m,)), r) for m, r in survivors]
-    return [r for _, r in survivors]
+        return survivors
+    return [r for _, r, _ in survivors]
 
 
 # -- registries -------------------------------------------------------------------

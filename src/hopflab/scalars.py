@@ -361,7 +361,19 @@ class RationalField:
 
 class CycField:
     """Q(zeta_M) = Q[t]/(Phi_M(t)); Phi_M is monic with integer coefficients,
-    so the high-power reduction rows are integer vectors."""
+    so reduction modulo Phi_M keeps integer polynomials integral.
+
+    Besides the element arithmetic, the field serves the packed products of
+    ``hopf``, which run on Python ints instead of elements: ``lift`` puts a
+    batch of elements over one common denominator D, ``pack`` turns x*D
+    (an integer polynomial) into its value at t = 2^bits, and ``unpack``
+    reads the balanced base-2^bits digits of such a value back as an
+    unreduced integer polynomial, divides it by Phi_M once (``_reduce_int``,
+    the only reduction routine) and returns the canonical element over the
+    given denominator.  Evaluation at 2^bits is a ring morphism Z[t] -> Z,
+    and it is injective on the polynomials whose coefficients are all below
+    2^(bits-1) in absolute value, which is the bound callers must keep.
+    """
 
     characteristic = 0
 
@@ -373,18 +385,6 @@ class CycField:
         deg = self.degree
         self.zero = CycElt(self, (0,) * deg, 1)
         self.one = CycElt(self, (1,) + (0,) * (deg - 1), 1)
-        # rows[k] = integer coordinates of t^(degree+k) in the power basis
-        rows = []
-        prev = [-c for c in self.modulus[:deg]]
-        rows.append(tuple(prev))
-        for _ in range(deg - 2):
-            shifted = [0] + prev[: deg - 1]
-            top = prev[deg - 1]
-            if top:
-                shifted = [sh + top * r for sh, r in zip(shifted, rows[0])]
-            prev = shifted
-            rows.append(tuple(prev))
-        self._high_power_rows = rows
         self._mul_cache: dict = {}
         self._add_cache: dict = {}
 
@@ -399,45 +399,73 @@ class CycField:
         den = 1
         for q in fracs:
             den = den * q.denominator // math.gcd(den, q.denominator)
-        nums = [int(q * den) for q in fracs]
-        if len(nums) > self.degree:
-            nums = list(self._reduce_int(nums))
-        nums += [0] * (self.degree - len(nums))
-        out = _canonical(tuple(nums), den)
+        out = _canonical(self._reduce_int([int(q * den) for q in fracs]), den)
         return CycElt(self, out[0], out[1])
 
-    def _reduce_int(self, poly: list) -> tuple:
-        """Reduce an integer coefficient list modulo the (monic) modulus."""
+    def _reduce_int(self, poly) -> tuple:
+        """Remainder of an integer polynomial (ascending coefficients, any
+        length) on division by the monic modulus, as ``degree`` integers."""
         deg = self.degree
-        out = list(poly[:deg]) + [0] * max(0, deg - len(poly))
-        for k in range(len(poly) - deg - 1, -1, -1):
-            c = poly[deg + k]
+        out = list(poly)
+        low = self.modulus[:deg]
+        for top in range(len(out) - 1, deg - 1, -1):
+            c = out[top]
             if c:
-                row = self._high_power_rows[k]
-                for t in range(deg):
-                    r = row[t]
-                    if r:
-                        out[t] += c * r
-        return tuple(out)
+                base = top - deg
+                for i, m in enumerate(low):
+                    if m:
+                        out[base + i] -= c * m
+        if len(out) < deg:
+            out += [0] * (deg - len(out))
+        return tuple(out[:deg])
 
     def _mulmod(self, a: tuple, da: int, b: tuple, db: int) -> tuple:
-        deg = self.degree
-        conv = [0] * (2 * deg - 1)
+        conv = [0] * (2 * self.degree - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        out = conv[:deg]
-        for k in range(deg - 1):
-            c = conv[deg + k]
-            if c:
-                row = self._high_power_rows[k]
-                for t in range(deg):
-                    r = row[t]
-                    if r:
-                        out[t] += c * r
-        return _canonical(tuple(out), da * db)
+        return _canonical(self._reduce_int(conv), da * db)
+
+    # -- packed integer arithmetic (see the class docstring) ----------------
+
+    @staticmethod
+    def lift(values) -> tuple[int, list]:
+        """Common denominator D of the elements ``values`` (the lcm of their
+        denominators) and, per element x, the l1 norm of the integer
+        polynomial x*D."""
+        values = list(values)
+        den = 1
+        for x in values:
+            if x.den != 1:
+                den = den * x.den // math.gcd(den, x.den)
+        return den, [sum(map(abs, x.nums)) * (den // x.den) for x in values]
+
+    @staticmethod
+    def pack(x: CycElt, den: int, bits: int) -> int:
+        """x*den, an integer polynomial when den is a multiple of x.den,
+        evaluated at t = 2^bits."""
+        acc = 0
+        for c in reversed(x.nums):
+            acc = (acc << bits) + c
+        return acc * (den // x.den)
+
+    def unpack(self, packed: int, bits: int, den: int) -> CycElt:
+        """The element P(zeta)/den, where ``packed`` = P(2^bits) for an
+        integer polynomial P with every coefficient below 2^(bits-1) in
+        absolute value."""
+        full = 1 << bits
+        mask, half = full - 1, full >> 1
+        poly = []
+        while packed:
+            d = packed & mask
+            if d >= half:
+                d -= full
+            poly.append(d)
+            packed = (packed - d) >> bits
+        nums, d = _canonical(self._reduce_int(poly), den)
+        return CycElt(self, nums, d)
 
     def _inverse(self, x: CycElt) -> CycElt:
         # Extended Euclid in Q[t] against the (irreducible) modulus.

@@ -213,9 +213,16 @@ def test_tensor_pow_and_elem_pow(en2):
 
 # -- the legwise product kernel against a plain reference -----------------------
 
-# (family, field, root order): Q, F_97, Q(zeta4) and Q(zeta8); h8 has cells
-# with several terms and coefficients other than one
-KERNEL_ALGEBRAS = [("en:2", None, 2), ("en:2", "prime:97", 8), ("ac4dual", None, 4), ("h8", None, 8)]
+# (family, field, root order): Q, F_97, Q(zeta4), Q(zeta8) and Q(zeta3); h8 has
+# cells with several terms and coefficients other than one, and the z*z cells
+# of h2n2:3 have 9 terms with coefficient zeta^k / 3
+KERNEL_ALGEBRAS = [
+    ("en:2", None, 2),
+    ("en:2", "prime:97", 8),
+    ("ac4dual", None, 4),
+    ("h8", None, 8),
+    ("h2n2:3", None, 3),
+]
 
 
 def _kernel_algebra(i):
@@ -247,10 +254,14 @@ def tensor_pairs(draw):
     root = h.field.make_root(KERNEL_ALGEBRAS[which][2])
     legs = draw(st.sampled_from((2, 3)))
 
+    p = h.field.characteristic
+
     def tensor():
+        # numerators and denominators large enough for packed slots wider than 64 bits
         coeffs = {}
         for idx in draw(st.lists(st.integers(0, h.dim**legs - 1), max_size=6, unique=True)):
-            q = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+            den = draw(st.integers(1, 10**6).filter(lambda d: not p or d % p))
+            q = Fraction(draw(st.integers(-(10**15), 10**15)), den)
             coeffs[idx] = h.field.from_fraction(q) * root ** draw(st.integers(0, 7))
         return Tensor(h, legs, coeffs)
 
@@ -261,6 +272,24 @@ def tensor_pairs(draw):
 @given(tensor_pairs())
 def test_product_kernel_matches_reference(pair):
     a, b = pair
+    assert a * b == reference_product(a, b)
+    assert b * a == reference_product(b, a)
+
+
+def test_product_kernel_wide_slots_three_legs(h2n2_3):
+    """A 3-leg product over Q(zeta3) whose packed slots need well over 64 bits."""
+    h = h2n2_3
+    f = h.field
+    z = f.make_root(3)
+    dim3 = h.dim**3
+    a, b = {}, {}
+    for k in range(6):
+        a[(7 * k * k + 3) % dim3] = f.from_fraction(Fraction(10**15 - k, 999_983 + k)) * z**k
+        b[(11 * k + 5) % dim3] = f.from_fraction(Fraction(-(10**15) + 7 * k, 10**6 - k)) * z ** (k + 1)
+    for idx in ((17 * h.dim + 17) * h.dim + 17, (9 * h.dim + 12) * h.dim + 15):  # z-words in every leg
+        a[idx] = f.from_fraction(Fraction(10**15 + idx, 3))
+        b[idx] = f.from_fraction(Fraction(-(10**15) + idx, 7)) * z
+    a, b = Tensor(h, 3, a), Tensor(h, 3, b)
     assert a * b == reference_product(a, b)
     assert b * a == reference_product(b, a)
 

@@ -242,6 +242,39 @@ def test_classify_enumerated_ac22():
     assert all(r.dims["precartier"] == 1 for r in reports)
 
 
+def test_classify_enumerated_verifies_each_survivor_once(monkeypatch):
+    import hopflab.precartier as pc
+    import hopflab.rmatrices as rm
+
+    calls = []
+    verify_qtr = rm.verify_qtr
+
+    def counting(h, r):
+        calls.append(r)
+        return verify_qtr(h, r)
+
+    for module in (pc, rm):
+        monkeypatch.setattr(module, "verify_qtr", counting)
+    reports = classify_enumerated("h2n2:2")
+    assert len(reports) == 4
+    assert len(calls) == 4
+    monkeypatch.undo()
+    assert [rep.to_dict() for rep in reports] == [classify("h2n2:2", rep.r).to_dict() for rep in reports]
+
+
+def test_classify_refuses_a_failed_prebuilt_report():
+    from hopflab.rmatrices import QtrReport
+
+    spec = "bichar:[[0,0],[0,0]]"
+    h = build("h2n2:2")
+    rep = QtrReport("qtr")
+    rep.record("qyb", "", False)
+    with pytest.raises(PreCartierError, match="R fails the axioms"):
+        classify("h2n2:2", spec, prebuilt=(build_r(h, spec), rep))
+    with pytest.raises(PreCartierError, match="needs the spec"):
+        classify("h2n2:2", None, prebuilt=(build_r(h, spec), rep))
+
+
 def _batch_families() -> list[str]:
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_classifications.py"
     spec = importlib.util.spec_from_file_location("run_classifications", path)

@@ -77,6 +77,22 @@ def test_field_ops_examples():
     assert _poly_mult_oracle([1, 1], [1, -1], 4) == [2, 0]
 
 
+def test_from_coeffs_reduces_any_length():
+    Q3 = get_field(FieldSpec("cyclotomic", order=3))
+    assert Q3.from_coeffs([0, 0, 0, 1]) == Q3.one
+    assert Q8.from_coeffs([0] * 8 + [1]) == Q8.one
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=20))
+def test_from_coeffs_matches_power_sum(coeffs):
+    z = make_root(Q8, 8)
+    expected = Q8.zero
+    for k, c in enumerate(coeffs):
+        expected = expected + Q8.from_int(c) * z**k
+    assert Q8.from_coeffs(coeffs) == expected
+
+
 def _poly_mult_oracle(a, b, order):
     """Multiply polynomials with Fraction coefficients, reduce mod Phi_order."""
     mod = list(cyclotomic_polynomial(order))
