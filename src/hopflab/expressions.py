@@ -293,12 +293,6 @@ def format_tensor(t: Tensor) -> str:
     return "".join(parts)
 
 
-def format_value(v) -> str:
-    if isinstance(v, Tensor):
-        return format_tensor(v)
-    return format_elem(v)
-
-
 def parse_scalar(field, text: str):
     """Scalar literal: optional sign, '*'-joined ints, fractions and zM^k roots."""
     tokens = _tokenize(text)

@@ -11,12 +11,35 @@ a complete check.
 The structure tables are immutable after construction.  HopfData derives from
 ``mult`` once, at construction, the term table ``mult_terms``: for each cell
 (i, j) a tuple of (k, v) pairs with the zero entries of ``mult[i][j]`` dropped
-and v = None where the coefficient is the field's one.  The legwise products
-of 2- and 3-tensors run over this table, so they skip zero cells and never
-multiply by one; they perform the same remaining multiplications and zero
-tests as a product over ``mult``, and so yield the same coefficients.
+and v = None where the coefficient is the field's one.  Every product, of
+elements and of 2- and 3-tensors, runs over this table, so it skips zero
+cells, never multiplies by one and zero-tests after each multiplication.
 
-Over a cyclotomic field Q(zeta_M) the same two product loops run on Python
+The table is ``monomial`` when no cell has more than one term (every family
+but the generalized Kac-Paljutkin algebras H_(2n^2), H_8 among them).  On
+other tables 2-tensors are multiplied one leg at a time (sum factorization;
+Orszag, J. Comput. Phys. 37, 1980): with a = sum a_(i0 i1) e_i0 (x) e_i1 and
+b = sum b_(j0 j1) e_j0 (x) e_j1, for each pair (i1, j0) that occurs form
+L = sum_i0 a_(i0 i1) e_i0 e_j0 and R = sum_j1 b_(j0 j1) e_i1 e_j1, and add
+L (x) R.  A cell of s terms is then read once per pair (i1, j0) rather than
+once per pair of operand entries, and the merged L and R entries are
+multiplied once: on h2n2:3, where Delta(z) has 9 terms and 81 of the 324
+cells have 9, the C1 recheck of ``solve_rfree`` (82 vectors times 3
+coproducts) took 0.73 s with the pairwise loop and 0.28 s with this one
+(2-vCPU machine, Python 3.11).  On monomial tables factorization merges
+nothing and its bookkeeping costs more than it saves: products of 20 random
+8-entry tensors with every Delta(b), both ways round, took 0.022 -> 0.048 s
+on en:3 and 0.041 -> 0.078 s on ac2n:4 (and 0.08 -> 0.056 s on h8,
+1.4 -> 0.55 s on h2n2:3), so monomial tables keep the pairwise loop
+``_product2``.  So do 3-tensors: a prototype leg-0 factorization of the C2
+operands went 0.285 -> 0.242 s on h8 and 0.091 -> 0.099 s on h2n2:3, not
+worth a second 3-leg loop.  The choice depends on the table alone.  The
+coefficients are those of the pairwise loop: both compute
+sum a * b * v0 * v1 over the same terms, regrouped by distributivity, a ring
+identity (it holds in Z/n for composite n too), and canonical exact scalars
+are unique.
+
+Over a cyclotomic field Q(zeta_M) the tensor product loops run on Python
 ints instead of field elements (Kronecker substitution; von zur Gathen and
 Gerhard, Modern Computer Algebra, section 8.4).  Each operand is put over
 one common denominator (D_a, D_b) and each coefficient x becomes the integer
@@ -41,9 +64,16 @@ coefficients are exactly those of the element loops:
   product is at most the product of the l1 norms, V >= 1, and each output
   index gets at most one term per pair (ka, kb) of operand indices, so the
   bound covers every partial product, every term and every partial sum.
-- Hence a zero test on a packed int is a zero test of an unreduced
-  polynomial: a skip on zero never drops a nonzero term, and the final
-  reduction removes the true zeros.
+- The factorized 2-leg loop keeps the same B.  Each output index gets at
+  most one term per cell, so an entry of L has l1 norm at most
+  V * sum_i0 |a_(i0 i1)| and an entry of R at most V * sum_j1 |b_(j0 j1)|
+  (norms of lifted polynomials), and every partial sum of one is bounded by
+  that too.  An output coefficient sums one product of an L entry and an R
+  entry per pair (i1, j0), so it and its partial sums stay below
+  V^2 * sum_(i1, j0) (sum_i0 |a_(i0 i1)|) (sum_j1 |b_(j0 j1)|) = S_a * S_b * V^2.
+- Hence a zero test on a packed int, on an output or on an L or R entry, is
+  a zero test of an unreduced polynomial: a skip on zero never drops a
+  nonzero term, and the final reduction removes the true zeros.
 
 Rationals and prime fields keep the element loops: lifting them too was
 measured slower.
@@ -53,7 +83,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import SparseMat, Subspace, kernel_of_rows, vec_axpy
+from .linalg import Subspace, kernel_of_rows, vec_axpy
 from .scalars import CycField
 
 
@@ -103,6 +133,8 @@ class HopfData:
         self.mult_terms = [
             [tuple((k, None if v == one else v) for k, v in cell.items() if v) for cell in row] for row in mult
         ]
+        # every cell has at most one term: selects the 2-leg product loop
+        self.monomial = all(len(cell) <= 1 for row in self.mult_terms for cell in row)
         self._packed_terms: dict = {}  # slot width -> packed mult_terms (cyclotomic fields)
         if type(field) is CycField:
             # the lcm D_m of the table's denominators and a bound V on the l1 norm of
@@ -137,9 +169,6 @@ class HopfData:
     def basis_elem(self, i: int) -> "Elem":
         return Elem(self, {i: self.field.one})
 
-    def elem_by_label(self, label: str) -> "Elem":
-        return self.basis_elem(self.index[label])
-
     def gen(self, name: str) -> "Elem":
         if name not in self.generators:
             raise HopfError(f"unknown generator {name!r} for {self.name}")
@@ -154,9 +183,6 @@ class HopfData:
         for _ in range(legs):
             idx = idx * self.dim + u
         return Tensor(self, legs, {idx: self.field.one})
-
-    def tensor2(self, coeffs: dict) -> "Tensor":
-        return Tensor(self, 2, coeffs)
 
     def __repr__(self):
         return f"HopfData({self.name}, dim={self.dim}, field={self.field.description()})"
@@ -210,13 +236,14 @@ class Elem:
         if not isinstance(other, Elem):
             return self.scaled(other)
         _check_parents(self, other)
-        mult = self.parent.mult
-        out: dict = {}
+        terms = self.parent.mult_terms
+        pairs = []
         for i, a in self.coeffs.items():
-            row = mult[i]
+            row = terms[i]
             for j, b in other.coeffs.items():
-                vec_axpy(out, row[j], a * b)
-        return Elem._raw(self.parent, out)
+                if row[j]:
+                    pairs.append((row[j], a * b))
+        return Elem._raw(self.parent, _cell_sum(pairs))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -313,13 +340,13 @@ class Tensor:
         _check_parents(self, other)
         if self.legs != other.legs:
             raise HopfError("tensor leg-count mismatch")
+        h = self.parent
         if self.legs == 2:
-            loop = _product2
+            loop = _product2 if h.monomial else _product2_factored
         elif self.legs == 3:
             loop = _product3
         else:
             raise HopfError(f"legwise products are defined on 2- and 3-tensors, not {self.legs}-tensors")
-        h = self.parent
         if type(h.field) is CycField:
             out = _packed_product(h, loop, self.legs, self.coeffs, other.coeffs)
         else:
@@ -444,7 +471,7 @@ SLOT_ALIGN = 32  # slot widths are rounded up to this, so few packed tables exis
 
 
 def _packed_product(h: HopfData, loop, legs: int, ca: dict, cb: dict) -> dict:
-    """``loop`` (``_product2`` or ``_product3``) over a cyclotomic field, run
+    """``loop`` (one of the tensor product loops) over a cyclotomic field, run
     on packed ints; see the module docstring for why it is exact."""
     if not ca or not cb:
         return {}
@@ -510,6 +537,81 @@ def _product2(terms: list, dim: int, ca: dict, cb: dict) -> dict:
                         else:
                             del out[idx]
     return out
+
+
+def _product2_factored(terms: list, dim: int, ca: dict, cb: dict) -> dict:
+    """``_product2`` summed one leg at a time, for term tables with cells of
+    several terms.
+
+    With a = sum a_(i0 i1) e_i0 (x) e_i1 and b = sum b_(j0 j1) e_j0 (x) e_j1,
+    a * b is the sum over the pairs (i1, j0) that occur of L (x) R, where
+    L = sum_i0 a_(i0 i1) e_i0 e_j0 and R = sum_j1 b_(j0 j1) e_i1 e_j1.  Each
+    cell is expanded once per pair (i1, j0), and each pair of L and R entries
+    is multiplied once, instead of expanding every pair of cells.  Cancelled
+    entries of L and R are dropped and every product is zero-tested, so
+    nothing is ever multiplied by zero or by a None (one) table entry.
+    """
+    left: dict = {}  # i1 -> [(i0, a)]
+    for ka, a in ca.items():
+        i0, i1 = divmod(ka, dim)
+        left.setdefault(i1, []).append((i0, a))
+    right: dict = {}  # j0 -> [(j1, b)]
+    for kb, b in cb.items():
+        j0, j1 = divmod(kb, dim)
+        right.setdefault(j0, []).append((j1, b))
+    out: dict = {}
+    for i1, col in left.items():
+        row1 = terms[i1]
+        for j0, bs in right.items():
+            lsum = _cell_sum((terms[i0][j0], a) for i0, a in col)
+            if not lsum:
+                continue
+            rsum = _cell_sum((row1[j1], b) for j1, b in bs)
+            if not rsum:
+                continue
+            for k0, l in lsum.items():
+                base = k0 * dim
+                for k1, r in rsum.items():
+                    w = l * r
+                    if not w:
+                        continue
+                    idx = base + k1
+                    cur = out.get(idx)
+                    if cur is None:
+                        out[idx] = w
+                    else:
+                        w = cur + w
+                        if w:
+                            out[idx] = w
+                        else:
+                            del out[idx]
+    return out
+
+
+def _cell_sum(pairs) -> dict:
+    """The sum of c * cell over (cell, c) pairs of a term-table cell and a
+    scalar, as a dict without zero entries; a zero c is skipped."""
+    acc: dict = {}
+    for cell, c in pairs:
+        if not c:
+            continue
+        for k, v in cell:
+            if v is None:
+                w = c
+            else:
+                w = c * v
+                if not w:
+                    continue
+            cur = acc.get(k)
+            if cur is None:
+                acc[k] = w
+            else:
+                w = cur + w
+                if w:
+                    acc[k] = w
+                else:
+                    del acc[k]
+    return acc
 
 
 def _product3(terms: list, dim: int, ca: dict, cb: dict) -> dict:
@@ -741,13 +843,3 @@ def centralizer_of_coproduct(h: HopfData, a: Elem) -> Subspace:
             rows.setdefault(r, {})[t] = v
     return kernel_of_rows(list(rows.values()), dim2)
 
-
-def operator_matrix(h: HopfData, op, in_legs: int, out_legs: int) -> SparseMat:
-    """Matrix of a linear operator on tensor powers, assembled column by column."""
-    dim_in = h.dim**in_legs
-    dim_out = h.dim**out_legs
-    cols = []
-    for t in range(dim_in):
-        image = op(Tensor(h, in_legs, {t: h.field.one}))
-        cols.append(image.coeffs)
-    return SparseMat.from_columns(cols, dim_out)

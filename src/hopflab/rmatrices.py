@@ -19,7 +19,7 @@ from itertools import combinations
 from .expressions import ExprError, parse_element, parse_scalar
 from .families import h8_idempotents
 from .hopf import HopfData, HopfError, Tensor, VerifyReport, antipode, delta
-from .linalg import solve
+from .linalg import solve, vec_axpy
 
 
 class RMatrixError(HopfError):
@@ -273,7 +273,14 @@ def build_r_ac4dual(h: HopfData) -> Tensor:
 
 def build_r_bichar(h: HopfData, mat: tuple) -> Tensor:
     """Group-supported candidate from a 2x2 integer matrix mod n: the sum of
-    B(c, d) E_c (x) E_d over dual-group characters, B(c, d) = q^(c.M.d)."""
+    B(c, d) E_c (x) E_d over dual-group characters, B(c, d) = q^(c.M.d).
+
+    The idempotents are E_c = (1/n^2) sum_g q^(-c.g) x^g1 y^g2, so E_c (x) E_d
+    is written down directly: its coefficient at x^g1 y^g2 (x) x^h1 y^h2 is
+    q^(-(c.g + d.h)) / n^4, the product of the idempotents' coefficients.
+    The terms are added in place in the order of the sum, so R, down to the
+    order of its entries, is the tensor that adding the products term by
+    term gives; an enumeration builds n^4 candidates this way."""
     fam = h.family
     n = fam.params[0] if fam and fam.kind == "h2n2" else (2 if fam and fam.kind == "h8" else None)
     if n is None:
@@ -283,28 +290,28 @@ def build_r_bichar(h: HopfData, mat: tuple) -> Tensor:
     f = h.field
     q = f.make_root(n)
     qpow = [q**t for t in range(n)]
-    inv_n2 = f.one / f.from_int(n * n)
+    inv_n4 = f.one / f.from_int(n**4)
+    coef = [qpow[-t % n] * inv_n4 for t in range(n)]  # q^(-t) / n^4
     x, y = h.gen("x"), h.gen("y")
-    xp = [x**i for i in range(n)]
-    yp = [y**j for j in range(n)]
-    idem = {}
-    for c1 in range(n):
-        for c2 in range(n):
-            e = h.zero_elem()
-            for i in range(n):
-                for j in range(n):
-                    e = e + (xp[i] * yp[j]).scaled(qpow[(-(c1 * i + c2 * j)) % n])
-            idem[(c1, c2)] = e.scaled(inv_n2)
+    dim = h.dim
+    words = []  # (g1, g2, index of the basis element x^g1 y^g2)
+    for g1 in range(n):
+        for g2 in range(n):
+            (k,) = (x**g1 * y**g2).coeffs
+            words.append((g1, g2, k))
+    chars = [(c1, c2) for c1 in range(n) for c2 in range(n)]
     ((m11, m12), (m21, m22)) = mat
-    acc = h.zero_tensor(2)
-    for c1 in range(n):
-        for c2 in range(n):
-            left = idem[(c1, c2)]
-            for d1 in range(n):
-                for d2 in range(n):
-                    exp = c1 * (m11 * d1 + m12 * d2) + c2 * (m21 * d1 + m22 * d2)
-                    acc = acc + left.tensor(idem[(d1, d2)]).scaled(qpow[exp % n])
-    return acc
+    acc: dict = {}
+    for c1, c2 in chars:
+        for d1, d2 in chars:
+            exp = c1 * (m11 * d1 + m12 * d2) + c2 * (m21 * d1 + m22 * d2)
+            block = {
+                kg * dim + kh: coef[(c1 * g1 + c2 * g2 + d1 * h1 + d2 * h2) % n]
+                for g1, g2, kg in words
+                for h1, h2, kh in words
+            }
+            vec_axpy(acc, block, qpow[exp % n])
+    return Tensor(h, 2, acc)
 
 
 def build_r(h: HopfData, spec: RSpec | str) -> Tensor:

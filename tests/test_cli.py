@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -112,6 +113,21 @@ def test_json_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "classify", "--family", "en:1", "--r", "en-a:[[1]]")
     _, out2, _ = run_cli(capsys, "classify", "--family", "en:1", "--r", "en-a:[[1]]")
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "family,rspec,digest",
+    [
+        # the non-monomial product tables (factorized 2-leg loop) over Q(zeta3) and Q(zeta8)
+        ("h2n2:3", "bichar:[[0,0],[1,0]]", "6852efa0b6c9bbfbbc0ea1a65e2882ee0e7c3b78e3471bf6b85806d99c6c7449"),
+        ("h8", "enumerate", "3a1dc07c26d0dea700554a819a18753406b2c5ee419e423e54ee78151263380c"),
+    ],
+    ids=["h2n2:3", "h8"],
+)
+def test_classify_report_bytes(capsys, family, rspec, digest):
+    code, out, _ = run_cli(capsys, "classify", "--family", family, "--r", rspec)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_out_file_and_table_format(tmp_path, capsys):

@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 from conftest import pe, random_sparse_tensor
 from hopflab.families import build, build_en
 from hopflab.hopf import (
+    Elem,
     HopfData,
     HopfError,
     ParentMismatch,
     Tensor,
+    _packed_product,
+    _product2,
+    _product2_factored,
     antipode,
     centralizer_of_coproduct,
     counit,
@@ -19,7 +23,8 @@ from hopflab.hopf import (
     verify_bialgebra,
     verify_hopf,
 )
-from hopflab.scalars import FieldSpec
+from hopflab.precartier import solve_rfree
+from hopflab.scalars import CycField, FieldSpec
 
 
 def test_unit_multiplication(en2):
@@ -302,3 +307,155 @@ def test_product_kernel_leg_counts(en2):
         t = en2.unit_tensor(legs)
         with pytest.raises(HopfError):
             t * t
+
+
+# -- the factorized 2-leg loop of non-monomial tables ------------------------------
+
+
+@pytest.mark.parametrize("family", ["h2n2:2", "h2n2:3", "h8"])
+def test_non_monomial_tables(family):
+    assert build(family).monomial is False
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["en:1", "en:2", "en:3", "ac2n:2", "ac2n:3", "ac2n:4", "radford:2,2", "radford:2,3", "radford:3,2",
+     "group:2", "group:2,2,2", "ac4dual"],
+)
+def test_monomial_tables(family):
+    assert build(family).monomial is True
+
+
+def reference_elem_product(a, b):
+    """Sum over pairs of basis elements of the mult cells, no shortcuts."""
+    h = a.parent
+    out = {}
+    for i, x in a.coeffs.items():
+        for j, y in b.coeffs.items():
+            for k, v in h.mult[i][j].items():
+                out[k] = out.get(k, h.field.zero) + x * y * v
+    return out
+
+
+@pytest.mark.parametrize("family", ["h2n2:3", "h8", "radford:2,3"])
+def test_elem_product_matches_reference(family, rng):
+    h = build(family)
+    f = h.field
+    for _ in range(5):
+        a, b = ({rng.randrange(h.dim): f.from_int(rng.randint(-9, 9)) for _ in range(6)} for _ in range(2))
+        a, b = Elem(h, a), Elem(h, b)
+        assert (a * b).coeffs == Elem(h, reference_elem_product(a, b)).coeffs
+
+
+class NoZeroMul:
+    """A scalar that refuses to be multiplied by zero."""
+
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        self.x = x
+
+    def __mul__(self, other):
+        assert self.x and other.x, "a product loop multiplied by zero"
+        return NoZeroMul(self.x * other.x)
+
+    def __add__(self, other):
+        return NoZeroMul(self.x + other.x)
+
+    def __bool__(self):
+        return bool(self.x)
+
+
+def _shared_output(cells):
+    """(p, q, k): two cells of ``cells`` (a list of (index, cell) pairs) that
+    both have a term at output index k."""
+    for p, (_, cp) in enumerate(cells):
+        for q in range(p + 1, len(cells)):
+            shared = {k for k, _ in cp} & {k for k, _ in cells[q][1]}
+            if shared:
+                return p, q, min(shared)
+    return None
+
+
+def _cancelling_operands(h):
+    """2-tensors a and b that meet at one (i1, j0) pair where both the L and
+    the R partial sum of the factorized loop cancel at an output index."""
+    dim = h.dim
+    z = h.generators["z"]
+    for j0 in range(dim):
+        hit = _shared_output([(i0, h.mult_terms[i0][j0]) for i0 in range(dim)])
+        if hit:
+            break
+    p, q, k0 = hit
+    p1, q1, k1 = _shared_output([(j1, h.mult_terms[z][j1]) for j1 in range(dim)])
+    a = {p * dim + z: h.mult[q][j0][k0], q * dim + z: -h.mult[p][j0][k0]}
+    b = {j0 * dim + p1: h.mult[z][q1][k1], j0 * dim + q1: -h.mult[z][p1][k1]}
+    return Tensor(h, 2, a), Tensor(h, 2, b)
+
+
+def _leg_sharing_pairs(h):
+    """Operand pairs that share legs heavily, with wide-slot coefficients: a
+    tensor with every entry in the z column of the second leg against one
+    with every entry in the z row of the first leg (so L and R each sum dim
+    cells), each against the coproduct of z, and the cancelling pair."""
+    dim, f = h.dim, h.field
+    z = h.generators["z"]
+    root = f.make_root(f.order) if type(f) is CycField else f.one
+    column = {i0 * dim + z: f.from_fraction(Fraction(10**15 - 7 * i0, 999_983 + i0)) * root**i0 for i0 in range(dim)}
+    row = {z * dim + j1: f.from_fraction(Fraction(-(10**15) + j1, 10**6 - j1)) * root ** (j1 + 1) for j1 in range(dim)}
+    column, row, dz = Tensor(h, 2, column), Tensor(h, 2, row), delta(h.gen("z"))
+    return [(column, row), (row, column), (column, dz), (dz, row), _cancelling_operands(h)]
+
+
+def _assert_loops_agree(a, b):
+    h = a.parent
+    ref = reference_product(a, b).coeffs
+    assert (a * b).coeffs == ref
+    for loop in (_product2, _product2_factored):
+        assert loop(h.mult_terms, h.dim, a.coeffs, b.coeffs) == ref
+        if type(h.field) is CycField:
+            assert _packed_product(h, loop, 2, a.coeffs, b.coeffs) == ref
+
+
+@pytest.mark.parametrize("family", ["h2n2:3", "h8"])
+def test_factorized_loop_dense_rfree_vector(family):
+    """The solve_rfree recheck: a dense R-free basis vector against Delta(z)."""
+    h = build(family)
+    dense = Tensor(h, 2, max(solve_rfree(h).basis(), key=len))
+    dz = delta(h.gen("z"))
+    _assert_loops_agree(dense, dz)
+    _assert_loops_agree(dz, dense)
+
+
+@pytest.mark.parametrize("family,field", [("h2n2:3", None), ("h8", None), ("h2n2:2", None), ("h8", "prime:97")])
+def test_factorized_loop_heavy_leg_sharing(family, field):
+    h = build(family, FieldSpec.parse(field) if field else None)
+    for a, b in _leg_sharing_pairs(h):
+        _assert_loops_agree(a, b)
+
+
+@pytest.mark.parametrize("family", ["h2n2:3", "h8", "h2n2:2"])
+def test_cancelling_operands_cancel(family):
+    """The pair of ``_cancelling_operands`` really cancels inside L and R."""
+    h = build(family)
+    dim, z = h.dim, h.generators["z"]
+    a, b = _cancelling_operands(h)
+    j0 = next(iter(b.coeffs)) // dim
+    col = [(k // dim, v) for k, v in a.coeffs.items() if k % dim == z]
+    row = [(k % dim, v) for k, v in b.coeffs.items() if k // dim == j0]
+    lsum = sum((Elem(h, {i0: v}) * h.basis_elem(j0) for i0, v in col), h.zero_elem())
+    rsum = sum((h.basis_elem(z) * Elem(h, {j1: v}) for j1, v in row), h.zero_elem())
+    assert len(lsum.coeffs) < len({k for i0, _ in col for k, _ in h.mult_terms[i0][j0]})
+    assert len(rsum.coeffs) < len({k for j1, _ in row for k, _ in h.mult_terms[z][j1]})
+
+
+@pytest.mark.parametrize("family", ["h2n2:3", "h8"])
+def test_product_loops_never_multiply_by_zero(family):
+    h = build(family)
+    wrapped = [[tuple((k, v if v is None else NoZeroMul(v)) for k, v in cell) for cell in row] for row in h.mult_terms]
+    for a, b in _leg_sharing_pairs(h):
+        wa = {k: NoZeroMul(v) for k, v in a.coeffs.items()}
+        wb = {k: NoZeroMul(v) for k, v in b.coeffs.items()}
+        ref = _product2(h.mult_terms, h.dim, a.coeffs, b.coeffs)
+        for loop in (_product2, _product2_factored):
+            assert {k: v.x for k, v in loop(wrapped, h.dim, wa, wb).items()} == ref

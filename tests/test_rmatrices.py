@@ -222,11 +222,54 @@ def test_enumeration_h8_matches_pm_family(h8):
         assert any(r == p for r in survivors)
 
 
+H2N2_3_SURVIVORS = [
+    ((0, 0), (1, 0)), ((0, 1), (2, 0)), ((0, 2), (0, 0)), ((1, 0), (1, 1)), ((1, 1), (2, 1)),
+    ((1, 2), (0, 1)), ((2, 0), (1, 2)), ((2, 1), (2, 2)), ((2, 2), (0, 2)),
+]
+
+
 def test_enumeration_h2n2_3(h2n2_3):
-    survivors = enumerate_group_rmatrices(h2n2_3)
-    assert survivors, "expected at least one group-supported structure"
-    for r in survivors:
+    survivors = enumerate_group_rmatrices(h2n2_3, with_specs=True)
+    assert [spec.params[0] for spec, _, _ in survivors] == H2N2_3_SURVIVORS
+    for _, r, _ in survivors:
         assert verify_qtr(h2n2_3, r).ok
+
+
+def plain_bichar_sum(h, n, mat):
+    """sum_(c, d) q^(c.M.d) E_c (x) E_d, each idempotent built afresh and
+    each term added as a new tensor."""
+    f = h.field
+    q = f.make_root(n)
+    x, y = h.gen("x"), h.gen("y")
+    chars = [(c1, c2) for c1 in range(n) for c2 in range(n)]
+
+    def idem(c1, c2):
+        e = h.zero_elem()
+        for i in range(n):
+            for j in range(n):
+                e = e + (x**i * y**j).scaled(q ** ((-(c1 * i + c2 * j)) % n))
+        return e.scaled(f.one / f.from_int(n * n))
+
+    ((m11, m12), (m21, m22)) = mat
+    acc = h.zero_tensor(2)
+    for c1, c2 in chars:
+        for d1, d2 in chars:
+            exp = c1 * (m11 * d1 + m12 * d2) + c2 * (m21 * d1 + m22 * d2)
+            acc = acc + idem(c1, c2).tensor(idem(d1, d2)).scaled(q ** (exp % n))
+    return acc
+
+
+@pytest.mark.parametrize(
+    "family,n,mat",
+    [("h8", 2, ((0, 0), (1, 0))), ("h8", 2, ((1, 1), (1, 0))), ("h2n2:3", 3, ((0, 0), (1, 0))),
+     ("h2n2:3", 3, ((2, 1), (0, 2)))],
+)
+def test_bichar_r_equals_plain_sum(family, n, mat):
+    h = build(family)
+    r = build_r(h, RSpec("bichar", (mat,)))
+    ref = plain_bichar_sum(h, n, mat)
+    assert r == ref
+    assert list(r.coeffs) == list(ref.coeffs)
 
 
 def test_enumeration_candidate_count():
