@@ -1,23 +1,34 @@
 #!/usr/bin/env python3
 """Prime-field cross-validation: rerun the key classifications over F_p
 (p = 1 mod 8 so every needed root of unity exists) and diff the dimension
-results against the rational/cyclotomic runs."""
+results against the rational/cyclotomic runs; then run the E(3)
+quantization over Q and over F_p and compare its reports entry by entry.
+
+    python scripts/crosscheck_prime_field.py [--prime P]
+"""
 
 import argparse
+import contextlib
+import io
+import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from hopflab.cli import main as cli_main
 from hopflab.precartier import classify
 from hopflab.scalars import FieldSpec
 
 CASES = [
     ("en:2", "en-a:[[1,0],[0,1]]"),
+    ("ac2n:3", "ac22:q=1,a=1"),
     ("h8", "h8pm:+1,-1"),
     ("h8", "h8omega:z8"),
     ("radford:2,2", None),
 ]
+
+QUANTIZE_FAMILY = "en:3"
 
 DIM_KEYS = ("precartier", "cartier", "z1", "z2", "b2", "h2")
 
@@ -42,7 +53,29 @@ def main() -> int:
             bad += 1
         print(f"{mark:5s} {family:12s} r={rtext}  {exact.field} vs {modp.field}  dims={modp.dims}"
               + (f"  differences: {diffs}" if diffs else ""))
+
+    exact = quantize_entries(QUANTIZE_FAMILY)
+    modp = quantize_entries(QUANTIZE_FAMILY, str(fp))
+    diffs = [i for i, (a, b) in enumerate(zip(exact, modp)) if a != b]
+    if len(exact) != len(modp):
+        diffs.append(f"{len(exact)} vs {len(modp)} entries")
+    mark = "ok" if not diffs else "DIFF"
+    if diffs:
+        bad += 1
+    print(f"{mark:5s} quantize {QUANTIZE_FAMILY} --r enumerate  Q vs F_{args.prime}  {len(exact)} entries"
+          + (f"  differing entries: {diffs}" if diffs else ""))
     return 1 if bad else 0
+
+
+def quantize_entries(family: str, field: str | None = None) -> list:
+    """The report entries of `hopflab quantize --family FAMILY --r enumerate`."""
+    argv = ["quantize", "--family", family, "--r", "enumerate"] + (["--field", field] if field else [])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    if code != 0:
+        raise SystemExit(f"quantize {family} {field or 'Q'} exited {code}")
+    return json.loads(out.getvalue())
 
 
 if __name__ == "__main__":

@@ -1065,13 +1065,17 @@ def build(spec, field_spec: FieldSpec | None = None, checked: bool = True) -> Ho
 
     What this caches lives as long as the process and is never evicted: the
     ``_build_cached`` instance per (family, field, checked); on each instance,
-    its term table ``mult_terms``, over a cyclotomic field one packed copy of
-    it per slot width used, and the ``precartier._analysis_cache`` memo
-    of R-independent results (commutant, R-free space, cocycles,
-    coboundaries, the generator certificate); and, per interned cyclotomic
-    field, the ``CycElt`` product and sum caches, which stop growing at
-    300000 entries each.  A long-lived process that builds many families
-    holds all of them; cold processes are the measured configuration.
+    its term table ``mult_terms`` and the integer copies of it that tensor
+    products read (``HopfData.int_terms``: one per algebra over Q and F_p,
+    one per slot width used over a cyclotomic field), the generator
+    certificate (``hopf.generators_span``, granted once ``verify_hopf``
+    passed on the instance, as it has on every checked build), and the
+    ``precartier._analysis_cache`` memo of R-independent results
+    (commutant, R-free space, cocycles, coboundaries); and, per interned
+    cyclotomic field, the ``CycElt`` product and sum caches, which stop
+    growing at 300000 entries each.  A long-lived process that builds many
+    families holds all of them; cold processes are the measured
+    configuration.
     """
     if isinstance(spec, str):
         spec = FamilySpec.parse(spec)

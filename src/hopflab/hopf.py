@@ -36,34 +36,52 @@ operands went 0.285 -> 0.242 s on h8 and 0.091 -> 0.099 s on h2n2:3, not
 worth a second 3-leg loop.  The choice depends on the table alone.  The
 coefficients are those of the pairwise loop: both compute
 sum a * b * v0 * v1 over the same terms, regrouped by distributivity, a ring
-identity (it holds in Z/n for composite n too), and canonical exact scalars
-are unique.
+identity, and canonical exact scalars are unique.
 
-Over a cyclotomic field Q(zeta_M) the tensor product loops run on Python
-ints instead of field elements (Kronecker substitution; von zur Gathen and
-Gerhard, Modern Computer Algebra, section 8.4).  Each operand is put over
-one common denominator (D_a, D_b) and each coefficient x becomes the integer
-polynomial x*D in Z[t], packed into one int as its value at t = 2^B.  The
-loops read a packed copy of ``mult_terms``, made once per slot width B and
-kept on the algebra: every entry times the lcm D_m of the table's
-denominators, and a None (one) entry stays None when D_m = 1 and becomes
-D_m otherwise.  Each output int is unpacked in balanced base-2^B digits,
-reduced modulo Phi_M once and divided by D_a * D_b * D_m^legs.  Why the
-coefficients are exactly those of the element loops:
+The tensor product loops run on Python ints, never on field elements, over
+every field: ``Tensor.__mul__`` lifts both operands (``field.lift_pair``),
+runs the loop against ``int_terms``, an int copy of ``mult_terms`` made once
+per algebra (per slot width over Q(zeta_M)), and unpacks each output
+(``field.unpack``).  In ``int_terms`` every entry is multiplied by the lcm
+D_m of the table's denominators, and a None (one) entry stays None when
+D_m = 1 and becomes D_m otherwise.
 
-- Reduction Z[t] -> Z[zeta_M] = Z[t]/(Phi_M) is a ring morphism, so summing
-  unreduced integer products and reducing once gives the same field element
-  as stepwise element arithmetic, and the canonical form (den > 0,
-  gcd(den, *nums) = 1) is unique, so ``nums`` and ``den`` are identical.
-- Evaluation at 2^B is a ring morphism Z[t] -> Z, so every int in the loop
-  is the value at 2^B of the corresponding unreduced polynomial.  It is
-  injective on polynomials whose coefficients are all below 2^(B-1) in
-  absolute value.  B is chosen with 2^(B-1) > S_a * S_b * V^legs, where S_a
-  and S_b are the sums of the l1 norms of the lifted operand polynomials and
-  V bounds the l1 norm of every lifted table entry.  The l1 norm of a
-  product is at most the product of the l1 norms, V >= 1, and each output
-  index gets at most one term per pair (ka, kb) of operand indices, so the
-  bound covers every partial product, every term and every partial sum.
+- Over Q each operand is put over one common denominator (D_a, D_b) and its
+  numerators are the ints; each nonzero output x becomes
+  Fraction(x, D_a * D_b * D_m^legs).  No packing: the polynomials of the
+  cyclotomic case have degree 0 here.
+- Over F_p the ints are the residues of the operands and of the table
+  (D = 1); each output is x mod p, and zero outputs are dropped.
+- Over Q(zeta_M) each coefficient x, times its operand's D, is an integer
+  polynomial in Z[t], packed into one int as its value at t = 2^B (Kronecker
+  substitution; von zur Gathen and Gerhard, Modern Computer Algebra, section
+  8.4).  Each output is unpacked in balanced base-2^B digits, reduced modulo
+  Phi_M once and divided by D_a * D_b * D_m^legs.
+
+Why the coefficients are exactly those of element arithmetic:
+
+- Every term carries one factor from each operand and exactly one table
+  factor per leg.  In the factorized loop L is scaled by D_a * D_m and R by
+  D_b * D_m.  So every term, partial sum and output is the exact value
+  times the same nonzero integer D_a * D_b * D_m^legs.
+- Z -> Q, Z -> F_p and the reduction Z[t] -> Z[zeta_M] = Z[t]/(Phi_M) are
+  ring morphisms, so summing unreduced integer products and mapping once
+  gives the field element of stepwise element arithmetic.  ``Fraction``,
+  ``PrimeElt`` and ``CycElt`` values are canonical (for ``CycElt``: den > 0,
+  gcd(den, *nums) = 1), so the outputs are ``==`` and print identically.
+- Over Q an int zero test is the zero test of the rational it stands for.
+  Over F_p the loops skip only true integer zeros, which are zero mod p
+  too, and the final reduction mod p removes the rest.
+- Over Q(zeta_M), evaluation at 2^B is a ring morphism Z[t] -> Z, so every
+  int in the loop is the value at 2^B of the corresponding unreduced
+  polynomial.  It is injective on polynomials whose coefficients are all
+  below 2^(B-1) in absolute value.  B is chosen with
+  2^(B-1) > S_a * S_b * V^legs, where S_a and S_b are the sums of the l1
+  norms of the lifted operand polynomials and V bounds the l1 norm of every
+  lifted table entry.  The l1 norm of a product is at most the product of
+  the l1 norms, V >= 1, and each output index gets at most one term per
+  pair (ka, kb) of operand indices, so the bound covers every partial
+  product, every term and every partial sum.
 - The factorized 2-leg loop keeps the same B.  Each output index gets at
   most one term per cell, so an entry of L has l1 norm at most
   V * sum_i0 |a_(i0 i1)| and an entry of R at most V * sum_j1 |b_(j0 j1)|
@@ -71,20 +89,17 @@ coefficients are exactly those of the element loops:
   that too.  An output coefficient sums one product of an L entry and an R
   entry per pair (i1, j0), so it and its partial sums stay below
   V^2 * sum_(i1, j0) (sum_i0 |a_(i0 i1)|) (sum_j1 |b_(j0 j1)|) = S_a * S_b * V^2.
-- Hence a zero test on a packed int, on an output or on an L or R entry, is
-  a zero test of an unreduced polynomial: a skip on zero never drops a
-  nonzero term, and the final reduction removes the true zeros.
-
-Rationals and prime fields keep the element loops: lifting them too was
-measured slower.
+- Hence over Q(zeta_M) too a zero test on a packed int, on an output or on
+  an L or R entry, is a zero test of an unreduced polynomial: a skip on
+  zero never drops a nonzero term, and the final reduction removes the true
+  zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import Subspace, kernel_of_rows, vec_axpy
-from .scalars import CycField
+from .linalg import Echelon, Subspace, kernel_of_rows, vec_axpy
 
 
 class HopfError(ValueError):
@@ -130,32 +145,37 @@ class HopfData:
         self.family = family
         self.index = {lab: i for i, lab in enumerate(labels)}
         one = field.one
-        self.mult_terms = [
-            [tuple((k, None if v == one else v) for k, v in cell.items() if v) for cell in row] for row in mult
-        ]
+        cells: dict = {}  # equal cells share one tuple
+        terms = ((tuple((k, None if v == one else v) for k, v in cell.items() if v) for cell in row) for row in mult)
+        self.mult_terms = [[cells.setdefault(t, t) for t in row] for row in terms]
         # every cell has at most one term: selects the 2-leg product loop
         self.monomial = all(len(cell) <= 1 for row in self.mult_terms for cell in row)
-        self._packed_terms: dict = {}  # slot width -> packed mult_terms (cyclotomic fields)
-        if type(field) is CycField:
-            # the lcm D_m of the table's denominators and a bound V on the l1 norm of
-            # every lifted entry (a None entry lifts to the constant D_m)
-            entries = [v for row in self.mult_terms for cell in row for _, v in cell if v is not None]
-            self.table_den, norms = field.lift(entries)
-            self.table_norm = max(norms + [self.table_den])
+        # the lcm D_m of the table's denominators and a bound V on the l1 norm of
+        # every lifted entry (a None entry lifts to the constant D_m)
+        entries = [v for row in self.mult_terms for cell in row for _, v in cell if v is not None]
+        self.table_den, norms = field.lift(entries)
+        self.table_norm = max(norms + [self.table_den])
+        self._int_terms: dict = {}  # width -> int copy of mult_terms
+        self.hopf_verified = False  # set by a passing verify_hopf
+        self._words_span: bool | None = None  # cached _close_generator_words
 
-    def packed_terms(self, bits: int) -> list:
-        """``mult_terms`` over Z with slot width ``bits``: each entry v as
-        ``field.pack(v, table_den, bits)``, and a None entry as
-        ``table_den`` unless that is 1.  Made once per width."""
-        table = self._packed_terms.get(bits)
+    def int_terms(self, width) -> list:
+        """``mult_terms`` over Z for the field's ``pack`` at ``width`` (a
+        slot width over Q(zeta_M), None over Q and F_p): each entry v as
+        ``field.pack(v, table_den, width)``, and a None entry as
+        ``table_den`` unless that is 1.  Made once per width, one int cell
+        per distinct cell."""
+        table = self._int_terms.get(width)
         if table is None:
             f, den = self.field, self.table_den
             one = None if den == 1 else den
-            table = [
-                [tuple((k, one if v is None else f.pack(v, den, bits)) for k, v in cell) for cell in row]
-                for row in self.mult_terms
-            ]
-            self._packed_terms[bits] = table
+            lifted: dict = {}
+            for row in self.mult_terms:
+                for cell in row:
+                    if cell not in lifted:
+                        lifted[cell] = tuple((k, one if v is None else f.pack(v, den, width)) for k, v in cell)
+            table = [[lifted[cell] for cell in row] for row in self.mult_terms]
+            self._int_terms[width] = table
         return table
 
     # -- element / tensor factories -------------------------------------
@@ -347,11 +367,7 @@ class Tensor:
             loop = _product3
         else:
             raise HopfError(f"legwise products are defined on 2- and 3-tensors, not {self.legs}-tensors")
-        if type(h.field) is CycField:
-            out = _packed_product(h, loop, self.legs, self.coeffs, other.coeffs)
-        else:
-            out = loop(h.mult_terms, h.dim, self.coeffs, other.coeffs)
-        return Tensor._raw(h, self.legs, out)
+        return Tensor._raw(h, self.legs, _int_product(h, loop, self.legs, self.coeffs, other.coeffs))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -467,26 +483,21 @@ class Tensor:
         return " + ".join(parts)
 
 
-SLOT_ALIGN = 32  # slot widths are rounded up to this, so few packed tables exist
-
-
-def _packed_product(h: HopfData, loop, legs: int, ca: dict, cb: dict) -> dict:
-    """``loop`` (one of the tensor product loops) over a cyclotomic field, run
-    on packed ints; see the module docstring for why it is exact."""
+def _int_product(h: HopfData, loop, legs: int, ca: dict, cb: dict) -> dict:
+    """``loop`` (one of the tensor product loops) run on the integer lift of
+    the field's elements: lift both operands, run the loop against
+    ``h.int_terms``, unpack each output over D_a * D_b * D_m^legs and drop
+    zeros.  See the module docstring for why it is exact."""
     if not ca or not cb:
         return {}
     f = h.field
-    den_a, norms_a = f.lift(ca.values())
-    den_b, norms_b = f.lift(cb.values())
-    bound = sum(norms_a) * sum(norms_b) * h.table_norm**legs
-    bits = -(-(bound.bit_length() + 1) // SLOT_ALIGN) * SLOT_ALIGN  # 2^(bits-1) > bound
-    pa = {k: f.pack(v, den_a, bits) for k, v in ca.items()}
-    pb = {k: f.pack(v, den_b, bits) for k, v in cb.items()}
-    packed = loop(h.packed_terms(bits), h.dim, pa, pb)
-    den = den_a * den_b * h.table_den**legs
+    pa, pb, width, den = f.lift_pair(ca, cb, h.table_norm**legs)
+    ints = loop(h.int_terms(width), h.dim, pa, pb)
+    den *= h.table_den**legs
+    unpack = f.unpack
     out = {}
-    for k, x in packed.items():
-        v = f.unpack(x, bits, den)
+    for k, x in ints.items():
+        v = unpack(x, width, den)
         if v:
             out[k] = v
     return out
@@ -495,9 +506,8 @@ def _packed_product(h: HopfData, loop, legs: int, ca: dict, cb: dict) -> dict:
 def _product2(terms: list, dim: int, ca: dict, cb: dict) -> dict:
     """Coefficients of a * b for 2-tensors, from a term table.
 
-    Every multiplication actually performed is followed by a zero test (zero
-    divisors exist over F_p with p composite); a term None stands for the
-    coefficient one and is not multiplied by.
+    Every multiplication actually performed is followed by a zero test; a
+    term None stands for the coefficient one and is not multiplied by.
     """
     split = [(kb // dim, kb % dim, b) for kb, b in cb.items()]
     out: dict = {}
@@ -782,7 +792,10 @@ def verify_bialgebra(h: HopfData) -> VerifyReport:
 
 
 def verify_hopf(h: HopfData) -> VerifyReport:
-    """Bialgebra axioms plus the antipode law m(S (x) Id)Delta = u eps = m(Id (x) S)Delta."""
+    """Bialgebra axioms plus the antipode law m(S (x) Id)Delta = u eps = m(Id (x) S)Delta.
+
+    When every identity holds, ``h.hopf_verified`` is set: ``generators_span``
+    is granted only on such an instance."""
     rep = verify_bialgebra(h)
     rep.name = f"hopf({h.name})"
     if h.antipode is None:
@@ -797,6 +810,8 @@ def verify_hopf(h: HopfData) -> VerifyReport:
         right = _convolve(d, antipode_first=False)
         rep.record("antipode.left", h.labels[i], left == target)
         rep.record("antipode.right", h.labels[i], right == target)
+    if rep.ok:
+        h.hopf_verified = True
     return rep
 
 
@@ -829,6 +844,86 @@ def verify_antipode_antihom(h: HopfData) -> VerifyReport:
                 antipode(a * b) == antipode(b) * antipode(a),
             )
     return rep
+
+
+# -- the generator certificate ---------------------------------------------
+
+
+def generators_span(h: HopfData) -> bool:
+    """Certificate that a commutation with Delta checked on the generators
+    holds on all of H.
+
+    Closes the generator words under right multiplication by generators,
+    starting from 1 (with Delta(1) = 1 (x) 1 checked).  A product w*g that is
+    new modulo the span of the words accepted so far is accepted only after
+    Delta(w*g) = Delta(w) Delta(g) holds by direct evaluation.  The
+    certificate holds when the accepted words span H and ``verify_hopf`` has
+    passed on ``h`` (``h.hopf_verified``), which is what makes H, hence
+    H (x) H, associative: the arguments that use the certificate (C1 in
+    ``precartier``, quasi-cocommutativity in ``rmatrices.verify_qtr`` and
+    ``quantize.verify_quantized_qtr``) regroup products.  An unverified
+    instance is refused until ``verify_hopf`` passes on it.  The closure is
+    cached on the instance; its tables are immutable.
+    """
+    if not h.hopf_verified:
+        return False
+    if h._words_span is None:
+        h._words_span = _close_generator_words(h)
+    return h._words_span
+
+
+def _generator_elems(h: HopfData) -> list[Elem]:
+    return [h.basis_elem(i) for i in _generator_indices(h)]
+
+
+def _generator_indices(h: HopfData) -> list[int]:
+    """Basis indices of the generators in name order; every basis index when
+    the algebra names none."""
+    if h.generators:
+        return [h.generators[name] for name in sorted(h.generators)]
+    return list(range(h.dim))
+
+
+def _close_generator_words(h: HopfData) -> bool:
+    one2 = h.unit_tensor(2)
+    if delta(h.unit()) != one2:
+        return False
+    gens = [(g, delta(g)) for g in _generator_elems(h)]
+    span = Echelon(h.dim)
+    span.add_row(h.unit().coeffs)
+    frontier = [(h.unit(), one2)]
+    while frontier and span.rank < h.dim:
+        grown = []
+        for w, dw in frontier:
+            for g, dg in gens:
+                word = w * g
+                residue = span.reduce(word.coeffs)
+                if not residue:
+                    continue
+                dword = delta(word)
+                if dword != dw * dg:
+                    return False
+                span.add_row(residue)
+                grown.append((word, dword))
+        frontier = grown
+    return span.rank == h.dim
+
+
+def cocommutativity_indices(h: HopfData) -> list[int]:
+    """The basis indices b on which R Delta(b) = Delta^op(b) R is checked:
+    the generators when ``generators_span(h)`` holds, every index otherwise.
+
+    Why the generators suffice: Delta(1) = 1 (x) 1 and
+    Delta(w*g) = Delta(w) Delta(g) along every accepted word (both checked by
+    the certificate), the flip is multiplicative on H (x) H, and H (x) H is
+    associative (``verify_hopf`` passed).  So if R Delta(w) = Delta^op(w) R
+    and R Delta(g) = Delta^op(g) R, then
+    R Delta(w*g) = R Delta(w) Delta(g) = Delta^op(w) R Delta(g)
+    = Delta^op(w) Delta^op(g) R = Delta^op(w*g) R.  By induction from w = 1
+    this holds for every accepted word; they span H, and both sides are
+    linear in b.  The same holds over H (x) H [hbar], coefficientwise.
+    """
+    return _generator_indices(h) if generators_span(h) else list(range(h.dim))
 
 
 def centralizer_of_coproduct(h: HopfData, a: Elem) -> Subspace:

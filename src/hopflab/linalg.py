@@ -222,6 +222,10 @@ def kernel(mat: SparseMat) -> Subspace:
 
 
 def kernel_of_rows(rows, ncols: int) -> Subspace:
+    """Exact null space of the rows (an iterable of {col: scalar}).
+
+    Once the rank reaches ``ncols`` the kernel is zero, whatever rows follow,
+    and the rest of the iterable is not read."""
     ech = Echelon(ncols)
     one = None
     for row in rows:
@@ -230,6 +234,8 @@ def kernel_of_rows(rows, ncols: int) -> Subspace:
                 one = v / v
                 break
         ech.add_row(row)
+        if ech.rank == ncols:
+            break
     rr = ech.rref_rows()
     pivset = {c for c, _ in rr}
     basis = []

@@ -16,11 +16,13 @@ the R^-1 form is kept as the independent recheck applied to every solution
 basis vector.  The counit conditions are implied and asserted, never stacked.
 
 C1 is stacked and rechecked against the generators of H only.  That covers
-every b because of the certificate ``generators_span``: the generator words
-accepted by its closure span H, and Delta is checked to be multiplicative
-along each of them, so a tensor commuting with Delta(g) for every generator g
-commutes with Delta(w) for every accepted word w, hence with Delta(b) for
-every b by linearity.  Without the certificate the solvers raise.
+every b because of the certificate ``hopf.generators_span``: the generator
+words accepted by its closure span H, Delta is checked to be multiplicative
+along each of them, and H is associative (the certificate is granted only
+after ``verify_hopf`` passed), so a tensor commuting with Delta(g) for every
+generator g commutes with Delta(w) for every accepted word w, hence with
+Delta(b) for every b by linearity.  Without the certificate the solvers
+raise.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field as dc_field
 from . import cohomology
 from .expressions import format_tensor, parse_element
 from .families import FamilySpec, build
-from .hopf import Elem, HopfData, HopfError, Tensor, antipode, delta
-from .linalg import Echelon, SparseMat, Subspace, kernel_of_rows
+from .hopf import Elem, HopfData, HopfError, Tensor, _generator_elems, antipode, delta, generators_span
+from .linalg import SparseMat, Subspace, kernel_of_rows
 from .rmatrices import (
     FamilyMismatch,
     RSpec,
@@ -178,11 +180,6 @@ def build_system(h: HopfData, r: Tensor | None = None, tags=None, assume_qtr: bo
 # -- solvers ---------------------------------------------------------------------
 
 
-def _generator_elems(h: HopfData) -> list[Elem]:
-    gens = [h.gen(name) for name in sorted(h.generators)]
-    return gens if gens else [h.basis_elem(i) for i in range(h.dim)]
-
-
 def commutant_of_coproducts(h: HopfData, elems) -> Subspace:
     """Tensors commuting with Delta(e) for every e in elems."""
     dim2 = h.dim * h.dim
@@ -220,51 +217,11 @@ def _restrict_and_cut(h: HopfData, space: Subspace, ops) -> Subspace:
     return Subspace.from_vectors(out_vecs, h.dim * h.dim)
 
 
-def generators_span(h: HopfData) -> bool:
-    """Certificate that C1 against the generators implies C1 against all of H.
-
-    Closes the generator words under right multiplication by generators,
-    starting from 1 (with Delta(1) = 1 (x) 1 checked).  A product w*g that is
-    new modulo the span of the words accepted so far is accepted only after
-    Delta(w*g) = Delta(w) Delta(g) holds by direct evaluation.  The certificate
-    holds when the accepted words span H.  Cached per algebra.
-    """
-    cache = _analysis_cache(h)
-    if "generators_span" not in cache:
-        cache["generators_span"] = _close_generator_words(h)
-    return cache["generators_span"]
-
-
-def _close_generator_words(h: HopfData) -> bool:
-    one2 = h.unit_tensor(2)
-    if delta(h.unit()) != one2:
-        return False
-    gens = [(g, delta(g)) for g in _generator_elems(h)]
-    span = Echelon(h.dim)
-    span.add_row(h.unit().coeffs)
-    frontier = [(h.unit(), one2)]
-    while frontier and span.rank < h.dim:
-        grown = []
-        for w, dw in frontier:
-            for g, dg in gens:
-                word = w * g
-                residue = span.reduce(word.coeffs)
-                if not residue:
-                    continue
-                dword = delta(word)
-                if dword != dw * dg:
-                    return False
-                span.add_row(residue)
-                grown.append((word, dword))
-        frontier = grown
-    return span.rank == h.dim
-
-
 def _require_generators_span(h: HopfData) -> None:
     if not generators_span(h):
         raise PreCartierError(
-            f"cannot certify C1 from the generators of {h.name}: their words do not span H "
-            "or Delta is not multiplicative along them"
+            f"cannot certify C1 from the generators of {h.name}: verify_hopf has not passed on it, "
+            "their words do not span H or Delta is not multiplicative along them"
         )
 
 
@@ -282,11 +239,11 @@ def solve_rfree(h: HopfData) -> Subspace:
     of the elimination.  This implies C1 for every basis element because
     ``generators_span`` holds: if chi commutes with Delta(g) for each
     generator g, and Delta(w*g) = Delta(w) Delta(g) for each accepted word
-    w*g (checked by the certificate itself, not taken from the axiom check
-    of ``build``), then by induction chi commutes with Delta(w) for every
-    accepted word w; those words span H and Delta is linear, so chi commutes
-    with Delta(b) for every b.  When the certificate fails, PreCartierError
-    is raised.
+    w*g (checked by the certificate itself), then, H (x) H being associative
+    (the certificate requires a passing ``verify_hopf``), by induction chi
+    commutes with Delta(w) for every accepted word w; those words span H and
+    Delta is linear, so chi commutes with Delta(b) for every b.  When the
+    certificate fails, PreCartierError is raised.
     """
     _require_generators_span(h)
     counits = [lambda t: t.apply_counit(1), lambda t: t.apply_counit(0)]

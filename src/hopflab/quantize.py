@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .hopf import HopfData, HopfError, Tensor, delta
+from .hopf import HopfData, HopfError, Tensor, cocommutativity_indices, delta
 from .rmatrices import r_inverse
 
 
@@ -113,9 +113,11 @@ def nilpotency_degree(h: HopfData, chi: Tensor) -> int:
     raise NotNilpotent(f"no vanishing power up to {bound}")
 
 
-def exp_hbar(h: HopfData, chi: Tensor) -> PolyTensor:
-    """sum_(j<k) hbar^j chi^j / j! for chi nilpotent of degree k; exact."""
-    k = nilpotency_degree(h, chi)
+def exp_hbar(h: HopfData, chi: Tensor, k: int | None = None) -> PolyTensor:
+    """sum_(j<k) hbar^j chi^j / j! for chi nilpotent of degree k; exact.
+    ``k`` is ``nilpotency_degree(h, chi)`` when the caller already has it."""
+    if k is None:
+        k = nilpotency_degree(h, chi)
     f = h.field
     coeffs = []
     power = h.unit_tensor(2)
@@ -179,15 +181,21 @@ def verify_quantized_qtr(h: HopfData, r: Tensor, chi: Tensor, rinv: Tensor | Non
     degreewise-exactly, and that its inverse is exp(-hbar chi) R^-1.
 
     Hypothesis status is reported separately from the axiom outcome so that
-    necessity of the commutation hypotheses can be probed."""
+    necessity of the commutation hypotheses can be probed.
+
+    Quasi-cocommutativity Rt Delta(b) = Delta^op(b) Rt is checked for b in
+    ``hopf.cocommutativity_indices(h)``, as in ``rmatrices.verify_qtr``: the
+    generators when ``generators_span`` holds (it needs a passing
+    ``verify_hopf`` on ``h``, so H (x) H [hbar] is associative), every basis
+    element otherwise; a failure names the basis label of b."""
     if rinv is None:
         rinv = r_inverse(h, r)
     hyp1, hyp2 = check_commutation_hypotheses(h, r, chi, rinv)
     k = nilpotency_degree(h, chi)
     rep = QuantizationReport(f"quantize({h.name})", hyp1, hyp2, k)
 
-    exp_pos = exp_hbar(h, chi)
-    exp_neg = exp_hbar(h, -chi)
+    exp_pos = exp_hbar(h, chi, k)
+    exp_neg = exp_hbar(h, -chi, k)  # (-chi)^j = +-chi^j: the same degree
     rt = PolyTensor.constant(r) * exp_pos
     rt_inv = exp_neg * PolyTensor.constant(rinv)
 
@@ -195,10 +203,11 @@ def verify_quantized_qtr(h: HopfData, r: Tensor, chi: Tensor, rinv: Tensor | Non
     rep.record("inverse.right", "", rt * rt_inv == one2)
     rep.record("inverse.left", "", rt_inv * rt == one2)
 
-    for i in range(h.dim):
-        d = PolyTensor.constant(delta(h.basis_elem(i)))
-        dop = PolyTensor.constant(delta(h.basis_elem(i)).flip())
-        rep.record("quasi-cocommutativity", h.labels[i], rt * d == dop * rt)
+    for i in cocommutativity_indices(h):
+        d = delta(h.basis_elem(i))
+        rep.record(
+            "quasi-cocommutativity", h.labels[i], rt * PolyTensor.constant(d) == PolyTensor.constant(d.flip()) * rt
+        )
 
     rep.record("hexagon.id-delta", "", rt.apply_delta(1) == rt.leg(13) * rt.leg(12))
     rep.record("hexagon.delta-id", "", rt.apply_delta(0) == rt.leg(13) * rt.leg(23))

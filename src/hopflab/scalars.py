@@ -4,7 +4,15 @@ All downstream arithmetic is exact.  A field object hands out its own element
 type; elements of distinct field objects never mix.  The rational field uses
 plain ``fractions.Fraction`` values (the hot path for the sign-based families),
 cyclotomic fields use a small polynomial-quotient element, and the prime-field
-mode exists for randomized cross-validation of cyclotomic results.
+mode (p prime) exists for randomized cross-validation of cyclotomic results.
+
+Every field also serves the tensor products of ``hopf``, which run on Python
+ints instead of elements, through one interface: ``lift`` puts a batch of
+elements over one common denominator D, ``pack`` turns x*D into an int,
+``lift_pair`` packs both operands of a product, and ``unpack`` maps an int
+result back to the element it stands for.  Over Q the int is the numerator
+over D, over F_p the residue (D = 1), over Q(zeta_M) a Kronecker-packed
+integer polynomial (see ``CycField``).
 """
 
 from __future__ import annotations
@@ -60,6 +68,18 @@ def euler_phi(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
 
 
+def _is_prime(n: int) -> bool:
+    """Trial division."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Declarative field choice: cyclotomic(M) over Q, or a prime field F_p."""
@@ -73,8 +93,8 @@ class FieldSpec:
             raise ValueError(f"unknown field mode {self.mode!r}")
         if self.mode == "cyclotomic" and self.order < 1:
             raise ValueError("cyclotomic order must be >= 1")
-        if self.mode == "prime" and self.p < 2:
-            raise ValueError("prime characteristic must be >= 2")
+        if self.mode == "prime" and not _is_prime(self.p):
+            raise ValueError(f"prime field characteristic must be a prime, not {self.p}")
 
     @property
     def characteristic(self) -> int:
@@ -355,24 +375,53 @@ class RationalField:
     def description(self) -> str:
         return "Q"
 
+    # -- integer lift for hopf's tensor products: x*D is an integer ----------
+
+    @staticmethod
+    def lift(values) -> tuple[int, list]:
+        """Common denominator D of ``values`` (the lcm of their denominators)
+        and, per value x, |x*D|."""
+        values = list(values)
+        den = _lcm_den(values)
+        return den, [abs(x.numerator) * (den // x.denominator) for x in values]
+
+    @staticmethod
+    def pack(x: Fraction, den: int, width) -> int:
+        """The integer x*den, for den a multiple of x's denominator."""
+        return x.numerator * (den // x.denominator)
+
+    @staticmethod
+    def lift_pair(ca: dict, cb: dict, scale: int) -> tuple:
+        """(pa, pb, width, D): the coefficient dicts as integers over their
+        common denominators D_a and D_b, no width, D = D_a * D_b."""
+        den_a, den_b = _lcm_den(ca.values()), _lcm_den(cb.values())
+        pa = {k: x.numerator * (den_a // x.denominator) for k, x in ca.items()}
+        pb = {k: x.numerator * (den_b // x.denominator) for k, x in cb.items()}
+        return pa, pb, None, den_a * den_b
+
+    @staticmethod
+    def unpack(n: int, width, den: int) -> Fraction:
+        return Fraction(n, den)
+
     def __repr__(self):
         return "RationalField()"
+
+
+SLOT_ALIGN = 32  # slot widths are rounded up to this, so few packed tables exist
 
 
 class CycField:
     """Q(zeta_M) = Q[t]/(Phi_M(t)); Phi_M is monic with integer coefficients,
     so reduction modulo Phi_M keeps integer polynomials integral.
 
-    Besides the element arithmetic, the field serves the packed products of
-    ``hopf``, which run on Python ints instead of elements: ``lift`` puts a
-    batch of elements over one common denominator D, ``pack`` turns x*D
-    (an integer polynomial) into its value at t = 2^bits, and ``unpack``
-    reads the balanced base-2^bits digits of such a value back as an
-    unreduced integer polynomial, divides it by Phi_M once (``_reduce_int``,
-    the only reduction routine) and returns the canonical element over the
-    given denominator.  Evaluation at 2^bits is a ring morphism Z[t] -> Z,
-    and it is injective on the polynomials whose coefficients are all below
-    2^(bits-1) in absolute value, which is the bound callers must keep.
+    In the integer interface of the module docstring, ``pack`` turns x*D (an
+    integer polynomial) into its value at t = 2^bits, and ``unpack`` reads
+    the balanced base-2^bits digits of such a value back as an unreduced
+    integer polynomial, divides it by Phi_M once (``_reduce_int``, the only
+    reduction routine) and returns the canonical element over the given
+    denominator.  Evaluation at 2^bits is a ring morphism Z[t] -> Z, and it
+    is injective on the polynomials whose coefficients are all below
+    2^(bits-1) in absolute value, which is the bound ``lift_pair`` keeps.
     """
 
     characteristic = 0
@@ -450,6 +499,20 @@ class CycField:
         for c in reversed(x.nums):
             acc = (acc << bits) + c
         return acc * (den // x.den)
+
+    def lift_pair(self, ca: dict, cb: dict, scale: int) -> tuple:
+        """(pa, pb, bits, D): both coefficient dicts packed over their common
+        denominators D_a and D_b, D = D_a * D_b, with the slot width bits
+        (a multiple of SLOT_ALIGN) chosen so that 2^(bits-1) exceeds
+        S_a * S_b * scale, S the sum of the l1 norms of the lifted values."""
+        den_a, norms_a = self.lift(ca.values())
+        den_b, norms_b = self.lift(cb.values())
+        bound = sum(norms_a) * sum(norms_b) * scale
+        bits = -(-(bound.bit_length() + 1) // SLOT_ALIGN) * SLOT_ALIGN  # 2^(bits-1) > bound
+        pack = self.pack
+        pa = {k: pack(v, den_a, bits) for k, v in ca.items()}
+        pb = {k: pack(v, den_b, bits) for k, v in cb.items()}
+        return pa, pb, bits, den_a * den_b
 
     def unpack(self, packed: int, bits: int, den: int) -> CycElt:
         """The element P(zeta)/den, where ``packed`` = P(2^bits) for an
@@ -561,8 +624,39 @@ class PrimeField:
     def description(self) -> str:
         return f"F_{self.p}"
 
+    # -- integer lift for hopf's tensor products: residues, D = 1 ------------
+
+    @staticmethod
+    def lift(values) -> tuple[int, list]:
+        """D = 1 and, per value, its residue."""
+        return 1, [x.val for x in values]
+
+    @staticmethod
+    def pack(x: PrimeElt, den: int, width) -> int:
+        """The residue of x (den is 1)."""
+        return x.val
+
+    @staticmethod
+    def lift_pair(ca: dict, cb: dict, scale: int) -> tuple:
+        """(pa, pb, width, D): the residues of both dicts, no width, D = 1."""
+        return {k: x.val for k, x in ca.items()}, {k: x.val for k, x in cb.items()}, None, 1
+
+    def unpack(self, n: int, width, den: int) -> PrimeElt:
+        """n mod p (den is always 1: ``lift`` and ``lift_pair`` give D = 1)."""
+        return PrimeElt(self, n)
+
     def __repr__(self):
         return f"PrimeField({self.p})"
+
+
+def _lcm_den(values) -> int:
+    """lcm of the denominators of rationals."""
+    den = 1
+    for x in values:
+        d = x.denominator
+        if den % d:
+            den = den * d // math.gcd(den, d)
+    return den
 
 
 def _prime_factors(n: int) -> list[int]:

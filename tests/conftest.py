@@ -4,7 +4,7 @@ import pytest
 
 from hopflab.expressions import parse_element
 from hopflab.families import build
-from hopflab.hopf import Tensor
+from hopflab.hopf import HopfData, Tensor
 
 
 @pytest.fixture(scope="session")
@@ -73,3 +73,27 @@ def random_sparse_tensor(h, rng, legs=2, nnz=6, denom=7):
 
             coeffs[idx] = h.field.from_fraction(Fraction(num, rng.randint(1, denom)))
     return Tensor(h, legs, coeffs)
+
+
+def copy_tables(h, comult=None, generators=None) -> HopfData:
+    """A fresh, unverified HopfData over the same tables (own caches)."""
+    return HopfData(
+        h.field,
+        h.labels,
+        h.mult,
+        h.unit_index,
+        h.comult if comult is None else comult,
+        h.counit,
+        h.antipode,
+        generators=h.generators if generators is None else generators,
+        name=f"copy of {h.name}",
+    )
+
+
+def registered_rs(h):
+    """The R-matrices ``--r enumerate`` iterates for the family of h."""
+    from hopflab.rmatrices import build_r, enumerate_group_rmatrices, registered_rspecs
+
+    if h.family.kind == "h2n2":
+        return enumerate_group_rmatrices(h)
+    return [build_r(h, spec) for spec in registered_rspecs(h.family)]

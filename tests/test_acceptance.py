@@ -14,7 +14,7 @@ from conftest import pe, random_sparse_tensor
 from hopflab.cohomology import coboundaries, cocycles, en_z2_decomposition
 from hopflab.expressions import parse_element
 from hopflab.families import FamilySpec, build, h8_idempotents
-from hopflab.hopf import Tensor, delta, verify_hopf
+from hopflab.hopf import Tensor, _generator_elems, delta, verify_hopf
 from hopflab.precartier import (
     build_system,
     cartier_coboundary_check,
@@ -29,7 +29,6 @@ from hopflab.precartier import (
     eval_cqtr3,
     solve_infinitesimal,
     solve_rfree,
-    _generator_elems,
 )
 from hopflab.quantize import verify_quantized_qtr
 from hopflab.rmatrices import (

@@ -121,13 +121,33 @@ def test_json_deterministic(capsys):
         # the non-monomial product tables (factorized 2-leg loop) over Q(zeta3) and Q(zeta8)
         ("h2n2:3", "bichar:[[0,0],[1,0]]", "6852efa0b6c9bbfbbc0ea1a65e2882ee0e7c3b78e3471bf6b85806d99c6c7449"),
         ("h8", "enumerate", "3a1dc07c26d0dea700554a819a18753406b2c5ee419e423e54ee78151263380c"),
+        # the integer lift over Q with the generator certificate in verify_qtr
+        ("ac2n:4", "enumerate", "11f32da2913fe7ec0df4e4655e5e6baf4eb09c00a1396b4a7bca24eb917644cb"),
     ],
-    ids=["h2n2:3", "h8"],
+    ids=["h2n2:3", "h8", "ac2n:4"],
 )
 def test_classify_report_bytes(capsys, family, rspec, digest):
     code, out, _ = run_cli(capsys, "classify", "--family", family, "--r", rspec)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("field", [None, "prime:97"])
+def test_quantize_report_bytes(capsys, field):
+    """E(3) quantization over Q and over F_97 (the integer lift of both, and
+    quasi-cocommutativity of R exp(hbar chi) on the generators): one output."""
+    argv = ["quantize", "--family", "en:3", "--r", "enumerate"] + (["--field", field] if field else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "da507b111408722ecf6ac4c1028a043dbae505c111198568c62550bd10c0212b"
+
+
+@pytest.mark.parametrize("field", ["prime:4", "prime:9"])
+def test_composite_prime_field_exit_2(capsys, field):
+    code, out, err = run_cli(capsys, "classify", "--family", "en:1", "--r", "enumerate", "--field", field)
+    assert code == 2
+    assert err.startswith("config error:") and "must be a prime" in err
+    assert out == ""
 
 
 def test_out_file_and_table_format(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from hopflab.hopf import (
     HopfError,
     ParentMismatch,
     Tensor,
-    _packed_product,
+    _int_product,
     _product2,
     _product2_factored,
     antipode,
@@ -218,20 +219,43 @@ def test_tensor_pow_and_elem_pow(en2):
 
 # -- the legwise product kernel against a plain reference -----------------------
 
-# (family, field, root order): Q, F_97, Q(zeta4), Q(zeta8) and Q(zeta3); h8 has
-# cells with several terms and coefficients other than one, and the z*z cells
-# of h2n2:3 have 9 terms with coefficient zeta^k / 3
+# (family, field, root order): Q, F_97, F_3, Q(zeta4), Q(zeta8) and Q(zeta3);
+# h8 has cells with several terms and coefficients other than one, and the
+# z*z cells of h2n2:3 have 9 terms with coefficient zeta^k / 3.  Over Q the
+# integer lift scales the table by the lcm D_m of its denominators: D_m > 1
+# on h2n2:2 and on "en:2 rescaled" (en:2 in a diagonally rescaled basis).
 KERNEL_ALGEBRAS = [
     ("en:2", None, 2),
     ("en:2", "prime:97", 8),
+    ("en:2", "prime:3", 2),
+    ("en:2 rescaled", None, 2),
+    ("h2n2:2", None, 2),
     ("ac4dual", None, 4),
     ("h8", None, 8),
     ("h2n2:3", None, 3),
 ]
 
 
+def rescaled(h, scales):
+    """H in the basis e'_i = scales[i] e_i (one at the unit), every table
+    rewritten, verified by ``verify_hopf``."""
+    dim, c = h.dim, scales
+    assert c[h.unit_index] == 1
+    mult = [[{k: v * c[i] * c[j] / c[k] for k, v in h.mult[i][j].items()} for j in range(dim)] for i in range(dim)]
+    comult = [{ab: v * c[k] / (c[ab // dim] * c[ab % dim]) for ab, v in h.comult[k].items()} for k in range(dim)]
+    counit = [e * c[k] for k, e in enumerate(h.counit)]
+    antipode = [{a: v * c[k] / c[a] for a, v in h.antipode[k].items()} for k in range(dim)]
+    out = HopfData(h.field, h.labels, mult, h.unit_index, comult, counit, antipode, h.generators, f"rescaled {h.name}")
+    assert verify_hopf(out).ok
+    return out
+
+
+@functools.lru_cache(maxsize=None)
 def _kernel_algebra(i):
     family, field, _ = KERNEL_ALGEBRAS[i]
+    if family == "en:2 rescaled":
+        h = build("en:2")
+        return rescaled(h, [Fraction(1) if i == h.unit_index else Fraction(i + 2, 2 * i + 3) for i in range(h.dim)])
     return build(family, FieldSpec.parse(field) if field else None)
 
 
@@ -273,12 +297,37 @@ def tensor_pairs(draw):
     return tensor(), tensor()
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(tensor_pairs())
 def test_product_kernel_matches_reference(pair):
     a, b = pair
     assert a * b == reference_product(a, b)
     assert b * a == reference_product(b, a)
+
+
+@pytest.mark.parametrize("which", [3, 4])
+def test_integer_lift_scales_rational_tables(which):
+    """The algebras where the integer lift over Q multiplies the table by D_m > 1."""
+    h = _kernel_algebra(which)
+    assert h.table_den > 1
+    assert all(v is not None for row in h.int_terms(None) for cell in row for _, v in cell)
+
+
+@pytest.mark.parametrize("which", [1, 2, 3, 4])
+@pytest.mark.parametrize("legs", [2, 3])
+def test_integer_lift_dense_products(which, legs):
+    """Dense products over Q with D_m = 2 and over F_97 and F_3, with
+    numerators up to 10^15 over denominators near 10^6 (coprime to p), so
+    that cancellation modulo p and the scale D_a * D_b * D_m^legs both show."""
+    h = _kernel_algebra(which)
+    f, p = h.field, h.field.characteristic
+    n = h.dim**legs
+    dens = [d for d in range(999_983, 10**6 + 40) if not p or d % p][:24]
+    a = {(37 * k + 5) % n: f.from_fraction(Fraction((-1) ** k * (10**15 - 3 * k), dens[k])) for k in range(12)}
+    b = {(53 * k + 11) % n: f.from_fraction(Fraction(10**15 // (k + 1), dens[12 + k])) for k in range(12)}
+    a, b = Tensor(h, legs, a), Tensor(h, legs, b)
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert x * y == reference_product(x, y)
 
 
 def test_product_kernel_wide_slots_three_legs(h2n2_3):
@@ -413,8 +462,7 @@ def _assert_loops_agree(a, b):
     assert (a * b).coeffs == ref
     for loop in (_product2, _product2_factored):
         assert loop(h.mult_terms, h.dim, a.coeffs, b.coeffs) == ref
-        if type(h.field) is CycField:
-            assert _packed_product(h, loop, 2, a.coeffs, b.coeffs) == ref
+        assert _int_product(h, loop, 2, a.coeffs, b.coeffs) == ref
 
 
 @pytest.mark.parametrize("family", ["h2n2:3", "h8"])

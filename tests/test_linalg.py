@@ -11,6 +11,7 @@ from hopflab.linalg import (
     SparseMat,
     Subspace,
     kernel,
+    kernel_of_rows,
     rref,
     solve,
 )
@@ -149,3 +150,29 @@ def test_echelon_incremental_rank():
     assert ech.add_row({0: Fraction(2), 2: Fraction(2)}) is None
     assert ech.add_row({1: Fraction(5)}) == 1
     assert ech.rank == 2
+
+
+def test_kernel_of_rows_stops_at_full_rank():
+    """Once the rank reaches ncols the kernel is zero: no further row is read."""
+
+    def rows():
+        yield {0: Fraction(1), 2: Fraction(5)}
+        yield {0: Fraction(2), 2: Fraction(10)}  # dependent: the rank stays 1
+        yield {1: Fraction(3)}
+        yield {0: Fraction(1), 1: Fraction(1), 2: Fraction(-1)}  # full rank here
+        raise AssertionError("a row was read past full rank")
+
+    assert kernel_of_rows(rows(), 3).dim == 0
+
+
+def test_kernel_of_rows_reads_every_row_below_full_rank():
+    seen = []
+
+    def rows():
+        for row in ({0: Fraction(1)}, {0: Fraction(2)}, {1: Fraction(1), 2: Fraction(1)}):
+            seen.append(row)
+            yield row
+
+    ker = kernel_of_rows(rows(), 3)
+    assert len(seen) == 3
+    assert ker.basis() == [{1: Fraction(1), 2: Fraction(-1)}]

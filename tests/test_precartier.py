@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import pe, random_sparse_tensor
+from conftest import copy_tables, pe, random_sparse_tensor
 from hopflab.cohomology import cocycles
 from hopflab.families import build, coradical_projection
-from hopflab.hopf import HopfData, Tensor, verify_hopf
+from hopflab.hopf import Tensor, _close_generator_words, generators_span, verify_hopf
 from hopflab.precartier import (
     PreCartierError,
     build_system,
@@ -24,7 +24,6 @@ from hopflab.precartier import (
     eval_cqtr2_rmul,
     eval_cqtr3,
     eval_cqtr3_rmul,
-    generators_span,
     solve_infinitesimal,
     solve_rfree,
 )
@@ -283,33 +282,35 @@ def _batch_families() -> list[str]:
     return [family for family, _ in module.FAMILIES]
 
 
-def _copy_tables(h, comult=None, generators=None) -> HopfData:
-    """A fresh, unverified HopfData over the same tables (own analysis cache)."""
-    return HopfData(
-        h.field,
-        h.labels,
-        h.mult,
-        h.unit_index,
-        h.comult if comult is None else comult,
-        h.counit,
-        h.antipode,
-        generators=h.generators if generators is None else generators,
-        name=f"copy of {h.name}",
-    )
-
-
 @pytest.mark.parametrize("family", _batch_families())
 def test_generators_span_every_batch_family(family):
     assert generators_span(build(family)) is True
 
 
 def test_generators_span_rejects_non_spanning_generators(en2):
-    only_g = _copy_tables(en2, generators={"g": en2.generators["g"]})
+    only_g = copy_tables(en2, generators={"g": en2.generators["g"]})
+    assert verify_hopf(only_g).ok  # refused for the span, not for a missing axiom check
     assert generators_span(only_g) is False
     with pytest.raises(PreCartierError, match="cannot certify C1"):
         solve_rfree(only_g)
     with pytest.raises(PreCartierError, match="cannot certify C1"):
         solve_infinitesimal(only_g, build_r(en2, "en-a:[[0,0],[0,0]]"))
+
+
+def test_solvers_refuse_unchecked_instance_until_verified(en2):
+    """The C1 argument regroups products, so it needs H associative: the
+    certificate waits for a passing verify_hopf on the instance itself."""
+    fresh = copy_tables(en2)
+    r = Tensor(fresh, 2, dict(build_r(en2, "en-a:[[0,0],[0,0]]").coeffs))
+    assert _close_generator_words(fresh) is True
+    assert generators_span(fresh) is False
+    with pytest.raises(PreCartierError, match="verify_hopf has not passed"):
+        solve_rfree(fresh)
+    with pytest.raises(PreCartierError, match="verify_hopf has not passed"):
+        solve_infinitesimal(fresh, r)
+    assert verify_hopf(fresh).ok
+    assert solve_rfree(fresh) == solve_rfree(en2)
+    assert solve_infinitesimal(fresh, r) == solve_infinitesimal(en2, build_r(en2, "en-a:[[0,0],[0,0]]"))
 
 
 def test_generators_span_rejects_non_multiplicative_coproduct(en2):
@@ -319,8 +320,9 @@ def test_generators_span_rejects_non_multiplicative_coproduct(en2):
     i12 = en2.index["x{1,2}"]
     unit2 = en2.unit_index * en2.dim + en2.unit_index
     comult[i12][unit2] = comult[i12].get(unit2, en2.field.zero) + en2.field.one
-    broken = _copy_tables(en2, comult=comult)
+    broken = copy_tables(en2, comult=comult)
     assert not verify_hopf(broken).ok
+    assert _close_generator_words(broken) is False
     assert generators_span(broken) is False
     with pytest.raises(PreCartierError, match="cannot certify C1"):
         solve_rfree(broken)

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import pe
+from conftest import copy_tables, pe, registered_rs
 from hopflab.families import build
+from hopflab.hopf import Tensor, delta, generators_span, verify_hopf
+from hopflab.precartier import solve_infinitesimal
 from hopflab.quantize import (
     FactorialNotInvertible,
     NotNilpotent,
@@ -13,7 +15,7 @@ from hopflab.quantize import (
     nilpotency_degree,
     verify_quantized_qtr,
 )
-from hopflab.rmatrices import build_r
+from hopflab.rmatrices import build_r, r_inverse
 from hopflab.scalars import FieldSpec
 
 
@@ -153,3 +155,62 @@ def test_hypothesis_status_reported_separately(en1):
     assert rep.nilpotency >= 1
     # outcome and hypothesis status are independent report fields
     assert hasattr(rep, "ok")
+
+
+# -- quasi-cocommutativity of R exp(hbar chi) on the generators ------------------
+
+
+def full_basis_quantized_qc_failures(h, r, chi) -> set:
+    """Test-side oracle: the basis labels b where Rt Delta(b) != Delta^op(b) Rt."""
+    rt = PolyTensor.constant(r) * exp_hbar(h, chi)
+    out = set()
+    for i in range(h.dim):
+        d = delta(h.basis_elem(i))
+        if rt * PolyTensor.constant(d) != PolyTensor.constant(d.flip()) * rt:
+            out.add(h.labels[i])
+    return out
+
+
+NILPOTENT = {"en:2": "x{1}", "ac2n:2": "x", "h8": "z + y*z - x*z - x*y*z", "h2n2:2": "z + y*z - x*z - x*y*z"}
+QC_LAW = "quasi-cocommutativity"
+OTHER_LAWS = 6  # two inverse laws, two hexagons, degree 0 and degree 1
+
+
+@pytest.mark.parametrize("family", sorted(NILPOTENT))
+def test_verify_quantized_generator_certificate_agrees_with_full_basis(family):
+    """Every registered R with every solution chi, chi = 0 and the scaled
+    non-solution 3 n (x) 1 (n^2 = 0): the outcome with quasi-cocommutativity
+    checked on the generators is the full-basis one."""
+    h = build(family)
+    gens = sorted(h.generators.values())
+    gen_labels = {h.labels[i] for i in gens}
+    n = pe(h, NILPOTENT[family])
+    assert n and not n * n
+    non_solution = n.tensor(h.unit()).scaled(h.field.from_int(3))
+    failing = 0
+    for r in registered_rs(h):
+        rinv = r_inverse(h, r)
+        chis = [Tensor(h, 2, v) for v in solve_infinitesimal(h, r, rinv).basis()]
+        for chi in chis + [h.zero_tensor(2), non_solution]:
+            rep = verify_quantized_qtr(h, r, chi, rinv)
+            full = full_basis_quantized_qc_failures(h, r, chi)
+            witnesses = {w for law, w in rep.failures if law == QC_LAW}
+            others = [law for law, _ in rep.failures if law != QC_LAW]
+            assert rep.ok == (not full and not others)
+            assert witnesses == full & gen_labels
+            assert (not witnesses) == (not full)
+            assert rep.checks == len(gens) + OTHER_LAWS
+            failing += bool(full)
+    assert failing >= len(registered_rs(h))  # the non-solution fails for every R
+
+
+def test_verify_quantized_without_certificate_checks_every_basis_element(en2):
+    fresh = copy_tables(en2)
+    r = Tensor(fresh, 2, dict(build_r(en2, "en-a:[[1,2],[3,5]]").coeffs))
+    chi = Tensor(fresh, 2, dict(pe(en2, "g^1*x{1} (x) x{2}").coeffs))
+    assert not generators_span(fresh)
+    rep = verify_quantized_qtr(fresh, r, chi)
+    assert rep.ok and rep.checks == en2.dim + OTHER_LAWS
+    assert verify_hopf(fresh).ok
+    rep = verify_quantized_qtr(fresh, r, chi)
+    assert rep.ok and rep.checks == len(en2.generators) + OTHER_LAWS

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import pe
+from conftest import copy_tables, pe, registered_rs
 import hopflab.rmatrices as rm
 from hopflab.families import FamilySpec, build
-from hopflab.hopf import HopfData, Tensor, delta
+from hopflab.hopf import HopfData, Tensor, cocommutativity_indices, delta, generators_span, verify_hopf
 from hopflab.rmatrices import (
     FamilyMismatch,
     NotInvertible,
@@ -60,11 +60,16 @@ def test_en2_r_printed_blocks(en2):
     assert r == expected
     assert verify_qtr(en2, r).ok
     # the opposite sign on the top block fails the hexagons
-    flipped_sign = r + pe(
+    assert not verify_qtr(en2, flipped_sign_r(en2)).ok
+
+
+def flipped_sign_r(en2):
+    """R_A of en:2 for A = [[1,2],[3,5]] with the opposite sign on its top block."""
+    det = 1 * 5 - 2 * 3
+    return build_r(en2, "en-a:[[1,2],[3,5]]") + pe(
         en2,
         f"{det}*((x{{1,2}} (x) x{{1,2}}) + (x{{1,2}} (x) g^1*x{{1,2}}) + (g^1*x{{1,2}} (x) x{{1,2}}) - (g^1*x{{1,2}} (x) g^1*x{{1,2}}))",
     )
-    assert not verify_qtr(en2, flipped_sign).ok
 
 
 def test_verify_qtr_en_various(en2, en3):
@@ -284,3 +289,79 @@ def test_family_mismatch(en2, h8):
         build_r(h8, "en-a:[[0]]")
     with pytest.raises(FamilyMismatch):
         build_r(en2, "ac4dual")
+
+
+# -- quasi-cocommutativity on the generators -------------------------------------
+
+
+def full_basis_qc(h, r) -> bool:
+    """Test-side oracle: R Delta(b) = Delta^op(b) R on every basis element."""
+    return not full_basis_qc_failures(h, r)
+
+
+def full_basis_qc_failures(h, r) -> set:
+    out = set()
+    for i in range(h.dim):
+        d = delta(h.basis_elem(i))
+        if r * d != d.flip() * r:
+            out.add(h.labels[i])
+    return out
+
+
+QC_LAW = "quasi-cocommutativity"
+OTHER_LAWS = 7  # invertible, two hexagons, two counits, qyb, antipode-inverse
+
+
+@pytest.mark.parametrize("family,twist", [("en:2", "g"), ("ac2n:2", "g"), ("h8", "x"), ("h2n2:2", "x")])
+def test_verify_qtr_generator_certificate_agrees_with_full_basis(family, twist):
+    """For every registered R, R (g (x) 1) (an invertible R failing
+    quasi-cocommutativity) and 2R (failing the hexagons only), the outcome
+    with quasi-cocommutativity checked on the generators is the full-basis one."""
+    h = build(family)
+    gens = sorted(h.generators.values())
+    assert sorted(cocommutativity_indices(h)) == gens and len(gens) < h.dim
+    gen_labels = {h.labels[i] for i in gens}
+    twist = h.gen(twist).tensor(h.unit())
+    candidates = [c for r in registered_rs(h) for c in (r, r * twist, r.scaled(h.field.from_int(2)))]
+    if family == "en:2":
+        candidates.append(flipped_sign_r(h))
+    qc_failing = 0
+    for r in candidates:
+        rep = verify_qtr(h, r)
+        others = [law for law, _ in rep.failures if law != QC_LAW]
+        witnesses = {w for law, w in rep.failures if law == QC_LAW}
+        full = full_basis_qc(h, r)
+        assert rep.ok == (full and not others)
+        assert (not witnesses) == full
+        assert witnesses <= gen_labels  # a failure names the generator
+        if not others:
+            assert rep.checks == len(gens) + OTHER_LAWS
+        qc_failing += not full
+    assert qc_failing >= len(registered_rs(h))
+
+
+def test_verify_qtr_without_certificate_checks_every_basis_element(en2):
+    """With generators {g} only the words do not span en:2: every basis
+    element is checked, and the failures are the oracle's."""
+    only_g = copy_tables(en2, generators={"g": en2.generators["g"]})
+    assert verify_hopf(only_g).ok
+    assert not generators_span(only_g)
+    assert cocommutativity_indices(only_g) == list(range(en2.dim))
+    r = Tensor(only_g, 2, dict(build_r(en2, "en-a:[[1,2],[3,5]]").coeffs))
+    rep = verify_qtr(only_g, r)
+    assert rep.ok and rep.checks == en2.dim + OTHER_LAWS
+    twisted = r * only_g.gen("g").tensor(only_g.unit())
+    rep = verify_qtr(only_g, twisted)
+    failing = {w for law, w in rep.failures if law == QC_LAW}
+    assert failing == full_basis_qc_failures(only_g, twisted)
+    assert not failing <= {"g"}  # failures at basis elements that are not generators
+
+
+def test_unchecked_instance_refused_certificate_until_verified(en2):
+    fresh = copy_tables(en2)
+    r = Tensor(fresh, 2, dict(build_r(en2, "en-a:[[1,2],[3,5]]").coeffs))
+    assert not fresh.hopf_verified and not generators_span(fresh)
+    assert verify_qtr(fresh, r).checks == en2.dim + OTHER_LAWS
+    assert verify_hopf(fresh).ok
+    assert fresh.hopf_verified and generators_span(fresh)
+    assert verify_qtr(fresh, r).checks == len(en2.generators) + OTHER_LAWS

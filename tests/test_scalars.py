@@ -190,3 +190,15 @@ def test_field_spec_parse():
     assert FieldSpec.parse("prime:97") == FieldSpec("prime", p=97)
     with pytest.raises(ValueError):
         FieldSpec.parse("octonion:3")
+
+
+@pytest.mark.parametrize("text", ["prime:0", "prime:1", "prime:4", "prime:9", "prime:91", "prime:561"])
+def test_field_spec_rejects_non_prime_characteristic(text):
+    """Z/n for composite n is not a field (GF(9) is not Z/9)."""
+    with pytest.raises(ValueError, match="must be a prime"):
+        FieldSpec.parse(text)
+
+
+def test_field_spec_accepts_primes():
+    for p in (2, 3, 5, 97, 7919):
+        assert FieldSpec.parse(f"prime:{p}").p == p
