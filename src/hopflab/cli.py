@@ -14,8 +14,8 @@ import sys
 from dataclasses import dataclass, field as dc_field
 
 from .cohomology import cocycles, coboundaries
-from .expressions import format_tensor, parse_element
-from .families import FamilySpec, build
+from .expressions import ExprError, format_tensor, parse_element
+from .families import FamilySpec, ParameterError, build
 from .hopf import Tensor, verify_hopf
 from .precartier import ClassificationReport, cached_commutant, classify, classify_enumerated, solve_infinitesimal
 from .quantize import verify_quantized_qtr
@@ -103,7 +103,8 @@ def run(cfg: RunConfig) -> int:
     """Execute the configured tasks in order; returns the exit status."""
     try:
         fam_spec = FamilySpec.parse(cfg.family)
-        field_spec = cfg.field_spec()
+        # the family's default field is a configuration too: radford:0,2 asks for Q(zeta_0)
+        field_spec = cfg.field_spec() or fam_spec.default_field_spec()
     except ValueError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
@@ -228,7 +229,7 @@ def main(argv=None) -> int:
     )
     try:
         return run(cfg)
-    except (RSpecError, FamilyMismatch) as exc:
+    except (RSpecError, FamilyMismatch, ParameterError, ExprError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except (ValueError, ArithmeticError) as exc:

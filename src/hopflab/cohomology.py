@@ -8,20 +8,12 @@ are plain kernel/image computations over the exact field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .hopf import Elem, HopfData, HopfError, Tensor, VerifyReport
-from .linalg import SparseMat, Subspace, kernel, solve
+from .hopf import Elem, HopfData, HopfError, Tensor, VerifyReport, full_space, map_rows, restrict_and_cut
+from .linalg import Subspace, solve
 
 
 class UnsupportedDegree(HopfError):
     pass
-
-
-@dataclass
-class CobarDifferential:
-    degree: int
-    matrix: SparseMat  # (dim H)^(n+1)-coordinate rows, (dim H)^n columns
 
 
 def _bn_image(h: HopfData, n: int, t: Tensor) -> Tensor:
@@ -59,25 +51,11 @@ def b1_elem(h: HopfData, a: Elem) -> Tensor:
     return b_apply(h, 1, Tensor(h, 1, dict(a.coeffs)))
 
 
-def b_matrix(h: HopfData, n: int) -> CobarDifferential:
-    """Exact matrix of the degree-n differential in the tensor-power bases."""
-    if n < 1:
-        raise UnsupportedDegree("degree must be >= 1")
-    f = h.field
-    dim_in = h.dim**n
-    dim_out = h.dim ** (n + 1)
-    cols = []
-    for t in range(dim_in):
-        img = _bn_image(h, n, Tensor(h, n, {t: f.one}))
-        cols.append(img.coeffs)
-    return CobarDifferential(n, SparseMat.from_columns(cols, dim_out))
-
-
 def cocycles(h: HopfData, n: int) -> Subspace:
-    """Z^n = ker(b^n)."""
+    """Z^n = ker(b^n), the cut of H^(x)n by the differential."""
     if n not in (1, 2):
         raise UnsupportedDegree("cocycles computed for degrees 1 and 2")
-    return kernel(b_matrix(h, n).matrix)
+    return restrict_and_cut(h, n, full_space(h, n), [lambda t: _bn_image(h, n, t)])
 
 
 def coboundaries(h: HopfData, n: int) -> Subspace:
@@ -106,21 +84,11 @@ def coboundary_preimage(h: HopfData, t: Tensor) -> Elem | None:
     """Some a with b1(a) = t when t is a coboundary, canonical solve."""
     if t.legs != 2:
         raise HopfError("preimage is defined for 2-tensors")
-    f = h.field
-    dim2 = h.dim * h.dim
-    rows: dict[int, dict] = {}
-    for c in range(h.dim):
-        img = _bn_image(h, 1, Tensor(h, 1, {c: f.one}))
-        for r, v in img.coeffs.items():
-            rows.setdefault(r, {})[c] = v
-    row_list, rhs = [], {}
-    keys = sorted(set(rows) | set(t.coeffs))
-    for i, r in enumerate(keys):
-        row_list.append(rows.get(r, {}))
-        v = t.coeffs.get(r)
-        if v is not None:
-            rhs[i] = v
-    sol = solve(row_list, h.dim, rhs)
+    rows = map_rows(h, 1, [lambda a: _bn_image(h, 1, a)])
+    # a coordinate of t that no image reaches is the inconsistent equation 0 = v
+    keys = list(rows) + [(0, k) for k in t.coeffs if (0, k) not in rows]
+    rhs = {i: t.coeffs[k] for i, (_, k) in enumerate(keys) if k in t.coeffs}
+    sol = solve([rows.get(key, {}) for key in keys], h.dim, rhs)
     if sol is None:
         return None
     a = Elem(h, sol)

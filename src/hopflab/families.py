@@ -21,8 +21,16 @@ class ConstructionError(HopfError):
     pass
 
 
+class ParameterError(ConstructionError):
+    """A family parameter out of range, or a field the family excludes: a
+    configuration error, not a failed check."""
+
+
 class UnsupportedFamily(HopfError):
     pass
+
+
+_PARAM_COUNTS = {"en": 1, "ac2n": 1, "h2n2": 1, "radford": 2, "h8": 0, "ac4dual": 0}
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,9 @@ class FamilySpec:
         kind = kind.strip().lower()
         if kind not in ("group", "en", "ac2n", "h2n2", "h8", "radford", "ac4dual", "tensor"):
             raise ValueError(f"unknown family kind {kind!r}")
+        want = _PARAM_COUNTS.get(kind)
+        if want is not None and len(params) != want:
+            raise ValueError(f"family {kind!r} takes {want} parameter(s), got {len(params)}")
         return FamilySpec(kind, params)
 
     def default_root_order(self) -> int:
@@ -223,7 +234,7 @@ def build_group_algebra(
     """Group algebra of the abelian group prod C_{n_i}."""
     invariants = tuple(int(n) for n in invariants)
     if any(n < 1 for n in invariants):
-        raise ConstructionError("abelian invariants must be positive")
+        raise ParameterError("abelian invariants must be positive")
     if field is None:
         field = get_field(FieldSpec("cyclotomic", order=1))
     k = len(invariants)
@@ -272,11 +283,11 @@ def build_en(n: int, field=None, checked: bool = True) -> HopfData:
     """The 2^(n+1)-dimensional Hopf algebra with an involutive group-like g and
     n anticommuting square-zero skew-primitive generators."""
     if n < 1:
-        raise ConstructionError("n must be >= 1")
+        raise ParameterError("n must be >= 1")
     if field is None:
         field = get_field(FieldSpec("cyclotomic", order=1))
     if field.characteristic == 2:
-        raise ConstructionError("characteristic 2 is excluded for this family")
+        raise ParameterError("characteristic 2 is excluded for this family")
     signs = SignTables(n)
     one = field.one
     size = 1 << n
@@ -365,7 +376,7 @@ def build_ac22(field=None, checked: bool = True, family: FamilySpec | None = Non
     if field is None:
         field = get_field(FieldSpec("cyclotomic", order=1))
     if field.characteristic == 2:
-        raise ConstructionError("characteristic 2 is excluded for this family")
+        raise ParameterError("characteristic 2 is excluded for this family")
     one = field.one
 
     def idx(m: int, a: int, b: int) -> int:
@@ -468,7 +479,7 @@ def build_ac2n(n: int, field=None, checked: bool = True) -> HopfData:
     k C_2^n, realized as the tensor product of the n = 2 case with a group
     algebra and relabeled along the isomorphism sending 1 (x) g_i to g*g_i."""
     if n < 2:
-        raise ConstructionError("n must be >= 2")
+        raise ParameterError("n must be >= 2")
     if field is None:
         field = get_field(FieldSpec("cyclotomic", order=1))
     fam = FamilySpec("ac2n", (n,))
@@ -534,12 +545,12 @@ def build_h2n2(n: int, field=None, checked: bool = True, name: str | None = None
     the square of z compatible with the Hopf axioms (checked at build time).
     """
     if n < 2:
-        raise ConstructionError("n must be >= 2")
+        raise ParameterError("n must be >= 2")
     if field is None:
         field = get_field(FieldSpec("cyclotomic", order=n))
     p = field.characteristic
     if p and (2 * n) % p == 0:
-        raise ConstructionError(f"characteristic {p} divides 2n")
+        raise ParameterError(f"characteristic {p} divides 2n")
     q = field.make_root(n)
     one = field.one
     ninv = one / field.from_int(n)
@@ -683,7 +694,7 @@ def build_radford(r: int, n: int, field=None, checked: bool = True) -> HopfData:
     """Pointed Hopf algebra of dimension r n^2 on a group-like g of order rn
     and a skew-primitive x with xg = q gx and x^n = 0."""
     if r < 1 or n < 2:
-        raise ConstructionError("need r >= 1 and n >= 2")
+        raise ParameterError("need r >= 1 and n >= 2")
     M = r * n
     if field is None:
         field = get_field(FieldSpec("cyclotomic", order=M))

@@ -483,6 +483,77 @@ class Tensor:
         return " + ".join(parts)
 
 
+# -- linear maps on tensor powers ----------------------------------------
+
+
+def map_rows(h: HopfData, legs: int, maps, columns=None) -> dict:
+    """The matrix rows of linear maps on H^(x)legs, restricted to columns.
+
+    Column c is the tensor with coefficients ``columns[c]`` (by default the
+    standard basis tensor e_c).  Each map takes a ``legs``-tensor and
+    returns a Tensor or Elem.  The result maps (map index, output
+    coordinate) to the row {c: coefficient of that coordinate in map(column
+    c)}; rows that are identically zero are absent.  This is the one place
+    where map images are transposed into rows: every kernel, cut and solve
+    of the package reads its equations from here.
+
+    The rows come grouped by map, each map's in the order its coordinates
+    first appear over the columns.  No kernel or solve depends on the order
+    (both end in a canonical RREF), but elimination time and the scalars it
+    creates do.  Rows in coordinate order made the C2 cuts of the four
+    h8omega R-matrices create ten times the ``CycElt`` cache entries (15k
+    against 1.4k; peak memory of ``classify h8 --r enumerate`` 19.4 ->
+    23.0 MB), and rows interleaved across maps made the h2n2:3 commutant
+    three times slower (0.34 -> 1.14 s, 2-vCPU machine, Python 3.11)."""
+    if columns is None:
+        one = h.field.one
+        columns = [{c: one} for c in range(h.dim**legs)]
+    tensors = [Tensor(h, legs, vec) for vec in columns]
+    rows: dict[tuple, dict] = {}
+    for mi, op in enumerate(maps):
+        for c, t in enumerate(tensors):
+            for coord, v in op(t).coeffs.items():
+                rows.setdefault((mi, coord), {})[c] = v
+    return rows
+
+
+def full_space(h: HopfData, legs: int) -> Subspace:
+    """All of H^(x)legs: the standard basis, with coefficient ``h.field.one``."""
+    n = h.dim**legs
+    one = h.field.one
+    return Subspace(n, tuple({i: one} for i in range(n)), tuple(range(n)))
+
+
+def restrict_and_cut(h: HopfData, legs: int, space: Subspace, maps) -> Subspace:
+    """The vectors of ``space`` (a subspace of H^(x)legs) that every map in
+    ``maps`` sends to zero.
+
+    The maps are restricted to the basis of ``space``, the kernel is taken
+    in basis coefficients and mapped back.  When no map has a nonzero image
+    on the basis, ``space`` itself is returned, so its coefficients keep
+    their field type.
+
+    The mapped-back vectors are already the canonical RREF basis of the
+    cut.  Row i of ``space`` has its pivot p_i, with coefficient 1, and
+    entries only in columns >= p_i and in no other pivot column, so
+    v = sum_i c_i row_i has the coordinate c_i at p_i.  A kernel row c (in
+    RREF) with pivot j thus gives a v with leading column p_j, coefficient
+    1, and zeros at p_k for every other kernel pivot k: the RREF conditions,
+    with pivots increasing as j does."""
+    basis, pivots = space.rows, space.pivot_cols
+    rows = map_rows(h, legs, maps, basis)
+    if not rows:
+        return space
+    coeff_kernel = kernel_of_rows(rows.values(), len(basis))
+    out_vecs = []
+    for crow in coeff_kernel.rows:
+        acc: dict = {}
+        for i, c in crow.items():
+            vec_axpy(acc, basis[i], c)
+        out_vecs.append(acc)
+    return Subspace(space.ambient_dim, tuple(out_vecs), tuple(pivots[j] for j in coeff_kernel.pivot_cols))
+
+
 def _int_product(h: HopfData, loop, legs: int, ca: dict, cb: dict) -> dict:
     """``loop`` (one of the tensor product loops) run on the integer lift of
     the field's elements: lift both operands, run the loop against
@@ -924,17 +995,4 @@ def cocommutativity_indices(h: HopfData) -> list[int]:
     linear in b.  The same holds over H (x) H [hbar], coefficientwise.
     """
     return _generator_indices(h) if generators_span(h) else list(range(h.dim))
-
-
-def centralizer_of_coproduct(h: HopfData, a: Elem) -> Subspace:
-    """{T in H (x) H : T Delta(a) = Delta(a) T} as a subspace of H (x) H."""
-    da = delta(a)
-    dim2 = h.dim * h.dim
-    rows: dict[int, dict] = {}
-    for t in range(dim2):
-        et = Tensor(h, 2, {t: h.field.one})
-        resid = et * da - da * et
-        for r, v in resid.coeffs.items():
-            rows.setdefault(r, {})[t] = v
-    return kernel_of_rows(list(rows.values()), dim2)
 

@@ -20,22 +20,6 @@ class AmbientDimensionMismatch(LinAlgError):
     pass
 
 
-class SparseVec:
-    """Sparse vector: all stored scalars nonzero, indices < dim."""
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, dim: int, entries: dict | None = None):
-        self.dim = dim
-        self.entries = {} if entries is None else {k: v for k, v in entries.items() if v}
-
-    def __eq__(self, other):
-        return isinstance(other, SparseVec) and self.dim == other.dim and self.entries == other.entries
-
-    def __repr__(self):
-        return f"SparseVec({self.dim}, {self.entries})"
-
-
 class SparseMat:
     """Sparse matrix stored row-wise; ``rows[r]`` maps column -> scalar."""
 
@@ -58,18 +42,6 @@ class SparseMat:
             if acc is not None and acc:
                 out[r] = acc
         return out
-
-    @staticmethod
-    def from_columns(column_images: list[dict], nrows: int) -> "SparseMat":
-        """Assemble from per-column images (column c -> {row: scalar})."""
-        rows: dict[int, dict] = {}
-        for c, col in enumerate(column_images):
-            for r, v in col.items():
-                rows.setdefault(r, {})[c] = v
-        mat = SparseMat(nrows, len(column_images), [dict() for _ in range(nrows)])
-        for r, row in rows.items():
-            mat.rows[r] = row
-        return mat
 
 
 def vec_axpy(dst: dict, src: dict, c) -> None:
@@ -137,16 +109,6 @@ class Echelon:
                 vec_axpy(row, done[k], -row[k])
             done[c] = row
         return [(c, done[c]) for c in cols]
-
-
-def rref(mat: SparseMat) -> tuple[int, SparseMat]:
-    """Rank and canonical reduced row echelon form."""
-    ech = Echelon(mat.ncols)
-    for row in mat.rows:
-        ech.add_row(row)
-    rows = [dict(r) for _, r in ech.rref_rows()]
-    out = SparseMat(len(rows), mat.ncols, rows)
-    return ech.rank, out
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,16 @@ Axioms, for a quasitriangular (H, R):
   E1, E2  both counit slots of chi vanish,
   HC      chi_12 + (Delta (x) Id)(chi) = chi_23 + (Id (x) Delta)(chi).
 
-The solver stacks C1, C2, C3; C2/C3 enter in the R-multiplied equivalent form
+The solver cuts: the commutant of the coproducts (C1) in H (x) H, then C2 on
+that, then C3 on the result, each step a ``hopf.restrict_and_cut``.  The rows
+of every cut, and of the block matrices of ``build_system``, are built in one
+place, ``hopf.map_rows``.  C2/C3 enter in the R-multiplied equivalent form
 (left-multiplied by R12 resp. R23) so no inverse appears in row generation;
 the R^-1 form is kept as the independent recheck applied to every solution
-basis vector.  The counit conditions are implied and asserted, never stacked.
+basis vector.  The counit conditions are implied and asserted, never cut by
+``solve_infinitesimal``.
 
-C1 is stacked and rechecked against the generators of H only.  That covers
+C1 is cut and rechecked against the generators of H only.  That covers
 every b because of the certificate ``hopf.generators_span``: the generator
 words accepted by its closure span H, Delta is checked to be multiplicative
 along each of them, and H is associative (the certificate is granted only
@@ -33,8 +37,8 @@ from dataclasses import dataclass, field as dc_field
 from . import cohomology
 from .expressions import format_tensor, parse_element
 from .families import FamilySpec, build
-from .hopf import Elem, HopfData, HopfError, Tensor, _generator_elems, antipode, delta, generators_span
-from .linalg import SparseMat, Subspace, kernel_of_rows
+from .hopf import Elem, HopfData, HopfError, Tensor, _generator_elems, antipode, delta, full_space, generators_span, map_rows, restrict_and_cut
+from .linalg import SparseMat, Subspace
 from .rmatrices import (
     FamilyMismatch,
     RSpec,
@@ -101,48 +105,13 @@ class ChiSystem:
     blocks: list  # list of (tag, SparseMat), each with (dim H)^2 columns
 
 
-def _stack_operator(h: HopfData, op, out_legs: int) -> SparseMat:
-    dim2 = h.dim * h.dim
-    cols = []
-    for t in range(dim2):
-        cols.append(op(Tensor(h, 2, {t: h.field.one})).coeffs)
-    return SparseMat.from_columns(cols, h.dim**out_legs)
-
-
-def _cqtr1_block(h: HopfData) -> SparseMat:
-    """Rows grouped per basis element b: coordinates of t Delta(b) - Delta(b) t."""
-    dim = h.dim
-    dim2 = dim * dim
-    rows: list[dict] = []
-    for b in range(dim):
-        db = delta(h.basis_elem(b))
-        col_rows: dict[int, dict] = {}
-        for t in range(dim2):
-            et = Tensor(h, 2, {t: h.field.one})
-            resid = et * db - db * et
-            for rcoord, v in resid.coeffs.items():
-                col_rows.setdefault(rcoord, {})[t] = v
-        mat_rows = [dict() for _ in range(dim2)]
-        for rcoord, row in col_rows.items():
-            mat_rows[rcoord] = row
-        rows.extend(mat_rows)
-    return SparseMat(dim * dim2, dim2, rows)
-
-
-def _counit_block(h: HopfData, slot: int) -> SparseMat:
-    dim = h.dim
-    rows = [dict() for _ in range(dim)]
-    for t in range(dim * dim):
-        i, j = divmod(t, dim)
-        if slot == 1:  # (Id (x) eps)
-            e = h.counit[j]
-            if e:
-                rows[i][t] = e
-        else:  # (eps (x) Id)
-            e = h.counit[i]
-            if e:
-                rows[j][t] = e
-    return SparseMat(dim, dim * dim, rows)
+def _block(h: HopfData, maps, out_dim: int) -> SparseMat:
+    """The maps on H (x) H stacked into one matrix: the row of output
+    coordinate k of map i is row i * out_dim + k."""
+    mat = SparseMat(len(maps) * out_dim, h.dim * h.dim)
+    for (mi, coord), row in map_rows(h, 2, maps).items():
+        mat.rows[mi * out_dim + coord] = row
+    return mat
 
 
 def build_system(h: HopfData, r: Tensor | None = None, tags=None, assume_qtr: bool = False) -> ChiSystem:
@@ -156,24 +125,21 @@ def build_system(h: HopfData, r: Tensor | None = None, tags=None, assume_qtr: bo
         rep = verify_qtr(h, r)
         if not rep.ok:
             raise PreCartierError(f"R is not quasitriangular: {rep.summary()}")
+    dim = h.dim
+    ops = {
+        "cqtr1": ([lambda t, b=h.basis_elem(b): eval_cqtr1(h, t, b) for b in range(dim)], dim**2),
+        "cqtr2": ([lambda t: eval_cqtr2_rmul(h, r, t)], dim**3),
+        "cqtr3": ([lambda t: eval_cqtr3_rmul(h, r, t)], dim**3),
+        "counit_left": ([lambda t: t.apply_counit(1)], dim),
+        "counit_right": ([lambda t: t.apply_counit(0)], dim),
+        "cartier": ([lambda t: eval_cartier(h, r, t)], dim**2),
+        "cocycle": ([lambda t: eval_cocycle(h, t)], dim**3),
+    }
     blocks = []
     for tag in tags:
-        if tag == "cqtr1":
-            blocks.append((tag, _cqtr1_block(h)))
-        elif tag == "cqtr2":
-            blocks.append((tag, _stack_operator(h, lambda t: eval_cqtr2_rmul(h, r, t), 3)))
-        elif tag == "cqtr3":
-            blocks.append((tag, _stack_operator(h, lambda t: eval_cqtr3_rmul(h, r, t), 3)))
-        elif tag == "counit_left":
-            blocks.append((tag, _counit_block(h, slot=1)))
-        elif tag == "counit_right":
-            blocks.append((tag, _counit_block(h, slot=0)))
-        elif tag == "cartier":
-            blocks.append((tag, _stack_operator(h, lambda t: eval_cartier(h, r, t), 2)))
-        elif tag == "cocycle":
-            blocks.append((tag, _stack_operator(h, lambda t: eval_cocycle(h, t), 3)))
-        else:
+        if tag not in ops:
             raise PreCartierError(f"unknown block tag {tag!r}")
+        blocks.append((tag, _block(h, *ops[tag])))
     return ChiSystem(h, r, blocks)
 
 
@@ -181,40 +147,10 @@ def build_system(h: HopfData, r: Tensor | None = None, tags=None, assume_qtr: bo
 
 
 def commutant_of_coproducts(h: HopfData, elems) -> Subspace:
-    """Tensors commuting with Delta(e) for every e in elems."""
-    dim2 = h.dim * h.dim
-    rows: dict[tuple, dict] = {}
-    for gi, e in enumerate(elems):
-        d = delta(e)
-        for t in range(dim2):
-            et = Tensor(h, 2, {t: h.field.one})
-            resid = et * d - d * et
-            for rcoord, v in resid.coeffs.items():
-                rows.setdefault((gi, rcoord), {})[t] = v
-    return kernel_of_rows(rows.values(), dim2)
-
-
-def _restrict_and_cut(h: HopfData, space: Subspace, ops) -> Subspace:
-    """Intersect a subspace with the kernels of linear operators, by
-    restricting the operators to the subspace basis."""
-    basis = space.basis()
-    k = len(basis)
-    if k == 0:
-        return space
-    rows: dict[tuple, dict] = {}
-    for i, vec in enumerate(basis):
-        t = Tensor(h, 2, vec)
-        for oi, op in enumerate(ops):
-            for coord, v in op(t).coeffs.items():
-                rows.setdefault((oi, coord), {})[i] = v
-    coeff_kernel = kernel_of_rows(rows.values(), k)
-    out_vecs = []
-    for crow in coeff_kernel.rows:
-        acc = h.zero_tensor(2)
-        for i, c in crow.items():
-            acc = acc + Tensor(h, 2, basis[i]).scaled(c)
-        out_vecs.append(acc.coeffs)
-    return Subspace.from_vectors(out_vecs, h.dim * h.dim)
+    """Tensors commuting with Delta(e) for every e in elems: the cut of
+    H (x) H by ``eval_cqtr1`` at each e, with Delta(e) formed once per e
+    rather than once per basis tensor."""
+    return restrict_and_cut(h, 2, full_space(h, 2), [lambda t, d=delta(e): t * d - d * t for e in elems])
 
 
 def _require_generators_span(h: HopfData) -> None:
@@ -247,7 +183,7 @@ def solve_rfree(h: HopfData) -> Subspace:
     """
     _require_generators_span(h)
     counits = [lambda t: t.apply_counit(1), lambda t: t.apply_counit(0)]
-    space = _restrict_and_cut(h, cached_commutant(h), counits)
+    space = restrict_and_cut(h, 2, cached_commutant(h), counits)
     for vec in space.basis():
         if not _commutes_with_generators(h, Tensor(h, 2, vec)):
             raise PreCartierError("a kernel vector violates C1 against a generator on recheck")
@@ -265,8 +201,8 @@ def solve_infinitesimal(h: HopfData, r: Tensor, rinv: Tensor | None = None, comm
     _require_generators_span(h)
     if commutant is None:
         commutant = commutant_of_coproducts(h, _generator_elems(h))
-    space = _restrict_and_cut(h, commutant, [lambda t: eval_cqtr2_rmul(h, r, t)])
-    space = _restrict_and_cut(h, space, [lambda t: eval_cqtr3_rmul(h, r, t)])
+    space = restrict_and_cut(h, 2, commutant, [lambda t: eval_cqtr2_rmul(h, r, t)])
+    space = restrict_and_cut(h, 2, space, [lambda t: eval_cqtr3_rmul(h, r, t)])
     if rinv is None:
         rinv = r_inverse(h, r)
     for vec in space.basis():
@@ -283,7 +219,7 @@ def solve_infinitesimal(h: HopfData, r: Tensor, rinv: Tensor | None = None, comm
 
 def cartier_subspace(h: HopfData, r: Tensor, chi_space: Subspace) -> Subspace:
     """Cut the solution space by R chi = chi_op R."""
-    return _restrict_and_cut(h, chi_space, [lambda t: eval_cartier(h, r, t)])
+    return restrict_and_cut(h, 2, chi_space, [lambda t: eval_cartier(h, r, t)])
 
 
 def cartier_coboundary_check(h: HopfData, r: Tensor, chi_space: Subspace, cart: Subspace | None = None) -> bool:

@@ -8,9 +8,9 @@ nilpotency degree), so every axiom is checked degreewise with no truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
-from .hopf import HopfData, HopfError, Tensor, cocommutativity_indices, delta
+from .hopf import HopfData, HopfError, Tensor, VerifyReport, cocommutativity_indices, delta
 from .rmatrices import r_inverse
 
 
@@ -144,36 +144,19 @@ def check_commutation_hypotheses(h: HopfData, r: Tensor, chi: Tensor, rinv: Tens
     return first, second
 
 
-@dataclass
-class QuantizationReport:
-    name: str
+@dataclass(kw_only=True)
+class QuantizationReport(VerifyReport):
     hypothesis_1: bool
     hypothesis_2: bool
     nilpotency: int
-    failures: list = dc_field(default_factory=list)
-    checks: int = 0
 
     @property
     def hypotheses_ok(self):
         return self.hypothesis_1 and self.hypothesis_2
 
-    @property
-    def ok(self):
-        return not self.failures
-
-    def record(self, law, witness, ok):
-        self.checks += 1
-        if not ok:
-            self.failures.append((law, witness))
-
-    def __bool__(self):
-        return self.ok
-
     def summary(self):
-        head = f"{self.name}: hypotheses=({self.hypothesis_1},{self.hypothesis_2}) nilpotency={self.nilpotency}"
-        if self.ok:
-            return f"{head}; all {self.checks} identities hold"
-        return f"{head}; " + "; ".join(f"{l}@{w}" for l, w in self.failures[:10])
+        head = f"hypotheses=({self.hypothesis_1},{self.hypothesis_2}) nilpotency={self.nilpotency}"
+        return f"{super().summary()}\n  {head}"
 
 
 def verify_quantized_qtr(h: HopfData, r: Tensor, chi: Tensor, rinv: Tensor | None = None) -> QuantizationReport:
@@ -192,7 +175,7 @@ def verify_quantized_qtr(h: HopfData, r: Tensor, chi: Tensor, rinv: Tensor | Non
         rinv = r_inverse(h, r)
     hyp1, hyp2 = check_commutation_hypotheses(h, r, chi, rinv)
     k = nilpotency_degree(h, chi)
-    rep = QuantizationReport(f"quantize({h.name})", hyp1, hyp2, k)
+    rep = QuantizationReport(f"quantize({h.name})", hypothesis_1=hyp1, hypothesis_2=hyp2, nilpotency=k)
 
     exp_pos = exp_hbar(h, chi, k)
     exp_neg = exp_hbar(h, -chi, k)  # (-chi)^j = +-chi^j: the same degree

@@ -14,13 +14,13 @@ and the quantum Yang-Baxter identity holds.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .expressions import ExprError, parse_element, parse_scalar
 from .families import h8_idempotents
-from .hopf import HopfData, HopfError, Tensor, VerifyReport, antipode, cocommutativity_indices, delta
+from .hopf import HopfData, HopfError, Tensor, VerifyReport, antipode, cocommutativity_indices, delta, map_rows
 from .linalg import solve, vec_axpy
 
 
@@ -373,22 +373,11 @@ def r_inverse(h: HopfData, r: Tensor) -> Tensor:
 
 def _solve_inverse(h: HopfData, r: Tensor) -> Tensor:
     """Two-sided inverse in H (x) H by exact linear solve."""
-    f = h.field
-    dim2 = h.dim * h.dim
-    rows: dict[int, dict] = {}
-    for t in range(dim2):
-        img = r * Tensor(h, 2, {t: f.one})
-        for k, v in img.coeffs.items():
-            rows.setdefault(k, {})[t] = v
-    unit_idx = h.unit_index * h.dim + h.unit_index
-    row_list, rhs = [], {}
-    for i, (k, row) in enumerate(sorted(rows.items())):
-        row_list.append(row)
-        if k == unit_idx:
-            rhs[i] = f.one
-    if unit_idx not in rows:
+    rows = map_rows(h, 2, [lambda t: r * t])
+    unit_key = (0, h.unit_index * h.dim + h.unit_index)
+    if unit_key not in rows:
         raise NotInvertible("unit coordinate unreachable")
-    sol = solve(row_list, dim2, rhs)
+    sol = solve(rows.values(), h.dim * h.dim, {list(rows).index(unit_key): h.field.one})
     if sol is None:
         raise NotInvertible("no right inverse")
     x = Tensor(h, 2, sol)
@@ -413,28 +402,8 @@ def apply_antipode_leg(r: Tensor, slot: int) -> Tensor:
 
 
 @dataclass
-class QtrReport:
-    name: str
-    failures: list = dc_field(default_factory=list)
-    checks: int = 0
+class QtrReport(VerifyReport):
     r_inv: Tensor | None = None
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def record(self, law, witness, ok):
-        self.checks += 1
-        if not ok:
-            self.failures.append((law, witness))
-
-    def __bool__(self):
-        return self.ok
-
-    def summary(self):
-        if self.ok:
-            return f"{self.name}: all {self.checks} identities hold"
-        return f"{self.name}: " + "; ".join(f"{l}@{w}" for l, w in self.failures[:10])
 
 
 def verify_qtr(h: HopfData, r: Tensor) -> QtrReport:

@@ -97,3 +97,22 @@ def registered_rs(h):
     if h.family.kind == "h2n2":
         return enumerate_group_rmatrices(h)
     return [build_r(h, spec) for spec in registered_rspecs(h.family)]
+
+
+def apply_rows(rows: dict, vec: dict) -> dict:
+    """The rows of ``hopf.map_rows`` applied to a coefficient vector, keyed
+    like the rows: (map index, output coordinate) -> nonzero value."""
+    out = {}
+    for key, row in rows.items():
+        acc = None
+        for c, m in row.items():
+            if c in vec:
+                acc = m * vec[c] if acc is None else acc + m * vec[c]
+        if acc is not None and acc:
+            out[key] = acc
+    return out
+
+
+def direct_images(maps, t) -> dict:
+    """The maps evaluated on t, keyed like ``apply_rows``."""
+    return {(mi, k): v for mi, op in enumerate(maps) for k, v in op(t).coeffs.items()}

@@ -192,6 +192,41 @@ def test_bad_r_spec_exit_2(capsys, family, rspec):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--family", "en"],  # no parameter
+        ["classify", "--family", "h8:3", "--r", "h8pm:+1,+1"],  # a parameter h8 does not take
+        ["classify", "--family", "en:1,5", "--r", "enumerate"],  # one parameter too many
+        ["classify", "--family", "radford:2"],  # one parameter too few
+        ["classify", "--family", "en:0"],
+        ["classify", "--family", "h2n2:1"],
+        ["classify", "--family", "group:0"],
+        ["classify", "--family", "radford:0,2"],
+        ["classify", "--family", "en:2", "--field", "prime:2"],  # characteristic the family excludes
+        ["quantize", "--family", "en:2", "--r", "en-a:[[0,0],[0,0]]", "--chi", "(("],
+    ],
+    ids=["en", "h8:3", "en:1,5", "radford:2", "en:0", "h2n2:1", "group:0", "radford:0,2", "en:2-F2", "chi"],
+)
+def test_bad_family_or_chi_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("config error:")
+    assert out == ""
+
+
+def test_failed_construction_exit_1(capsys, monkeypatch):
+    from hopflab.families import ConstructionError
+
+    def broken(*args, **kwargs):
+        raise ConstructionError("hopf(H): 1 violations in 9 checks")
+
+    monkeypatch.setattr(cli, "build", broken)
+    code, out, err = run_cli(capsys, "classify", "--family", "en:1")
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_quantize_inverts_each_r_once(capsys, monkeypatch):
     import hopflab.precartier as pc
     import hopflab.quantize as qz

@@ -1,11 +1,14 @@
 import functools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pe, random_sparse_tensor
+from conftest import apply_rows, direct_images, pe, random_sparse_tensor
+from hopflab.cohomology import b_apply
+from hopflab.expressions import format_tensor
 from hopflab.families import build, build_en
 from hopflab.hopf import (
     Elem,
@@ -13,18 +16,23 @@ from hopflab.hopf import (
     HopfError,
     ParentMismatch,
     Tensor,
+    _generator_elems,
     _int_product,
     _product2,
     _product2_factored,
     antipode,
-    centralizer_of_coproduct,
     counit,
     delta,
+    full_space,
+    map_rows,
+    restrict_and_cut,
     verify_antipode_antihom,
     verify_bialgebra,
     verify_hopf,
 )
-from hopflab.precartier import solve_rfree
+from hopflab.linalg import Subspace, kernel_of_rows
+from hopflab.precartier import cached_commutant, commutant_of_coproducts, eval_cqtr1, eval_cqtr2_rmul, solve_rfree
+from hopflab.rmatrices import build_r
 from hopflab.scalars import CycField, FieldSpec
 
 
@@ -146,12 +154,82 @@ def test_antipode_antihom(en2, radford22):
     assert verify_antipode_antihom(radford22).ok
 
 
+def _maps_under_test(h):
+    if h.family.kind == "en":  # C2 in the R-multiplied form
+        r = build_r(h, "en-a:[[1,2],[3,5]]")
+        return [lambda t: eval_cqtr2_rmul(h, r, t)]
+    if h.family.kind == "h8":  # the cobar differential b2
+        return [lambda t: b_apply(h, 2, t)]
+    return [lambda t, g=g: eval_cqtr1(h, t, g) for g in _generator_elems(h)]  # one commutator per generator
+
+
+@pytest.mark.parametrize("family", ["en:2", "h8", "h2n2:2"])
+def test_map_rows_agree_with_the_maps(family):
+    h = build(family)
+    rng = random.Random(17)
+    maps = _maps_under_test(h)
+    rows = map_rows(h, 2, maps)
+    for _ in range(8):
+        t = random_sparse_tensor(h, rng)
+        assert apply_rows(rows, t.coeffs) == direct_images(maps, t)
+    # restricted to columns, coefficient c of a vector weighs columns[c]
+    columns = [random_sparse_tensor(h, rng).coeffs for _ in range(5)]
+    rows = map_rows(h, 2, maps, columns)
+    for _ in range(4):
+        y = random_sparse_tensor(h, rng, legs=1, nnz=3).coeffs
+        y = {c % len(columns): v for c, v in y.items()}
+        t = h.zero_tensor(2)
+        for c, v in y.items():
+            t = t + Tensor(h, 2, columns[c]).scaled(v)
+        assert apply_rows(rows, y) == direct_images(maps, t)
+
+
+def test_cut_by_a_vanishing_map_returns_the_space():
+    h = build("en:2")
+    rfree = solve_rfree(h)
+    counits = [lambda t: t.apply_counit(1), lambda t: t.apply_counit(0)]
+    assert restrict_and_cut(h, 2, rfree, counits) == rfree
+    comm = cached_commutant(h)
+    assert restrict_and_cut(h, 2, comm, [lambda t: eval_cqtr1(h, t, h.gen("g"))]) == comm
+    whole = full_space(h, 2)
+    assert restrict_and_cut(h, 2, whole, [lambda t: eval_cqtr1(h, t, h.unit())]) == whole
+
+
+@pytest.mark.parametrize(
+    "family,rspec", [("en:2", "en-a:[[1,2],[3,5]]"), ("en:3", "en-a:[[1,0,0],[0,1,0],[0,0,1]]"), ("ac2n:2", "ac22:q=1,a=1")]
+)
+def test_cut_is_canonical_and_equals_the_intersection(family, rspec):
+    """The cut maps its kernel back without re-eliminating: its rows must be
+    the canonical RREF, and the space must be the intersection of the input
+    with the kernel of the full matrix of the map."""
+    h = build(family)
+    r = build_r(h, rspec)
+    space = cached_commutant(h)
+    maps = [lambda t: eval_cqtr2_rmul(h, r, t)]
+    cut = restrict_and_cut(h, 2, space, maps)
+    assert 0 < cut.dim < space.dim
+    assert Subspace.from_vectors(list(cut.rows), cut.ambient_dim) == cut
+    assert cut == space.intersect(kernel_of_rows(map_rows(h, 2, maps).values(), h.dim**2))
+
+
+@pytest.mark.parametrize("field", ["Q", "cyclotomic:3", "prime:97"])
+def test_vanishing_commutant_keeps_field_coefficients(field):
+    """On a commutative, cocommutative H every commutator vanishes: the
+    commutant is all of H (x) H, with coefficients of the field's type."""
+    h = build("group:2,2", FieldSpec.parse(field))
+    comm = cached_commutant(h)
+    assert comm.dim == h.dim**2
+    kind = type(h.field.one)
+    assert all(type(v) is kind for row in comm.rows for v in row.values())
+    assert [format_tensor(Tensor(h, 2, row)) for row in comm.rows][:2] == ["(1 (x) 1)", "(1 (x) g2)"]
+
+
 def test_centralizer_of_unit_is_everything(en2):
-    assert centralizer_of_coproduct(en2, en2.unit()).dim == en2.dim**2
+    assert commutant_of_coproducts(en2, [en2.unit()]).dim == en2.dim**2
 
 
 def test_centralizer_of_g_en2(en2):
-    cent = centralizer_of_coproduct(en2, en2.gen("g"))
+    cent = commutant_of_coproducts(en2, [en2.gen("g")])
     assert cent.dim == 32
     # exactly the tensors with even total x-degree
     size = 1 << 2
@@ -166,7 +244,7 @@ def test_centralizer_of_g_en2(en2):
 
 def test_centralizer_of_x1_vanishing_pattern(en2):
     """Necessary vanishing conditions on the commutant of Delta(x_i)."""
-    cent = centralizer_of_coproduct(en2, en2.gen("x1"))
+    cent = commutant_of_coproducts(en2, [en2.gen("x1")])
     size = 1 << 2
     i_bit = 1  # membership bit for x1
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -274,12 +275,31 @@ def test_classify_refuses_a_failed_prebuilt_report():
         classify("h2n2:2", None, prebuilt=(build_r(h, spec), rep))
 
 
-def _batch_families() -> list[str]:
+def _batch_modes() -> list[tuple[str, str]]:
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_classifications.py"
     spec = importlib.util.spec_from_file_location("run_classifications", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [family for family, _ in module.FAMILIES]
+    return module.FAMILIES
+
+
+def _batch_families() -> list[str]:
+    return [family for family, _ in _batch_modes()]
+
+
+def test_batch_report_bytes_without_h2n2_3():
+    """The batch bundle of ``scripts/run_classifications.py`` minus its
+    slowest family, encoded as the script encodes it: every kernel, cut and
+    solve of the classification runs here, and none may change a byte."""
+    bundle = []
+    for family, mode in _batch_modes():
+        if family == "h2n2:3":
+            continue
+        reports = [classify(family, None)] if mode == "rfree" else classify_enumerated(family)
+        bundle.extend(rep.to_dict() for rep in reports)
+    assert len(bundle) == 34
+    data = (json.dumps(bundle, indent=2) + "\n").encode()
+    assert hashlib.sha256(data).hexdigest() == "d78a1821fc8cd7ecb785905104b0f22e946171ad10aabcdaf11a972e6e96b14c"
 
 
 @pytest.mark.parametrize("family", _batch_families())
