@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Prime-field cross-validation: rerun the key classifications over F_p
 (p = 1 mod 8 so every needed root of unity exists) and diff the dimension
-results against the rational/cyclotomic runs; then run the E(3)
-quantization over Q and over F_p and compare its reports entry by entry.
+results against the rational/cyclotomic runs; run ``verify_hopf`` on each
+case family over F_p and compare its outcome and check count with the
+exact field's; then run the E(3) quantization over Q and over F_p and
+compare its reports entry by entry.
 
     python scripts/crosscheck_prime_field.py [--prime P]
 """
@@ -17,6 +19,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hopflab.cli import main as cli_main
+from hopflab.families import build
+from hopflab.hopf import verify_hopf
 from hopflab.precartier import classify
 from hopflab.scalars import FieldSpec
 
@@ -53,6 +57,15 @@ def main() -> int:
             bad += 1
         print(f"{mark:5s} {family:12s} r={rtext}  {exact.field} vs {modp.field}  dims={modp.dims}"
               + (f"  differences: {diffs}" if diffs else ""))
+
+    for family in dict.fromkeys(family for family, _ in CASES):
+        exact = verify_hopf(build(family, checked=False))
+        modp = verify_hopf(build(family, fp, checked=False))
+        same = exact.ok and modp.ok and exact.checks == modp.checks
+        if not same:
+            bad += 1
+        print(f"{'ok' if same else 'DIFF':5s} verify_hopf {family:12s} {exact.checks} checks, ok={exact.ok} "
+              f"vs F_{args.prime} {modp.checks} checks, ok={modp.ok}")
 
     exact = quantize_entries(QUANTIZE_FAMILY)
     modp = quantize_entries(QUANTIZE_FAMILY, str(fp))

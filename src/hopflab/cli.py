@@ -29,7 +29,7 @@ from .rmatrices import (
     registered_rspecs,
     verify_qtr,
 )
-from .scalars import FieldSpec
+from .scalars import FieldSpec, OrderUnavailable
 
 
 @dataclass
@@ -229,7 +229,7 @@ def main(argv=None) -> int:
     )
     try:
         return run(cfg)
-    except (RSpecError, FamilyMismatch, ParameterError, ExprError) as exc:
+    except (RSpecError, FamilyMismatch, ParameterError, ExprError, OrderUnavailable) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except (ValueError, ArithmeticError) as exc:

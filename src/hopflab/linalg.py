@@ -161,15 +161,28 @@ class Subspace:
             raise AmbientDimensionMismatch("sum of subspaces of different ambient spaces")
         return Subspace.from_vectors(list(self.rows) + list(other.rows), self.ambient_dim)
 
-    def complement_equations(self) -> "Subspace":
-        """Kernel of the basis-rows matrix: the annihilator in coordinates."""
-        mat = SparseMat(len(self.rows), self.ambient_dim, [dict(r) for r in self.rows])
-        return kernel(mat)
+    def complement_equations(self, one=None) -> "Subspace":
+        """Kernel of the basis-rows matrix: the annihilator in coordinates.
+        The zero subspace knows no field: its annihilator, the whole space,
+        is written with the caller's ``one``."""
+        n = self.ambient_dim
+        if not self.rows:
+            if one is None:
+                raise LinAlgError("the annihilator of the zero subspace needs the field's one")
+            return Subspace(n, tuple({i: one} for i in range(n)), tuple(range(n)))
+        return kernel(SparseMat(len(self.rows), n, [dict(r) for r in self.rows]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via kernel of the stacked complements."""
+        """Intersection via kernel of the stacked complements.  A zero or a
+        full operand decides it alone (canonical RREF makes the returned
+        operand equal to what elimination would give), so the stacked rows
+        always have an entry to read the field's one from."""
         if self.ambient_dim != other.ambient_dim:
             raise AmbientDimensionMismatch("intersecting subspaces of different ambient spaces")
+        if not self.rows or other.dim == other.ambient_dim:
+            return self
+        if not other.rows or self.dim == self.ambient_dim:
+            return other
         eq1 = self.complement_equations()
         eq2 = other.complement_equations()
         stacked = SparseMat(
@@ -186,25 +199,29 @@ def kernel(mat: SparseMat) -> Subspace:
 def kernel_of_rows(rows, ncols: int) -> Subspace:
     """Exact null space of the rows (an iterable of {col: scalar}).
 
-    Once the rank reaches ``ncols`` the kernel is zero, whatever rows follow,
-    and the rest of the iterable is not read."""
+    The basis vectors carry the field's one at their free column, read off
+    a pivot row (its leading coefficient), never divided out of an entry.
+    When no row has an entry nothing names the field and it is the integer
+    1: callers that know the field handle that case (``restrict_and_cut``
+    returns its input space, ``Subspace.complement_equations`` takes the
+    field's one).  Once the rank reaches ``ncols`` the kernel is zero,
+    whatever rows follow, and the rest of the iterable is not read."""
     ech = Echelon(ncols)
-    one = None
     for row in rows:
-        if one is None:
-            for v in row.values():
-                one = v / v
-                break
         ech.add_row(row)
         if ech.rank == ncols:
             break
     rr = ech.rref_rows()
+    one = 1
+    if rr:
+        c, row = rr[0]
+        one = row[c]
     pivset = {c for c, _ in rr}
     basis = []
     for f in range(ncols):
         if f in pivset:
             continue
-        vec = {f: 1 if one is None else one}
+        vec = {f: one}
         for c, row in rr:
             v = row.get(f)
             if v:

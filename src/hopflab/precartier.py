@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dc_field
 from . import cohomology
 from .expressions import format_tensor, parse_element
 from .families import FamilySpec, build
-from .hopf import Elem, HopfData, HopfError, Tensor, _generator_elems, antipode, delta, full_space, generators_span, map_rows, restrict_and_cut
+from .hopf import Elem, HopfData, HopfError, Tensor, _generator_elems, antipode, delta, full_space, generators_span, map_rows, product_sum, restrict_and_cut, vanishes
 from .linalg import SparseMat, Subspace
 from .rmatrices import (
     FamilyMismatch,
@@ -61,8 +61,16 @@ BLOCK_TAGS = ("cqtr1", "cqtr2", "cqtr3", "counit_left", "counit_right", "cartier
 
 
 def eval_cqtr1(h: HopfData, t: Tensor, b: Elem) -> Tensor:
-    d = delta(b)
-    return t * d - d * t
+    return _commutator(h, t, delta(b))
+
+
+def _commutator(h: HopfData, t: Tensor, d: Tensor) -> Tensor:
+    return Tensor._raw(h, 2, product_sum(h, 2, _commutator_terms(h, t, d)))
+
+
+def _commutator_terms(h: HopfData, t: Tensor, d: Tensor) -> list:
+    """t d - d t as terms of ``hopf.product_sum``: one lift, one sum."""
+    return [(None, t.coeffs, d.coeffs), (-h.field.one, d.coeffs, t.coeffs)]
 
 
 def eval_cqtr2(h: HopfData, r: Tensor, rinv: Tensor, t: Tensor) -> Tensor:
@@ -74,17 +82,23 @@ def eval_cqtr3(h: HopfData, r: Tensor, rinv: Tensor, t: Tensor) -> Tensor:
 
 
 def eval_cqtr2_rmul(h: HopfData, r: Tensor, t: Tensor) -> Tensor:
-    r12 = r.leg(12)
-    return r12 * t.apply_delta(1) - r12 * t.leg(12) - t.leg(13) * r12
+    return _rmul_form(h, r.leg(12), t.apply_delta(1), t.leg(12), t.leg(13))
 
 
 def eval_cqtr3_rmul(h: HopfData, r: Tensor, t: Tensor) -> Tensor:
-    r23 = r.leg(23)
-    return r23 * t.apply_delta(0) - r23 * t.leg(23) - t.leg(13) * r23
+    return _rmul_form(h, r.leg(23), t.apply_delta(0), t.leg(23), t.leg(13))
+
+
+def _rmul_form(h: HopfData, rl: Tensor, t_delta: Tensor, t_l: Tensor, t13: Tensor) -> Tensor:
+    """rl t_delta - rl t_l - t13 rl, the R-multiplied C2 (l = 12) or C3
+    (l = 23), as one ``hopf.product_sum``."""
+    minus = -h.field.one
+    terms = [(None, rl.coeffs, t_delta.coeffs), (minus, rl.coeffs, t_l.coeffs), (minus, t13.coeffs, rl.coeffs)]
+    return Tensor._raw(h, 3, product_sum(h, 3, terms))
 
 
 def eval_cartier(h: HopfData, r: Tensor, t: Tensor) -> Tensor:
-    return r * t - t.flip() * r
+    return Tensor._raw(h, 2, product_sum(h, 2, [(None, r.coeffs, t.coeffs), (-h.field.one, t.flip().coeffs, r.coeffs)]))
 
 
 def eval_cocycle(h: HopfData, t: Tensor) -> Tensor:
@@ -150,7 +164,7 @@ def commutant_of_coproducts(h: HopfData, elems) -> Subspace:
     """Tensors commuting with Delta(e) for every e in elems: the cut of
     H (x) H by ``eval_cqtr1`` at each e, with Delta(e) formed once per e
     rather than once per basis tensor."""
-    return restrict_and_cut(h, 2, full_space(h, 2), [lambda t, d=delta(e): t * d - d * t for e in elems])
+    return restrict_and_cut(h, 2, full_space(h, 2), [lambda t, d=delta(e): _commutator(h, t, d) for e in elems])
 
 
 def _require_generators_span(h: HopfData) -> None:
@@ -162,7 +176,9 @@ def _require_generators_span(h: HopfData) -> None:
 
 
 def _commutes_with_generators(h: HopfData, t: Tensor) -> bool:
-    return not any(eval_cqtr1(h, t, g) for g in _generator_elems(h))
+    """t Delta(g) - Delta(g) t vanishes for every generator g, each decided
+    by the kernel's zero test (``hopf.vanishes``)."""
+    return all(vanishes(h, 2, _commutator_terms(h, t, d)) for d in map(delta, _generator_elems(h)))
 
 
 def solve_rfree(h: HopfData) -> Subspace:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hopf import HopfData, HopfError, Tensor, VerifyReport, cocommutativity_indices, delta
+from .hopf import HopfData, HopfError, Tensor, VerifyReport, cocommutativity_indices, delta, product_sum
 from .rmatrices import r_inverse
 
 
@@ -67,19 +67,19 @@ class PolyTensor:
         return PolyTensor(self.parent, self.legs, [-c for c in self.coeffs])
 
     def __mul__(self, other: "PolyTensor") -> "PolyTensor":
-        """Convolution of coefficient sequences, legwise tensor products inside."""
+        """Convolution of coefficient sequences, legwise tensor products
+        inside: each hbar-degree d is one ``product_sum`` of a_i * b_(d-i)."""
         if not isinstance(other, PolyTensor):
             return PolyTensor(self.parent, self.legs, [c * other for c in self.coeffs])
+        h, legs = self.parent, self.legs
         if not self.coeffs or not other.coeffs:
-            return PolyTensor.zero(self.parent, self.legs)
-        out = [self.parent.zero_tensor(self.legs) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return PolyTensor(self.parent, self.legs, out)
+            return PolyTensor.zero(h, legs)
+        a, b = self.coeffs, other.coeffs
+        out = []
+        for d in range(len(a) + len(b) - 1):
+            degrees = range(max(0, d - len(b) + 1), min(d, len(a) - 1) + 1)
+            out.append(Tensor._raw(h, legs, product_sum(h, legs, [(None, a[i].coeffs, b[d - i].coeffs) for i in degrees])))
+        return PolyTensor(h, legs, out)
 
     def __eq__(self, other):
         if not isinstance(other, PolyTensor):

@@ -6,13 +6,16 @@ plain ``fractions.Fraction`` values (the hot path for the sign-based families),
 cyclotomic fields use a small polynomial-quotient element, and the prime-field
 mode (p prime) exists for randomized cross-validation of cyclotomic results.
 
-Every field also serves the tensor products of ``hopf``, which run on Python
-ints instead of elements, through one interface: ``lift`` puts a batch of
-elements over one common denominator D, ``pack`` turns x*D into an int,
-``lift_pair`` packs both operands of a product, and ``unpack`` maps an int
-result back to the element it stands for.  Over Q the int is the numerator
-over D, over F_p the residue (D = 1), over Q(zeta_M) a Kronecker-packed
-integer polynomial (see ``CycField``).
+Every field also serves the sum-of-products kernel of ``hopf``, which runs
+on Python ints instead of elements, through one interface: ``lift`` puts a
+batch of elements over one common denominator D and bounds their sizes,
+``width`` turns a bound on a whole sum into the packing width, ``pack``
+turns x*D into an int, ``lift_batch`` does all three for the scalars and
+(with a denominator of their own) the coefficient dicts of one sum, ``unpack`` maps an int result back to the
+element it stands for, and ``is_zero`` decides whether it stands for zero
+without building the element.  Over Q the int is the numerator over D, over
+F_p the residue (D = 1), over Q(zeta_M) a Kronecker-packed integer
+polynomial (see ``CycField``).
 """
 
 from __future__ import annotations
@@ -391,17 +394,32 @@ class RationalField:
         return x.numerator * (den // x.denominator)
 
     @staticmethod
-    def lift_pair(ca: dict, cb: dict, scale: int) -> tuple:
-        """(pa, pb, width, D): the coefficient dicts as integers over their
-        common denominators D_a and D_b, no width, D = D_a * D_b."""
-        den_a, den_b = _lcm_den(ca.values()), _lcm_den(cb.values())
-        pa = {k: x.numerator * (den_a // x.denominator) for k, x in ca.items()}
-        pb = {k: x.numerator * (den_b // x.denominator) for k, x in cb.items()}
-        return pa, pb, None, den_a * den_b
+    def lift_batch(coeffs: list, vecs: list, bound) -> tuple:
+        """(D_c, D, width, ints, int vecs): the scalars ``coeffs`` as
+        numerators over their common denominator D_c, a None (one) as None
+        when D_c = 1 and as D_c otherwise, and the values of the coefficient
+        dicts ``vecs`` over theirs, D; no width, so ``bound`` is not
+        called."""
+        cden = _lcm_den(x for x in coeffs if x is not None)
+        den = 1
+        for vec in vecs:
+            den = _lcm_den(vec.values(), den)
+        one = None if cden == 1 else cden
+        ints = [one if x is None else x.numerator * (cden // x.denominator) for x in coeffs]
+        return cden, den, None, ints, [{k: x.numerator * (den // x.denominator) for k, x in vec.items()} for vec in vecs]
+
+    @staticmethod
+    def width(bound: int) -> None:
+        """No slot width: the ints are numerators."""
+        return None
 
     @staticmethod
     def unpack(n: int, width, den: int) -> Fraction:
         return Fraction(n, den)
+
+    @staticmethod
+    def is_zero(n: int, width) -> bool:
+        return n == 0
 
     def __repr__(self):
         return "RationalField()"
@@ -419,9 +437,10 @@ class CycField:
     the balanced base-2^bits digits of such a value back as an unreduced
     integer polynomial, divides it by Phi_M once (``_reduce_int``, the only
     reduction routine) and returns the canonical element over the given
-    denominator.  Evaluation at 2^bits is a ring morphism Z[t] -> Z, and it
-    is injective on the polynomials whose coefficients are all below
-    2^(bits-1) in absolute value, which is the bound ``lift_pair`` keeps.
+    denominator; ``is_zero`` does the same reduction and only tests it.
+    Evaluation at 2^bits is a ring morphism Z[t] -> Z, and it is injective
+    on the polynomials whose coefficients are all below 2^(bits-1) in
+    absolute value, which is the bound ``width`` keeps.
     """
 
     characteristic = 0
@@ -500,35 +519,48 @@ class CycField:
             acc = (acc << bits) + c
         return acc * (den // x.den)
 
-    def lift_pair(self, ca: dict, cb: dict, scale: int) -> tuple:
-        """(pa, pb, bits, D): both coefficient dicts packed over their common
-        denominators D_a and D_b, D = D_a * D_b, with the slot width bits
-        (a multiple of SLOT_ALIGN) chosen so that 2^(bits-1) exceeds
-        S_a * S_b * scale, S the sum of the l1 norms of the lifted values."""
-        den_a, norms_a = self.lift(ca.values())
-        den_b, norms_b = self.lift(cb.values())
-        bound = sum(norms_a) * sum(norms_b) * scale
-        bits = -(-(bound.bit_length() + 1) // SLOT_ALIGN) * SLOT_ALIGN  # 2^(bits-1) > bound
+    def lift_batch(self, coeffs: list, vecs: list, bound) -> tuple:
+        """(D_c, D, bits, ints, int vecs): the elements ``coeffs`` packed
+        over their common denominator D_c, a None (one) as None when D_c = 1
+        and as D_c otherwise, and the values of the coefficient dicts
+        ``vecs`` over theirs, D, at the width for
+        ``bound(D, c_norms, vec_norms)``: a bound on the whole sum from D,
+        the l1 norm of each lifted c and the sum of the l1 norms of each
+        lifted dict."""
+        given = [x for x in coeffs if x is not None]
+        cden, norms = self.lift(given)
+        norm_iter = iter(norms)
+        c_norms = [cden if x is None else next(norm_iter) for x in coeffs]
+        den = 1
+        for vec in vecs:
+            for x in vec.values():
+                if den % x.den:
+                    den = den * x.den // math.gcd(den, x.den)
+        vec_norms = [sum(sum(map(abs, x.nums)) * (den // x.den) for x in vec.values()) for vec in vecs]
+        bits = self.width(bound(den, c_norms, vec_norms))
         pack = self.pack
-        pa = {k: pack(v, den_a, bits) for k, v in ca.items()}
-        pb = {k: pack(v, den_b, bits) for k, v in cb.items()}
-        return pa, pb, bits, den_a * den_b
+        one = None if cden == 1 else cden
+        ints = [one if x is None else pack(x, cden, bits) for x in coeffs]
+        return cden, den, bits, ints, [{k: pack(x, den, bits) for k, x in vec.items()} for vec in vecs]
+
+    @staticmethod
+    def width(bound: int) -> int:
+        """The slot width bits, a multiple of SLOT_ALIGN, with
+        2^(bits-1) > bound."""
+        return -(-(bound.bit_length() + 1) // SLOT_ALIGN) * SLOT_ALIGN
 
     def unpack(self, packed: int, bits: int, den: int) -> CycElt:
         """The element P(zeta)/den, where ``packed`` = P(2^bits) for an
         integer polynomial P with every coefficient below 2^(bits-1) in
         absolute value."""
-        full = 1 << bits
-        mask, half = full - 1, full >> 1
-        poly = []
-        while packed:
-            d = packed & mask
-            if d >= half:
-                d -= full
-            poly.append(d)
-            packed = (packed - d) >> bits
-        nums, d = _canonical(self._reduce_int(poly), den)
+        nums, d = _canonical(self._reduce_int(_digits(packed, bits)), den)
         return CycElt(self, nums, d)
+
+    def is_zero(self, packed: int, bits: int) -> bool:
+        """Does P(zeta) vanish, for ``packed`` = P(2^bits) as in ``unpack``?
+        A packed 0 is the zero polynomial; otherwise P is read back from its
+        balanced digits and reduced modulo Phi_M, with no element built."""
+        return not packed or not any(self._reduce_int(_digits(packed, bits)))
 
     def _inverse(self, x: CycElt) -> CycElt:
         # Extended Euclid in Q[t] against the (irreducible) modulus.
@@ -637,21 +669,47 @@ class PrimeField:
         return x.val
 
     @staticmethod
-    def lift_pair(ca: dict, cb: dict, scale: int) -> tuple:
-        """(pa, pb, width, D): the residues of both dicts, no width, D = 1."""
-        return {k: x.val for k, x in ca.items()}, {k: x.val for k, x in cb.items()}, None, 1
+    def lift_batch(coeffs: list, vecs: list, bound) -> tuple:
+        """(1, 1, width, ints, int vecs): the residues of ``coeffs`` (None,
+        the one, stays None) and of the values of the dicts ``vecs``; no
+        width, so ``bound`` is not called."""
+        ints = [None if x is None else x.val for x in coeffs]
+        return 1, 1, None, ints, [{k: x.val for k, x in vec.items()} for vec in vecs]
+
+    @staticmethod
+    def width(bound: int) -> None:
+        """No slot width: the ints are residues."""
+        return None
 
     def unpack(self, n: int, width, den: int) -> PrimeElt:
-        """n mod p (den is always 1: ``lift`` and ``lift_pair`` give D = 1)."""
+        """n mod p (den is always 1: ``lift`` gives D = 1)."""
         return PrimeElt(self, n)
+
+    def is_zero(self, n: int, width) -> bool:
+        return n % self.p == 0
 
     def __repr__(self):
         return f"PrimeField({self.p})"
 
 
-def _lcm_den(values) -> int:
-    """lcm of the denominators of rationals."""
-    den = 1
+def _digits(packed: int, bits: int) -> list:
+    """The balanced base-2^bits digits of ``packed``, least significant
+    first: the integer polynomial P with P(2^bits) = packed and every
+    coefficient in [-2^(bits-1), 2^(bits-1))."""
+    full = 1 << bits
+    mask, half = full - 1, full >> 1
+    poly = []
+    while packed:
+        d = packed & mask
+        if d >= half:
+            d -= full
+        poly.append(d)
+        packed = (packed - d) >> bits
+    return poly
+
+
+def _lcm_den(values, den: int = 1) -> int:
+    """lcm of ``den`` and the denominators of rationals."""
     for x in values:
         d = x.denominator
         if den % d:

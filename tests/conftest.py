@@ -1,10 +1,12 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
 from hopflab.expressions import parse_element
 from hopflab.families import build
-from hopflab.hopf import HopfData, Tensor
+from hopflab.hopf import HopfData, Tensor, VerifyReport, counit, delta
 
 
 @pytest.fixture(scope="session")
@@ -75,12 +77,12 @@ def random_sparse_tensor(h, rng, legs=2, nnz=6, denom=7):
     return Tensor(h, legs, coeffs)
 
 
-def copy_tables(h, comult=None, generators=None) -> HopfData:
+def copy_tables(h, comult=None, generators=None, mult=None) -> HopfData:
     """A fresh, unverified HopfData over the same tables (own caches)."""
     return HopfData(
         h.field,
         h.labels,
-        h.mult,
+        h.mult if mult is None else mult,
         h.unit_index,
         h.comult if comult is None else comult,
         h.counit,
@@ -116,3 +118,58 @@ def apply_rows(rows: dict, vec: dict) -> dict:
 def direct_images(maps, t) -> dict:
     """The maps evaluated on t, keyed like ``apply_rows``."""
     return {(mi, k): v for mi, op in enumerate(maps) for k, v in op(t).coeffs.items()}
+
+
+def oracle_verify_bialgebra(h) -> VerifyReport:
+    """The bialgebra check on element arithmetic: every product an ``Elem``
+    or ``Tensor`` product, every comparison of field elements.  Same laws,
+    witnesses, failure order and ``checks`` as ``hopf.verify_bialgebra``."""
+    rep = VerifyReport(f"bialgebra({h.name})")
+    dim = h.dim
+    f = h.field
+    unit = h.unit()
+    labels = h.labels
+    basis = [h.basis_elem(i) for i in range(dim)]
+
+    for i in range(dim):
+        rep.record("unit.left", labels[i], (unit * basis[i]) == basis[i])
+        rep.record("unit.right", labels[i], (basis[i] * unit) == basis[i])
+
+    prod = [[basis[i] * basis[j] for j in range(dim)] for i in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            pij = prod[i][j]
+            for k in range(dim):
+                lhs = pij * basis[k]
+                rhs = basis[i] * prod[j][k]
+                if lhs != rhs:
+                    rep.record("associativity", f"({labels[i]},{labels[j]},{labels[k]})", False)
+            rep.checks += dim
+
+    for i in range(dim):
+        d = delta(basis[i])
+        rep.record("coassociativity", labels[i], d.apply_delta(0) == d.apply_delta(1))
+        rep.record("counit.left", labels[i], d.apply_counit(0) == basis[i])
+        rep.record("counit.right", labels[i], d.apply_counit(1) == basis[i])
+
+    rep.record("comult.unit", "1", delta(unit) == unit.tensor(unit))
+    rep.record("counit.unit", "1", counit(unit) == f.one)
+    deltas = [delta(basis[i]) for i in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            rep.record("comult.morphism", f"({labels[i]},{labels[j]})", delta(prod[i][j]) == deltas[i] * deltas[j])
+            rep.record(
+                "counit.morphism",
+                f"({labels[i]},{labels[j]})",
+                counit(prod[i][j]) == counit(basis[i]) * counit(basis[j]),
+            )
+    return rep
+
+
+def batch_modes() -> list[tuple[str, str]]:
+    """``FAMILIES`` of ``scripts/run_classifications.py``: (family, mode) pairs."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_classifications.py"
+    spec = importlib.util.spec_from_file_location("run_classifications", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.FAMILIES

@@ -215,6 +215,45 @@ def test_bad_family_or_chi_exit_2(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--family", "h2n2:3", "--field", "prime:5"],  # F_5 has no root of order 3
+        ["cohomology", "--family", "radford:2,2", "--field", "prime:7"],  # F_7 has no root of order 4
+        ["classify", "--family", "h8", "--r", "h8omega:z8", "--field", "prime:5"],
+        ["verify", "--family", "ac4dual", "--field", "cyclotomic:3"],  # Q(zeta3) has no i
+    ],
+    ids=["h2n2:3-F5", "radford:2,2-F7", "h8-F5", "ac4dual-Qz3"],
+)
+def test_missing_root_of_unity_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("config error:") and "root of" in err
+    assert out == ""
+
+
+def test_failing_verify_hopf_exit_1(capsys, monkeypatch):
+    """A table that fails ``verify_hopf`` is a verification failure (1), not
+    a configuration error, both from ``verify`` and from a checked build."""
+    from hopflab import families
+    from hopflab.hopf import verify_hopf as real_verify
+
+    def corrupted(h):
+        rep = real_verify(h)
+        rep.record("associativity", "(g,g,g)", False)
+        return rep
+
+    monkeypatch.setattr(families, "verify_hopf", corrupted)
+    monkeypatch.setattr(cli, "verify_hopf", corrupted)
+    code, out, err = run_cli(capsys, "verify", "--family", "en:1", "--field", "prime:29")
+    assert code == 1
+    assert json.loads(out)["hopf_ok"] is False
+    # a field no other test builds en:1 over, so the build is not cached yet
+    code, out, err = run_cli(capsys, "classify", "--family", "en:1", "--field", "prime:31")
+    assert code == 1
+    assert err.startswith("error:") and "associativity fails at (g,g,g)" in err
+
+
 def test_failed_construction_exit_1(capsys, monkeypatch):
     from hopflab.families import ConstructionError
 

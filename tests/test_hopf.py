@@ -1,12 +1,24 @@
 import functools
+import importlib.util
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import apply_rows, direct_images, pe, random_sparse_tensor
+from conftest import (
+    apply_rows,
+    batch_modes,
+    copy_tables,
+    direct_images,
+    oracle_verify_bialgebra,
+    pe,
+    random_sparse_tensor,
+)
 from hopflab.cohomology import b_apply
 from hopflab.expressions import format_tensor
 from hopflab.families import build, build_en
@@ -17,7 +29,6 @@ from hopflab.hopf import (
     ParentMismatch,
     Tensor,
     _generator_elems,
-    _int_product,
     _product2,
     _product2_factored,
     antipode,
@@ -25,7 +36,9 @@ from hopflab.hopf import (
     delta,
     full_space,
     map_rows,
+    product_sum,
     restrict_and_cut,
+    vanishes,
     verify_antipode_antihom,
     verify_bialgebra,
     verify_hopf,
@@ -383,6 +396,125 @@ def test_product_kernel_matches_reference(pair):
     assert b * a == reference_product(b, a)
 
 
+@st.composite
+def product_sums(draw):
+    """An algebra of KERNEL_ALGEBRAS, a leg count and one to four terms
+    (c, a, b) of the kernel, b None for a linear term and c None for the
+    field's one, with coefficients as in ``tensor_pairs``."""
+    which = draw(st.integers(0, len(KERNEL_ALGEBRAS) - 1))
+    h = _kernel_algebra(which)
+    f = h.field
+    root = f.make_root(KERNEL_ALGEBRAS[which][2])
+    legs = draw(st.sampled_from((2, 3)))
+    p = f.characteristic
+
+    def scalar():
+        den = draw(st.integers(1, 10**6).filter(lambda d: not p or d % p))
+        return f.from_fraction(Fraction(draw(st.integers(-(10**15), 10**15)), den)) * root ** draw(st.integers(0, 7))
+
+    def tensor():
+        idxs = draw(st.lists(st.integers(0, h.dim**legs - 1), max_size=5, unique=True))
+        return Tensor(h, legs, {idx: scalar() for idx in idxs})
+
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = None if draw(st.integers(0, 3)) == 0 else scalar()  # None: the field's one
+        terms.append((c, tensor(), None if draw(st.booleans()) else tensor()))
+    return h, legs, terms
+
+
+@settings(max_examples=120, deadline=None)
+@given(product_sums())
+def test_product_sum_matches_term_by_term_sum(case):
+    """``product_sum`` against the sum of the reference products, term by
+    term in element arithmetic, over Q, F_p and Q(zeta_M); ``vanishes``
+    agrees with it, and holds on the sum minus its own value (an int sum
+    that over Q(zeta_M) is in general a nonzero multiple of Phi_M)."""
+    h, legs, terms = case
+    ref = h.zero_tensor(legs)
+    for c, a, b in terms:
+        ref = ref + (a if b is None else reference_product(a, b)).scaled(h.field.one if c is None else c)
+    kernel_terms = [(c, a.coeffs, None if b is None else b.coeffs) for c, a, b in terms]
+    assert Tensor(h, legs, product_sum(h, legs, kernel_terms)) == ref
+    assert vanishes(h, legs, kernel_terms) is (not ref)
+    assert vanishes(h, legs, kernel_terms + [(-h.field.one, ref.coeffs, None)])
+
+
+def test_vanishes_reduces_modulo_phi():
+    """zeta^2 * zeta - 1 * 1 in Q(zeta3): packed, zeta^2 = -1 - t and the
+    sum is -1 - t - t^2 = -Phi_3(t), a nonzero int that stands for zero."""
+    h = build("en:1", FieldSpec.parse("cyclotomic:3"))
+    f = h.field
+    z, one, u = f.make_root(3), f.one, h.unit_index * h.dim + h.unit_index
+    terms = [(one, {u: z * z}, {u: z}), (-one, {u: one}, {u: one})]
+    assert vanishes(h, 2, terms) and product_sum(h, 2, terms) == {}
+    assert not vanishes(h, 2, terms[:1]) and not vanishes(h, 2, [(z, {u: one}, None)])
+
+
+# -- verify_bialgebra on the integer lift against the element-arithmetic oracle --
+
+VERIFY_COUNTS = {"h2n2:3": 6608, "ac2n:4": 35042, "en:3": 4722, "h8": 698}
+
+
+@pytest.mark.parametrize("family", [family for family, _ in batch_modes()])
+def test_verify_bialgebra_matches_oracle(family):
+    """Every family of ``scripts/run_classifications.py``: the same (law,
+    witness) list and the same count as the element-arithmetic oracle."""
+    h = build(family)
+    got, want = verify_bialgebra(h), oracle_verify_bialgebra(h)
+    assert got.failures == want.failures == []
+    assert got.checks == want.checks
+    if family in VERIFY_COUNTS:
+        assert verify_hopf(h).checks == VERIFY_COUNTS[family]
+
+
+def _scaled_cell(h, i, j, factor):
+    mult = [[dict(cell) for cell in row] for row in h.mult]
+    mult[i][j] = {k: v * factor for k, v in mult[i][j].items()}
+    return copy_tables(h, mult=mult)
+
+
+def _corrupted(case):
+    """Copies of built tables with one defect each."""
+    kind, family, field = case
+    h = build(family, FieldSpec.parse(field) if field else None)
+    f, g = h.field, h.generators
+    if kind == "mult*2":  # Q: the cell g * x1 (g * x on ac2n) doubled
+        return _scaled_cell(h, g["g"], g.get("x1", g.get("x")), f.from_int(2))
+    if kind == "mult*zeta":  # Q(zeta3): the 9-term cell z * z times zeta
+        return _scaled_cell(h, g["z"], g["z"], f.make_root(3))
+    if kind == "mult*5":  # F_97: a cell of several terms times 5
+        i, j = next((i, j) for i in range(h.dim) for j in range(h.dim) if len(h.mult_terms[i][j]) > 1)
+        return _scaled_cell(h, i, j, f.from_int(5))
+    if kind == "mult*zeta-unit":  # Q(zeta3): a cell of the unit row, so the unit law fails too
+        return _scaled_cell(h, h.unit_index, g["x"], f.make_root(3))
+    comult = [dict(t) for t in h.comult]  # "delta": one entry of Delta(z) changed
+    k = min(comult[g["z"]])
+    comult[g["z"]][k] = comult[g["z"]][k] + f.one
+    return copy_tables(h, comult=comult)
+
+
+CORRUPTIONS = [
+    ("mult*2", "en:3", None),
+    ("mult*2", "ac2n:3", None),
+    ("mult*zeta", "h2n2:3", None),
+    ("mult*zeta-unit", "h2n2:3", None),
+    ("mult*5", "h8", "prime:97"),
+    ("delta", "h2n2:3", None),
+    ("delta", "h8", None),
+]
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS, ids=lambda c: f"{c[0]}-{c[1]}-{c[2] or 'default'}")
+def test_corrupted_tables_fail_as_the_oracle_does(case):
+    bad = _corrupted(case)
+    got, want = verify_bialgebra(bad), oracle_verify_bialgebra(bad)
+    assert want.failures, "the corruption must break an axiom"
+    assert got.failures == want.failures
+    assert got.checks == want.checks
+    assert not verify_hopf(bad).ok and not bad.hopf_verified
+
+
 @pytest.mark.parametrize("which", [3, 4])
 def test_integer_lift_scales_rational_tables(which):
     """The algebras where the integer lift over Q multiplies the table by D_m > 1."""
@@ -540,7 +672,9 @@ def _assert_loops_agree(a, b):
     assert (a * b).coeffs == ref
     for loop in (_product2, _product2_factored):
         assert loop(h.mult_terms, h.dim, a.coeffs, b.coeffs) == ref
-        assert _int_product(h, loop, 2, a.coeffs, b.coeffs) == ref
+    for monomial in (True, False):  # the kernel's loop choice: each loop on the integer lift
+        with mock.patch.object(h, "monomial", monomial):
+            assert product_sum(h, 2, [(h.field.one, a.coeffs, b.coeffs)]) == ref
 
 
 @pytest.mark.parametrize("family", ["h2n2:3", "h8"])
@@ -585,3 +719,21 @@ def test_product_loops_never_multiply_by_zero(family):
         ref = _product2(h.mult_terms, h.dim, a.coeffs, b.coeffs)
         for loop in (_product2, _product2_factored):
             assert {k: v.x for k, v in loop(wrapped, h.dim, wa, wb).items()} == ref
+
+
+def test_crosscheck_script_verifies_over_the_prime_field(capsys, monkeypatch):
+    """``scripts/crosscheck_prime_field.py`` runs ``verify_hopf`` on each case
+    family over F_97 with the exact field's check count: the F_p route of
+    the kernel's zero test."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "crosscheck_prime_field.py"
+    spec = importlib.util.spec_from_file_location("crosscheck_prime_field", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr("sys.argv", ["crosscheck_prime_field.py"])
+    assert module.main() == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "verify_hopf" in line]
+    assert len(lines) == len({family for family, _ in module.CASES})
+    for line in lines:
+        assert line.startswith("ok ")
+        exact, modp = re.findall(r"(\d+) checks", line)
+        assert exact == modp and int(exact) > 0

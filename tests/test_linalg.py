@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hopflab.linalg import (
     AmbientDimensionMismatch,
     Echelon,
+    LinAlgError,
     SparseMat,
     Subspace,
     kernel,
@@ -175,3 +176,35 @@ def test_kernel_of_rows_reads_every_row_below_full_rank():
     ker = kernel_of_rows(rows(), 3)
     assert len(seen) == 3
     assert ker.basis() == [{1: Fraction(1), 2: Fraction(-1)}]
+
+
+@pytest.mark.parametrize("spec", ["Q", "cyclotomic:3", "prime:97"])
+def test_zero_and_full_subspaces_keep_the_field(spec):
+    """The annihilator of the zero subspace is the full space and the other
+    way round; intersections with either keep the field's element type and
+    never divide (the field's one comes from the caller or a pivot)."""
+    from hopflab.scalars import FieldSpec, get_field
+
+    f = get_field(FieldSpec.parse(spec))
+    n = 4
+    zero = Subspace(n, (), ())
+    full = Subspace(n, tuple({i: f.one} for i in range(n)), tuple(range(n)))
+    typ = type(f.one)
+
+    ann = zero.complement_equations(f.one)
+    assert ann == full and all(type(v) is typ for row in ann.rows for v in row.values())
+    assert full.complement_equations() == zero
+    with pytest.raises(LinAlgError):
+        zero.complement_equations()
+
+    two = f.from_int(2)
+    line = Subspace.from_vectors([{0: two, 2: -two}], n)
+    inside = Subspace.from_vectors([{0: two, 1: f.one}], n)
+    plane = inside.sum(Subspace.from_vectors([{2: f.one, 3: -two}], n))
+    assert line.complement_equations().dim == 3 and plane.complement_equations().dim == 2
+    for a, b, expected in [(zero, full, zero), (full, zero, zero), (full, full, full), (zero, zero, zero),
+                           (line, full, line), (full, line, line), (line, zero, zero), (line, plane, zero),
+                           (plane, inside, inside), (inside, plane, inside)]:
+        got = a.intersect(b)
+        assert got == expected
+        assert all(type(v) is typ for row in got.rows for v in row.values())

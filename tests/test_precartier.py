@@ -1,11 +1,9 @@
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-from conftest import copy_tables, pe, random_sparse_tensor
+from conftest import batch_modes, copy_tables, pe, random_sparse_tensor
 from hopflab.cohomology import cocycles
 from hopflab.families import build, coradical_projection
 from hopflab.hopf import Tensor, _close_generator_words, generators_span, verify_hopf
@@ -275,16 +273,8 @@ def test_classify_refuses_a_failed_prebuilt_report():
         classify("h2n2:2", None, prebuilt=(build_r(h, spec), rep))
 
 
-def _batch_modes() -> list[tuple[str, str]]:
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_classifications.py"
-    spec = importlib.util.spec_from_file_location("run_classifications", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.FAMILIES
-
-
 def _batch_families() -> list[str]:
-    return [family for family, _ in _batch_modes()]
+    return [family for family, _ in batch_modes()]
 
 
 def test_batch_report_bytes_without_h2n2_3():
@@ -292,7 +282,7 @@ def test_batch_report_bytes_without_h2n2_3():
     slowest family, encoded as the script encodes it: every kernel, cut and
     solve of the classification runs here, and none may change a byte."""
     bundle = []
-    for family, mode in _batch_modes():
+    for family, mode in batch_modes():
         if family == "h2n2:3":
             continue
         reports = [classify(family, None)] if mode == "rfree" else classify_enumerated(family)
