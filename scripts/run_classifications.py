@@ -3,7 +3,8 @@
 
 Runs each family with its registered (or enumerated) R-matrices, prints one
 summary line per report, and writes the full JSON bundle and prints its
-sha256.  Exits nonzero when any report misses its expected dimensions.
+sha256, then how many exact kernels each route of ``linalg.kernel_of_rows``
+found.  Exits nonzero when any report misses its expected dimensions.
 """
 
 import argparse
@@ -15,6 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from hopflab.linalg import ROUTES
 from hopflab.precartier import classify, classify_enumerated
 
 FAMILIES = [
@@ -63,6 +65,7 @@ def main() -> int:
     Path(args.out).write_bytes(data)
     print(f"\nwrote {len(bundle)} reports to {args.out}")
     print(f"bundle sha256 {hashlib.sha256(data).hexdigest()}")
+    print("kernel routes " + " ".join(f"{route}={n}" for route, n in ROUTES.items()))
     return 1 if failures else 0
 
 

@@ -45,12 +45,16 @@ the one-term case, ``quantize.PolyTensor`` sums each hbar-degree in one
 call, the evaluators of ``precartier`` (the C1 commutators, the
 R-multiplied C2 and C3 and the Cartier map) each evaluate their whole
 signed sum in one call, and the C1 recheck tests t Delta(g) - Delta(g) t
-with ``vanishes``.  The kernel runs on Python ints, never on field
+with ``vanishes``.  Several sums can share one lift (``product_sums``,
+``vanishes_all``): ``map_rows`` evaluates a ``SumMap`` on all its columns
+that way, and the C1 recheck all its vectors, so an operand that every
+sum shares (Delta(g), R) is lifted once and, on the factorized loop, its
+L and R sums are formed once.  The kernel runs on Python ints, never on field
 elements, over every field (``field.lift_batch``): it lifts the c's once
 over their common denominator D_c (a c of None stands for the field's one,
 as in ``mult_terms``, and needs no multiplication when D_c = 1) and every
 operand once over one common denominator D, runs the 2- and 3-leg loops
-against ``int_terms`` into one int dict (c folded into the left operand,
+against ``int_terms`` into one int dict (c folded into one operand,
 linear terms scaled up to the same scale), and maps each output key back
 once (``field.unpack``).  ``vanishes`` instead applies the
 field's zero test (``field.is_zero``) to each int, with no element built.
@@ -79,9 +83,9 @@ arithmetic:
 - Every product term carries c, one factor from each operand and exactly
   one table factor per leg, so it is its exact value times
   D_c * D^2 * D_m^legs; a linear term c * a, lifted to D_c * D, is
-  multiplied by the integer D * D_m^legs.  In the factorized loop L is
-  scaled by D_c * D * D_m (c is folded into the left operand) and R by
-  D * D_m.  So every
+  multiplied by the integer D * D_m^legs.  In the factorized loop L and R
+  are scaled by D * D_m, and one of them by D_c too (the one whose operand
+  c is folded into).  So every
   term, partial sum and output is the exact value times the same nonzero
   integer den.
 - Z -> Q, Z -> F_p and the reduction Z[t] -> Z[zeta_M] = Z[t]/(Phi_M) are
@@ -536,17 +540,44 @@ def map_rows(h: HopfData, legs: int, maps, columns=None) -> dict:
     h8omega R-matrices create ten times the ``CycElt`` cache entries (15k
     against 1.4k; peak memory of ``classify h8 --r enumerate`` 19.4 ->
     23.0 MB), and rows interleaved across maps made the h2n2:3 commutant
-    three times slower (0.34 -> 1.14 s, 2-vCPU machine, Python 3.11)."""
+    three times slower (0.34 -> 1.14 s, 2-vCPU machine, Python 3.11).
+    ``restrict_and_cut`` passes one map at a time; several maps reach here
+    together only from callers that stack blocks or solve.  A ``SumMap``
+    is evaluated on all the columns at once (``product_sums``)."""
     if columns is None:
         one = h.field.one
         columns = [{c: one} for c in range(h.dim**legs)]
     tensors = [Tensor(h, legs, vec) for vec in columns]
     rows: dict[tuple, dict] = {}
     for mi, op in enumerate(maps):
-        for c, t in enumerate(tensors):
-            for coord, v in op(t).coeffs.items():
+        if isinstance(op, SumMap):
+            images = product_sums(h, op.legs, [op.terms(t) for t in tensors])
+        else:
+            images = (op(t).coeffs for t in tensors)
+        for c, image in enumerate(images):
+            for coord, v in image.items():
                 rows.setdefault((mi, coord), {})[c] = v
     return rows
+
+
+class SumMap:
+    """The linear map t -> ``product_sum(h, legs, terms(t))`` into
+    ``legs``-tensors, for a term list ``terms(t)`` linear in t.  Called on
+    one tensor it evaluates it; ``map_rows`` evaluates it on all of its
+    columns on one lift, so the operands that every column's terms share
+    (the same dict object, such as Delta(g) in a commutator or R in the
+    C2, C3 and Cartier forms) are lifted once and, on the factorized loop,
+    their L and R sums are formed once."""
+
+    __slots__ = ("legs", "terms")
+
+    def __init__(self, legs: int, terms):
+        self.legs = legs
+        self.terms = terms
+
+    def __call__(self, t: "Tensor") -> "Tensor":
+        h = t.parent
+        return Tensor._raw(h, self.legs, product_sum(h, self.legs, self.terms(t)))
 
 
 def full_space(h: HopfData, legs: int) -> Subspace:
@@ -560,10 +591,15 @@ def restrict_and_cut(h: HopfData, legs: int, space: Subspace, maps) -> Subspace:
     """The vectors of ``space`` (a subspace of H^(x)legs) that every map in
     ``maps`` sends to zero.
 
-    The maps are restricted to the basis of ``space``, the kernel is taken
-    in basis coefficients and mapped back.  When no map has a nonzero image
-    on the basis, ``space`` itself is returned, so its coefficients keep
-    their field type.
+    The maps cut one at a time, in the order given: each map is evaluated
+    only on the basis that the maps before it left, its kernel is taken in
+    basis coefficients and mapped back, and its rows are dropped before the
+    next map is evaluated.  Put the cheap maps that cut most first: on
+    h2n2:3 the group-likes x and y take the commutant's 324 columns to 162
+    before the 9-term Delta(z) is applied.  The result does not depend on
+    the order: it is the intersection of the kernels, and its basis is
+    canonical.  When a map has no nonzero image on the basis, the space is
+    kept as it is, so its coefficients keep their field type.
 
     The mapped-back vectors are already the canonical RREF basis of the
     cut.  Row i of ``space`` has its pivot p_i, with coefficient 1, and
@@ -571,12 +607,21 @@ def restrict_and_cut(h: HopfData, legs: int, space: Subspace, maps) -> Subspace:
     v = sum_i c_i row_i has the coordinate c_i at p_i.  A kernel row c (in
     RREF) with pivot j thus gives a v with leading column p_j, coefficient
     1, and zeros at p_k for every other kernel pivot k: the RREF conditions,
-    with pivots increasing as j does."""
+    with pivots increasing as j does.  So each stage's result is a valid
+    input space for the next."""
+    for op in maps:
+        space = _cut(h, legs, space, op)
+    return space
+
+
+def _cut(h: HopfData, legs: int, space: Subspace, op) -> Subspace:
+    """``restrict_and_cut`` by the single map ``op``."""
     basis, pivots = space.rows, space.pivot_cols
-    rows = map_rows(h, legs, maps, basis)
+    rows = map_rows(h, legs, [op], basis)
     if not rows:
         return space
     coeff_kernel = kernel_of_rows(rows.values(), len(basis))
+    del rows
     out_vecs = []
     for crow in coeff_kernel.rows:
         acc: dict = {}
@@ -596,28 +641,53 @@ def product_sum(h: HopfData, legs: int, terms) -> dict:
     field's one, and a, b coefficient dicts of ``legs``-tensors (2 or 3
     legs), multiplied legwise; b None stands for the linear term c * a.
     Runs on the integer lift of the module docstring and maps each output
-    back once; equal ints map back to one shared (immutable) element,
-    which keeps the rows ``map_rows`` collects small: on h2n2:3 the C2 rows
-    took 0.3 MB more without the sharing, and the process's peak RSS
-    0.5 MB more."""
-    ints, width, den = _lifted_sum(h, legs, terms)
+    back once."""
+    return _unpacked(h, *_lifted_sum(h, legs, terms))[0]
+
+
+def product_sums(h: HopfData, legs: int, sums) -> list:
+    """``product_sum`` of each term list in ``sums``, all on one lift (see
+    ``_lifted_sums``; a single sum takes ``_lifted_sum``, which skips the
+    sharing bookkeeping)."""
+    return _unpacked(h, *(_lifted_sum(h, legs, sums[0]) if len(sums) == 1 else _lifted_sums(h, legs, sums)))
+
+
+def _unpacked(h: HopfData, ints, width, den) -> list:
+    """The field elements of each lifted int dict of ``ints``, zeros
+    dropped.  Equal ints map back to one shared (immutable) element, which
+    keeps the rows ``map_rows`` collects small: on h2n2:3 the C2 rows took
+    0.3 MB more without the sharing, and the process's peak RSS 0.5 MB
+    more."""
     unpack = h.field.unpack
     seen: dict = {}
-    out = {}
-    for k, x in ints.items():
-        v = seen.get(x)
-        if v is None:
-            v = seen[x] = unpack(x, width, den)
-        if v:
-            out[k] = v
+    out = []
+    for x_sum in ints:
+        vals = {}
+        for k, x in x_sum.items():
+            v = seen.get(x)
+            if v is None:
+                v = seen[x] = unpack(x, width, den)
+            if v:
+                vals[k] = v
+        out.append(vals)
     return out
 
 
 def vanishes(h: HopfData, legs: int, terms) -> bool:
     """Is the ``product_sum`` of ``terms`` zero?  Decided by the field's
     zero test on the lifted ints, with no output mapped back."""
-    ints, width, _ = _lifted_sum(h, legs, terms)
-    return all(map(_zero_test(h.field, width), ints.values()))
+    return vanishes_all(h, legs, [terms])
+
+
+def vanishes_all(h: HopfData, legs: int, sums) -> bool:
+    """Is the ``product_sum`` of every term list in ``sums`` zero?  All of
+    them run on one lift, so an operand dict that several sums share (the
+    same object) is lifted once and, on the factorized loop, its L and R
+    sums are formed once: the C1 recheck of the 82 R-free vectors of
+    h2n2:3 shares Delta(z) this way."""
+    ints, width, _ = _lifted_sum(h, legs, sums[0]) if len(sums) == 1 else _lifted_sums(h, legs, sums)
+    test = _zero_test(h.field, width)
+    return all(all(map(test, x.values())) for x in ints)
 
 
 def _zero_test(f, width):
@@ -636,25 +706,29 @@ def _zero_test(f, width):
     return test
 
 
-def _product_loop(h: HopfData, legs: int):
+def _product_loop(h: HopfData, legs: int) -> tuple:
+    """(loop, prepare): the product loop for the table and leg count, and
+    the map from a lifted operand dict to the form the loop takes."""
     if legs == 2:
-        return _product2 if h.monomial else _product2_factored
+        if h.monomial:
+            return _product2, _as_is
+        return _factored_product, lambda coeffs: _factored_operand(coeffs, h.dim)
     if legs == 3:
-        return _product3
+        return _product3, _as_is
     raise HopfError(f"legwise products are defined on 2- and 3-tensors, not {legs}-tensors")
 
 
-def _lifted_sum(h: HopfData, legs: int, terms) -> tuple:
-    """(ints, width, den): the sum of ``terms`` (see ``product_sum``) on the
-    integer lift, each int standing for its coefficient times den.
+def _as_is(coeffs: dict) -> dict:
+    return coeffs
 
-    Every c is lifted over one common denominator D_c and every operand
-    dict over one common denominator D, over Q(zeta_M) packed at one width
-    whose bound covers the whole sum.  c is folded into the left operand of
-    its product (a None c, the one, at D_c = 1 needs no folding); a linear
-    term is scaled up by D * D_m^legs to the scale den = D_c D^2 D_m^legs of
-    the products."""
-    loop = _product_loop(h, legs)
+
+def _lifted_sum(h: HopfData, legs: int, terms) -> tuple:
+    """``_lifted_sums`` of the one term list ``terms``, with every operand
+    lifted as it comes and c folded into the left operand: a small product
+    costs about 20 % less this way than through the sharing bookkeeping
+    (a 2-entry times a 3-entry 2-tensor of en:3: 13.8 -> 11.1 us over Q,
+    24 -> 16 us over Q(zeta_3); 2-vCPU machine, Python 3.11)."""
+    loop, prepare = _product_loop(h, legs)
     coeffs, vecs, shapes = [], [], []  # shapes: True for a product term, False for a linear one
     for c, a, b in terms:
         if (c is not None and not c) or not a or (b is not None and not b):
@@ -665,7 +739,7 @@ def _lifted_sum(h: HopfData, legs: int, terms) -> tuple:
             vecs.append(b)
         shapes.append(b is not None)
     if not coeffs:
-        return {}, None, 1
+        return iter([{}]), None, 1
     table, table_den = h.table_norm**legs, h.table_den**legs
 
     def bound(den, c_norms, sizes):
@@ -687,12 +761,88 @@ def _lifted_sum(h: HopfData, legs: int, terms) -> tuple:
             pa, pb = packed[i], packed[i + 1]
             if ci is not None:
                 pa = {k: ci * x for k, x in pa.items()}
-            products.append((pa, pb))
+            products.append((prepare(pa), prepare(pb)))
             i += 2
         else:
             linear.append((lin if ci is None else ci * lin, packed[i]))
             i += 1
-    return _int_sum(h, loop, width, products, linear), width, cden * den**2 * table_den
+    return iter([_int_sum(h, loop, width, products, linear)]), width, cden * den**2 * table_den
+
+
+def _lifted_sums(h: HopfData, legs: int, sums) -> tuple:
+    """(ints, width, den): each sum of ``sums`` (a term list, see
+    ``product_sum``) on one integer lift; ``ints`` yields one int dict per
+    sum, in order, each int standing for its coefficient times den.
+
+    Every c is lifted over one common denominator D_c and every operand
+    dict over one common denominator D, over Q(zeta_M) packed at one width
+    whose bound covers each sum.  An operand dict passed more than once
+    (the same object) is lifted and prepared for the loop once, and kept
+    only while a sum still uses it.  c is folded into one operand of its
+    product, the one used fewer times in all (the smaller on a tie), so a
+    shared operand stays shared; a None c, the one, at D_c = 1 needs no
+    folding.  A linear term is scaled up by D * D_m^legs to the scale
+    den = D_c D^2 D_m^legs of the products."""
+    loop, prepare = _product_loop(h, legs)
+    coeffs, vecs, slot_of, uses, shapes = [], [], {}, [], []
+
+    def slot(vec) -> int:
+        i = slot_of.get(id(vec))
+        if i is None:
+            i = slot_of[id(vec)] = len(vecs)
+            vecs.append(vec)
+            uses.append(0)
+        uses[i] += 1
+        return i
+
+    for terms in sums:
+        shape = []  # (c index, a slot, b slot or None for a linear term)
+        for c, a, b in terms:
+            if (c is not None and not c) or not a or (b is not None and not b):
+                continue
+            coeffs.append(c)
+            shape.append((len(coeffs) - 1, slot(a), None if b is None else slot(b)))
+        shapes.append(shape)
+    if not coeffs:
+        return iter([{} for _ in shapes]), None, 1
+    table, table_den = h.table_norm**legs, h.table_den**legs
+
+    def bound(den, c_norms, sizes):
+        lin = den * table_den
+        return max(sum(c_norms[ci] * sizes[ai] * (lin if bi is None else sizes[bi] * table) for ci, ai, bi in shape) for shape in shapes)
+
+    cden, den, width, cs, packed = h.field.lift_batch(coeffs, vecs, bound)
+    lin = den * table_den
+    total = list(uses)
+    ready: dict = {}  # slot -> prepared operand, while a sum still uses it
+
+    def operand(i, prepared=True):
+        """Slot i's lifted dict, prepared for the loop when asked (once per
+        slot); dropped from ``ready`` after its last use."""
+        op = ready.get(i)
+        if prepared and op is None:
+            op = ready[i] = prepare(packed[i])
+        uses[i] -= 1
+        if not uses[i]:
+            ready.pop(i, None)
+        return op if prepared else packed[i]
+
+    def each():
+        for shape in shapes:
+            products, linear = [], []
+            for ci, ai, bi in shape:
+                c = cs[ci]
+                if bi is None:
+                    linear.append((lin if c is None else c * lin, operand(ai, False)))
+                elif c is None:
+                    products.append((operand(ai), operand(bi)))
+                elif (total[ai], len(packed[ai])) <= (total[bi], len(packed[bi])):
+                    products.append((prepare({k: c * x for k, x in operand(ai, False).items()}), operand(bi)))
+                else:
+                    products.append((operand(ai), prepare({k: c * x for k, x in operand(bi, False).items()})))
+            yield _int_sum(h, loop, width, products, linear)
+
+    return each(), width, cden * den**2 * table_den
 
 
 def _int_sum(h: HopfData, loop, width, products, linear) -> dict:
@@ -773,41 +923,77 @@ def _product2_factored(terms: list, dim: int, ca: dict, cb: dict, out: dict | No
     entries of L and R are dropped and every product is zero-tested, so
     nothing is ever multiplied by zero or by a None (one) table entry.
     """
-    left: dict = {}  # i1 -> [(i0, a)]
-    for ka, a in ca.items():
-        i0, i1 = divmod(ka, dim)
-        left.setdefault(i1, []).append((i0, a))
-    right: dict = {}  # j0 -> [(j1, b)]
-    for kb, b in cb.items():
-        j0, j1 = divmod(kb, dim)
-        right.setdefault(j0, []).append((j1, b))
-    if out is None:
-        out = {}
+    return _factored_product(terms, dim, _factored_operand(ca, dim), _factored_operand(cb, dim), {} if out is None else out)
+
+
+def _factored_operand(coeffs: dict, dim: int) -> tuple:
+    """A 2-tensor in the form ``_factored_product`` takes: its entries
+    grouped by i1 and by j0, and the caches of its L and R sums."""
+    return _leg_groups(coeffs, dim, 1), _leg_groups(coeffs, dim, 0), {}, {}
+
+
+def _factored_product(terms: list, dim: int, a: tuple, b: tuple, out: dict) -> dict:
+    """``_product2_factored`` on operands from ``_factored_operand``, whose
+    caches keep each L sum of a and each R sum of b for later products."""
+    return _add_outer(dim, _factored_pairs(terms, a[0], b[1], a[2], b[3]), out)
+
+
+def _leg_groups(coeffs: dict, dim: int, leg: int) -> dict:
+    """The entries of a 2-tensor grouped by the index on ``leg``: for leg 1,
+    {i1: [(i0, a)]}; for leg 0, {j0: [(j1, b)]}."""
+    groups: dict = {}
+    for k, v in coeffs.items():
+        i0, i1 = divmod(k, dim)
+        if leg:
+            groups.setdefault(i1, []).append((i0, v))
+        else:
+            groups.setdefault(i0, []).append((i1, v))
+    return groups
+
+
+def _factored_pairs(terms: list, left: dict, right: dict, lcache: dict, rcache: dict):
+    """The pairs (L, R) of ``_product2_factored`` with both sums nonzero,
+    from the groups ``left`` of a (by i1) and ``right`` of b (by j0).  L
+    depends only on a's column i1 and j0, R only on b's row j0 and i1: each
+    is memoized under (i1, j0), in ``lcache`` for a and ``rcache`` for b, so
+    a caller that multiplies the same operand again passes the same cache."""
     for i1, col in left.items():
         row1 = terms[i1]
         for j0, bs in right.items():
-            lsum = _cell_sum((terms[i0][j0], a) for i0, a in col)
+            key = (i1, j0)
+            lsum = lcache.get(key)
+            if lsum is None:
+                lsum = lcache[key] = _cell_sum((terms[i0][j0], a) for i0, a in col)
             if not lsum:
                 continue
-            rsum = _cell_sum((row1[j1], b) for j1, b in bs)
+            rsum = rcache.get(key)
+            if rsum is None:
+                rsum = rcache[key] = _cell_sum((row1[j1], b) for j1, b in bs)
             if not rsum:
                 continue
-            for k0, l in lsum.items():
-                base = k0 * dim
-                for k1, r in rsum.items():
-                    w = l * r
-                    if not w:
-                        continue
-                    idx = base + k1
-                    cur = out.get(idx)
-                    if cur is None:
+            yield lsum, rsum
+
+
+def _add_outer(dim: int, pairs, out: dict) -> dict:
+    """Add L (x) R for each (L, R) of ``pairs`` into ``out``, which is
+    returned; every product is zero-tested."""
+    for lsum, rsum in pairs:
+        for k0, l in lsum.items():
+            base = k0 * dim
+            for k1, r in rsum.items():
+                w = l * r
+                if not w:
+                    continue
+                idx = base + k1
+                cur = out.get(idx)
+                if cur is None:
+                    out[idx] = w
+                else:
+                    w = cur + w
+                    if w:
                         out[idx] = w
                     else:
-                        w = cur + w
-                        if w:
-                            out[idx] = w
-                        else:
-                            del out[idx]
+                        del out[idx]
     return out
 
 
@@ -1032,7 +1218,13 @@ def _check_morphisms(h: HopfData, rep: VerifyReport) -> None:
     Delta(e_i) Delta(e_j) - sum_m T_ij^m Delta(e_m) at the scale D^2 D_m^2:
     the linear terms, lifted at D * D_m, are scaled by D * D_m.  With S the
     largest sum of the l1 norms of a lifted Delta(e_m), the product is
-    bounded by S^2 V^2 and the linear part by dim * V * S * D * D_m."""
+    bounded by S^2 V^2 and the linear part by dim * V * S * D * D_m.
+
+    On a non-monomial table the product is the factorized one, whose L sums
+    depend only on Delta(e_i) and (i1, j0) and whose R sums only on
+    Delta(e_j) and (i1, j0): each is formed once and kept for every later
+    pair that needs it, rather than once per pair.  The ints summed per pair
+    are those of ``_product2_factored``."""
     f, dim, labels = h.field, h.dim, h.labels
     norm, table_den = h.table_norm, h.table_den
 
@@ -1043,13 +1235,14 @@ def _check_morphisms(h: HopfData, rep: VerifyReport) -> None:
     _, den, width, _, deltas = f.lift_batch([], h.comult, bound)
     scale = den * table_den
     int_terms = h.int_terms(width)
-    loop = _product_loop(h, 2)
+    loop, prepare = _product_loop(h, 2)
+    operands = [prepare(d) for d in deltas]
     is_zero = _zero_test(f, width)
     eps = [_counit_of(h, {i: f.one}) for i in range(dim)]
     for i in range(dim):
         for j in range(dim):
             linear = [(-scale if v is None else -v * scale, deltas[m]) for m, v in int_terms[i][j]]
-            ints = _int_sum(h, loop, width, [(deltas[i], deltas[j])], linear)
+            ints = _int_sum(h, loop, width, [(operands[i], operands[j])], linear)
             witness = f"({labels[i]},{labels[j]})"
             rep.record("comult.morphism", witness, all(map(is_zero, ints.values())))
             rep.record("counit.morphism", witness, _counit_of(h, h.mult[i][j]) == eps[i] * eps[j])

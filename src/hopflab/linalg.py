@@ -1,15 +1,58 @@
 """Exact sparse linear algebra over a coefficient field.
 
-Vectors and matrix rows are dicts {index: nonzero scalar}.  Reduction is
-plain Gaussian elimination with pivot = smallest column; rows are reduced
-incrementally against the current echelon so very tall systems never hold
-more than ~ncols pivot rows.  Reduced row echelon form is canonical, which
-is what makes Subspace equality exact.
+Vectors and matrix rows are dicts {index: nonzero scalar}.  Plain ``int``
+entries are rationals: they are read as ``Fraction``s, so a division never
+turns them into floats.  ``Echelon`` is plain Gaussian elimination, with
+pivot = smallest column by default; rows are reduced incrementally against
+the current echelon so very tall systems never hold more than ~ncols pivot
+rows.  Reduced row echelon form is canonical, which is what makes Subspace
+equality exact.
+
+``kernel_of_rows``, under every kernel and cut of the package, runs a
+modular pass first and eliminates exactly only the rows that pass picks
+(the rank bound of FFPACK-style elimination; Dumas, Giorgi and Pernet,
+ISSAC 2004):
+
+- The pass maps every entry to F_p by a ring morphism phi chosen from the
+  entries' own field (``scalars.residue_map``) and eliminates on Python
+  ints, with pivot = largest column, recording the rows that raised the
+  rank.  Every minor of phi(A) is the image of the same minor of A, so
+  rank A >= rank phi(A).  When the F_p rank reaches ncols the kernel is
+  therefore zero, and no further row is read.  Over F_p, phi is the
+  identity and the residue RREF is the exact result.
+- Otherwise the r picked rows S are eliminated exactly.  Their rank is r:
+  at least the F_p rank and at most |S|.  Every other row is then checked
+  exactly, in one pass against RREF(S) that touches only its free
+  columns: a row a lies in span(S) exactly when
+  a - sum_c a[c] RREF(S)_c vanishes, and only free columns can be nonzero
+  there.  When every row lies in span(S), ker A = ker S.
+- When a row fails that check (the prime was unlucky: rank A > rank phi(A))
+  or phi is undefined on an entry (p divides a denominator), the kernel is
+  taken by exact elimination of every row, ``exact_kernel``: the one exact
+  route that does not depend on the pass, kept as this fallback and as
+  the oracle of the tests.
+- With pivot = largest column, RREF row c has entries only at c (the one)
+  and at free columns f < c.  So the kernel vector
+  v_f = e_f - sum_c R_c[f] e_c has its smallest column at f and is zero at
+  every other free column: the v_f are already the canonical RREF basis of
+  the kernel, and no elimination of the kernel itself is needed.
+
+``ROUTES`` counts how each kernel was found: ``certified_zero`` (F_p rank
+ncols), ``picked_rows`` (exact elimination of S and the exact check),
+``prime_field`` (the residue RREF of a matrix over F_p) and ``fallback``.
+It is one tally per process, because ``kernel_of_rows`` keeps its
+(rows, ncols) signature: scripts print it, and tests read its differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
+
+from .scalars import NotInImage, residue_map
+
+ROUTES = {"certified_zero": 0, "picked_rows": 0, "prime_field": 0, "fallback": 0}
 
 
 class LinAlgError(ValueError):
@@ -60,21 +103,31 @@ def vec_axpy(dst: dict, src: dict, c) -> None:
                 del dst[k]
 
 
-class Echelon:
-    """Incrementally maintained row echelon over sparse rows."""
+def _exact_row(row: dict) -> dict:
+    """A copy of ``row`` without its zero entries, plain ints as Fractions."""
+    return {k: Fraction(v) if type(v) is int else v for k, v in row.items() if v}
 
-    def __init__(self, ncols: int):
+
+class Echelon:
+    """Incrementally maintained row echelon over sparse rows, with pivot =
+    smallest column, or largest column when ``last`` is set."""
+
+    def __init__(self, ncols: int, last: bool = False):
         self.ncols = ncols
+        self.lead = max if last else min
         self.pivots: dict[int, dict] = {}  # pivot column -> row (leading coeff 1)
 
     def reduce(self, row: dict) -> dict:
-        """Fully reduce a row against the current pivot rows."""
-        row = {k: v for k, v in row.items() if v}
+        """Fully reduce a row against the current pivot rows.  A pivot row
+        has entries only on the far side of its pivot, so reducing the
+        nearest hit first never brings back a column already cleared."""
+        row = _exact_row(row)
+        lead = self.lead
         while row:
             hits = [c for c in row if c in self.pivots]
             if not hits:
                 break
-            c = min(hits)
+            c = lead(hits)
             vec_axpy(row, self.pivots[c], -row[c])
         return row
 
@@ -83,10 +136,10 @@ class Echelon:
         row = self.reduce(row)
         if not row:
             return None
-        c = min(row)
+        c = self.lead(row)
         lead = row[c]
         if lead != 1:
-            inv = 1 / lead if not hasattr(lead, "inverse") else lead.inverse()
+            inv = lead.inverse() if hasattr(lead, "inverse") else 1 / lead
             row = {k: v * inv for k, v in row.items()}
         self.pivots[c] = row
         return c
@@ -96,16 +149,15 @@ class Echelon:
         return len(self.pivots)
 
     def rref_rows(self) -> list[tuple[int, dict]]:
-        """Back-substituted canonical rows, sorted by pivot column."""
+        """Back-substituted canonical rows, sorted by pivot column; the
+        pivot rows are reduced in place (an RREF is still an echelon).
+        Rows are finished from the far side in: a finished row has no entry
+        at another pivot column, so one pass over the hits clears a row."""
         cols = sorted(self.pivots)
         done: dict[int, dict] = {}
-        for c in reversed(cols):
-            row = dict(self.pivots[c])
-            while True:
-                hits = [k for k in row if k != c and k in done]
-                if not hits:
-                    break
-                k = min(hits)
+        for c in reversed(cols) if self.lead is min else cols:
+            row = self.pivots[c]
+            for k in [k for k in row if k != c and k in done]:
                 vec_axpy(row, done[k], -row[k])
             done[c] = row
         return [(c, done[c]) for c in cols]
@@ -197,15 +249,136 @@ def kernel(mat: SparseMat) -> Subspace:
 
 
 def kernel_of_rows(rows, ncols: int) -> Subspace:
-    """Exact null space of the rows (an iterable of {col: scalar}).
+    """Exact null space of the rows (an iterable of {col: scalar}), by the
+    modular pass, the picked rows and the exact check of the module
+    docstring, or by ``exact_kernel`` when that check fails.
 
     The basis vectors carry the field's one at their free column, read off
     a pivot row (its leading coefficient), never divided out of an entry.
     When no row has an entry nothing names the field and it is the integer
     1: callers that know the field handle that case (``restrict_and_cut``
     returns its input space, ``Subspace.complement_equations`` takes the
-    field's one).  Once the rank reaches ``ncols`` the kernel is zero,
+    field's one).  Once the F_p rank reaches ``ncols`` the kernel is zero,
     whatever rows follow, and the rest of the iterable is not read."""
+    rows = iter(rows)
+    seen: list[dict] = []  # every row read, in order
+    try:
+        picked, residue_rref, p, lift = _modular_pass(rows, seen, ncols)
+    except NotInImage:
+        ROUTES["fallback"] += 1
+        return exact_kernel(chain(seen, rows), ncols)
+    if len(picked) == ncols:
+        ROUTES["certified_zero"] += 1
+        return Subspace(ncols, (), ())
+    if lift is not None:
+        ROUTES["prime_field"] += 1
+        neg_rref = {c: {k: lift(p - v) for k, v in row.items()} for c, row in residue_rref.items()}
+        return _max_pivot_kernel(neg_rref, ncols, lift(1))
+    del residue_rref
+    free, one = _picked_rref(seen, picked, ncols)
+    is_picked = set(picked)
+    for i, row in enumerate(seen):
+        if i in is_picked:
+            continue
+        rest = {k: v for k, v in row.items() if v and k not in free}
+        for c, v in row.items():
+            if v and c in free:
+                vec_axpy(rest, free[c], v)
+        if rest:
+            ROUTES["fallback"] += 1
+            return exact_kernel(seen, ncols)
+    ROUTES["picked_rows"] += 1
+    return _max_pivot_kernel(free, ncols, one)
+
+
+def _picked_rref(seen: list, picked: list, ncols: int) -> tuple:
+    """(free, one): the exact RREF, with pivot = largest column, of the
+    picked rows of ``seen``, as {pivot c: {free column f: -R_c[f]}}, and
+    the field's one read off a pivot row (the integer 1 when nothing was
+    picked).  Their rank is the number picked, or phi was no morphism."""
+    ech = Echelon(ncols, last=True)
+    for i in picked:
+        ech.add_row(seen[i])
+    if ech.rank != len(picked):
+        raise LinAlgError("the residue map is not a ring morphism: picked rows lost rank")
+    free, one = {}, 1
+    for c, row in ech.rref_rows():
+        one = row.pop(c)
+        free[c] = {k: -v for k, v in row.items()}
+    return free, one
+
+
+def _modular_pass(rows, seen: list, ncols: int) -> tuple:
+    """Read ``rows`` into ``seen`` and eliminate their images in F_p.
+
+    Returns (picked, rref, p, lift): the indices into ``seen`` of the rows
+    that raised the rank; the residue RREF with pivot = largest column, each
+    row {free column: residue} without its pivot entry 1; the prime; and
+    ``lift`` from ``scalars.residue_map`` (not None over F_p).  Stops reading at rank ``ncols``.  The map is chosen from the
+    first nonzero entry; raises ``NotInImage`` where it is undefined.
+    Residues are memoized per entry object: every entry stays referenced
+    from ``seen`` for the whole pass, so an id is never reused."""
+    picked: list[int] = []
+    piv: dict = {}  # pivot column -> {free column: residue}, fully reduced
+    p = phi = lift = None
+    memo: dict = {}
+    for row in rows:
+        seen.append(row)
+        res: dict = {}
+        for k, v in row.items():
+            x = memo.get(id(v))
+            if x is None:
+                if not v:
+                    continue
+                if phi is None:
+                    p, phi, lift = residue_map(v)
+                x = memo[id(v)] = phi(v)
+            if x:
+                res[k] = x
+        if not res:
+            continue
+        for c in [c for c in res if c in piv]:
+            a = res.pop(c)
+            for k, w in piv[c].items():
+                res[k] = res.get(k, 0) - a * w
+        res = {k: x for k, x in ((k, x % p) for k, x in res.items()) if x}
+        if not res:
+            continue
+        q = max(res)
+        inv = pow(res.pop(q), -1, p)
+        new = {k: x * inv % p for k, x in res.items()}
+        for other in piv.values():
+            a = other.pop(q, None)
+            if a:
+                for k, w in new.items():
+                    x = (other.get(k, 0) - a * w) % p
+                    if x:
+                        other[k] = x
+                    else:
+                        other.pop(k, None)
+        piv[q] = new
+        picked.append(len(seen) - 1)
+        if len(piv) == ncols:
+            break
+    return picked, piv, p, lift
+
+
+def _max_pivot_kernel(neg_rref: dict, ncols: int, one) -> Subspace:
+    """The canonical kernel basis from an RREF with pivot = largest column,
+    given as {pivot c: {free column f: -R_c[f]}}: per free column f, the
+    vector e_f - sum_c R_c[f] e_c, keys in increasing order."""
+    vecs = {f: {f: one} for f in range(ncols) if f not in neg_rref}
+    for c in sorted(neg_rref):
+        for f, v in neg_rref[c].items():
+            vecs[f][c] = v
+    return Subspace(ncols, tuple(vecs.values()), tuple(vecs))
+
+
+def exact_kernel(rows, ncols: int) -> Subspace:
+    """Exact null space by elimination of every row over the field itself,
+    with pivot = smallest column, and the kernel vectors eliminated again
+    into canonical RREF; stops reading at rank ``ncols``.  The fallback of
+    ``kernel_of_rows`` and the oracle its tests compare it with."""
     ech = Echelon(ncols)
     for row in rows:
         ech.add_row(row)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dc_field
 from . import cohomology
 from .expressions import format_tensor, parse_element
 from .families import FamilySpec, build
-from .hopf import Elem, HopfData, HopfError, Tensor, _generator_elems, antipode, delta, full_space, generators_span, map_rows, product_sum, restrict_and_cut, vanishes
+from .hopf import Elem, HopfData, HopfError, SumMap, Tensor, _generator_elems, antipode, delta, full_space, generators_span, map_rows, product_sum, restrict_and_cut, vanishes_all
 from .linalg import SparseMat, Subspace
 from .rmatrices import (
     FamilyMismatch,
@@ -82,23 +82,31 @@ def eval_cqtr3(h: HopfData, r: Tensor, rinv: Tensor, t: Tensor) -> Tensor:
 
 
 def eval_cqtr2_rmul(h: HopfData, r: Tensor, t: Tensor) -> Tensor:
-    return _rmul_form(h, r.leg(12), t.apply_delta(1), t.leg(12), t.leg(13))
+    return cqtr_rmul_map(h, r, 12)(t)
 
 
 def eval_cqtr3_rmul(h: HopfData, r: Tensor, t: Tensor) -> Tensor:
-    return _rmul_form(h, r.leg(23), t.apply_delta(0), t.leg(23), t.leg(13))
+    return cqtr_rmul_map(h, r, 23)(t)
 
 
-def _rmul_form(h: HopfData, rl: Tensor, t_delta: Tensor, t_l: Tensor, t13: Tensor) -> Tensor:
-    """rl t_delta - rl t_l - t13 rl, the R-multiplied C2 (l = 12) or C3
-    (l = 23), as one ``hopf.product_sum``."""
+def cqtr_rmul_map(h: HopfData, r: Tensor, l: int) -> SumMap:
+    """rl t_delta - rl t_l - t13 rl with rl = R_l, the R-multiplied C2
+    (l = 12: t_delta = (Id (x) Delta)(t)) or C3 (l = 23: (Delta (x) Id)(t)),
+    as one ``hopf.product_sum`` per tensor; R_l is formed once per map."""
+    rl = r.leg(l).coeffs
+    slot = 1 if l == 12 else 0
     minus = -h.field.one
-    terms = [(None, rl.coeffs, t_delta.coeffs), (minus, rl.coeffs, t_l.coeffs), (minus, t13.coeffs, rl.coeffs)]
-    return Tensor._raw(h, 3, product_sum(h, 3, terms))
+    return SumMap(3, lambda t: [(None, rl, t.apply_delta(slot).coeffs), (minus, rl, t.leg(l).coeffs), (minus, t.leg(13).coeffs, rl)])
 
 
 def eval_cartier(h: HopfData, r: Tensor, t: Tensor) -> Tensor:
-    return Tensor._raw(h, 2, product_sum(h, 2, [(None, r.coeffs, t.coeffs), (-h.field.one, t.flip().coeffs, r.coeffs)]))
+    return cartier_map(h, r)(t)
+
+
+def cartier_map(h: HopfData, r: Tensor) -> SumMap:
+    """R t - t_op R."""
+    minus = -h.field.one
+    return SumMap(2, lambda t: [(None, r.coeffs, t.coeffs), (minus, t.flip().coeffs, r.coeffs)])
 
 
 def eval_cocycle(h: HopfData, t: Tensor) -> Tensor:
@@ -164,7 +172,7 @@ def commutant_of_coproducts(h: HopfData, elems) -> Subspace:
     """Tensors commuting with Delta(e) for every e in elems: the cut of
     H (x) H by ``eval_cqtr1`` at each e, with Delta(e) formed once per e
     rather than once per basis tensor."""
-    return restrict_and_cut(h, 2, full_space(h, 2), [lambda t, d=delta(e): _commutator(h, t, d) for e in elems])
+    return restrict_and_cut(h, 2, full_space(h, 2), [SumMap(2, lambda t, d=delta(e): _commutator_terms(h, t, d)) for e in elems])
 
 
 def _require_generators_span(h: HopfData) -> None:
@@ -175,10 +183,12 @@ def _require_generators_span(h: HopfData) -> None:
         )
 
 
-def _commutes_with_generators(h: HopfData, t: Tensor) -> bool:
-    """t Delta(g) - Delta(g) t vanishes for every generator g, each decided
-    by the kernel's zero test (``hopf.vanishes``)."""
-    return all(vanishes(h, 2, _commutator_terms(h, t, d)) for d in map(delta, _generator_elems(h)))
+def _commute_with_generators(h: HopfData, ts: list) -> bool:
+    """t Delta(g) - Delta(g) t vanishes for every t in ``ts`` and every
+    generator g, decided by the kernel's zero test.  Each generator's
+    commutators run on one lift (``hopf.vanishes_all``), so Delta(g) is
+    lifted, and its L and R sums formed, once for all of ``ts``."""
+    return all(vanishes_all(h, 2, [_commutator_terms(h, t, d) for t in ts]) for d in map(delta, _generator_elems(h)))
 
 
 def solve_rfree(h: HopfData) -> Subspace:
@@ -200,9 +210,8 @@ def solve_rfree(h: HopfData) -> Subspace:
     _require_generators_span(h)
     counits = [lambda t: t.apply_counit(1), lambda t: t.apply_counit(0)]
     space = restrict_and_cut(h, 2, cached_commutant(h), counits)
-    for vec in space.basis():
-        if not _commutes_with_generators(h, Tensor(h, 2, vec)):
-            raise PreCartierError("a kernel vector violates C1 against a generator on recheck")
+    if not _commute_with_generators(h, [Tensor(h, 2, vec) for vec in space.rows]):
+        raise PreCartierError("a kernel vector violates C1 against a generator on recheck")
     return space
 
 
@@ -217,13 +226,13 @@ def solve_infinitesimal(h: HopfData, r: Tensor, rinv: Tensor | None = None, comm
     _require_generators_span(h)
     if commutant is None:
         commutant = commutant_of_coproducts(h, _generator_elems(h))
-    space = restrict_and_cut(h, 2, commutant, [lambda t: eval_cqtr2_rmul(h, r, t)])
-    space = restrict_and_cut(h, 2, space, [lambda t: eval_cqtr3_rmul(h, r, t)])
+    space = restrict_and_cut(h, 2, commutant, [cqtr_rmul_map(h, r, 12)])
+    space = restrict_and_cut(h, 2, space, [cqtr_rmul_map(h, r, 23)])
     if rinv is None:
         rinv = r_inverse(h, r)
     for vec in space.basis():
         t = Tensor(h, 2, vec)
-        if not _commutes_with_generators(h, t):
+        if not _commute_with_generators(h, [t]):
             raise PreCartierError("solution violates the C1 commutation on recheck")
         if eval_cqtr2(h, r, rinv, t) or eval_cqtr3(h, r, rinv, t):
             raise PreCartierError("solution violates C2/C3 on direct recheck")
@@ -235,7 +244,7 @@ def solve_infinitesimal(h: HopfData, r: Tensor, rinv: Tensor | None = None, comm
 
 def cartier_subspace(h: HopfData, r: Tensor, chi_space: Subspace) -> Subspace:
     """Cut the solution space by R chi = chi_op R."""
-    return restrict_and_cut(h, 2, chi_space, [lambda t: eval_cartier(h, r, t)])
+    return restrict_and_cut(h, 2, chi_space, [cartier_map(h, r)])
 
 
 def cartier_coboundary_check(h: HopfData, r: Tensor, chi_space: Subspace, cart: Subspace | None = None) -> bool:

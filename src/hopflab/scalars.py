@@ -72,14 +72,35 @@ def euler_phi(m: int) -> int:
 
 
 def _is_prime(n: int) -> bool:
-    """Trial division."""
+    """Below 2^64, Miller-Rabin with the first twelve primes as bases, which
+    decides primality there (Sorenson and Webster, Math. Comp. 86, 2017);
+    trial division, which takes about 4 ms per prime near 2^31, above."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    if n >= 2**64:
+        d = 41
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
+        return True
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -750,6 +771,95 @@ def primitive_roots(field, m: int) -> list:
     """All phi(m) primitive m-th roots of unity, as powers zeta^a, gcd(a,m)=1."""
     zeta = field.make_root(m)
     return [zeta**a for a in range(1, m + 1) if math.gcd(a, m) == 1]
+
+
+MODULAR_PRIME = 2**31 - 1  # the prime of ``residue_map`` over Q
+
+
+class NotInImage(FieldError):
+    """An element outside the domain of the chosen residue map: one of
+    another field, or one whose denominator the prime divides."""
+
+
+def residue_map(x) -> tuple:
+    """(p, phi, lift): a ring morphism phi into F_p, chosen from the field
+    of the element x, on Python ints.
+
+    phi maps an element of x's field (or a plain int or Fraction, the
+    rationals inside every field of characteristic 0) to its residue in
+    [0, p), and raises ``NotInImage`` when the element is outside its
+    domain.  ``lift`` maps a residue back to an element when phi is an
+    isomorphism (x in F_p), and is None otherwise.
+
+    - Q: p = MODULAR_PRIME, a/b -> a * b^-1 mod p; the domain is Z[1/D]
+      for D prime to p.
+    - Q(zeta_M): p the least prime p = 1 mod M above 2^31, zeta -> omega, a
+      primitive M-th root of unity mod p.  omega is a root of Phi_M mod p,
+      so this is ``scalar_morphism`` on raw ints.
+    - F_p: the residues themselves."""
+    if isinstance(x, PrimeElt):
+        return _prime_residues(x.field)
+    if isinstance(x, CycElt):
+        return _cyclotomic_residues(x.field)
+    if isinstance(x, (int, Fraction)):
+        return MODULAR_PRIME, _rational_residue, None
+    raise NotInImage(f"no residue map for {type(x).__name__}")
+
+
+def _rational_residue(x, p: int = MODULAR_PRIME) -> int:
+    if type(x) is int:
+        return x % p
+    if not isinstance(x, Fraction):
+        raise NotInImage(f"{x!r} is not rational")
+    den = x.denominator
+    if den == 1:
+        return x.numerator % p
+    if den % p == 0:
+        raise NotInImage(f"{p} divides the denominator of {x}")
+    return x.numerator * pow(den, -1, p) % p
+
+
+def _prime_residues(field: "PrimeField") -> tuple:
+    p = field.p
+
+    def phi(x) -> int:
+        if isinstance(x, PrimeElt) and x.field is field:
+            return x.val
+        return _rational_residue(x, p)
+
+    return p, phi, field.from_int
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_residues(field: "CycField") -> tuple:
+    m = field.order
+    p = 2**31 + 1
+    while p % m != 1 or not _is_prime(p):
+        p += 1
+    factors = _prime_factors(m)
+    for a in range(2, p):
+        omega = pow(a, (p - 1) // m, p)
+        if all(pow(omega, m // q, p) != 1 for q in factors):
+            break
+    powers = [pow(omega, k, p) for k in range(field.degree)]
+
+    def phi(x) -> int:
+        if not isinstance(x, CycElt):
+            return _rational_residue(x, p)
+        if x.field is not field:
+            raise NotInImage("a cyclotomic element of another field")
+        acc = 0
+        for n, w in zip(x.nums, powers):
+            if n:
+                acc += n * w
+        den = x.den
+        if den == 1:
+            return acc % p
+        if den % p == 0:
+            raise NotInImage(f"{p} divides the denominator of {x!r}")
+        return acc * pow(den, -1, p) % p
+
+    return p, phi, None
 
 
 def scalar_morphism(src, dst, root_image=None):

@@ -27,6 +27,7 @@ from hopflab.hopf import (
     HopfData,
     HopfError,
     ParentMismatch,
+    SumMap,
     Tensor,
     _generator_elems,
     _product2,
@@ -37,14 +38,16 @@ from hopflab.hopf import (
     full_space,
     map_rows,
     product_sum,
+    product_sums as batched_product_sums,
     restrict_and_cut,
     vanishes,
+    vanishes_all,
     verify_antipode_antihom,
     verify_bialgebra,
     verify_hopf,
 )
 from hopflab.linalg import Subspace, kernel_of_rows
-from hopflab.precartier import cached_commutant, commutant_of_coproducts, eval_cqtr1, eval_cqtr2_rmul, solve_rfree
+from hopflab.precartier import _commutator_terms, cached_commutant, commutant_of_coproducts, cqtr_rmul_map, eval_cqtr1, eval_cqtr2_rmul, solve_rfree
 from hopflab.rmatrices import build_r
 from hopflab.scalars import CycField, FieldSpec
 
@@ -167,20 +170,34 @@ def test_antipode_antihom(en2, radford22):
     assert verify_antipode_antihom(radford22).ok
 
 
-def _maps_under_test(h):
+def _maps_under_test(h, batched=False):
+    """Plain callables, or with ``batched`` the ``SumMap`` form that
+    ``map_rows`` evaluates on all columns on one lift."""
     if h.family.kind == "en":  # C2 in the R-multiplied form
         r = build_r(h, "en-a:[[1,2],[3,5]]")
-        return [lambda t: eval_cqtr2_rmul(h, r, t)]
+        return [cqtr_rmul_map(h, r, 12)] if batched else [lambda t: eval_cqtr2_rmul(h, r, t)]
     if h.family.kind == "h8":  # the cobar differential b2
         return [lambda t: b_apply(h, 2, t)]
-    return [lambda t, g=g: eval_cqtr1(h, t, g) for g in _generator_elems(h)]  # one commutator per generator
+    if batched:  # one commutator per generator, Delta(g) shared by every column
+        return [SumMap(2, lambda t, d=delta(g): _commutator_terms(h, t, d)) for g in _generator_elems(h)]
+    return [lambda t, g=g: eval_cqtr1(h, t, g) for g in _generator_elems(h)]
 
 
 @pytest.mark.parametrize("family", ["en:2", "h8", "h2n2:2"])
 def test_map_rows_agree_with_the_maps(family):
+    _assert_rows_agree_with_the_maps(family, batched=False)
+
+
+@pytest.mark.parametrize("family", ["en:2", "h2n2:2"])
+def test_map_rows_of_sum_maps_agree_with_the_maps(family):
+    """A ``SumMap`` is evaluated on all columns on one lift."""
+    _assert_rows_agree_with_the_maps(family, batched=True)
+
+
+def _assert_rows_agree_with_the_maps(family, batched):
     h = build(family)
     rng = random.Random(17)
-    maps = _maps_under_test(h)
+    maps = _maps_under_test(h, batched)
     rows = map_rows(h, 2, maps)
     for _ in range(8):
         t = random_sparse_tensor(h, rng)
@@ -438,6 +455,25 @@ def test_product_sum_matches_term_by_term_sum(case):
     assert Tensor(h, legs, product_sum(h, legs, kernel_terms)) == ref
     assert vanishes(h, legs, kernel_terms) is (not ref)
     assert vanishes(h, legs, kernel_terms + [(-h.field.one, ref.coeffs, None)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_sums())
+def test_sums_on_one_lift_match_each_sum(case):
+    """``product_sums`` and ``vanishes_all`` run several term lists on one
+    lift, lifting an operand dict they share once and folding each c into
+    the operand used fewer times: every sum must equal its own
+    ``product_sum``.  The sums here share the same dict objects, also with
+    the operands of a product swapped."""
+    h, legs, terms = case
+    kernel_terms = [(c, a.coeffs, None if b is None else b.coeffs) for c, a, b in terms]
+    swapped = [(c, a, b) if b is None else (c, b, a) for c, a, b in kernel_terms]
+    sums = [kernel_terms, swapped, kernel_terms[:1], []]
+    got = batched_product_sums(h, legs, sums)
+    assert got == [product_sum(h, legs, s) for s in sums]
+    assert vanishes_all(h, legs, sums) is not any(got)
+    minus = -h.field.one
+    assert vanishes_all(h, legs, [s + [(minus, x, None)] for s, x in zip(sums, got)])
 
 
 def test_vanishes_reduces_modulo_phi():

@@ -6,15 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopflab.linalg import (
+    ROUTES,
     AmbientDimensionMismatch,
     Echelon,
     LinAlgError,
     SparseMat,
     Subspace,
+    exact_kernel,
     kernel,
     kernel_of_rows,
     solve,
+    vec_axpy,
 )
+from hopflab.scalars import MODULAR_PRIME, FieldSpec, get_field, residue_map
 
 
 def mat(rows, ncols):
@@ -183,8 +187,6 @@ def test_zero_and_full_subspaces_keep_the_field(spec):
     """The annihilator of the zero subspace is the full space and the other
     way round; intersections with either keep the field's element type and
     never divide (the field's one comes from the caller or a pivot)."""
-    from hopflab.scalars import FieldSpec, get_field
-
     f = get_field(FieldSpec.parse(spec))
     n = 4
     zero = Subspace(n, (), ())
@@ -208,3 +210,139 @@ def test_zero_and_full_subspaces_keep_the_field(spec):
         got = a.intersect(b)
         assert got == expected
         assert all(type(v) is typ for row in got.rows for v in row.values())
+
+
+# -- the modular route of kernel_of_rows against the exact fallback ----------
+
+def _same(a, b) -> bool:
+    return list(a.rows) == list(b.rows) and a.pivot_cols == b.pivot_cols
+
+
+def _routes(fn):
+    """fn() and the routes of kernel_of_rows it took, with their counts."""
+    before = dict(ROUTES)
+    out = fn()
+    return out, {k: n - before[k] for k, n in ROUTES.items() if n != before[k]}
+
+
+def _scalars(spec: str):
+    """Scalars of the field whose numerators and denominators are often
+    divisible by the prime of its residue map; over Q(zeta_3) also
+    zeta - omega, which that map sends to zero."""
+    f = get_field(FieldSpec.parse(spec))
+    p, phi, _ = residue_map(f.one)
+    if spec.startswith("prime"):
+        return st.builds(f.from_int, st.integers(-3, 3) | st.sampled_from([p, -p, p + 1, 2 * p - 1]))
+    rational = st.builds(Fraction, st.integers(-3, 3) | st.sampled_from([p, -p, p + 1, 2 * p - 1]), st.sampled_from([1, 2, 3, p]))
+    if spec == "Q":
+        return rational
+    zeta = f.make_root(3)
+    unlucky = zeta - phi(zeta)
+    return st.builds(lambda a, b: f.from_coeffs([a, b]), rational, rational) | st.sampled_from([unlucky, unlucky + 1, zeta])
+
+
+@st.composite
+def _matrices(draw, spec: str):
+    """(rows, ncols): a few drawn rows and small integer combinations of
+    them, shuffled, so that kernels are often nonzero and many rows are
+    dependent."""
+    scalars = _scalars(spec)
+    ncols = draw(st.integers(1, 5))
+    base = [{c: draw(scalars) for c in range(ncols) if draw(st.booleans())} for _ in range(draw(st.integers(0, 3)))]
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 4))):
+        combo: dict = {}
+        for b in base:
+            vec_axpy(combo, b, draw(st.integers(-2, 2)))
+        rows.append(combo)
+    return draw(st.permutations(rows)), ncols
+
+
+@pytest.mark.parametrize("spec", ["Q", "cyclotomic:3", "prime:97"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_modular_route_equals_exact_fallback(spec, data):
+    """Dict-equal rows, equal pivots and the field's own element type,
+    whichever route the kernel took."""
+    rows, ncols = data.draw(_matrices(spec))
+    got, want = kernel_of_rows(rows, ncols), exact_kernel(rows, ncols)
+    assert _same(got, want)
+    if any(v for row in rows for v in row.values()):
+        typ = type(get_field(FieldSpec.parse(spec)).one)
+        assert all(type(v) is typ for row in got.rows for v in row.values())
+
+
+P = MODULAR_PRIME
+
+
+def test_unlucky_prime_over_q_falls_back():
+    """{0: 1, 1: 1} and {0: 1, 1: 1 + p} agree mod p: the F_p rank is 1, the
+    exact check of the second row fails, and exact elimination finds rank 2."""
+    rows = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1 + P)}]
+    ker, routes = _routes(lambda: kernel_of_rows(rows, 2))
+    assert routes == {"fallback": 1}
+    assert ker.dim == 0 and _same(ker, exact_kernel(rows, 2))
+
+
+def test_unlucky_prime_over_cyclotomic_falls_back():
+    """zeta - omega is nonzero, but the residue map sends it to zero."""
+    f = get_field(FieldSpec.parse("cyclotomic:3"))
+    p, phi, _ = residue_map(f.one)
+    zeta = f.make_root(3)
+    omega = phi(zeta)
+    unlucky = zeta - omega
+    assert unlucky and phi(unlucky) == 0
+    for rows, ncols in (([{0: unlucky}], 1), ([{0: f.one, 1: zeta}, {0: f.one, 1: f.from_int(omega)}], 2)):
+        ker, routes = _routes(lambda: kernel_of_rows(rows, ncols))
+        assert routes == {"fallback": 1}
+        assert ker.dim == 0 and _same(ker, exact_kernel(rows, ncols))
+
+
+def test_denominator_divisible_by_the_prime_falls_back():
+    rows = [{0: Fraction(1, P), 1: Fraction(1)}, {0: Fraction(2, P), 1: Fraction(2)}]
+    ker, routes = _routes(lambda: kernel_of_rows(rows, 2))
+    assert routes == {"fallback": 1}
+    assert ker.basis() == [{0: Fraction(1), 1: Fraction(-1, P)}]
+
+
+def test_each_route_is_counted():
+    f97 = get_field(FieldSpec.parse("prime:97"))
+    one, two = f97.one, f97.from_int(2)
+    cases = [
+        ([{0: Fraction(1)}, {1: Fraction(2)}], 2, "certified_zero", 0),
+        ([{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(3), 1: Fraction(6)}], 2, "picked_rows", 1),
+        ([{0: one, 1: two}, {0: two, 1: f97.from_int(4)}], 2, "prime_field", 1),
+        ([{0: one}, {1: two}], 2, "certified_zero", 0),
+    ]
+    for rows, ncols, route, dim in cases:
+        ker, routes = _routes(lambda: kernel_of_rows(rows, ncols))
+        assert routes == {route: 1} and ker.dim == dim
+        assert _same(ker, exact_kernel(rows, ncols))
+
+
+def test_max_pivot_kernel_is_canonical_without_elimination():
+    """The picked-rows route returns the canonical RREF of the kernel as
+    built, with keys in increasing order."""
+    rows = [{0: Fraction(1), 1: Fraction(2), 3: Fraction(1)}, {1: Fraction(1), 2: Fraction(-1)}]
+    ker = kernel_of_rows(rows, 4)
+    assert ker.pivot_cols == (0, 1)
+    assert [list(row) for row in ker.rows] == [[0, 3], [1, 2, 3]]
+    assert ker.rows == ({0: 1, 3: -1}, {1: 1, 2: 1, 3: -2})
+    assert _same(ker, Subspace.from_vectors(ker.rows, 4))
+
+
+def test_int_entries_are_rationals():
+    """Plain ints are read as Fractions: no division makes a float."""
+    red = Subspace.from_vectors([{0: 2, 1: 1}], 2)
+    assert red.rows == ({0: 1, 1: Fraction(1, 2)},)
+    for rows, ncols, want in (
+        ([{0: 3, 1: 1}], 2, ({0: 1, 1: -3},)),
+        ([{0: 2, 1: 4}, {0: 1, 1: 2}], 2, ({0: 1, 1: Fraction(-1, 2)},)),
+        ([{0: 1, 1: 1}, {0: 1, 1: 1 + P}], 2, ()),  # through the fallback
+    ):
+        for ker in (kernel_of_rows(rows, ncols), exact_kernel(rows, ncols)):
+            assert ker.rows == want
+            assert all(type(v) is Fraction for row in ker.rows for v in row.values())
+    assert all(type(v) is Fraction for v in red.rows[0].values())
+    sol = solve([{0: 2, 1: 4}], 2, {0: 3})
+    assert sol == {0: Fraction(3, 2)} and type(sol[0]) is Fraction

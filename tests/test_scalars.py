@@ -5,14 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopflab.scalars import (
+    MODULAR_PRIME,
     FieldSpec,
     MixedFieldSpec,
+    NotInImage,
     OrderUnavailable,
     cyclotomic_polynomial,
     euler_phi,
     get_field,
     make_root,
+    _is_prime,
     primitive_roots,
+    residue_map,
     scalar_morphism,
 )
 
@@ -172,6 +176,39 @@ def test_prime_field_morphism(a, b):
     assert phi(a * b) == phi(a) * phi(b)
 
 
+@settings(max_examples=40, deadline=None)
+@given(scalars8, scalars8, st.integers(-5, 5))
+def test_residue_map_is_a_ring_morphism(a, b, n):
+    """The map of linalg's modular pass: additive, multiplicative, the
+    rationals inside Q(zeta_8) mapped as over Q, and zeta of order 8."""
+    p, phi, lift = residue_map(a)
+    assert lift is None and p % 8 == 1 and p > 2**31
+    assert phi(a + b) == (phi(a) + phi(b)) % p
+    assert phi(a * b) == phi(a) * phi(b) % p
+    assert phi(Q8.from_int(n)) == phi(n) == n % p
+    zeta = make_root(Q8, 8)
+    assert pow(phi(zeta), 4, p) == p - 1
+
+
+def test_residue_map_domain():
+    """Outside the domain (p divides a denominator, or another field) the
+    map raises NotInImage; over F_p it is the identity and lifts back."""
+    p, phi, lift = residue_map(Fraction(1, 3))
+    assert p == MODULAR_PRIME and lift is None
+    assert phi(Fraction(1, 3)) * 3 % p == 1
+    with pytest.raises(NotInImage):
+        phi(Fraction(1, p))
+    with pytest.raises(NotInImage):
+        phi(Q8.one)
+    p8, phi8, _ = residue_map(Q8.one)
+    with pytest.raises(NotInImage):
+        phi8(Q4.one)
+    with pytest.raises(NotInImage):
+        phi8(Q8.from_fraction(Fraction(1, p8)))
+    p97, phi97, lift97 = residue_map(F97.one)
+    assert p97 == 97 and phi97(F97.from_int(-1)) == 96 and lift97(96) == F97.from_int(-1)
+
+
 def test_prime_field_roots():
     z8 = make_root(F97, 8)
     assert z8**8 == F97.one
@@ -202,3 +239,17 @@ def test_field_spec_rejects_non_prime_characteristic(text):
 def test_field_spec_accepts_primes():
     for p in (2, 3, 5, 97, 7919):
         assert FieldSpec.parse(f"prime:{p}").p == p
+
+
+def test_primality_matches_trial_division():
+    """Miller-Rabin below 2^64 (the residue prime search, ``prime:p``
+    specs): equal to trial division on small n and around 2^31, and not
+    fooled by strong pseudoprimes to the first few bases."""
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    for n in list(range(3000)) + list(range(2**31 - 500, 2**31 + 500)):
+        assert _is_prime(n) == trial(n), n
+    for composite in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321):
+        assert not _is_prime(composite)
+    assert _is_prime(2**61 - 1) and not _is_prime(2**64 + 1)  # 274177 divides 2^64 + 1
