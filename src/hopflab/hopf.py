@@ -45,7 +45,7 @@ the one-term case, ``quantize.PolyTensor`` sums each hbar-degree in one
 call, the evaluators of ``precartier`` (the C1 commutators, the
 R-multiplied C2 and C3 and the Cartier map) each evaluate their whole
 signed sum in one call, and the C1 recheck tests t Delta(g) - Delta(g) t
-with ``vanishes``.  Several sums can share one lift (``product_sums``,
+with ``vanishes_all``.  Several sums can share one lift (``product_sums``,
 ``vanishes_all``): ``map_rows`` evaluates a ``SumMap`` on all its columns
 that way, and the C1 recheck all its vectors, so an operand that every
 sum shares (Delta(g), R) is lifted once and, on the factorized loop, its
@@ -56,7 +56,7 @@ as in ``mult_terms``, and needs no multiplication when D_c = 1) and every
 operand once over one common denominator D, runs the 2- and 3-leg loops
 against ``int_terms`` into one int dict (c folded into one operand,
 linear terms scaled up to the same scale), and maps each output key back
-once (``field.unpack``).  ``vanishes`` instead applies the
+once (``field.unpack``).  ``vanishes_all`` instead applies the
 field's zero test (``field.is_zero``) to each int, with no element built.
 ``int_terms`` is an int copy of ``mult_terms`` made once per algebra (per
 slot width over Q(zeta_M)): every entry is multiplied by the lcm D_m of
@@ -642,14 +642,13 @@ def product_sum(h: HopfData, legs: int, terms) -> dict:
     legs), multiplied legwise; b None stands for the linear term c * a.
     Runs on the integer lift of the module docstring and maps each output
     back once."""
-    return _unpacked(h, *_lifted_sum(h, legs, terms))[0]
+    return product_sums(h, legs, [terms])[0]
 
 
 def product_sums(h: HopfData, legs: int, sums) -> list:
     """``product_sum`` of each term list in ``sums``, all on one lift (see
-    ``_lifted_sums``; a single sum takes ``_lifted_sum``, which skips the
-    sharing bookkeeping)."""
-    return _unpacked(h, *(_lifted_sum(h, legs, sums[0]) if len(sums) == 1 else _lifted_sums(h, legs, sums)))
+    ``_lifted_sums``)."""
+    return _unpacked(h, *_lifted_sums(h, legs, sums))
 
 
 def _unpacked(h: HopfData, ints, width, den) -> list:
@@ -673,19 +672,14 @@ def _unpacked(h: HopfData, ints, width, den) -> list:
     return out
 
 
-def vanishes(h: HopfData, legs: int, terms) -> bool:
-    """Is the ``product_sum`` of ``terms`` zero?  Decided by the field's
-    zero test on the lifted ints, with no output mapped back."""
-    return vanishes_all(h, legs, [terms])
-
-
 def vanishes_all(h: HopfData, legs: int, sums) -> bool:
-    """Is the ``product_sum`` of every term list in ``sums`` zero?  All of
-    them run on one lift, so an operand dict that several sums share (the
+    """Is the ``product_sum`` of every term list in ``sums`` zero?  Decided
+    by the field's zero test on the lifted ints, with no output mapped
+    back.  All of them run on one lift, so an operand dict that several sums share (the
     same object) is lifted once and, on the factorized loop, its L and R
     sums are formed once: the C1 recheck of the 82 R-free vectors of
     h2n2:3 shares Delta(z) this way."""
-    ints, width, _ = _lifted_sum(h, legs, sums[0]) if len(sums) == 1 else _lifted_sums(h, legs, sums)
+    ints, width, _ = _lifted_sums(h, legs, sums)
     test = _zero_test(h.field, width)
     return all(all(map(test, x.values())) for x in ints)
 
@@ -720,53 +714,6 @@ def _product_loop(h: HopfData, legs: int) -> tuple:
 
 def _as_is(coeffs: dict) -> dict:
     return coeffs
-
-
-def _lifted_sum(h: HopfData, legs: int, terms) -> tuple:
-    """``_lifted_sums`` of the one term list ``terms``, with every operand
-    lifted as it comes and c folded into the left operand: a small product
-    costs about 20 % less this way than through the sharing bookkeeping
-    (a 2-entry times a 3-entry 2-tensor of en:3: 13.8 -> 11.1 us over Q,
-    24 -> 16 us over Q(zeta_3); 2-vCPU machine, Python 3.11)."""
-    loop, prepare = _product_loop(h, legs)
-    coeffs, vecs, shapes = [], [], []  # shapes: True for a product term, False for a linear one
-    for c, a, b in terms:
-        if (c is not None and not c) or not a or (b is not None and not b):
-            continue
-        coeffs.append(c)
-        vecs.append(a)
-        if b is not None:
-            vecs.append(b)
-        shapes.append(b is not None)
-    if not coeffs:
-        return iter([{}]), None, 1
-    table, table_den = h.table_norm**legs, h.table_den**legs
-
-    def bound(den, c_norms, sizes):
-        out, lin, i = 0, den * table_den, 0
-        for cn, product in zip(c_norms, shapes):
-            if product:
-                out += cn * sizes[i] * sizes[i + 1] * table
-                i += 2
-            else:
-                out += cn * sizes[i] * lin
-                i += 1
-        return out
-
-    cden, den, width, cs, packed = h.field.lift_batch(coeffs, vecs, bound)
-    lin = den * table_den
-    products, linear, i = [], [], 0
-    for ci, product in zip(cs, shapes):
-        if product:
-            pa, pb = packed[i], packed[i + 1]
-            if ci is not None:
-                pa = {k: ci * x for k, x in pa.items()}
-            products.append((prepare(pa), prepare(pb)))
-            i += 2
-        else:
-            linear.append((lin if ci is None else ci * lin, packed[i]))
-            i += 1
-    return iter([_int_sum(h, loop, width, products, linear)]), width, cden * den**2 * table_den
 
 
 def _lifted_sums(h: HopfData, legs: int, sums) -> tuple:
@@ -911,21 +858,6 @@ def _product2(terms: list, dim: int, ca: dict, cb: dict, out: dict | None = None
     return out
 
 
-def _product2_factored(terms: list, dim: int, ca: dict, cb: dict, out: dict | None = None) -> dict:
-    """``_product2`` summed one leg at a time, for term tables with cells of
-    several terms.
-
-    With a = sum a_(i0 i1) e_i0 (x) e_i1 and b = sum b_(j0 j1) e_j0 (x) e_j1,
-    a * b is the sum over the pairs (i1, j0) that occur of L (x) R, where
-    L = sum_i0 a_(i0 i1) e_i0 e_j0 and R = sum_j1 b_(j0 j1) e_i1 e_j1.  Each
-    cell is expanded once per pair (i1, j0), and each pair of L and R entries
-    is multiplied once, instead of expanding every pair of cells.  Cancelled
-    entries of L and R are dropped and every product is zero-tested, so
-    nothing is ever multiplied by zero or by a None (one) table entry.
-    """
-    return _factored_product(terms, dim, _factored_operand(ca, dim), _factored_operand(cb, dim), {} if out is None else out)
-
-
 def _factored_operand(coeffs: dict, dim: int) -> tuple:
     """A 2-tensor in the form ``_factored_product`` takes: its entries
     grouped by i1 and by j0, and the caches of its L and R sums."""
@@ -933,8 +865,20 @@ def _factored_operand(coeffs: dict, dim: int) -> tuple:
 
 
 def _factored_product(terms: list, dim: int, a: tuple, b: tuple, out: dict) -> dict:
-    """``_product2_factored`` on operands from ``_factored_operand``, whose
-    caches keep each L sum of a and each R sum of b for later products."""
+    """``_product2`` summed one leg at a time, for term tables with cells of
+    several terms, on operands from ``_factored_operand``; added into
+    ``out``, which is returned.
+
+    With a = sum a_(i0 i1) e_i0 (x) e_i1 and b = sum b_(j0 j1) e_j0 (x) e_j1,
+    a * b is the sum over the pairs (i1, j0) that occur of L (x) R, where
+    L = sum_i0 a_(i0 i1) e_i0 e_j0 and R = sum_j1 b_(j0 j1) e_i1 e_j1.  Each
+    cell is expanded once per pair (i1, j0), and each pair of L and R entries
+    is multiplied once, instead of expanding every pair of cells.  Cancelled
+    entries of L and R are dropped and every product is zero-tested, so
+    nothing is ever multiplied by zero or by a None (one) table entry.  The
+    operands' caches keep each L sum of a and each R sum of b for later
+    products.
+    """
     return _add_outer(dim, _factored_pairs(terms, a[0], b[1], a[2], b[3]), out)
 
 
@@ -952,7 +896,7 @@ def _leg_groups(coeffs: dict, dim: int, leg: int) -> dict:
 
 
 def _factored_pairs(terms: list, left: dict, right: dict, lcache: dict, rcache: dict):
-    """The pairs (L, R) of ``_product2_factored`` with both sums nonzero,
+    """The pairs (L, R) of ``_factored_product`` with both sums nonzero,
     from the groups ``left`` of a (by i1) and ``right`` of b (by j0).  L
     depends only on a's column i1 and j0, R only on b's row j0 and i1: each
     is memoized under (i1, j0), in ``lcache`` for a and ``rcache`` for b, so
@@ -1224,7 +1168,7 @@ def _check_morphisms(h: HopfData, rep: VerifyReport) -> None:
     depend only on Delta(e_i) and (i1, j0) and whose R sums only on
     Delta(e_j) and (i1, j0): each is formed once and kept for every later
     pair that needs it, rather than once per pair.  The ints summed per pair
-    are those of ``_product2_factored``."""
+    are those of ``_factored_product``."""
     f, dim, labels = h.field, h.dim, h.labels
     norm, table_den = h.table_norm, h.table_den
 

@@ -72,35 +72,14 @@ def euler_phi(m: int) -> int:
 
 
 def _is_prime(n: int) -> bool:
-    """Below 2^64, Miller-Rabin with the first twelve primes as bases, which
-    decides primality there (Sorenson and Webster, Math. Comp. 86, 2017);
-    trial division, which takes about 4 ms per prime near 2^31, above."""
+    """Trial division."""
     if n < 2:
         return False
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for q in bases:
-        if n % q == 0:
-            return n == q
-    if n >= 2**64:
-        d = 41
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
             return False
+        d += 1
     return True
 
 
@@ -782,14 +761,13 @@ class NotInImage(FieldError):
 
 
 def residue_map(x) -> tuple:
-    """(p, phi, lift): a ring morphism phi into F_p, chosen from the field
-    of the element x, on Python ints.
+    """(p, phi): a ring morphism phi into F_p, chosen from the field of the
+    element x, on Python ints.
 
     phi maps an element of x's field (or a plain int or Fraction, the
     rationals inside every field of characteristic 0) to its residue in
     [0, p), and raises ``NotInImage`` when the element is outside its
-    domain.  ``lift`` maps a residue back to an element when phi is an
-    isomorphism (x in F_p), and is None otherwise.
+    domain.
 
     - Q: p = MODULAR_PRIME, a/b -> a * b^-1 mod p; the domain is Z[1/D]
       for D prime to p.
@@ -802,7 +780,7 @@ def residue_map(x) -> tuple:
     if isinstance(x, CycElt):
         return _cyclotomic_residues(x.field)
     if isinstance(x, (int, Fraction)):
-        return MODULAR_PRIME, _rational_residue, None
+        return MODULAR_PRIME, _rational_residue
     raise NotInImage(f"no residue map for {type(x).__name__}")
 
 
@@ -827,7 +805,7 @@ def _prime_residues(field: "PrimeField") -> tuple:
             return x.val
         return _rational_residue(x, p)
 
-    return p, phi, field.from_int
+    return p, phi
 
 
 @lru_cache(maxsize=None)
@@ -859,7 +837,7 @@ def _cyclotomic_residues(field: "CycField") -> tuple:
             raise NotInImage(f"{p} divides the denominator of {x!r}")
         return acc * pow(den, -1, p) % p
 
-    return p, phi, None
+    return p, phi
 
 
 def scalar_morphism(src, dst, root_image=None):

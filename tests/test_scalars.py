@@ -14,7 +14,6 @@ from hopflab.scalars import (
     euler_phi,
     get_field,
     make_root,
-    _is_prime,
     primitive_roots,
     residue_map,
     scalar_morphism,
@@ -181,8 +180,8 @@ def test_prime_field_morphism(a, b):
 def test_residue_map_is_a_ring_morphism(a, b, n):
     """The map of linalg's modular pass: additive, multiplicative, the
     rationals inside Q(zeta_8) mapped as over Q, and zeta of order 8."""
-    p, phi, lift = residue_map(a)
-    assert lift is None and p % 8 == 1 and p > 2**31
+    p, phi = residue_map(a)
+    assert p % 8 == 1 and p > 2**31
     assert phi(a + b) == (phi(a) + phi(b)) % p
     assert phi(a * b) == phi(a) * phi(b) % p
     assert phi(Q8.from_int(n)) == phi(n) == n % p
@@ -192,21 +191,21 @@ def test_residue_map_is_a_ring_morphism(a, b, n):
 
 def test_residue_map_domain():
     """Outside the domain (p divides a denominator, or another field) the
-    map raises NotInImage; over F_p it is the identity and lifts back."""
-    p, phi, lift = residue_map(Fraction(1, 3))
-    assert p == MODULAR_PRIME and lift is None
+    map raises NotInImage; over F_p it is the identity on residues."""
+    p, phi = residue_map(Fraction(1, 3))
+    assert p == MODULAR_PRIME
     assert phi(Fraction(1, 3)) * 3 % p == 1
     with pytest.raises(NotInImage):
         phi(Fraction(1, p))
     with pytest.raises(NotInImage):
         phi(Q8.one)
-    p8, phi8, _ = residue_map(Q8.one)
+    p8, phi8 = residue_map(Q8.one)
     with pytest.raises(NotInImage):
         phi8(Q4.one)
     with pytest.raises(NotInImage):
         phi8(Q8.from_fraction(Fraction(1, p8)))
-    p97, phi97, lift97 = residue_map(F97.one)
-    assert p97 == 97 and phi97(F97.from_int(-1)) == 96 and lift97(96) == F97.from_int(-1)
+    p97, phi97 = residue_map(F97.one)
+    assert p97 == 97 and phi97(F97.from_int(-1)) == 96 and phi97(Fraction(1, 2)) == 49
 
 
 def test_prime_field_roots():
@@ -239,17 +238,3 @@ def test_field_spec_rejects_non_prime_characteristic(text):
 def test_field_spec_accepts_primes():
     for p in (2, 3, 5, 97, 7919):
         assert FieldSpec.parse(f"prime:{p}").p == p
-
-
-def test_primality_matches_trial_division():
-    """Miller-Rabin below 2^64 (the residue prime search, ``prime:p``
-    specs): equal to trial division on small n and around 2^31, and not
-    fooled by strong pseudoprimes to the first few bases."""
-    def trial(n):
-        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
-
-    for n in list(range(3000)) + list(range(2**31 - 500, 2**31 + 500)):
-        assert _is_prime(n) == trial(n), n
-    for composite in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321):
-        assert not _is_prime(composite)
-    assert _is_prime(2**61 - 1) and not _is_prime(2**64 + 1)  # 274177 divides 2^64 + 1
