@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Prime-field cross-validation: rerun the key classifications over F_p
 (p = 1 mod 8 so every needed root of unity exists) and diff the dimension
-results against the rational/cyclotomic runs; run ``verify_hopf`` on each
-case family over F_p and compare its outcome and check count with the
-exact field's; then run the E(3) quantization over Q and over F_p and
-compare its reports entry by entry.
+results against the rational/cyclotomic runs; run ``verify_hopf`` over F_p
+on each case family and on each quantum-linear-space family of the batch
+(E(n), A_{C2^n}, H_(r,n) in ``run_classifications.FAMILIES``) and compare
+its outcome and check count with the exact field's; then run the E(3)
+quantization over Q and over F_p and compare its reports entry by entry.
 
     python scripts/crosscheck_prime_field.py [--prime P]
 """
@@ -17,9 +18,11 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from run_classifications import FAMILIES
 from hopflab.cli import main as cli_main
-from hopflab.families import build
+from hopflab.families import FamilySpec, build
 from hopflab.hopf import verify_hopf
 from hopflab.precartier import classify
 from hopflab.scalars import FieldSpec
@@ -31,6 +34,12 @@ CASES = [
     ("h8", "h8omega:z8"),
     ("radford:2,2", None),
 ]
+
+# every case family, then the batch families the quantum-linear-space builder makes
+VERIFY_FAMILIES = list(dict.fromkeys(
+    [family for family, _ in CASES]
+    + [family for family, _ in FAMILIES if FamilySpec.parse(family).kind in ("en", "ac2n", "radford")]
+))
 
 QUANTIZE_FAMILY = "en:3"
 
@@ -58,7 +67,7 @@ def main() -> int:
         print(f"{mark:5s} {family:12s} r={rtext}  {exact.field} vs {modp.field}  dims={modp.dims}"
               + (f"  differences: {diffs}" if diffs else ""))
 
-    for family in dict.fromkeys(family for family, _ in CASES):
+    for family in VERIFY_FAMILIES:
         exact = verify_hopf(build(family, checked=False))
         modp = verify_hopf(build(family, fp, checked=False))
         same = exact.ok and modp.ok and exact.checks == modp.checks

@@ -102,8 +102,8 @@ def _report_failures(reports: list[dict]) -> list[str]:
 def run(cfg: RunConfig) -> int:
     """Execute the configured tasks in order; returns the exit status."""
     try:
+        # parsing checks the family's parameter ranges before a field is chosen for them
         fam_spec = FamilySpec.parse(cfg.family)
-        # the family's default field is a configuration too: radford:0,2 asks for Q(zeta_0)
         field_spec = cfg.field_spec() or fam_spec.default_field_spec()
     except ValueError as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -1,16 +1,37 @@
-"""Constructors for the Hopf algebra families under study.
+"""Constructors for the Hopf algebra families under study; each produces a
+verified HopfData with frozen canonical basis labels.
 
-Every constructor produces a verified HopfData with frozen canonical basis
-labels.  Coproducts and antipodes are taken from the closed formulas where the
-presentation gives one, and otherwise computed by multiplying out generator
-images inside the tensor-square algebra.
+E(n), A_{C2^n} and H_(r,n) are quantum linear spaces (Andruskiewitsch-
+Schneider, J. Algebra 209, 1998), built by ``build_quantum_linear_space`` from
+letters y_1..y_L in word order: group-likes g with g^ord = 1 and
+skew-primitives x with x^N = 0 and Delta(x) = x (x) h + g (x) x for group
+monomials g, h.  With y_t y_s = c_ts y_s y_t (t after s), the monomials
+y^a = y_1^a_1 ... y_L^a_L are a basis and
+
+    (y^a)(y^b) = prod_{t>s} c_ts^(a_t b_s) y^(a+b),
+
+group exponents reduced modulo their order, 0 once a nilpotent one reaches N.
+Delta(y^a) = Delta(y^a less its last letter) Delta(last letter); S(g) = g^-1
+and S(x) = -g^-1 x h^-1 extend as an antihomomorphism; epsilon is 1 on x-free
+monomials and 0 otherwise.  The families' data:
+
+- E(n): letters (g, x1..xn), order 2 each, all pairwise anticommuting;
+  Delta(x_i) = x_i (x) 1 + g (x) x_i; basis in lex order of (g, x_n..x_1).
+- A_{C2^n}: letters (x, g, h, g1..g_{n-2}), order 2 each, the group-likes
+  anticommuting with x; Delta(x) = 1 (x) x + x (x) g; lex order of the letters.
+- H_(r,n): letters (g, x), g of order rn, x^n = 0, x g = q g x with
+  q = zeta_(rn); Delta(x) = 1 (x) x + x (x) g^r; lex order of (g, x).
+
+The other families (H_{2n^2}, H8, (A''_C4)*, group algebras, tensor products)
+have their own constructors.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .hopf import Elem, HopfData, HopfError, Tensor, verify_hopf
@@ -30,15 +51,31 @@ class UnsupportedFamily(HopfError):
     pass
 
 
-_PARAM_COUNTS = {"en": 1, "ac2n": 1, "h2n2": 1, "radford": 2, "h8": 0, "ac4dual": 0}
+# each family's parameters, as (name, least value)
+_PARAM_MINIMA = {
+    "en": (("n", 1),),
+    "ac2n": (("n", 2),),
+    "h2n2": (("n", 2),),
+    "radford": (("r", 1), ("n", 2)),
+    "h8": (),
+    "ac4dual": (),
+}
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Family selector: kind plus integer parameters."""
+    """Family selector: kind plus integer parameters.  Parameters out of range
+    raise ParameterError here, before any field is chosen for them."""
 
     kind: str
     params: tuple = ()
+
+    def __post_init__(self):
+        if self.kind == "group" and any(p < 1 for p in self.params):
+            raise ParameterError(f"family {self}: abelian invariants must be >= 1")
+        for (name, least), value in zip(_PARAM_MINIMA.get(self.kind, ()), self.params):
+            if value < least:
+                raise ParameterError(f"family {self}: {name} must be >= {least}")
 
     @staticmethod
     def parse(text: str) -> "FamilySpec":
@@ -64,9 +101,9 @@ class FamilySpec:
         kind = kind.strip().lower()
         if kind not in ("group", "en", "ac2n", "h2n2", "h8", "radford", "ac4dual", "tensor"):
             raise ValueError(f"unknown family kind {kind!r}")
-        want = _PARAM_COUNTS.get(kind)
-        if want is not None and len(params) != want:
-            raise ValueError(f"family {kind!r} takes {want} parameter(s), got {len(params)}")
+        want = _PARAM_MINIMA.get(kind)
+        if want is not None and len(params) != len(want):
+            raise ValueError(f"family {kind!r} takes {len(want)} parameter(s), got {len(params)}")
         return FamilySpec(kind, params)
 
     def default_root_order(self) -> int:
@@ -103,68 +140,6 @@ def _pow_label(name: str, e: int) -> str:
 
 def _word(factors: list[str]) -> str:
     return "*".join(factors) if factors else "1"
-
-
-# -- sign bookkeeping for the anticommuting generators ---------------------
-
-
-class SignTables:
-    """Signs for reordering products of anticommuting square-zero generators.
-
-    Subsets of {1..n} are bitmasks (bit i-1 encodes membership of i).
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-
-    @staticmethod
-    def members(mask: int) -> list[int]:
-        out = []
-        i = 1
-        while mask:
-            if mask & 1:
-                out.append(i)
-            mask >>= 1
-            i += 1
-        return out
-
-    def coproduct_sign_exp(self, f_mask: int, p_mask: int) -> int:
-        """Exponent S(F, P): sum of the positions of F inside sorted P, minus
-        r(r+1)/2 for r = |F|.  Zero on the empty subset."""
-        if f_mask == 0:
-            return 0
-        positions = []
-        pos = 0
-        sub = p_mask
-        i = 1
-        while sub:
-            if sub & 1:
-                pos += 1
-                if f_mask & (1 << (i - 1)):
-                    positions.append(pos)
-            sub >>= 1
-            i += 1
-        r = len(positions)
-        return sum(positions) - r * (r + 1) // 2
-
-    def pullout_sign_exp(self, p_mask: int, i: int) -> int:
-        """Exponent s(P, i): swaps moving x_i to the right end of x_P."""
-        if not p_mask & (1 << (i - 1)):
-            raise ValueError(f"{i} is not a member of the subset")
-        return bin(p_mask >> i).count("1")
-
-    @staticmethod
-    def merge_sign_exp(p_mask: int, q_mask: int) -> int:
-        """Inversions between sorted P followed by sorted Q (x_P x_Q reordering)."""
-        exp = 0
-        q = q_mask
-        j = 1
-        while q:
-            if q & 1:
-                exp += bin(p_mask >> j).count("1")
-            q >>= 1
-            j += 1
-        return exp
 
 
 # -- assembly helpers -------------------------------------------------------
@@ -233,8 +208,7 @@ def build_group_algebra(
 ) -> HopfData:
     """Group algebra of the abelian group prod C_{n_i}."""
     invariants = tuple(int(n) for n in invariants)
-    if any(n < 1 for n in invariants):
-        raise ParameterError("abelian invariants must be positive")
+    family = family or FamilySpec("group", invariants)
     if field is None:
         field = get_field(FieldSpec("cyclotomic", order=1))
     k = len(invariants)
@@ -271,266 +245,169 @@ def build_group_algebra(
         antipode,
         generators,
         name or ("k[" + "x".join(f"C{n}" for n in invariants) + "]" if invariants else "k"),
-        family or FamilySpec("group", invariants),
+        family,
         checked,
     )
 
 
-# -- E(n) --------------------------------------------------------------------
+# -- quantum linear spaces -----------------------------------------------------
+
+
+def build_quantum_linear_space(
+    letters: list[tuple],
+    commute: dict,
+    exps: list[tuple],
+    label,
+    field,
+    name: str,
+    family: FamilySpec | None = None,
+    checked: bool = True,
+) -> HopfData:
+    """The quantum linear space of the module docstring.  ``letters`` in word
+    order: ``(name, order)`` for a group-like, ``(name, N, g, h)`` for a
+    skew-primitive, with g, h as {group letter: exponent}.
+    ``commute[(t, s)] = c_ts`` (absent pairs commute); ``exps`` lists the basis
+    exponent vectors in index order, ``label`` names each.  A checked build
+    runs ``verify_hopf``, which refuses a datum that presents no Hopf algebra
+    (for instance N other than the order of chi(g h^-1))."""
+    names = [letter[0] for letter in letters]
+    orders = [letter[1] for letter in letters]
+    skew = [len(letter) == 4 for letter in letters]
+    if sorted(exps) != sorted(itertools.product(*map(range, orders))):
+        raise ConstructionError("exps must list every reduced exponent vector once")
+    pos = {letter: t for t, letter in enumerate(names)}
+    one = field.one
+    # (t, s, [c_ts^e for every exponent a_t b_s can take])
+    pairs = [
+        (pos[t], pos[s], [c**e for e in range((orders[pos[t]] - 1) * (orders[pos[s]] - 1) + 1)])
+        for (t, s), c in commute.items()
+    ]
+    if any(t <= s for t, s, _ in pairs):
+        raise ConstructionError("commute keys (t, s) need t after s in word order")
+    index = {a: i for i, a in enumerate(exps)}
+    # exponent caps: x^N = 0, while a group exponent below twice the order is reduced
+    caps = [order if nil else 2 * order for order, nil in zip(orders, skew)]
+
+    def reduced(v):
+        """Index of y^v with group exponents mod their order; None once x^N appears."""
+        if any(map(operator.ge, v, caps)):
+            return None
+        return index[tuple(map(operator.mod, v, orders))]
+
+    mult = []
+    for a in exps:
+        row = []
+        for b in exps:
+            k = reduced(list(map(operator.add, a, b)))
+            if k is None:
+                row.append({})
+                continue
+            c = one
+            for t, s, q in pairs:
+                if a[t] and b[s]:
+                    c = c * q[a[t] * b[s]]
+            row.append({k: c})
+        mult.append(row)
+
+    labels = [label(a) for a in exps]
+    unit = index[(0,) * len(letters)]
+    bare = _bare_algebra(field, labels, mult, unit, name + "-bare")
+
+    def monomial(exponents: dict, sign: int = 1):
+        """The basis element g^(sign * exponents) for a group monomial."""
+        return bare.basis_elem(reduced([sign * exponents.get(letter, 0) for letter in names]))
+
+    letter_deltas, letter_antipodes = [], {}
+    for t, letter in enumerate(letters):
+        y = monomial({letter[0]: 1})
+        if skew[t]:
+            g, h = letter[2], letter[3]
+            letter_deltas.append(y.tensor(monomial(h)) + monomial(g).tensor(y))
+            letter_antipodes[t] = -(monomial(g, -1) * y * monomial(h, -1))
+        else:
+            letter_deltas.append(y.tensor(y))
+            letter_antipodes[t] = monomial({letter[0]: 1}, -1)
+
+    # Delta(y^a) = Delta(y^a without its last letter) Delta(last letter)
+    deltas = {exps[unit]: bare.unit_tensor(2)}
+    for a in sorted(exps, key=sum)[1:]:
+        t = max(i for i, e in enumerate(a) if e)
+        deltas[a] = deltas[a[:t] + (a[t] - 1,) + a[t + 1 :]] * letter_deltas[t]
+    comult = [deltas[a].coeffs for a in exps]
+    words = [[t for t, e in enumerate(a) for _ in range(e)] for a in exps]
+    antipode = _antipode_from_generators(bare, words, letter_antipodes)
+    counit = [field.zero if any(e for e, nil in zip(a, skew) if nil) else one for a in exps]
+    generators = {letter: index[tuple(int(s == t) for s in range(len(letters)))] for t, letter in enumerate(names)}
+    return _finish(field, labels, mult, unit, comult, counit, antipode, generators, name, family, checked)
+
+
+def _monomial_label(names):
+    return lambda a: _word([_pow_label(letter, e) for letter, e in zip(names, a) if e])
+
+
+def _en_datum(field, n: int):
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    letters = [("g", 2)] + [(x, 2, {"g": 1}, {}) for x in xs]
+    minus = -field.one
+    commute = {(x, y): minus for j, x in enumerate(xs) for y in ["g"] + xs[:j]}
+    exps = [(j,) + tuple((mask >> i) & 1 for i in range(n)) for j in (0, 1) for mask in range(1 << n)]
+
+    def label(a):
+        members = [str(i) for i in range(1, n + 1) if a[i]]
+        return _word((["g^1"] if a[0] else []) + (["x{" + ",".join(members) + "}"] if members else []))
+
+    return letters, commute, exps, label
+
+
+def _ac2n_datum(field, n: int):
+    group = ["g", "h"] + [f"g{i}" for i in range(1, n - 1)]
+    letters = [("x", 2, {}, {"g": 1})] + [(g, 2) for g in group]
+    commute = {(g, "x"): -field.one for g in group}
+    return letters, commute, list(itertools.product((0, 1), repeat=n + 1)), _monomial_label(["x"] + group)
+
+
+def _radford_datum(field, r: int, n: int):
+    letters = [("g", r * n), ("x", n, {}, {"g": r})]
+    commute = {("x", "g"): field.make_root(r * n)}
+    return letters, commute, list(itertools.product(range(r * n), range(n))), _monomial_label(["g", "x"])
+
+
+# (letters, commute, exps, label) of each family, as in the module docstring
+_QLS_DATA = {"en": _en_datum, "ac2n": _ac2n_datum, "radford": _radford_datum}
+
+
+def _excluding_char2(field):
+    if field is None:
+        field = get_field(FieldSpec("cyclotomic", order=1))
+    if field.characteristic == 2:
+        raise ParameterError("characteristic 2 is excluded for this family")
+    return field
 
 
 def build_en(n: int, field=None, checked: bool = True) -> HopfData:
     """The 2^(n+1)-dimensional Hopf algebra with an involutive group-like g and
     n anticommuting square-zero skew-primitive generators."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    if field is None:
-        field = get_field(FieldSpec("cyclotomic", order=1))
-    if field.characteristic == 2:
-        raise ParameterError("characteristic 2 is excluded for this family")
-    signs = SignTables(n)
-    one = field.one
-    size = 1 << n
-    dim = 2 * size
-
-    def idx(j: int, mask: int) -> int:
-        return j * size + mask
-
-    labels = []
-    for j in (0, 1):
-        for mask in range(size):
-            factors = []
-            if j:
-                factors.append("g^1")
-            if mask:
-                factors.append("x{" + ",".join(str(i) for i in signs.members(mask)) + "}")
-            labels.append(_word(factors))
-
-    mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for j in (0, 1):
-        for pm in range(size):
-            i1 = idx(j, pm)
-            psize = bin(pm).count("1")
-            for k in (0, 1):
-                for qm in range(size):
-                    i2 = idx(k, qm)
-                    if pm & qm:
-                        mult[i1][i2] = {}
-                        continue
-                    exp = k * psize + SignTables.merge_sign_exp(pm, qm)
-                    c = one if exp % 2 == 0 else -one
-                    mult[i1][i2] = {idx((j + k) % 2, pm | qm): c}
-
-    comult = []
-    for j in (0, 1):
-        for pm in range(size):
-            t: dict = {}
-            fs = pm
-            while True:
-                f = fs
-                sgn = signs.coproduct_sign_exp(f, pm)
-                fsize = bin(f).count("1")
-                left = idx((fsize + j) % 2, pm & ~f)
-                right = idx(j, f)
-                c = one if sgn % 2 == 0 else -one
-                t[left * dim + right] = c
-                if fs == 0:
-                    break
-                fs = (fs - 1) & pm
-            comult.append(t)
-
-    counit = [one if i % size == 0 else field.zero for i in range(dim)]
-
-    antipode = []
-    for j in (0, 1):
-        for pm in range(size):
-            psize = bin(pm).count("1")
-            exp = psize * (j + 1)
-            c = one if exp % 2 == 0 else -one
-            antipode.append({idx((psize + j) % 2, pm): c})
-
-    generators = {"g": idx(1, 0)}
-    for i in range(1, n + 1):
-        generators[f"x{i}"] = idx(0, 1 << (i - 1))
-    return _finish(
-        field,
-        labels,
-        mult,
-        idx(0, 0),
-        comult,
-        counit,
-        antipode,
-        generators,
-        f"E({n})",
-        FamilySpec("en", (n,)),
-        checked,
-    )
-
-
-# -- the 8-dimensional pointed algebra on two group-likes --------------------
-
-
-def build_ac22(field=None, checked: bool = True, family: FamilySpec | None = None) -> HopfData:
-    """Pointed Hopf algebra on group-likes g, h and a skew-primitive x with
-    x^2 = 0 and x anticommuting with g and h."""
-    if field is None:
-        field = get_field(FieldSpec("cyclotomic", order=1))
-    if field.characteristic == 2:
-        raise ParameterError("characteristic 2 is excluded for this family")
-    one = field.one
-
-    def idx(m: int, a: int, b: int) -> int:
-        return m * 4 + a * 2 + b
-
-    labels = []
-    for m in (0, 1):
-        for a in (0, 1):
-            for b in (0, 1):
-                factors = []
-                if m:
-                    factors.append("x")
-                if a:
-                    factors.append("g")
-                if b:
-                    factors.append("h")
-                labels.append(_word(factors))
-
-    dim = 8
-    mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for m in (0, 1):
-        for a in (0, 1):
-            for b in (0, 1):
-                for m2 in (0, 1):
-                    for a2 in (0, 1):
-                        for b2 in (0, 1):
-                            if m + m2 > 1:
-                                val = {}
-                            else:
-                                exp = m2 * (a + b)
-                                c = one if exp % 2 == 0 else -one
-                                val = {idx(m + m2, (a + a2) % 2, (b + b2) % 2): c}
-                            mult[idx(m, a, b)][idx(m2, a2, b2)] = val
-
-    bare = _bare_algebra(field, labels, mult, 0, "AC22-bare")
-    g = bare.basis_elem(idx(0, 1, 0))
-    h = bare.basis_elem(idx(0, 0, 1))
-    x = bare.basis_elem(idx(1, 0, 0))
-    dg = g.tensor(g)
-    dh = h.tensor(h)
-    dx = bare.unit().tensor(x) + x.tensor(g)
-    words = []
-    gen_ids = {"x": 0, "g": 1, "h": 2}
-    for m in (0, 1):
-        for a in (0, 1):
-            for b in (0, 1):
-                words.append([0] * m + [1] * a + [2] * b)
-    comult = _comult_from_generators(bare, words, {0: dx, 1: dg, 2: dh})
-    counit = []
-    for m in (0, 1):
-        for _ in range(4):
-            counit.append(field.zero if m else one)
-    sx = -(x * g)
-    antipode = _antipode_from_generators(bare, words, {0: sx, 1: g, 2: h})
-
-    generators = {"x": idx(1, 0, 0), "g": idx(0, 1, 0), "h": idx(0, 0, 1)}
-    return _finish(
-        field,
-        labels,
-        mult,
-        0,
-        comult,
-        counit,
-        antipode,
-        generators,
-        "A_{C2xC2}",
-        family or FamilySpec("ac2n", (2,)),
-        checked,
-    )
-
-
-def relabel(h: HopfData, perm_new_to_old: list[int], labels, generators, name, family=None) -> HopfData:
-    """Transport structure along a basis bijection (new index -> old index)."""
-    dim = h.dim
-    inv = [0] * dim
-    for new, old in enumerate(perm_new_to_old):
-        inv[old] = new
-
-    def moved(d: dict) -> dict:
-        return {inv[k]: v for k, v in d.items()}
-
-    def moved2(d: dict) -> dict:
-        out = {}
-        for k, v in d.items():
-            i, j = divmod(k, dim)
-            out[inv[i] * dim + inv[j]] = v
-        return out
-
-    mult = [[moved(h.mult[perm_new_to_old[i]][perm_new_to_old[j]]) for j in range(dim)] for i in range(dim)]
-    comult = [moved2(h.comult[perm_new_to_old[i]]) for i in range(dim)]
-    counit = [h.counit[perm_new_to_old[i]] for i in range(dim)]
-    antipode = None
-    if h.antipode is not None:
-        antipode = [moved(h.antipode[perm_new_to_old[i]]) for i in range(dim)]
-    return HopfData(h.field, labels, mult, inv[h.unit_index], comult, counit, antipode, generators, name, family)
+    family = FamilySpec("en", (n,))
+    field = _excluding_char2(field)
+    return build_quantum_linear_space(*_en_datum(field, n), field, f"E({n})", family, checked)
 
 
 def build_ac2n(n: int, field=None, checked: bool = True) -> HopfData:
     """Pointed Hopf algebra of dimension 2^(n+1) with group-like coradical
-    k C_2^n, realized as the tensor product of the n = 2 case with a group
-    algebra and relabeled along the isomorphism sending 1 (x) g_i to g*g_i."""
-    if n < 2:
-        raise ParameterError("n must be >= 2")
+    k C_2^n, all of whose group-likes anticommute with the skew-primitive x."""
+    family = FamilySpec("ac2n", (n,))
+    field = _excluding_char2(field)
+    name = "A_{C2xC2}" if n == 2 else f"A_{{C2^{n}}}"
+    return build_quantum_linear_space(*_ac2n_datum(field, n), field, name, family, checked)
+
+
+def build_radford(r: int, n: int, field=None, checked: bool = True) -> HopfData:
+    """Pointed Hopf algebra of dimension r n^2 on a group-like g of order rn
+    and a skew-primitive x with xg = q gx and x^n = 0."""
+    family = FamilySpec("radford", (r, n))
     if field is None:
-        field = get_field(FieldSpec("cyclotomic", order=1))
-    fam = FamilySpec("ac2n", (n,))
-    if n == 2:
-        return build_ac22(field, checked, family=fam)
-    k = n - 2
-    a22 = build_ac22(field, checked=False)
-    grp = build_group_algebra((2,) * k, field, checked=False)
-    tens = tensor_product(a22, grp, checked=False)
-
-    dimb = 1 << k
-
-    def tensor_index(m, a, b, cmask):
-        return (m * 4 + a * 2 + b) * dimb + cmask
-
-    perm = []
-    labels = []
-    for m in (0, 1):
-        for a in (0, 1):
-            for b in (0, 1):
-                for cmask in range(dimb):
-                    csum = bin(cmask).count("1")
-                    perm.append(tensor_index(m, (a + csum) % 2, b, cmask))
-                    factors = []
-                    if m:
-                        factors.append("x")
-                    if a:
-                        factors.append("g")
-                    if b:
-                        factors.append("h")
-                    for i in range(k):
-                        if cmask & (1 << (k - 1 - i)):
-                            factors.append(f"g{i+1}")
-                    labels.append(_word(factors))
-
-    def new_index(m, a, b, cmask):
-        return ((m * 4 + a * 2 + b) * dimb) + cmask
-
-    generators = {
-        "x": new_index(1, 0, 0, 0),
-        "g": new_index(0, 1, 0, 0),
-        "h": new_index(0, 0, 1, 0),
-    }
-    for i in range(k):
-        generators[f"g{i+1}"] = new_index(0, 0, 0, 1 << (k - 1 - i))
-    out = relabel(tens, perm, labels, generators, f"A_{{C2^{n}}}", fam)
-    if checked:
-        rep = verify_hopf(out)
-        if not rep.ok:
-            raise ConstructionError(rep.summary())
-    return out
+        field = get_field(family.default_field_spec())
+    return build_quantum_linear_space(*_radford_datum(field, r, n), field, f"H_({r},{n})", family, checked)
 
 
 # -- the semisimple family on commuting group-likes swapped by z -------------
@@ -544,8 +421,7 @@ def build_h2n2(n: int, field=None, checked: bool = True, name: str | None = None
     With the basis {x^i y^j z^t, t = 0, 1} this is the unique relation for
     the square of z compatible with the Hopf axioms (checked at build time).
     """
-    if n < 2:
-        raise ParameterError("n must be >= 2")
+    family = family or FamilySpec("h2n2", (n,))
     if field is None:
         field = get_field(FieldSpec("cyclotomic", order=n))
     p = field.characteristic
@@ -638,7 +514,7 @@ def build_h2n2(n: int, field=None, checked: bool = True, name: str | None = None
         antipode,
         generators,
         name or f"H_{{2*{n}^2}}",
-        family or FamilySpec("h2n2", (n,)),
+        family,
         checked,
     )
 
@@ -666,110 +542,6 @@ def h8_idempotents(h: HopfData) -> list[Elem]:
     ey = (one_e + x - y - xy).scaled(quarter)
     exy = (one_e - x - y + xy).scaled(quarter)
     return [e1, ex, ey, exy]
-
-
-# -- the Radford pointed family ----------------------------------------------
-
-
-def qbinomial(m: int, u: int, Q):
-    """Gaussian binomial by the Q-Pascal recurrence; ordinary binomial at Q = 1."""
-    if u < 0 or u > m:
-        raise ValueError("binomial index out of range")
-    one = Q / Q if Q else None
-    if one is None:
-        raise ZeroDivisionError("Q must be nonzero")
-    row = [one]
-    for k in range(1, m + 1):
-        prev = row
-        row = [one]
-        qp = Q
-        for u2 in range(1, k):
-            row.append(prev[u2 - 1] + qp * prev[u2])
-            qp = qp * Q
-        row.append(one)
-    return row[u]
-
-
-def build_radford(r: int, n: int, field=None, checked: bool = True) -> HopfData:
-    """Pointed Hopf algebra of dimension r n^2 on a group-like g of order rn
-    and a skew-primitive x with xg = q gx and x^n = 0."""
-    if r < 1 or n < 2:
-        raise ParameterError("need r >= 1 and n >= 2")
-    M = r * n
-    if field is None:
-        field = get_field(FieldSpec("cyclotomic", order=M))
-    q = field.make_root(M)
-    Q = q**r
-    one = field.one
-    qpow = [q**t for t in range(M)]
-
-    dim = M * n
-
-    def idx(l: int, m: int) -> int:
-        return (l % M) * n + m
-
-    labels = []
-    for l in range(M):
-        for m in range(n):
-            factors = []
-            if l:
-                factors.append(_pow_label("g", l))
-            if m:
-                factors.append(_pow_label("x", m))
-            labels.append(_word(factors))
-
-    mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for l in range(M):
-        for m in range(n):
-            for l2 in range(M):
-                for m2 in range(n):
-                    if m + m2 >= n:
-                        val = {}
-                    else:
-                        val = {idx(l + l2, m + m2): qpow[(m * l2) % M]}
-                    mult[idx(l, m)][idx(l2, m2)] = val
-
-    binoms = [[qbinomial(m, u, Q) for u in range(m + 1)] for m in range(n)]
-    comult = []
-    for l in range(M):
-        for m in range(n):
-            t = {}
-            for u in range(m + 1):
-                c = binoms[m][u]
-                if not c:
-                    continue
-                left = idx(l, m - u)
-                right = idx(l + r * (m - u), u)
-                t[left * dim + right] = c
-            comult.append(t)
-
-    counit = []
-    for l in range(M):
-        for m in range(n):
-            counit.append(one if m == 0 else field.zero)
-
-    bare = _bare_algebra(field, labels, mult, 0, "radford-bare")
-    g = bare.basis_elem(idx(1, 0))
-    x = bare.basis_elem(idx(0, 1))
-    sg = bare.basis_elem(idx(M - 1, 0))
-    sx = -(x * bare.basis_elem(idx(M - r, 0)))
-    words = [[1] * l + [0] * m for l in range(M) for m in range(n)]
-    antipode = _antipode_from_generators(bare, words, {0: sx, 1: sg})
-
-    generators = {"g": idx(1, 0), "x": idx(0, 1)}
-    return _finish(
-        field,
-        labels,
-        mult,
-        0,
-        comult,
-        counit,
-        antipode,
-        generators,
-        f"H_({r},{n})",
-        FamilySpec("radford", (r, n)),
-        checked,
-    )
 
 
 # -- the dual 8-dimensional algebra with non-group-like coradical ------------
@@ -1000,46 +772,22 @@ def coradical_projection(h: HopfData) -> CoradicalProjection:
         images = list(range(h.dim))
         section = list(range(h.dim))
         return CoradicalProjection(h, tgt, images, section)
-    if fam.kind == "en":
-        n = fam.params[0]
-        size = 1 << n
-        tgt = build_group_algebra((2,), field, gen_names=("g",), checked=False)
-        images = []
-        for j in (0, 1):
-            for mask in range(size):
-                images.append(tgt.index["g" if j else "1"] if mask == 0 else None)
-        section = [h.index["1"], h.index["g^1"]]
-        return CoradicalProjection(h, tgt, images, section)
-    if fam.kind == "ac2n":
-        n = fam.params[0]
-        k = n - 2
-        names = ("g", "h") + tuple(f"g{i+1}" for i in range(k))
-        tgt = build_group_algebra((2,) * n, field, gen_names=names, checked=False)
-        dimb = 1 << k
-        images = [None] * h.dim
-        section = [0] * tgt.dim
-        for a in (0, 1):
-            for b in (0, 1):
-                for cmask in range(dimb):
-                    tgt_exp = (a, b) + tuple((cmask >> (k - 1 - i)) & 1 for i in range(k))
-                    ti = 0
-                    for e in tgt_exp:
-                        ti = ti * 2 + e
-                    src0 = ((0 * 4 + a * 2 + b) * dimb) + cmask
-                    src1 = ((1 * 4 + a * 2 + b) * dimb) + cmask
-                    images[src0] = ti
-                    images[src1] = None
-                    section[ti] = src0
-        return CoradicalProjection(h, tgt, images, section)
-    if fam.kind == "radford":
-        r, n = fam.params
-        M = r * n
-        tgt = build_group_algebra((M,), field, gen_names=("g",), checked=False)
-        images = []
-        for l in range(M):
-            for m in range(n):
-                images.append(l if m == 0 else None)
-        section = [l * n for l in range(M)]
+    if fam.kind in _QLS_DATA:
+        # x-free monomials go to the group algebra on the group letters, the rest to 0
+        letters, _, exps, _ = _QLS_DATA[fam.kind](field, *fam.params)
+        group = [t for t, letter in enumerate(letters) if len(letter) == 2]
+        tgt = build_group_algebra(
+            tuple(letters[t][1] for t in group), field, gen_names=tuple(letters[t][0] for t in group), checked=False
+        )
+        images, section = [], [None] * tgt.dim
+        for i, a in enumerate(exps):
+            j = None
+            if all(e == 0 for t, e in enumerate(a) if t not in group):
+                j = 0
+                for t in group:  # the group algebra's index: mixed radix, first letter leading
+                    j = j * letters[t][1] + a[t]
+                section[j] = i
+            images.append(j)
         return CoradicalProjection(h, tgt, images, section)
     raise UnsupportedFamily(f"no coradical projection for family {fam.kind!r}")
 

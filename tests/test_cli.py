@@ -193,25 +193,35 @@ def test_bad_r_spec_exit_2(capsys, family, rspec):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["classify", "--family", "en"],  # no parameter
-        ["classify", "--family", "h8:3", "--r", "h8pm:+1,+1"],  # a parameter h8 does not take
-        ["classify", "--family", "en:1,5", "--r", "enumerate"],  # one parameter too many
-        ["classify", "--family", "radford:2"],  # one parameter too few
-        ["classify", "--family", "en:0"],
-        ["classify", "--family", "h2n2:1"],
-        ["classify", "--family", "group:0"],
-        ["classify", "--family", "radford:0,2"],
-        ["classify", "--family", "en:2", "--field", "prime:2"],  # characteristic the family excludes
-        ["quantize", "--family", "en:2", "--r", "en-a:[[0,0],[0,0]]", "--chi", "(("],
+        (["classify", "--family", "en"], "takes 1 parameter"),  # no parameter
+        (["classify", "--family", "h8:3", "--r", "h8pm:+1,+1"], "takes 0 parameter"),  # one h8 does not take
+        (["classify", "--family", "en:1,5", "--r", "enumerate"], "takes 1 parameter"),  # one too many
+        (["classify", "--family", "radford:2"], "takes 2 parameter"),  # one too few
+        (["classify", "--family", "en:0"], "family en:0: n must be >= 1"),
+        (["classify", "--family", "h2n2:1"], "family h2n2:1: n must be >= 2"),
+        (["classify", "--family", "group:0"], "family group:0: abelian invariants must be >= 1"),
+        (["classify", "--family", "radford:0,2"], "family radford:0,2: r must be >= 1"),
+        # the range is checked before the default field Q(zeta_(rn)) or Q(zeta_n) is chosen
+        (["classify", "--family", "h2n2:0"], "family h2n2:0: n must be >= 2"),
+        (["classify", "--family", "h2n2:-3"], "family h2n2:-3: n must be >= 2"),
+        (["classify", "--family", "radford:1,0"], "family radford:1,0: n must be >= 2"),
+        (["classify", "--family", "radford:-1,2"], "family radford:-1,2: r must be >= 1"),
+        (["classify", "--family", "tensor(h2n2:0,en:1)"], "family h2n2:0: n must be >= 2"),
+        (["classify", "--family", "en:2", "--field", "prime:2"], "characteristic 2"),  # excluded by the family
+        (["quantize", "--family", "en:2", "--r", "en-a:[[0,0],[0,0]]", "--chi", "(("], None),
     ],
-    ids=["en", "h8:3", "en:1,5", "radford:2", "en:0", "h2n2:1", "group:0", "radford:0,2", "en:2-F2", "chi"],
+    ids=[
+        "en", "h8:3", "en:1,5", "radford:2", "en:0", "h2n2:1", "group:0", "radford:0,2",
+        "h2n2:0", "h2n2:-3", "radford:1,0", "radford:-1,2", "tensor-h2n2:0", "en:2-F2", "chi",
+    ],
 )
-def test_bad_family_or_chi_exit_2(capsys, argv):
+def test_bad_family_or_chi_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("config error:")
+    assert message is None or message in err
     assert out == ""
 
 

@@ -1,21 +1,24 @@
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import pe
 from hopflab.families import (
     ConstructionError,
     FamilySpec,
-    SignTables,
     UnsupportedFamily,
     build,
     build_group_algebra,
+    build_en,
     build_h2n2,
+    build_quantum_linear_space,
     build_radford,
     coradical_projection,
     h8_idempotents,
-    qbinomial,
     tensor_product,
 )
 from hopflab.hopf import antipode, delta, verify_hopf
@@ -86,22 +89,22 @@ def test_radford_coproduct_formula_matches_products():
             assert delta(w) == (dg**l) * (dx**m)
 
 
-def test_qbinomial():
-    Q = get_field(FieldSpec("cyclotomic", order=1))
-    for m in range(6):
-        assert qbinomial(m, 0, Q.one) == Q.one
-    q2 = Q.from_int(3)
-    assert qbinomial(2, 1, q2) == Q.from_int(4)  # 1 + Q
-    # at Q = 1 these are binomial coefficients
-    import math
-
-    for m in range(6):
-        for u in range(m + 1):
-            assert qbinomial(m, u, Q.one) == Q.from_int(math.comb(m, u))
-    # at a primitive square root of unity the middle entry vanishes
-    Q4 = get_field(FieldSpec("cyclotomic", order=4))
-    Qval = Q4.make_root(4) ** 2  # = -1
-    assert not qbinomial(2, 1, Qval)
+def test_radford_coproduct_qbinomials():
+    """Delta(x^m) = sum_u [m, u]_Q x^(m-u) (x) g^(r(m-u)) x^u with Q = q^r, the
+    Gaussian binomials taken from the Q-Pascal recurrence."""
+    for r, n in ((1, 4), (2, 3)):
+        h = build(f"radford:{r},{n}")
+        g, x = h.gen("g"), h.gen("x")
+        Q = h.field.make_root(r * n) ** r
+        row = [h.field.one]  # [m, u]_Q for u = 0..m
+        for m in range(n):
+            expected = sum(
+                ((x ** (m - u)).tensor(g ** (r * (m - u)) * x**u).scaled(c) for u, c in enumerate(row)),
+                h.zero_tensor(2),
+            )
+            assert delta(x**m) == expected
+            row = [row[0]] + [row[u - 1] + Q**u * row[u] for u in range(1, m + 1)] + [row[0]]
+        assert not row[1]  # [n, 1]_Q = 0: Q has order n
 
 
 def test_h8_idempotents(h8):
@@ -157,8 +160,8 @@ def test_tensor_product_dimension(ac22, kc2):
     assert verify_hopf(prod).ok
 
 
-def test_ac2n_relabel_is_hopf_morphism():
-    """im(f) multiplies, comultiplies and counits like the tensor source."""
+def test_ac2n_group_likes_anticommute_with_x():
+    """Every group-like of A_{C2^3} is an involution anticommuting with x."""
     h = build("ac2n:3")
     # generators anticommute with x, are involutive group-likes
     x = h.gen("x")
@@ -171,8 +174,11 @@ def test_ac2n_relabel_is_hopf_morphism():
     assert verify_hopf(h).ok
 
 
-def test_sign_tables_against_transposition_oracle():
-    st = SignTables(5)
+def test_en_product_signs_against_transposition_oracle():
+    """(g^j x_P)(g^k x_Q) = (-1)^(k|P|) sign(P, Q) g^(j+k) x_(P u Q) on E(5), where
+    sign(P, Q) sorts the concatenation P Q by transpositions, and 0 when P, Q meet."""
+    h = build_en(5, checked=False)
+    one = h.field.one
 
     def bubble_sign(seq):
         seq = list(seq)
@@ -184,22 +190,21 @@ def test_sign_tables_against_transposition_oracle():
                     sign = -sign
         return sign
 
-    import itertools
+    def index(j, subset):
+        factors = (["g^1"] if j else []) + (["x{" + ",".join(map(str, subset)) + "}"] if subset else [])
+        return h.index["*".join(factors) or "1"]
 
-    members = [1, 2, 3, 4, 5]
-    for r in range(6):
-        for p in itertools.combinations(members, r):
-            pm = sum(1 << (i - 1) for i in p)
-            for i in p:
-                # x_P = (-1)^(s(P,i)) x_(P minus i) x_i: oracle by sorting the move
-                rest = [m for m in p if m != i]
-                moved = rest + [i]
-                expect = bubble_sign(moved) * bubble_sign(list(p))
-                assert (-1) ** st.pullout_sign_exp(pm, i) == expect
-            for q in itertools.combinations([m for m in members if m not in p], 2):
-                qm = sum(1 << (i - 1) for i in q)
-                concat = list(p) + list(q)
-                assert (-1) ** SignTables.merge_sign_exp(pm, qm) == bubble_sign(concat)
+    subsets = [p for r in range(6) for p in combinations(range(1, 6), r)]
+    for j in (0, 1):
+        for p in subsets:
+            for k in (0, 1):
+                for q in subsets:
+                    cell = h.mult[index(j, p)][index(k, q)]
+                    if set(p) & set(q):
+                        assert cell == {}
+                        continue
+                    sign = (-1) ** (k * len(p)) * bubble_sign(p + q)
+                    assert cell == {index((j + k) % 2, tuple(sorted(p + q))): one if sign == 1 else -one}
 
 
 def test_coradical_projection_en(en2):
@@ -246,3 +251,61 @@ def test_group_algebra_structure():
     assert g2**4 == h.unit()
     assert delta(g2) == g2.tensor(g2)
     assert antipode(g2) == g2**3
+
+
+@st.composite
+def skew_data(draw):
+    """A quantum linear space over C_m = <g> with one or two skew-primitives
+    x_i: chi_i(g) = zeta^k_i, Delta(x_i) = x_i (x) g^b_i + g^a_i (x) x_i and
+    N_i = ord chi_i(g^(a_i - b_i)), with chi_1(u_2) chi_2(u_1) = 1 for
+    u_i = g^(a_i - b_i) when there are two; dimension at most 64."""
+    m = draw(st.integers(2, 6))
+    skews = []
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(1, m - 1))
+        ds = [d for d in range(m) if k * d % m and all((k0 * d + k * d0) % m == 0 for k0, d0, _ in skews)]
+        assume(ds)
+        d = draw(st.sampled_from(ds))
+        skews.append((k, d, draw(st.integers(0, m - 1))))
+    orders = [m // math.gcd(m, k * d) for k, d, _ in skews]
+    assume(m * math.prod(orders) <= 64)
+    return m, skews, orders
+
+
+def skew_algebra(m, skews, orders, checked):
+    field = get_field(FieldSpec("cyclotomic", order=m))
+    zeta = field.make_root(m)
+    names = ["g"] + [f"x{i}" for i in range(1, len(skews) + 1)]
+    letters = [("g", m)] + [
+        (name, order, {"g": (d + b) % m}, {"g": b}) for name, order, (_, d, b) in zip(names[1:], orders, skews)
+    ]
+    # x g = chi(g)^-1 g x, and x2 x1 = chi_1(h_2) chi_2(g_1)^-1 x1 x2
+    commute = {(name, "g"): zeta ** (-k % m) for name, (k, _, _) in zip(names[1:], skews)}
+    if len(skews) == 2:
+        (k1, d1, b1), (k2, _, b2) = skews
+        commute[("x2", "x1")] = zeta ** ((k1 * b2 - k2 * (d1 + b1)) % m)
+    exps = list(product(*(range(letter[1]) for letter in letters)))
+
+    def label(a):
+        return "*".join(f"{n}^{e}" for n, e in zip(names, a) if e) or "1"
+
+    return build_quantum_linear_space(letters, commute, exps, label, field, "qls", checked=checked)
+
+
+@settings(max_examples=12, deadline=None)
+@given(skew_data())
+def test_quantum_linear_space_builder_is_hopf(data):
+    rep = verify_hopf(skew_algebra(*data, checked=False))
+    assert rep.ok, rep.summary()
+
+
+@settings(max_examples=12, deadline=None)
+@given(skew_data(), st.data())
+def test_quantum_linear_space_wrong_nilpotency_refused(data, draw):
+    m, skews, orders = data
+    other = m * math.prod(orders[1:])
+    wrong = [n for n in range(2, 64 // other + 1) if n != orders[0]]
+    assume(wrong)
+    orders = [draw.draw(st.sampled_from(wrong))] + orders[1:]
+    with pytest.raises(ConstructionError):
+        skew_algebra(m, skews, orders, checked=True)

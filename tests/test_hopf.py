@@ -764,8 +764,8 @@ def test_product_loops_never_multiply_by_zero(family):
 
 def test_crosscheck_script_verifies_over_the_prime_field(capsys, monkeypatch):
     """``scripts/crosscheck_prime_field.py`` runs ``verify_hopf`` on each case
-    family over F_97 with the exact field's check count: the F_p route of
-    the kernel's zero test."""
+    family and each quantum-linear-space batch family over F_97 with the
+    exact field's check count: the F_p route of the kernel's zero test."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "crosscheck_prime_field.py"
     spec = importlib.util.spec_from_file_location("crosscheck_prime_field", path)
     module = importlib.util.module_from_spec(spec)
@@ -773,7 +773,9 @@ def test_crosscheck_script_verifies_over_the_prime_field(capsys, monkeypatch):
     monkeypatch.setattr("sys.argv", ["crosscheck_prime_field.py"])
     assert module.main() == 0
     lines = [line for line in capsys.readouterr().out.splitlines() if "verify_hopf" in line]
-    assert len(lines) == len({family for family, _ in module.CASES})
+    assert {family for family, _ in module.CASES} <= set(module.VERIFY_FAMILIES)
+    assert {"en:3", "ac2n:4", "radford:3,2"} <= set(module.VERIFY_FAMILIES)
+    assert len(lines) == len(module.VERIFY_FAMILIES)
     for line in lines:
         assert line.startswith("ok ")
         exact, modp = re.findall(r"(\d+) checks", line)
