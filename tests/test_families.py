@@ -294,18 +294,18 @@ def skew_algebra(m, skews, orders, checked):
 
 @settings(max_examples=12, deadline=None)
 @given(skew_data())
-def test_quantum_linear_space_builder_is_hopf(data):
-    rep = verify_hopf(skew_algebra(*data, checked=False))
+def test_quantum_linear_space_builder_is_hopf(case):
+    rep = verify_hopf(skew_algebra(*case, checked=False))
     assert rep.ok, rep.summary()
 
 
 @settings(max_examples=12, deadline=None)
 @given(skew_data(), st.data())
-def test_quantum_linear_space_wrong_nilpotency_refused(data, draw):
-    m, skews, orders = data
+def test_quantum_linear_space_wrong_nilpotency_refused(case, data):
+    m, skews, orders = case
     other = m * math.prod(orders[1:])
     wrong = [n for n in range(2, 64 // other + 1) if n != orders[0]]
     assume(wrong)
-    orders = [draw.draw(st.sampled_from(wrong))] + orders[1:]
+    orders = [data.draw(st.sampled_from(wrong))] + orders[1:]
     with pytest.raises(ConstructionError):
         skew_algebra(m, skews, orders, checked=True)
