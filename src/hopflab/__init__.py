@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .scalars import FieldSpec, get_field, make_root, primitive_roots
 from .families import FamilySpec, build
-from .hopf import Elem, HopfData, Tensor, delta, counit, antipode, verify_bialgebra, verify_hopf
+from .hopf import HopfData, Tensor, delta, counit, antipode, verify_bialgebra, verify_hopf
 
 __all__ = [
     "FieldSpec",
@@ -14,7 +14,6 @@ __all__ = [
     "primitive_roots",
     "FamilySpec",
     "build",
-    "Elem",
     "HopfData",
     "Tensor",
     "delta",

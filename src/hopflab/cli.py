@@ -17,7 +17,7 @@ from .cohomology import cocycles, coboundaries
 from .expressions import ExprError, format_tensor, parse_element
 from .families import FamilySpec, ParameterError, build
 from .hopf import Tensor, verify_hopf
-from .precartier import ClassificationReport, cached_commutant, classify, classify_enumerated, solve_infinitesimal
+from .precartier import cached_commutant, classify, solve_infinitesimal
 from .quantize import verify_quantized_qtr
 from .rmatrices import (
     FamilyMismatch,
@@ -25,6 +25,7 @@ from .rmatrices import (
     RSpecError,
     build_r,
     enumerate_group_rmatrices,
+    enumerate_rmatrices,
     r_inverse,
     registered_rspecs,
     verify_qtr,
@@ -46,16 +47,16 @@ class RunConfig:
         return FieldSpec.parse(self.field) if self.field else None
 
 
-def _resolve_rspecs(cfg: RunConfig, h) -> list[RSpec] | None:
-    """None means R-free; otherwise the list of R specs to iterate."""
+def _resolve_rs(cfg: RunConfig, h) -> list[tuple] | None:
+    """None means R-free; otherwise the (spec, R, QtrReport) triples to
+    iterate, R and its report None where the task builds and verifies R
+    itself (``rmatrices.enumerate_rmatrices`` passes the enumeration's
+    survivors already verified)."""
     if cfg.r in (None, "none"):
         return None
     if cfg.r == "enumerate":
-        fam = h.family
-        if fam.kind == "h2n2":
-            return [spec for spec, _, _ in enumerate_group_rmatrices(h, with_specs=True)]
-        return registered_rspecs(fam)
-    return [RSpec.parse(cfg.r)]
+        return enumerate_rmatrices(h)
+    return [(RSpec.parse(cfg.r), None, None)]
 
 
 def _emit(cfg: RunConfig, payload) -> None:
@@ -124,12 +125,12 @@ def run(cfg: RunConfig) -> int:
                        "failures": [list(fail) for fail in rep.failures[:20]]}
             if not rep.ok:
                 status = max(status, 1)
-            rspecs = _resolve_rspecs(cfg, h)
-            if rspecs:
+            rs = _resolve_rs(cfg, h)
+            if rs:
                 payload["r_reports"] = []
-                for spec in rspecs:
-                    r = build_r(h, spec)
-                    qrep = verify_qtr(h, r)
+                for spec, r, qrep in rs:
+                    if r is None:
+                        qrep = verify_qtr(h, build_r(h, spec))
                     payload["r_reports"].append({"r": str(spec), "qtr_ok": qrep.ok,
                                                  "failures": [list(fail) for fail in qrep.failures[:10]]})
                     if not qrep.ok:
@@ -137,14 +138,14 @@ def run(cfg: RunConfig) -> int:
             _emit(cfg, payload)
         elif task == "classify":
             h = build(fam_spec, field_spec)
-            if cfg.r == "enumerate":
-                reports = [rep.to_dict() for rep in classify_enumerated(fam_spec, field_spec)]
+            rs = _resolve_rs(cfg, h)
+            if rs is None:
+                reports = [classify(fam_spec, None, field_spec).to_dict()]
             else:
-                rspecs = _resolve_rspecs(cfg, h)
-                if rspecs is None:
-                    reports = [classify(fam_spec, None, field_spec).to_dict()]
-                else:
-                    reports = [classify(fam_spec, spec, field_spec).to_dict() for spec in rspecs]
+                reports = [
+                    classify(fam_spec, spec, field_spec, prebuilt=None if r is None else (r, qrep)).to_dict()
+                    for spec, r, qrep in rs
+                ]
             problems = _report_failures(reports)
             if problems:
                 status = max(status, 1)
@@ -160,14 +161,17 @@ def run(cfg: RunConfig) -> int:
                         "dims": {"z1": z1.dim, "z2": z2.dim, "b2": b2.dim, "h2": z2.dim - b2.dim}})
         elif task == "quantize":
             h = build(fam_spec, field_spec)
-            rspecs = _resolve_rspecs(cfg, h)
-            if not rspecs:
+            rs = _resolve_rs(cfg, h)
+            if rs is None:
                 sys.stderr.write("config error: quantize needs --r\n")
                 return 2
             out = []
-            for spec in rspecs:
-                r = build_r(h, spec)
-                rinv = r_inverse(h, r)
+            for spec, r, qrep in rs:
+                if r is None:
+                    r = build_r(h, spec)
+                    rinv = r_inverse(h, r)
+                else:
+                    rinv = qrep.r_inv
                 if cfg.chi:
                     chis = [parse_element(h, cfg.chi)]
                 else:

@@ -8,7 +8,7 @@ are plain kernel/image computations over the exact field.
 
 from __future__ import annotations
 
-from .hopf import Elem, HopfData, HopfError, Tensor, VerifyReport, full_space, map_rows, restrict_and_cut
+from .hopf import HopfData, HopfError, Tensor, VerifyReport, full_space, map_rows, restrict_and_cut
 from .linalg import Subspace, solve
 
 
@@ -18,24 +18,14 @@ class UnsupportedDegree(HopfError):
 
 def _bn_image(h: HopfData, n: int, t: Tensor) -> Tensor:
     """Value of the degree-n differential on an n-tensor."""
-    dim = h.dim
-    u = h.unit_index
-    f = h.field
-    # left unit insertion
-    out: dict = {}
-    for k, v in t.coeffs.items():
-        out[u * (dim**n) + k] = v
-    acc = Tensor(h, n + 1, out)
-    sign = -f.one
+    one = h.unit()
+    acc = one.tensor(t)
+    sign = -h.field.one
     for slot in range(n):
         acc = acc + t.apply_delta(slot).scaled(sign)
         sign = -sign
-    # right unit insertion carries sign (-1)^(n+1)
-    out2: dict = {}
-    for k, v in t.coeffs.items():
-        out2[k * dim + u] = v
-    tail = Tensor(h, n + 1, out2)
-    return acc + (tail.scaled(sign))
+    # the right unit insertion carries sign (-1)^(n+1)
+    return acc + t.tensor(one).scaled(sign)
 
 
 def b_apply(h: HopfData, n: int, t: Tensor) -> Tensor:
@@ -46,9 +36,9 @@ def b_apply(h: HopfData, n: int, t: Tensor) -> Tensor:
     return _bn_image(h, n, t)
 
 
-def b1_elem(h: HopfData, a: Elem) -> Tensor:
+def b1_elem(h: HopfData, a: Tensor) -> Tensor:
     """1 (x) a - Delta(a) + a (x) 1."""
-    return b_apply(h, 1, Tensor(h, 1, dict(a.coeffs)))
+    return b_apply(h, 1, a)
 
 
 def cocycles(h: HopfData, n: int) -> Subspace:
@@ -80,7 +70,7 @@ def h_dim(h: HopfData, n: int) -> int:
     return z.dim - b.dim
 
 
-def coboundary_preimage(h: HopfData, t: Tensor) -> Elem | None:
+def coboundary_preimage(h: HopfData, t: Tensor) -> Tensor | None:
     """Some a with b1(a) = t when t is a coboundary, canonical solve."""
     if t.legs != 2:
         raise HopfError("preimage is defined for 2-tensors")
@@ -91,7 +81,7 @@ def coboundary_preimage(h: HopfData, t: Tensor) -> Elem | None:
     sol = solve([rows.get(key, {}) for key in keys], h.dim, rhs)
     if sol is None:
         return None
-    a = Elem(h, sol)
+    a = Tensor(h, 1, sol)
     if b1_elem(h, a) != t:
         raise HopfError("inconsistent preimage solve")
     return a

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .hopf import Elem, HopfData, Tensor
+from .hopf import HopfData, Tensor
 
 
 class ExprError(ValueError):
@@ -65,7 +65,7 @@ class _Parser:
         self.i += 1
         return t
 
-    # values are field scalars, Elem, or Tensor.
+    # values are field scalars or Tensors (an element of H has one leg).
     # '+'/'-' bind loosest, then '(x)', then '*'.
     def parse_tensorexpr(self):
         kind, val, pos = self.peek()
@@ -75,14 +75,14 @@ class _Parser:
             negate = val == "-"
         acc = self.parse_tensorterm()
         if negate:
-            acc = self._negate(acc)
+            acc = -acc
         while True:
             kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
                 term = self.parse_tensorterm()
                 if val == "-":
-                    term = self._negate(term)
+                    term = -term
                 acc = self._add(acc, term, pos)
             else:
                 return acc
@@ -96,10 +96,9 @@ class _Parser:
             return parts[0]
         if len(parts) > 3:
             raise ExprError("at most three tensor slots", self.peek()[2])
-        elems = [self._as_elem(p) for p in parts]
-        out = elems[0].tensor(elems[1])
-        if len(elems) == 3:
-            out = _tensor3(out, elems[2])
+        out = self._as_elem(parts[0])
+        for p in parts[1:]:
+            out = out.tensor(self._as_elem(p))
         return out
 
     def parse_term(self):
@@ -112,7 +111,7 @@ class _Parser:
             elif kind == "op" and val == "/":
                 self.take()
                 div = self.parse_factor()
-                if isinstance(div, (Elem, Tensor)):
+                if isinstance(div, Tensor):
                     raise ExprError("division only by scalars", pos)
                 acc = self._mul(acc, self.h.field.one / div, pos)
             else:
@@ -135,7 +134,7 @@ class _Parser:
                 raise ExprError("expected ')'", pos2)
             return inner
         if kind == "op" and val == "-":
-            return self._negate(self.parse_factor())
+            return -self.parse_factor()
         raise ExprError(f"unexpected token {val!r}", pos)
 
     def _generator_power(self, name: str, pos: int):
@@ -150,7 +149,7 @@ class _Parser:
         base = self._resolve_generator(name, pos)
         return base**exp
 
-    def _resolve_generator(self, name: str, pos: int) -> Elem:
+    def _resolve_generator(self, name: str, pos: int) -> Tensor:
         h = self.h
         if name in h.generators:
             return h.gen(name)
@@ -166,37 +165,26 @@ class _Parser:
             return acc
         raise ExprError(f"unknown generator {name!r}", pos)
 
-    def _as_elem(self, v) -> Elem:
-        if isinstance(v, Tensor):
+    def _as_elem(self, v) -> Tensor:
+        if not isinstance(v, Tensor):
+            return self.h.unit().scaled(v)
+        if v.legs != 1:
             raise ExprError("tensor slot must be an algebra element")
-        if isinstance(v, Elem):
-            return v
-        return self.h.unit().scaled(v)
-
-    def _negate(self, v):
-        if isinstance(v, (Elem, Tensor)):
-            return -v
-        return -v
+        return v
 
     def _add(self, a, b, pos):
         try:
-            if isinstance(a, (Elem, Tensor)) or isinstance(b, (Elem, Tensor)):
-                if not isinstance(a, (Elem, Tensor)):
-                    a = self._promote_like(b, a)
-                if not isinstance(b, (Elem, Tensor)):
-                    b = self._promote_like(a, b)
+            if not isinstance(a, Tensor) and isinstance(b, Tensor):
+                a = self.h.unit_tensor(b.legs).scaled(a)
+            if not isinstance(b, Tensor) and isinstance(a, Tensor):
+                b = self.h.unit_tensor(a.legs).scaled(b)
             return a + b
         except Exception as exc:  # mismatched arity
             raise ExprError(f"cannot add values: {exc}", pos)
 
-    def _promote_like(self, template, scalar):
-        if isinstance(template, Elem):
-            return self.h.unit().scaled(scalar)
-        return self.h.unit_tensor(template.legs).scaled(scalar)
-
     def _mul(self, a, b, pos):
-        a_t = isinstance(a, (Elem, Tensor))
-        b_t = isinstance(b, (Elem, Tensor))
+        a_t = isinstance(a, Tensor)
+        b_t = isinstance(b, Tensor)
         try:
             if a_t and b_t:
                 return a * b
@@ -209,27 +197,16 @@ class _Parser:
             raise ExprError(f"cannot multiply values: {exc}", pos)
 
 
-def _tensor3(t2: Tensor, e: Elem) -> Tensor:
-    h = t2.parent
-    dim = h.dim
-    out = {}
-    for k, v in t2.coeffs.items():
-        for j, c in e.coeffs.items():
-            w = v * c
-            if w:
-                out[k * dim + j] = w
-    return Tensor(h, 3, out)
-
-
 def parse_element(h: HopfData, text: str):
-    """Parse to an Elem or Tensor over h; bare scalars become multiples of 1."""
+    """Parse to a Tensor over h, an element of H when it has one leg; bare
+    scalars become multiples of 1."""
     tokens = _tokenize(text)
     p = _Parser(h, tokens)
     out = p.parse_tensorexpr()
     kind, val, pos = p.peek()
     if kind != "end":
         raise ExprError(f"trailing input {val!r}", pos)
-    if not isinstance(out, (Elem, Tensor)):
+    if not isinstance(out, Tensor):
         return h.unit().scaled(out)
     return out
 
@@ -268,7 +245,8 @@ def _format_term(q: Fraction, root: str, word: str, first: bool) -> str:
     return f" {sign} {body}"
 
 
-def format_elem(a: Elem) -> str:
+def format_elem(a: Tensor) -> str:
+    """An element of H (a 1-leg tensor) in the expression grammar."""
     h = a.parent
     if not a.coeffs:
         return "0"

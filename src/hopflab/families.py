@@ -34,7 +34,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .hopf import Elem, HopfData, HopfError, Tensor, verify_hopf
+from .hopf import HopfData, HopfError, Tensor, verify_hopf
 from .scalars import FieldSpec, get_field
 
 
@@ -79,9 +79,10 @@ class FamilySpec:
 
     @staticmethod
     def parse(text: str) -> "FamilySpec":
+        """Parse the text form; malformed text raises ValueError naming it."""
         text = text.strip()
-        if text.startswith("tensor(") and text.endswith(")"):
-            inner = text[len("tensor(") : -1]
+        if text.startswith("tensor("):
+            inner = text[len("tensor(") : -1] if text.endswith(")") else ""
             depth = 0
             for pos, ch in enumerate(inner):
                 if ch == "(":
@@ -92,10 +93,16 @@ class FamilySpec:
                     left = FamilySpec.parse(inner[:pos])
                     right = FamilySpec.parse(inner[pos + 1 :])
                     return FamilySpec("tensor", (left, right))
-            raise ValueError(f"cannot parse tensor spec {text!r}")
+            raise ValueError(f"cannot parse tensor spec {text!r}: expected tensor(A,B)")
         if ":" in text:
             kind, _, rest = text.partition(":")
-            params = tuple(int(p) for p in rest.split(",") if p != "")
+            fields = [p.strip() for p in rest.split(",")]
+            if "" in fields:
+                raise ValueError(f"family {text!r} has an empty parameter")
+            try:
+                params = tuple(int(p) for p in fields)
+            except ValueError:
+                raise ValueError(f"family {text!r}: parameters must be integers") from None
         else:
             kind, params = text, ()
         kind = kind.strip().lower()
@@ -174,7 +181,7 @@ def _finish(
     return h
 
 
-def _antipode_from_generators(bare: HopfData, words: list[list[int]], gen_images: dict[int, Elem]) -> list[dict]:
+def _antipode_from_generators(bare: HopfData, words: list[list[int]], gen_images: dict[int, Tensor]) -> list[dict]:
     """S on each basis word as the reversed product of generator images."""
     out = []
     for word in words:
@@ -526,7 +533,7 @@ def build_h8(field=None, checked: bool = True) -> HopfData:
     return build_h2n2(2, field, checked, name="H8", family=FamilySpec("h8", ()))
 
 
-def h8_idempotents(h: HopfData) -> list[Elem]:
+def h8_idempotents(h: HopfData) -> list[Tensor]:
     """The four orthogonal idempotents of the group part of H8 (or n = 2)."""
     fam = h.family
     if fam is None or not (fam.kind == "h8" or (fam.kind == "h2n2" and fam.params == (2,))):
@@ -715,31 +722,24 @@ class CoradicalProjection:
         self.images = images  # source basis index -> target basis index or None
         self.section = section  # target basis index -> source basis index
 
-    def apply(self, a: Elem) -> Elem:
-        out = {}
-        for i, c in a.coeffs.items():
-            j = self.images[i]
-            if j is None:
-                continue
-            cur = out.get(j)
-            out[j] = c if cur is None else cur + c
-        return Elem(self.target, out)
-
-    def apply2(self, t: Tensor) -> Tensor:
-        ds, dt = self.source.dim, self.target.dim
+    def apply(self, t: Tensor) -> Tensor:
+        """The projection on every slot of a tensor of any leg count."""
+        dt = self.target.dim
         out = {}
         for k, c in t.coeffs.items():
-            i, j = divmod(k, ds)
-            pi, pj = self.images[i], self.images[j]
-            if pi is None or pj is None:
-                continue
-            key = pi * dt + pj
-            cur = out.get(key)
-            out[key] = c if cur is None else cur + c
-        return Tensor(self.target, 2, out)
+            key = 0
+            for i in t._split(k):
+                j = self.images[i]
+                if j is None:
+                    break
+                key = key * dt + j
+            else:
+                cur = out.get(key)
+                out[key] = c if cur is None else cur + c
+        return Tensor(self.target, t.legs, out)
 
-    def include(self, a: Elem) -> Elem:
-        return Elem(self.source, {self.section[j]: c for j, c in a.coeffs.items()})
+    def include(self, a: Tensor) -> Tensor:
+        return Tensor(self.source, 1, {self.section[j]: c for j, c in a.coeffs.items()})
 
     def verify(self):
         """Check the morphism laws and the splitting on all basis elements."""
@@ -754,7 +754,7 @@ class CoradicalProjection:
                 rep.record("projection.mult", f"({src.labels[i]},{src.labels[j]})", lhs == rhs)
         for i in range(src.dim):
             b = src.basis_elem(i)
-            rep.record("projection.comult", src.labels[i], self.apply2(delta(b)) == delta(self.apply(b)))
+            rep.record("projection.comult", src.labels[i], self.apply(delta(b)) == delta(self.apply(b)))
             rep.record("projection.counit", src.labels[i], counit(self.apply(b)) == counit(b))
         for j in range(tgt.dim):
             rep.record("projection.section", tgt.labels[j], self.apply(self.include(tgt.basis_elem(j))) == tgt.basis_elem(j))

@@ -1,9 +1,15 @@
 """Finite-dimensional Hopf algebras as structure-constant tables.
 
 A HopfData holds a labeled basis together with sparse tables for the product,
-coproduct, counit and (optionally) antipode.  Elements and tensors are sparse
-coefficient dicts over the basis of H, H (x) H, H (x) H (x) H; tensor-square
-and -cube indices use the frozen row-major pairing (i, j) -> i*dim + j.
+coproduct, counit and (optionally) antipode.  There is one value type,
+``Tensor``: a sparse coefficient dict over the basis of H^(x)legs, indices in
+the frozen row-major pairing (i, j) -> i*dim + j.  An element of H is a
+Tensor with one leg, made by the ``HopfData`` factories (``unit``,
+``basis_elem``, ``gen``, ``zero_tensor(1)``).  The coproduct, counit and
+antipode act on any slot of any Tensor through one routine, which replaces
+the slot's e_i by the image of e_i from a table (``comult``, ``counit_images``
+or ``antipode``): ``apply_delta``, ``apply_counit`` and ``apply_antipode``,
+and ``delta`` and ``antipode`` are that routine on slot 0 of an element.
 
 Axiom verification is exhaustive over basis tuples: multilinearity makes this
 a complete check.
@@ -12,8 +18,10 @@ The structure tables are immutable after construction.  HopfData derives from
 ``mult`` once, at construction, the term table ``mult_terms``: for each cell
 (i, j) a tuple of (k, v) pairs with the zero entries of ``mult[i][j]`` dropped
 and v = None where the coefficient is the field's one.  Every product, of
-elements and of 2- and 3-tensors, runs over this table, so it skips zero
-cells, never multiplies by one and zero-tests after each multiplication.
+elements (1-leg tensors) and of 2- and 3-tensors, runs over this table, so it
+skips zero cells, never multiplies by one and zero-tests after each
+multiplication.  The counit is made into a table of images once too:
+``counit_images[i]`` is {0: epsilon(e_i)}, empty where epsilon(e_i) = 0.
 
 The table is ``monomial`` when no cell has more than one term (every family
 but the generalized Kac-Paljutkin algebras H_(2n^2), H_8 among them).  On
@@ -38,10 +46,12 @@ coefficients are those of the pairwise loop: both compute
 sum a * b * v0 * v1 over the same terms, regrouped by distributivity, a ring
 identity, and canonical exact scalars are unique.
 
-Every tensor product is one call of the sum-of-products kernel
+Every product of 2- or 3-tensors is one call of the sum-of-products kernel
 ``product_sum``: sum c * a * b over terms (c, a, b) of a scalar and two 2-
 or 3-tensors, with b None for a linear term c * a.  ``Tensor.__mul__`` is
-the one-term case, ``quantize.PolyTensor`` sums each hbar-degree in one
+the one-term case (on elements it runs the loop over ``mult_terms`` directly:
+a single product of two elements is too small to pay for a lift),
+``quantize.PolyTensor`` sums each hbar-degree in one
 call, the evaluators of ``precartier`` (the C1 commutators, the
 R-multiplied C2 and C3 and the Cartier map) each evaluate their whole
 signed sum in one call, and the C1 recheck tests t Delta(g) - Delta(g) t
@@ -197,6 +207,7 @@ class HopfData:
         entries = [v for row in self.mult_terms for cell in row for _, v in cell if v is not None]
         self.table_den, norms = field.lift(entries)
         self.table_norm = max(norms + [self.table_den])
+        self.counit_images = [{0: e} if e else {} for e in counit]  # e_i -> epsilon(e_i), a 0-leg tensor
         self._int_terms: dict = {}  # width -> int copy of mult_terms
         self.hopf_verified = False  # set by a passing verify_hopf
         self._words_span: bool | None = None  # cached _close_generator_words
@@ -220,18 +231,15 @@ class HopfData:
             self._int_terms[width] = table
         return table
 
-    # -- element / tensor factories -------------------------------------
+    # -- tensor factories; an element of H is a 1-leg tensor -------------
 
-    def zero_elem(self) -> "Elem":
-        return Elem(self, {})
+    def unit(self) -> "Tensor":
+        return Tensor(self, 1, {self.unit_index: self.field.one})
 
-    def unit(self) -> "Elem":
-        return Elem(self, {self.unit_index: self.field.one})
+    def basis_elem(self, i: int) -> "Tensor":
+        return Tensor(self, 1, {i: self.field.one})
 
-    def basis_elem(self, i: int) -> "Elem":
-        return Elem(self, {i: self.field.one})
-
-    def gen(self, name: str) -> "Elem":
+    def gen(self, name: str) -> "Tensor":
         if name not in self.generators:
             raise HopfError(f"unknown generator {name!r} for {self.name}")
         return self.basis_elem(self.generators[name])
@@ -255,95 +263,9 @@ def _check_parents(a, b):
         raise ParentMismatch("operands belong to different HopfData instances")
 
 
-class Elem:
-    """Sparse element of H."""
-
-    __slots__ = ("parent", "coeffs")
-
-    def __init__(self, parent: HopfData, coeffs: dict):
-        self.parent = parent
-        self.coeffs = {k: v for k, v in coeffs.items() if v}
-
-    @classmethod
-    def _raw(cls, parent, coeffs):
-        self = object.__new__(cls)
-        self.parent = parent
-        self.coeffs = coeffs
-        return self
-
-    def __add__(self, other):
-        _check_parents(self, other)
-        out = dict(self.coeffs)
-        vec_axpy(out, other.coeffs, self.parent.field.one)
-        return Elem._raw(self.parent, out)
-
-    def __sub__(self, other):
-        _check_parents(self, other)
-        out = dict(self.coeffs)
-        vec_axpy(out, other.coeffs, -self.parent.field.one)
-        return Elem._raw(self.parent, out)
-
-    def __neg__(self):
-        return Elem(self.parent, {k: -v for k, v in self.coeffs.items()})
-
-    def scaled(self, c) -> "Elem":
-        return Elem(self.parent, {k: c * v for k, v in self.coeffs.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, Elem):
-            return NotImplemented
-        return self.scaled(c)
-
-    def __mul__(self, other):
-        if not isinstance(other, Elem):
-            return self.scaled(other)
-        _check_parents(self, other)
-        terms = self.parent.mult_terms
-        pairs = []
-        for i, a in self.coeffs.items():
-            row = terms[i]
-            for j, b in other.coeffs.items():
-                if row[j]:
-                    pairs.append((row[j], a * b))
-        return Elem._raw(self.parent, _cell_sum(pairs))
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise HopfError("negative powers of algebra elements are not defined")
-        out = self.parent.unit()
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Elem):
-            return NotImplemented
-        _check_parents(self, other)
-        return self.coeffs == other.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def tensor(self, other: "Elem") -> "Tensor":
-        _check_parents(self, other)
-        dim = self.parent.dim
-        out = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                c = a * b
-                if c:
-                    out[i * dim + j] = c
-        return Tensor(self.parent, 2, out)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        labels = self.parent.labels
-        return " + ".join(f"({v!r})*{labels[k]}" for k, v in sorted(self.coeffs.items()))
-
-
 class Tensor:
-    """Sparse element of H^(x)legs, flattened row-major indices."""
+    """Sparse element of H^(x)legs, flattened row-major indices; an element
+    of H is a Tensor with one leg."""
 
     __slots__ = ("parent", "legs", "coeffs")
 
@@ -391,18 +313,28 @@ class Tensor:
         return Tensor(self.parent, self.legs, {k: c * v for k, v in self.coeffs.items()})
 
     def __rmul__(self, c):
-        if isinstance(c, (Tensor, Elem)):
+        if isinstance(c, Tensor):
             return NotImplemented
         return self.scaled(c)
 
     def __mul__(self, other):
-        """Componentwise (legwise) algebra product of 2- or 3-tensors."""
+        """Componentwise (legwise) algebra product of elements, 2- or
+        3-tensors; a non-Tensor operand is a scalar."""
         if not isinstance(other, Tensor):
             return self.scaled(other)
         _check_parents(self, other)
         if self.legs != other.legs:
             raise HopfError("tensor leg-count mismatch")
         h = self.parent
+        if self.legs == 1:
+            terms = h.mult_terms
+            pairs = []
+            for i, a in self.coeffs.items():
+                row = terms[i]
+                for j, b in other.coeffs.items():
+                    if row[j]:
+                        pairs.append((row[j], a * b))
+            return Tensor._raw(h, 1, _cell_sum(pairs))
         return Tensor._raw(h, self.legs, product_sum(h, self.legs, [(None, self.coeffs, other.coeffs)]))
 
     def __pow__(self, k: int):
@@ -453,20 +385,52 @@ class Tensor:
             out[idx] = v
         return Tensor(self.parent, 3, out)
 
+    def tensor(self, other: "Tensor") -> "Tensor":
+        """The outer product self (x) other, on self.legs + other.legs legs."""
+        _check_parents(self, other)
+        shift = self.parent.dim**other.legs
+        out = {}
+        for i, a in self.coeffs.items():
+            base = i * shift
+            for j, b in other.coeffs.items():
+                c = a * b
+                if c:
+                    out[base + j] = c
+        return Tensor._raw(self.parent, self.legs + other.legs, out)
+
     def apply_delta(self, slot: int) -> "Tensor":
         """Apply the coproduct to one slot, raising the leg count by one."""
+        return self._map_slot(slot, self.parent.comult, 2)
+
+    def apply_counit(self, slot: int) -> "Tensor":
+        """Apply the counit to one slot, lowering the leg count by one."""
+        return self._map_slot(slot, self.parent.counit_images, 0)
+
+    def apply_antipode(self, slot: int) -> "Tensor":
+        """Apply the antipode to one slot."""
+        h = self.parent
+        if h.antipode is None:
+            raise NoAntipode(f"{h.name} carries no antipode table")
+        return self._map_slot(slot, h.antipode, 1)
+
+    def _map_slot(self, slot: int, images: list, width: int) -> "Tensor":
+        """The linear map e_i -> images[i] on one slot, identity on the
+        others: images[i] is the coefficient dict of a ``width``-leg tensor,
+        which takes the slot's place.  The one slot loop of Delta, epsilon
+        and S."""
+        if not 0 <= slot < self.legs:
+            raise HopfError(f"slot {slot} of a {self.legs}-leg tensor")
         dim = self.parent.dim
-        comult = self.parent.comult
+        low = dim ** (self.legs - 1 - slot)  # the index range of the legs after the slot
+        high = low * dim
+        shift = dim**width
         out: dict = {}
         for k, v in self.coeffs.items():
-            parts = self._split(k)
-            t = comult[parts[slot]]
-            for kt, w in t.items():
-                a, b = divmod(kt, dim)
-                new = parts[:slot] + (a, b) + parts[slot + 1 :]
-                idx = 0
-                for p in new:
-                    idx = idx * dim + p
+            head, rest = divmod(k, high)
+            i, tail = divmod(rest, low)
+            base = head * shift
+            for kt, w in images[i].items():
+                idx = (base + kt) * low + tail
                 c = v * w
                 cur = out.get(idx)
                 if cur is None:
@@ -478,35 +442,7 @@ class Tensor:
                         out[idx] = c
                     else:
                         del out[idx]
-        return Tensor(self.parent, self.legs + 1, out)
-
-    def apply_counit(self, slot: int) -> "Tensor | Elem":
-        """Apply the counit to one slot, lowering the leg count by one."""
-        dim = self.parent.dim
-        counit = self.parent.counit
-        out: dict = {}
-        for k, v in self.coeffs.items():
-            parts = self._split(k)
-            e = counit[parts[slot]]
-            if not e:
-                continue
-            rest = parts[:slot] + parts[slot + 1 :]
-            idx = 0
-            for p in rest:
-                idx = idx * dim + p
-            c = v * e
-            cur = out.get(idx)
-            if cur is None:
-                out[idx] = c
-            else:
-                c = cur + c
-                if c:
-                    out[idx] = c
-                else:
-                    del out[idx]
-        if self.legs == 2:
-            return Elem(self.parent, out)
-        return Tensor(self.parent, self.legs - 1, out)
+        return Tensor._raw(self.parent, self.legs - 1 + width, out)
 
     def __repr__(self):
         if not self.coeffs:
@@ -527,7 +463,7 @@ def map_rows(h: HopfData, legs: int, maps, columns=None) -> dict:
 
     Column c is the tensor with coefficients ``columns[c]`` (by default the
     standard basis tensor e_c).  Each map takes a ``legs``-tensor and
-    returns a Tensor or Elem.  The result maps (map index, output
+    returns a Tensor.  The result maps (map index, output
     coordinate) to the row {c: coefficient of that coordinate in map(column
     c)}; rows that are identically zero are absent.  This is the one place
     where map images are transposed into rows: every kernel, cut and solve
@@ -1027,16 +963,12 @@ def _product3(terms: list, dim: int, ca: dict, cb: dict, out: dict | None = None
 # -- coalgebra operations ------------------------------------------------
 
 
-def delta(a: Elem) -> Tensor:
-    """Coproduct, linearly extended from the table."""
-    h = a.parent
-    out: dict = {}
-    for i, c in a.coeffs.items():
-        vec_axpy(out, h.comult[i], c)
-    return Tensor(h, 2, out)
+def delta(a: Tensor) -> Tensor:
+    """Coproduct of an element, linearly extended from the table."""
+    return a.apply_delta(0)
 
 
-def counit(a: Elem):
+def counit(a: Tensor):
     return _counit_of(a.parent, a.coeffs)
 
 
@@ -1049,14 +981,8 @@ def _counit_of(h: HopfData, coeffs: dict):
     return acc
 
 
-def antipode(a: Elem) -> Elem:
-    h = a.parent
-    if h.antipode is None:
-        raise NoAntipode(f"{h.name} carries no antipode table")
-    out: dict = {}
-    for i, c in a.coeffs.items():
-        vec_axpy(out, h.antipode[i], c)
-    return Elem(h, out)
+def antipode(a: Tensor) -> Tensor:
+    return a.apply_antipode(0)
 
 
 # -- verification ---------------------------------------------------------
@@ -1206,7 +1132,7 @@ def verify_hopf(h: HopfData) -> VerifyReport:
     for i in range(h.dim):
         b = h.basis_elem(i)
         d = delta(b)
-        target = unit.scaled(counit(b)) if h.counit[i] else h.zero_elem()
+        target = unit.scaled(counit(b)) if h.counit[i] else h.zero_tensor(1)
         left = _convolve(d, antipode_first=True)
         right = _convolve(d, antipode_first=False)
         rep.record("antipode.left", h.labels[i], left == target)
@@ -1216,18 +1142,18 @@ def verify_hopf(h: HopfData) -> VerifyReport:
     return rep
 
 
-def _convolve(d: Tensor, antipode_first: bool) -> Elem:
+def _convolve(d: Tensor, antipode_first: bool) -> Tensor:
     h = d.parent
     dim = h.dim
     out: dict = {}
     for k, v in d.coeffs.items():
         i, j = divmod(k, dim)
         if antipode_first:
-            term = Elem(h, h.antipode[i]) * h.basis_elem(j)
+            term = Tensor(h, 1, h.antipode[i]) * h.basis_elem(j)
         else:
-            term = h.basis_elem(i) * Elem(h, h.antipode[j])
+            term = h.basis_elem(i) * Tensor(h, 1, h.antipode[j])
         vec_axpy(out, term.coeffs, v)
-    return Elem(h, out)
+    return Tensor(h, 1, out)
 
 
 def verify_antipode_antihom(h: HopfData) -> VerifyReport:
@@ -1273,7 +1199,7 @@ def generators_span(h: HopfData) -> bool:
     return h._words_span
 
 
-def _generator_elems(h: HopfData) -> list[Elem]:
+def _generator_elems(h: HopfData) -> list[Tensor]:
     return [h.basis_elem(i) for i in _generator_indices(h)]
 
 

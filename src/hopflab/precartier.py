@@ -37,13 +37,13 @@ from dataclasses import dataclass, field as dc_field
 from . import cohomology
 from .expressions import format_tensor, parse_element
 from .families import FamilySpec, build
-from .hopf import Elem, HopfData, HopfError, SumMap, Tensor, _generator_elems, antipode, delta, full_space, generators_span, map_rows, product_sum, restrict_and_cut, vanishes_all
+from .hopf import HopfData, HopfError, SumMap, Tensor, _generator_elems, antipode, delta, full_space, generators_span, map_rows, product_sum, restrict_and_cut, vanishes_all
 from .linalg import SparseMat, Subspace
 from .rmatrices import (
     FamilyMismatch,
     RSpec,
     build_r,
-    enumerate_group_rmatrices,
+    enumerate_rmatrices,
     is_triangular,
     r_inverse,
     verify_qtr,
@@ -60,7 +60,7 @@ BLOCK_TAGS = ("cqtr1", "cqtr2", "cqtr3", "counit_left", "counit_right", "cartier
 # -- direct evaluators (the independent checkers) ------------------------------
 
 
-def eval_cqtr1(h: HopfData, t: Tensor, b: Elem) -> Tensor:
+def eval_cqtr1(h: HopfData, t: Tensor, b: Tensor) -> Tensor:
     return _commutator(h, t, delta(b))
 
 
@@ -113,7 +113,7 @@ def eval_cocycle(h: HopfData, t: Tensor) -> Tensor:
     return t.leg(12) + t.apply_delta(0) - t.leg(23) - t.apply_delta(1)
 
 
-def eval_counits(h: HopfData, t: Tensor) -> tuple[Elem, Elem]:
+def eval_counits(h: HopfData, t: Tensor) -> tuple[Tensor, Tensor]:
     return t.apply_counit(1), t.apply_counit(0)
 
 
@@ -258,12 +258,12 @@ def cartier_coboundary_check(h: HopfData, r: Tensor, chi_space: Subspace, cart: 
     return cart == chi_space.intersect(cache["b2"])
 
 
-def casimir(h: HopfData, chi: Tensor) -> Elem:
+def casimir(h: HopfData, chi: Tensor) -> Tensor:
     """m(S (x) Id)(chi)."""
     if h.antipode is None:
         raise PreCartierError("Casimir element needs an antipode")
     dim = h.dim
-    out = h.zero_elem()
+    out = h.zero_tensor(1)
     for k, v in chi.coeffs.items():
         i, j = divmod(k, dim)
         out = out + (antipode(h.basis_elem(i)) * h.basis_elem(j)).scaled(v)
@@ -496,15 +496,13 @@ def classify(
 
 
 def classify_enumerated(family_spec: FamilySpec | str, field_spec=None, with_cohomology: bool = True) -> list[ClassificationReport]:
-    """Classification over every registered or enumerated R for the family."""
-    from .rmatrices import registered_rspecs
-
+    """Classification over every R of ``rmatrices.enumerate_rmatrices`` for
+    the family; an enumeration survivor is classified with the R and report
+    the enumeration made."""
     if isinstance(family_spec, str):
         family_spec = FamilySpec.parse(family_spec)
-    if family_spec.kind == "h2n2":
-        h = build(family_spec, field_spec)
-        out = []
-        for spec, r, qrep in enumerate_group_rmatrices(h, with_specs=True):
-            out.append(classify(family_spec, spec, field_spec, with_cohomology, prebuilt=(r, qrep)))
-        return out
-    return [classify(family_spec, spec, field_spec, with_cohomology) for spec in registered_rspecs(family_spec)]
+    h = build(family_spec, field_spec)
+    return [
+        classify(family_spec, spec, field_spec, with_cohomology, prebuilt=None if r is None else (r, qrep))
+        for spec, r, qrep in enumerate_rmatrices(h)
+    ]

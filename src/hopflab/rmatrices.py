@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .expressions import ExprError, parse_element, parse_scalar
 from .families import h8_idempotents
-from .hopf import HopfData, HopfError, Tensor, VerifyReport, antipode, cocommutativity_indices, delta, map_rows
+from .hopf import HopfData, HopfError, Tensor, VerifyReport, cocommutativity_indices, delta, map_rows
 from .linalg import solve, vec_axpy
 
 
@@ -364,7 +364,7 @@ def r_inverse(h: HopfData, r: Tensor) -> Tensor:
     """
     # a tensor of another algebra or leg count fails in the solve path, as before
     if h.antipode is not None and r.parent is h and r.legs == 2:
-        cand = apply_antipode_leg(r, 0)
+        cand = r.apply_antipode(0)
         one2 = h.unit_tensor(2)
         if r * cand == one2 and cand * r == one2:
             return cand
@@ -385,20 +385,6 @@ def _solve_inverse(h: HopfData, r: Tensor) -> Tensor:
     if r * x != one2 or x * r != one2:
         raise NotInvertible("solve produced a one-sided candidate only")
     return x
-
-
-def apply_antipode_leg(r: Tensor, slot: int) -> Tensor:
-    """(S (x) Id) or (Id (x) S) on a 2-tensor."""
-    h = r.parent
-    dim = h.dim
-    out = h.zero_tensor(2)
-    for k, v in r.coeffs.items():
-        i, j = divmod(k, dim)
-        if slot == 0:
-            out = out + antipode(h.basis_elem(i)).tensor(h.basis_elem(j)).scaled(v)
-        else:
-            out = out + h.basis_elem(i).tensor(antipode(h.basis_elem(j))).scaled(v)
-    return out
 
 
 @dataclass
@@ -442,7 +428,7 @@ def verify_qtr(h: HopfData, r: Tensor) -> QtrReport:
     rep.record("counit.right", "", r.apply_counit(1) == one)
     rep.record("qyb", "", r12 * r13 * r23 == r23 * r13 * r12)
     if h.antipode is not None and rep.ok:
-        rep.record("antipode-inverse", "", apply_antipode_leg(r, 0) == rinv)
+        rep.record("antipode-inverse", "", r.apply_antipode(0) == rinv)
     return rep
 
 
@@ -590,3 +576,21 @@ def registered_rspecs(family_spec) -> list[RSpec]:
     if kind == "h2n2":
         return []  # enumerated at run time
     return []
+
+
+def enumerate_rmatrices(h: HopfData) -> list:
+    """The R-matrices ``--r enumerate`` iterates for the family of h, as
+    (spec, R, QtrReport): on H_(2n^2) the survivors of
+    ``enumerate_group_rmatrices``, already built and verified; on any other
+    family the ``registered_rspecs``, with R and the report None for the
+    caller to build and verify.  A family with neither (``radford``,
+    ``tensor``) raises RSpecError: there is nothing to enumerate, and the
+    R-free classification is ``--r none``."""
+    fam = h.family
+    if fam is not None and fam.kind == "h2n2":
+        found = enumerate_group_rmatrices(h, with_specs=True)
+    else:
+        found = [(spec, None, None) for spec in registered_rspecs(fam)] if fam is not None else []
+    if not found:
+        raise RSpecError(f"--r enumerate: family {fam} has no registered or enumerated R-matrix; use --r none")
+    return found

@@ -773,7 +773,7 @@ def residue_map(x) -> tuple:
       for D prime to p.
     - Q(zeta_M): p the least prime p = 1 mod M above 2^31, zeta -> omega, a
       primitive M-th root of unity mod p.  omega is a root of Phi_M mod p,
-      so this is ``scalar_morphism`` on raw ints.
+      so Z[zeta_M] -> F_p, zeta -> omega, is well defined.
     - F_p: the residues themselves."""
     if isinstance(x, PrimeElt):
         return _prime_residues(x.field)
@@ -838,26 +838,3 @@ def _cyclotomic_residues(field: "CycField") -> tuple:
         return acc * pow(den, -1, p) % p
 
     return p, phi
-
-
-def scalar_morphism(src, dst, root_image=None):
-    """Ring morphism from a rational/cyclotomic field into a prime field.
-
-    ``root_image`` is the image of zeta_M (an element of ``dst`` of exact
-    order M); it defaults to dst.make_root(M).  Applied to Fraction or CycElt.
-    """
-    if isinstance(src, RationalField):
-        return lambda q: dst.from_fraction(q)
-    if root_image is None:
-        root_image = dst.make_root(src.order)
-
-    def apply(x):
-        acc = dst.zero
-        power = dst.one
-        for c in x.coeffs:
-            if c:
-                acc = acc + dst.from_fraction(c) * power
-            power = power * root_image
-        return acc
-
-    return apply

@@ -121,8 +121,9 @@ def direct_images(maps, t) -> dict:
 
 
 def oracle_verify_bialgebra(h) -> VerifyReport:
-    """The bialgebra check on element arithmetic: every product an ``Elem``
-    or ``Tensor`` product, every comparison of field elements.  Same laws,
+    """The bialgebra check on element arithmetic: every product a ``Tensor``
+    product (of elements, 1-leg tensors, or of 2-tensors), every comparison
+    of field elements.  Same laws,
     witnesses, failure order and ``checks`` as ``hopf.verify_bialgebra``."""
     rep = VerifyReport(f"bialgebra({h.name})")
     dim = h.dim

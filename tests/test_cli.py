@@ -132,6 +132,25 @@ def test_classify_report_bytes(capsys, family, rspec, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        # the R builders' outer products of elements
+        (["enumerate-r", "--family", "en:3"], "4bf53857a49aa4e626b3e3579b3fb0482dd49a1799b1754177115fad48a1fb30"),
+        (["enumerate-r", "--family", "ac2n:3"], "e45dcc11b46004ab6f64817372d094aefe298a9284fb73a69b3fed3b30223ee5"),
+        # the unit insertions of the cobar differential
+        (["cohomology", "--family", "h8"], "62a440ff1cb7b6cad0e969187908d01b0626fdcb37da0108f2ea8ddf7eba0a55"),
+        # the enumeration survivors' reports, passed to the task
+        (["verify", "--family", "h2n2:3", "--r", "enumerate"], "3ac6df7e0e066a805f9037c570b8daefd358132d71523309ca59e605aa6332af"),
+    ],
+    ids=["enumerate-r-en:3", "enumerate-r-ac2n:3", "cohomology-h8", "verify-h2n2:3"],
+)
+def test_command_output_bytes(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("field", [None, "prime:97"])
 def test_quantize_report_bytes(capsys, field):
     """E(3) quantization over Q and over F_97 (the integer lift of both, and
@@ -211,10 +230,16 @@ def test_bad_r_spec_exit_2(capsys, family, rspec):
         (["classify", "--family", "tensor(h2n2:0,en:1)"], "family h2n2:0: n must be >= 2"),
         (["classify", "--family", "en:2", "--field", "prime:2"], "characteristic 2"),  # excluded by the family
         (["quantize", "--family", "en:2", "--r", "en-a:[[0,0],[0,0]]", "--chi", "(("], None),
+        (["classify", "--family", "en:x"], "family 'en:x': parameters must be integers"),
+        (["classify", "--family", "group:2,x"], "family 'group:2,x': parameters must be integers"),
+        (["classify", "--family", "tensor(en:1"], "cannot parse tensor spec 'tensor(en:1'"),
+        (["classify", "--family", "en:1,"], "family 'en:1,' has an empty parameter"),
+        (["classify", "--family", "en:1,,2"], "family 'en:1,,2' has an empty parameter"),
     ],
     ids=[
         "en", "h8:3", "en:1,5", "radford:2", "en:0", "h2n2:1", "group:0", "radford:0,2",
         "h2n2:0", "h2n2:-3", "radford:1,0", "radford:-1,2", "tensor-h2n2:0", "en:2-F2", "chi",
+        "en:x", "group:2,x", "tensor-unclosed", "en:1-trailing-comma", "en:1-empty-middle",
     ],
 )
 def test_bad_family_or_chi_exit_2(capsys, argv, message):
@@ -315,3 +340,48 @@ def test_classify_inverts_each_r_once(capsys, monkeypatch):
     assert code == 0
     assert len(json.loads(out)) == 3
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("task", ["classify", "verify", "quantize"])
+@pytest.mark.parametrize("family", ["radford:2,2", "tensor(en:1,group:2)"])
+def test_enumerate_with_nothing_to_enumerate_exit_2(capsys, task, family):
+    """A family with no registered or enumerated R is a configuration error
+    under ``--r enumerate``, for every task that takes R."""
+    code, out, err = run_cli(capsys, task, "--family", family, "--r", "enumerate")
+    assert code == 2
+    assert err.startswith("config error:")
+    assert f"family {family} has no registered or enumerated R-matrix" in err and "--r none" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("task", ["verify", "quantize"])
+def test_enumeration_survivors_are_verified_once(capsys, monkeypatch, task):
+    """``verify`` and ``quantize`` take the enumeration's survivors with
+    their reports: ``verify_qtr`` runs once per survivor (9 on h2n2:3),
+    inside the enumeration, and no R is built or inverted again.  The
+    quantize solve is stubbed out (no chi): only the R's are counted."""
+    import hopflab.rmatrices as rm
+    from hopflab.linalg import Subspace
+
+    calls, builds = [], []
+    monkeypatch.setattr(cli, "solve_infinitesimal", lambda h, r, rinv, commutant: Subspace(h.dim**2, (), ()))
+    monkeypatch.setattr(cli, "r_inverse", lambda h, r: pytest.fail("R inverted again"))
+    verify_qtr, build_r = rm.verify_qtr, rm.build_r
+
+    def counting_verify(h, r):
+        calls.append(r)
+        return verify_qtr(h, r)
+
+    def counting_build(h, spec):
+        builds.append(spec)
+        return build_r(h, spec)
+
+    for module in (cli, rm):
+        monkeypatch.setattr(module, "verify_qtr", counting_verify)
+    monkeypatch.setattr(cli, "build_r", counting_build)
+    code, out, _ = run_cli(capsys, task, "--family", "h2n2:3", "--r", "enumerate")
+    assert code == 0
+    if task == "verify":
+        assert len(json.loads(out)["r_reports"]) == 9
+    assert len(calls) == 9
+    assert builds == []

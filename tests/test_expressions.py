@@ -6,7 +6,7 @@ import pytest
 from conftest import random_sparse_tensor
 from hopflab.expressions import ExprError, format_elem, format_tensor, parse_element, parse_scalar
 from hopflab.families import build
-from hopflab.hopf import Elem, Tensor
+from hopflab.hopf import Tensor
 from hopflab.scalars import FieldSpec, get_field
 
 
@@ -18,7 +18,7 @@ def test_tensor_separator(ac22):
 
 def test_zero(en2):
     v = parse_element(en2, "0")
-    assert isinstance(v, Elem) and not v
+    assert isinstance(v, Tensor) and v.legs == 1 and not v
 
 
 def test_leading_group_term(en2):
@@ -63,6 +63,14 @@ def test_syntax_error_has_position(en2):
         parse_element(en2, "g (x) g (x) g (x) g")
 
 
+@pytest.mark.parametrize("text", ["(x1 (x) g)*x1", "x1*(x1 (x) g)", "(x1 (x) g) + x1"])
+def test_mixed_leg_counts_are_refused(en2, text):
+    """An element and a 2-tensor neither multiply nor add: the element is
+    never taken for a scalar coefficient."""
+    with pytest.raises(ExprError):
+        parse_element(en2, text)
+
+
 def test_parse_scalar_forms():
     Q8 = get_field(FieldSpec("cyclotomic", order=8))
     assert parse_scalar(Q8, "3") == Q8.from_int(3)
@@ -83,7 +91,7 @@ def test_roundtrip_elems(en2, rng):
             coeffs[rng.randrange(en2.dim)] = en2.field.from_fraction(
                 Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             )
-        e = Elem(en2, coeffs)
+        e = Tensor(en2, 1, coeffs)
         assert parse_element(en2, format_elem(e)) == e
 
 
@@ -107,5 +115,5 @@ def test_roundtrip_cyclotomic_coefficients(h8, rng):
 
 def test_format_zero(en2):
     assert format_tensor(en2.zero_tensor(2)) == "0"
-    assert format_elem(en2.zero_elem()) == "0"
+    assert format_elem(en2.zero_tensor(1)) == "0"
     assert parse_element(en2, "0 (x) g") == en2.zero_tensor(2)

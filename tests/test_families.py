@@ -211,7 +211,7 @@ def test_coradical_projection_en(en2):
     proj = coradical_projection(en2)
     g = en2.gen("g")
     x1, x2 = en2.gen("x1"), en2.gen("x2")
-    assert proj.apply(g * x1 * x2) == proj.target.zero_elem()
+    assert proj.apply(g * x1 * x2) == proj.target.zero_tensor(1)
     assert proj.apply(g) == proj.target.gen("g")
     assert proj.verify().ok
 

@@ -23,7 +23,6 @@ from hopflab.cohomology import b_apply
 from hopflab.expressions import format_tensor
 from hopflab.families import build, build_en
 from hopflab.hopf import (
-    Elem,
     HopfData,
     HopfError,
     ParentMismatch,
@@ -62,7 +61,7 @@ def test_en2_generator_relation(en2):
     g, x1 = en2.gen("g"), en2.gen("x1")
     assert (g * x1) * g == -x1
     assert g * x1 == -(x1 * g)
-    assert x1 * x1 == en2.zero_elem()
+    assert x1 * x1 == en2.zero_tensor(1)
 
 
 def test_h8_z_square(h8):
@@ -95,6 +94,86 @@ def test_en2_delta_of_product_matches_multiplicativity(en2):
         + en2.unit().tensor(x1 * x2)
     )
     assert delta(x1 * x2) == expected
+
+
+# -- one element type: slot maps and outer products on any leg count -------------
+
+SLOT_MAP_FIELDS = [("en:2", None), ("h2n2:3", None), ("h8", "prime:97")]  # Q, Q(zeta3), F_97
+
+
+def _random_tensor(h, rng, legs):
+    """A sparse random tensor whose coefficients are rationals times powers
+    of the field's root of unity (of order 1 over Q)."""
+    f = h.field
+    order = {"h2n2": 3, "h8": 8}.get(h.family.kind, 1)
+    root = f.make_root(order)
+    coeffs = {}
+    for _ in range(6):
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        coeffs[rng.randrange(h.dim**legs)] = f.from_fraction(q) * root ** rng.randrange(order)
+    return Tensor(h, legs, coeffs)
+
+
+def _legs_of(h, legs: int, k: int) -> tuple:
+    parts = []
+    for _ in range(legs):
+        k, i = divmod(k, h.dim)
+        parts.insert(0, i)
+    return tuple(parts)
+
+
+def _by_legs(t: Tensor) -> dict:
+    return {_legs_of(t.parent, t.legs, k): v for k, v in t.coeffs.items()}
+
+
+def _legwise_reference(t: Tensor, slot: int, images) -> dict:
+    """The slot map term by term: every term of t, split into its legs, has
+    the leg at ``slot`` replaced by each (legs, coefficient) of its image."""
+    h = t.parent
+    out = {}
+    for parts, v in _by_legs(t).items():
+        for legs, w in images(parts[slot]):
+            key = parts[:slot] + legs + parts[slot + 1 :]
+            out[key] = out.get(key, h.field.zero) + v * w
+    return {key: c for key, c in out.items() if c}
+
+
+def _table_images(h):
+    """e_i -> its image as (legs, coefficient) pairs, read off the tables."""
+    return {
+        "apply_delta": lambda i: [(divmod(k, h.dim), w) for k, w in h.comult[i].items()],
+        "apply_counit": lambda i: [((), h.counit[i])],
+        "apply_antipode": lambda i: [((j,), w) for j, w in h.antipode[i].items()],
+    }
+
+
+@pytest.mark.parametrize("family,field", SLOT_MAP_FIELDS, ids=[f for f, _ in SLOT_MAP_FIELDS])
+def test_slot_maps_match_the_legwise_expansion(family, field, rng):
+    """Delta, epsilon and S on every slot of 1-, 2- and 3-leg tensors are the
+    term-by-term expansion of ``h.comult``, ``h.counit`` and ``h.antipode``."""
+    h = build(family, FieldSpec.parse(field) if field else None)
+    width = {"apply_delta": 2, "apply_counit": 0, "apply_antipode": 1}
+    for legs in (1, 2, 3):
+        for _ in range(3):
+            t = _random_tensor(h, rng, legs)
+            for name, images in _table_images(h).items():
+                for slot in range(legs):
+                    image = getattr(t, name)(slot)
+                    assert image.legs == legs - 1 + width[name]
+                    assert _by_legs(image) == _legwise_reference(t, slot, images), (name, legs, slot)
+    x = h.basis_elem(1)
+    assert delta(x) == x.apply_delta(0) and antipode(x) == x.apply_antipode(0)
+    with pytest.raises(HopfError):
+        x.apply_delta(1)
+
+
+@pytest.mark.parametrize(
+    "left,right,text",
+    [("x1", "g", "x1 (x) g"), ("g*x2", "x1 (x) g", "g*x2 (x) x1 (x) g"), ("x1 (x) g", "x2 - g", "x1 (x) g (x) x2 - x1 (x) g (x) g")],
+    ids=["1,1", "1,2", "2,1"],
+)
+def test_outer_product_matches_parse(en2, left, right, text):
+    assert pe(en2, left).tensor(pe(en2, right)) == pe(en2, text)
 
 
 def test_verify_group_algebra(kc2):
@@ -595,13 +674,14 @@ def test_product_kernel_wide_slots_three_legs(h2n2_3):
 
 
 def test_product_kernel_leg_counts(en2):
-    two = en2.unit_tensor(2)
-    with pytest.raises(HopfError):
-        two * en2.unit_tensor(3)
-    for legs in (1, 4):
+    """Elements (1-leg tensors), 2- and 3-tensors multiply; 4-tensors and
+    operands of different leg counts do not."""
+    for legs in (1, 2, 3):
         t = en2.unit_tensor(legs)
+        assert t * t == t
+    for a, b in ((2, 3), (1, 2), (2, 1), (4, 4)):
         with pytest.raises(HopfError):
-            t * t
+            en2.unit_tensor(a) * en2.unit_tensor(b)
 
 
 # -- the factorized 2-leg loop of non-monomial tables ------------------------------
@@ -638,8 +718,8 @@ def test_elem_product_matches_reference(family, rng):
     f = h.field
     for _ in range(5):
         a, b = ({rng.randrange(h.dim): f.from_int(rng.randint(-9, 9)) for _ in range(6)} for _ in range(2))
-        a, b = Elem(h, a), Elem(h, b)
-        assert (a * b).coeffs == Elem(h, reference_elem_product(a, b)).coeffs
+        a, b = Tensor(h, 1, a), Tensor(h, 1, b)
+        assert (a * b).coeffs == Tensor(h, 1, reference_elem_product(a, b)).coeffs
 
 
 class NoZeroMul:
@@ -744,8 +824,8 @@ def test_cancelling_operands_cancel(family):
     j0 = next(iter(b.coeffs)) // dim
     col = [(k // dim, v) for k, v in a.coeffs.items() if k % dim == z]
     row = [(k % dim, v) for k, v in b.coeffs.items() if k // dim == j0]
-    lsum = sum((Elem(h, {i0: v}) * h.basis_elem(j0) for i0, v in col), h.zero_elem())
-    rsum = sum((h.basis_elem(z) * Elem(h, {j1: v}) for j1, v in row), h.zero_elem())
+    lsum = sum((Tensor(h, 1, {i0: v}) * h.basis_elem(j0) for i0, v in col), h.zero_tensor(1))
+    rsum = sum((h.basis_elem(z) * Tensor(h, 1, {j1: v}) for j1, v in row), h.zero_tensor(1))
     assert len(lsum.coeffs) < len({k for i0, _ in col for k, _ in h.mult_terms[i0][j0]})
     assert len(rsum.coeffs) < len({k for j1, _ in row for k, _ in h.mult_terms[z][j1]})
 

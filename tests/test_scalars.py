@@ -16,7 +16,6 @@ from hopflab.scalars import (
     make_root,
     primitive_roots,
     residue_map,
-    scalar_morphism,
 )
 
 Q = get_field(FieldSpec("cyclotomic", order=1))
@@ -165,14 +164,6 @@ def test_canonical_form_idempotent(coeffs):
     again = Q8.from_coeffs(x.coeffs)
     assert x == again
     assert x.nums == again.nums and x.den == again.den
-
-
-@settings(max_examples=40, deadline=None)
-@given(scalars8, scalars8)
-def test_prime_field_morphism(a, b):
-    phi = scalar_morphism(Q8, F97)
-    assert phi(a + b) == phi(a) + phi(b)
-    assert phi(a * b) == phi(a) * phi(b)
 
 
 @settings(max_examples=40, deadline=None)
