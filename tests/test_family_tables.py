@@ -1,4 +1,6 @@
-"""Pinned structure tables of the quantum-linear-space families.
+"""Pinned structure tables of the families whose coproduct, antipode and
+counit are derived from their letters: the quantum linear spaces (E(n),
+A_{C2^n}, H_(r,n)), group algebras, H_{2n^2} with H8, and (A''_C4)*.
 
 Each digest is the sha256 of a canonical serialization of a built instance:
 labels, unit index, generators in order, name, family, and the sorted items of
@@ -17,9 +19,12 @@ from hopflab.scalars import FieldSpec
 
 F97 = FieldSpec("prime", p=97)
 
-SPECS = [f"en:{n}" for n in range(1, 5)] + [f"ac2n:{n}" for n in range(2, 6)] + [
-    f"radford:{r},{n}" for r, n in ((1, 2), (2, 2), (2, 3), (3, 2), (1, 3), (1, 4))
-]
+SPECS = (
+    [f"en:{n}" for n in range(1, 5)]
+    + [f"ac2n:{n}" for n in range(2, 6)]
+    + [f"radford:{r},{n}" for r, n in ((1, 2), (2, 2), (2, 3), (3, 2), (1, 3), (1, 4))]
+    + ["group:2,2,2", "group:2,1,3", "group", "h8", "h2n2:2", "h2n2:3", "h2n2:4", "ac4dual"]
+)
 
 
 def table_digest(h) -> str:
@@ -70,6 +75,22 @@ TABLE_DIGESTS = {
     ("radford:1,3", "prime:97"): "9be94839c6f800c4153640bebb36c3110809fe03f999cb11fddc09b53d25d1d8",
     ("radford:1,4", "default"): "4286a72f06930dccbfe5fac0063e353d0b85c570d9bbf0388daeb467ed2c5447",
     ("radford:1,4", "prime:97"): "e71abee852eb3052d8a3e0069099d2b3f7ad88df3324c5c57c2d11f413582df3",
+    ("group:2,2,2", "default"): "fce8fd0f920b711cc64e7281ce080ea1c31943056b1b52db220492803aae52a8",
+    ("group:2,2,2", "prime:97"): "31f2911bc1abab954c7095dbf9324df226cd47e4b15dd984f66f89b3cf7dbd76",
+    ("group:2,1,3", "default"): "b3648877b1b82cd7ce36bd60981873913e1a889bb238c19e16dfb1700db5d45c",
+    ("group:2,1,3", "prime:97"): "0f84fd535168263dfc72eba7614e53f9828708e1d661b2874cdecac8f6232353",
+    ("group", "default"): "9ad0fefde16e8cc80bdf8e0280632ea16f829ccbf3bdc23a0a9f0168c82f131b",
+    ("group", "prime:97"): "e2b21096e4e237cbba5a6fab68f8cb02dc52ff55966c5bd5979ae26e6b0899f8",
+    ("h8", "default"): "015d19af8e70022c781e12c3b0c90789cfb723637c13447db5910b2ee1701401",
+    ("h8", "prime:97"): "7baa68f241088376774b4fc6f94b6aa9053007ca899e185c6c2dfca257c76828",
+    ("h2n2:2", "default"): "6387b3c825a29d01995709c5f079f03877d2d67b22e2ae61ad9cd54010bf2022",
+    ("h2n2:2", "prime:97"): "fb9b1a8395aa13535f792e5e373d6d8ee8ded997a14b7cfce99af5c7cff637c2",
+    ("h2n2:3", "default"): "fd1b3362ccbe6aa174b2160235c3ff5f5f86d7073cc0a62c705776ace51cd33b",
+    ("h2n2:3", "prime:97"): "498952d3cbfadd6b86cda3e0c1355485e65eaf4f26016803e62de11fe329ae16",
+    ("h2n2:4", "default"): "ec28fbbbbf68d0663b3dcbd39d8e345b79abed7cea54bd075fea00a9ccf67792",
+    ("h2n2:4", "prime:97"): "e834069369721c6d58be0007fbc2a4c3a0920ee0a8cecabddd8bb7920fd02e5b",
+    ("ac4dual", "default"): "199ea0d0f0ff3174ceed0f8d041d004dfd8a1323a68192c549d54dcb47929154",
+    ("ac4dual", "prime:97"): "ba700580cba93ccc530f1e628444130abc22ccdb65f6e5df16ff506036e6cfb3",
 }
 
 
