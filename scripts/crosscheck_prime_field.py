@@ -2,9 +2,9 @@
 """Prime-field cross-validation: rerun the key classifications over F_p
 (p = 1 mod 8 so every needed root of unity exists) and diff the dimension
 results against the rational/cyclotomic runs; run ``verify_hopf`` over F_p
-on each case family and on each quantum-linear-space family of the batch
-(E(n), A_{C2^n}, H_(r,n) in ``run_classifications.FAMILIES``) and compare
-its outcome and check count with the exact field's; then run the E(3)
+on each case family and on each family of the batch
+(``run_classifications.FAMILIES``) and compare its outcome and check count
+with the exact field's; then run the E(3)
 quantization over Q and over F_p and compare its reports entry by entry.
 
     python scripts/crosscheck_prime_field.py [--prime P]
@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from run_classifications import FAMILIES
 from hopflab.cli import main as cli_main
-from hopflab.families import FamilySpec, build
+from hopflab.families import build
 from hopflab.hopf import verify_hopf
 from hopflab.precartier import classify
 from hopflab.scalars import FieldSpec
@@ -35,11 +35,8 @@ CASES = [
     ("radford:2,2", None),
 ]
 
-# every case family, then the batch families the quantum-linear-space builder makes
-VERIFY_FAMILIES = list(dict.fromkeys(
-    [family for family, _ in CASES]
-    + [family for family, _ in FAMILIES if FamilySpec.parse(family).kind in ("en", "ac2n", "radford")]
-))
+# every case family, then every batch family (F_97 holds zeta_3, zeta_4 and zeta_8)
+VERIFY_FAMILIES = list(dict.fromkeys([family for family, _ in CASES] + [family for family, _ in FAMILIES]))
 
 QUANTIZE_FAMILY = "en:3"
 

@@ -27,7 +27,6 @@ from .rmatrices import (
     enumerate_group_rmatrices,
     enumerate_rmatrices,
     r_inverse,
-    registered_rspecs,
     verify_qtr,
 )
 from .scalars import FieldSpec, OrderUnavailable
@@ -198,11 +197,9 @@ def run(cfg: RunConfig) -> int:
             h = build(fam_spec, field_spec)
             if fam_spec.kind in ("h2n2", "h8"):
                 found = enumerate_group_rmatrices(h, with_specs=True)
-                payload = [{"r": str(spec), "tensor": format_tensor(r)} for spec, r, _ in found]
-            else:
-                payload = [{"r": str(spec), "tensor": format_tensor(build_r(h, spec))}
-                           for spec in registered_rspecs(fam_spec)]
-            _emit(cfg, payload)
+            else:  # a family with nothing to enumerate raises RSpecError, exit 2
+                found = [(spec, build_r(h, spec), None) for spec, _, _ in enumerate_rmatrices(h)]
+            _emit(cfg, [{"r": str(spec), "tensor": format_tensor(r)} for spec, r, _ in found])
         else:
             sys.stderr.write(f"config error: unknown task {task!r}\n")
             return 2

@@ -1,19 +1,30 @@
 """Constructors for the Hopf algebra families under study; each produces a
 verified HopfData with frozen canonical basis labels.
 
-E(n), A_{C2^n} and H_(r,n) are quantum linear spaces (Andruskiewitsch-
-Schneider, J. Algebra 209, 1998), built by ``build_quantum_linear_space`` from
-letters y_1..y_L in word order: group-likes g with g^ord = 1 and
-skew-primitives x with x^N = 0 and Delta(x) = x (x) h + g (x) x for group
-monomials g, h.  With y_t y_s = c_ts y_s y_t (t after s), the monomials
-y^a = y_1^a_1 ... y_L^a_L are a basis and
+Every family but tensor products is presented by a few letters, and each basis
+element is a word in them.  Delta is an algebra map and S an anti-algebra map,
+so the letters' Delta, S and epsilon fix them on the whole basis
+(Andruskiewitsch-Schneider, J. Algebra 209, 1998).  ``_from_letters`` derives
+them by the letter rule
+
+    Delta(w y) = Delta(w) Delta(y),   S(y_1 ... y_k) = S(y_k) ... S(y_1),
+    epsilon(y_1 ... y_k) = epsilon(y_1) ... epsilon(y_k),
+
+from the product table, the word of each basis element and each letter's
+Delta, S and epsilon.
+
+E(n), A_{C2^n}, H_(r,n) and the group algebras are quantum linear spaces,
+built by ``build_quantum_linear_space`` from letters y_1..y_L in word order:
+group-likes g with g^ord = 1 and skew-primitives x with x^N = 0 and
+Delta(x) = x (x) h + g (x) x for group monomials g, h.  With y_t y_s =
+c_ts y_s y_t (t after s), the monomials y^a = y_1^a_1 ... y_L^a_L are a basis
+and
 
     (y^a)(y^b) = prod_{t>s} c_ts^(a_t b_s) y^(a+b),
 
 group exponents reduced modulo their order, 0 once a nilpotent one reaches N.
-Delta(y^a) = Delta(y^a less its last letter) Delta(last letter); S(g) = g^-1
-and S(x) = -g^-1 x h^-1 extend as an antihomomorphism; epsilon is 1 on x-free
-monomials and 0 otherwise.  The families' data:
+The letters' data: Delta(g) = g (x) g, S(g) = g^-1, epsilon(g) = 1, and
+S(x) = -g^-1 x h^-1, epsilon(x) = 0.  The families' data:
 
 - E(n): letters (g, x1..xn), order 2 each, all pairwise anticommuting;
   Delta(x_i) = x_i (x) 1 + g (x) x_i; basis in lex order of (g, x_n..x_1).
@@ -21,9 +32,20 @@ monomials and 0 otherwise.  The families' data:
   anticommuting with x; Delta(x) = 1 (x) x + x (x) g; lex order of the letters.
 - H_(r,n): letters (g, x), g of order rn, x^n = 0, x g = q g x with
   q = zeta_(rn); Delta(x) = 1 (x) x + x (x) g^r; lex order of (g, x).
+- prod C_(n_i): the commuting group-like letters of order n_i > 1.
 
-The other families (H_{2n^2}, H8, (A''_C4)*, group algebras, tensor products)
-have their own constructors.
+(A''_C4)* has the algebra of the quantum linear space on letters (x, g), x^2 = 0
+with Delta(x) = 1 (x) x + x (x) g^2, g of order 4, g x = w^3 x g for
+w = zeta_4; only Delta(g) = g (x) g - 2 gx (x) g^3 x is its own.
+
+H_{2n^2} (H8 at n = 2) keeps its own product table, as z^2 in kG is no
+quantum-linear-space relation.  Its words are x^i y^j z^t, with
+Delta(x) = x (x) x, Delta(y) = y (x) y,
+Delta(z) = sum_(a,b) n^-1 q^(-ab) x^a z (x) y^b z, S(x) = x^(n-1),
+S(y) = y^(n-1), S(z) = z and epsilon 1 on each letter.
+
+Tensor products keep the componentwise closed form: their factors carry no
+letter words.
 """
 
 from __future__ import annotations
@@ -34,7 +56,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .hopf import HopfData, HopfError, Tensor, verify_hopf
+from .hopf import HopfData, HopfError, Tensor, product_sums, verify_hopf
 from .scalars import FieldSpec, get_field
 
 
@@ -139,12 +161,6 @@ class FamilySpec:
         return f"{self.kind}:{','.join(str(p) for p in self.params)}"
 
 
-def _pow_label(name: str, e: int) -> str:
-    if e == 1:
-        return name
-    return f"{name}^{e}"
-
-
 def _word(factors: list[str]) -> str:
     return "*".join(factors) if factors else "1"
 
@@ -181,25 +197,34 @@ def _finish(
     return h
 
 
-def _antipode_from_generators(bare: HopfData, words: list[list[int]], gen_images: dict[int, Tensor]) -> list[dict]:
-    """S on each basis word as the reversed product of generator images."""
-    out = []
-    for word in words:
-        acc = bare.unit()
-        for g in reversed(word):
-            acc = acc * gen_images[g]
-        out.append(acc.coeffs)
-    return out
+def _words(exps: list[tuple]) -> list[tuple]:
+    """The letter word y_1^a_1 ... y_L^a_L of each exponent vector a."""
+    return [tuple(t for t, e in enumerate(a) for _ in range(e)) for a in exps]
 
 
-def _comult_from_generators(bare: HopfData, words: list[list[int]], gen_images: dict[int, Tensor]) -> list[dict]:
-    out = []
+def _from_letters(bare: HopfData, words: list[tuple], letters: list[tuple], generators: dict, family, checked: bool) -> HopfData:
+    """The Hopf algebra on the algebra ``bare`` whose basis element i is the
+    product of the letters of ``words[i]`` (letter indices, in order), with
+    ``letters[t]`` = (Delta, S, epsilon) of letter t: Delta(word) =
+    Delta(word less its last letter) Delta(last letter), one ``product_sums``
+    per word length, so each letter's Delta is lifted once per length;
+    S(word) the reversed product of the letters' S; epsilon(word) the product
+    of the letters' epsilon.  Every prefix of a word must be a word; a checked
+    build refuses words that do not multiply to the basis."""
+    deltas = {(): bare.unit_tensor(2).coeffs}
+    for length in range(1, max(map(len, words)) + 1):
+        layer = [w for w in words if len(w) == length]
+        sums = [[(None, deltas[w[:-1]], letters[w[-1]][0].coeffs)] for w in layer]
+        deltas.update(zip(layer, product_sums(bare, 2, sums)))
+    antipode, counit = [], []
     for word in words:
-        acc = bare.unit_tensor(2)
-        for g in word:
-            acc = acc * gen_images[g]
-        out.append(acc.coeffs)
-    return out
+        s, e = bare.unit(), bare.field.one
+        for t in reversed(word):
+            s, e = s * letters[t][1], e * letters[t][2]
+        antipode.append(s.coeffs)
+        counit.append(e)
+    comult = [deltas[w] for w in words]
+    return _finish(bare.field, bare.labels, bare.mult, bare.unit_index, comult, counit, antipode, generators, bare.name, family, checked)
 
 
 # -- group algebras ---------------------------------------------------------
@@ -213,48 +238,18 @@ def build_group_algebra(
     name: str | None = None,
     family: FamilySpec | None = None,
 ) -> HopfData:
-    """Group algebra of the abelian group prod C_{n_i}."""
+    """Group algebra of the abelian group prod C_{n_i}: the quantum linear
+    space on the group-like letters of order > 1 (k with no invariants)."""
     invariants = tuple(int(n) for n in invariants)
     family = family or FamilySpec("group", invariants)
     if field is None:
         field = get_field(FieldSpec("cyclotomic", order=1))
-    k = len(invariants)
     if gen_names is None:
-        gen_names = tuple(f"g{i+1}" for i in range(k))
-
-    exps = [()]
-    for n in invariants:
-        exps = [e + (c,) for e in exps for c in range(n)]
-    index = {e: i for i, e in enumerate(exps)}
-    labels = [_word([_pow_label(gen_names[i], c) for i, c in enumerate(e) if c]) for e in exps]
-
-    one = field.one
-    dim = len(exps)
-    mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i, a in enumerate(exps):
-        for j, b in enumerate(exps):
-            c = tuple((x + y) % n for x, y, n in zip(a, b, invariants))
-            mult[i][j] = {index[c]: one}
-    comult = [{i * dim + i: one} for i in range(dim)]
-    counit = [one for _ in range(dim)]
-    antipode = []
-    for e in exps:
-        inv = tuple((-x) % n for x, n in zip(e, invariants))
-        antipode.append({index[inv]: one})
-    generators = {gen_names[i]: index[tuple(1 if t == i else 0 for t in range(k))] for i in range(k) if invariants[i] > 1}
-    return _finish(
-        field,
-        labels,
-        mult,
-        index[tuple(0 for _ in invariants)],
-        comult,
-        counit,
-        antipode,
-        generators,
-        name or ("k[" + "x".join(f"C{n}" for n in invariants) + "]" if invariants else "k"),
-        family,
-        checked,
-    )
+        gen_names = tuple(f"g{i+1}" for i in range(len(invariants)))
+    letters = [(g, n) for g, n in zip(gen_names, invariants) if n > 1]
+    exps = list(itertools.product(*(range(n) for _, n in letters)))
+    name = name or ("k[" + "x".join(f"C{n}" for n in invariants) + "]" if invariants else "k")
+    return build_quantum_linear_space(letters, {}, exps, _monomial_label([g for g, _ in letters]), field, name, family, checked)
 
 
 # -- quantum linear spaces -----------------------------------------------------
@@ -277,6 +272,24 @@ def build_quantum_linear_space(
     exponent vectors in index order, ``label`` names each.  A checked build
     runs ``verify_hopf``, which refuses a datum that presents no Hopf algebra
     (for instance N other than the order of chi(g h^-1))."""
+    bare, monomial = _qls_algebra(letters, commute, exps, label, field, name)
+    images = []  # (Delta, S, epsilon) of each letter
+    for letter in letters:
+        y = monomial({letter[0]: 1})
+        if len(letter) == 4:
+            g, h = letter[2], letter[3]
+            images.append((y.tensor(monomial(h)) + monomial(g).tensor(y), -(monomial(g, -1) * y * monomial(h, -1)), field.zero))
+        else:
+            images.append((y.tensor(y), monomial({letter[0]: -1}), field.one))
+    words = _words(exps)
+    generators = {letter[0]: words.index((t,)) for t, letter in enumerate(letters)}
+    return _from_letters(bare, words, images, generators, family, checked)
+
+
+def _qls_algebra(letters, commute, exps, label, field, name) -> tuple:
+    """(bare, monomial): the algebra of ``build_quantum_linear_space`` from
+    the product rule of the module docstring, and the map from a group
+    monomial {letter: exponent} (times ``sign``) to its basis element."""
     names = [letter[0] for letter in letters]
     orders = [letter[1] for letter in letters]
     skew = [len(letter) == 4 for letter in letters]
@@ -316,40 +329,17 @@ def build_quantum_linear_space(
             row.append({k: c})
         mult.append(row)
 
-    labels = [label(a) for a in exps]
-    unit = index[(0,) * len(letters)]
-    bare = _bare_algebra(field, labels, mult, unit, name + "-bare")
+    bare = _bare_algebra(field, [label(a) for a in exps], mult, index[(0,) * len(letters)], name)
 
     def monomial(exponents: dict, sign: int = 1):
         """The basis element g^(sign * exponents) for a group monomial."""
         return bare.basis_elem(reduced([sign * exponents.get(letter, 0) for letter in names]))
 
-    letter_deltas, letter_antipodes = [], {}
-    for t, letter in enumerate(letters):
-        y = monomial({letter[0]: 1})
-        if skew[t]:
-            g, h = letter[2], letter[3]
-            letter_deltas.append(y.tensor(monomial(h)) + monomial(g).tensor(y))
-            letter_antipodes[t] = -(monomial(g, -1) * y * monomial(h, -1))
-        else:
-            letter_deltas.append(y.tensor(y))
-            letter_antipodes[t] = monomial({letter[0]: 1}, -1)
-
-    # Delta(y^a) = Delta(y^a without its last letter) Delta(last letter)
-    deltas = {exps[unit]: bare.unit_tensor(2)}
-    for a in sorted(exps, key=sum)[1:]:
-        t = max(i for i, e in enumerate(a) if e)
-        deltas[a] = deltas[a[:t] + (a[t] - 1,) + a[t + 1 :]] * letter_deltas[t]
-    comult = [deltas[a].coeffs for a in exps]
-    words = [[t for t, e in enumerate(a) for _ in range(e)] for a in exps]
-    antipode = _antipode_from_generators(bare, words, letter_antipodes)
-    counit = [field.zero if any(e for e, nil in zip(a, skew) if nil) else one for a in exps]
-    generators = {letter: index[tuple(int(s == t) for s in range(len(letters)))] for t, letter in enumerate(names)}
-    return _finish(field, labels, mult, unit, comult, counit, antipode, generators, name, family, checked)
+    return bare, monomial
 
 
 def _monomial_label(names):
-    return lambda a: _word([_pow_label(letter, e) for letter, e in zip(names, a) if e])
+    return lambda a: _word([letter if e == 1 else f"{letter}^{e}" for letter, e in zip(names, a) if e])
 
 
 def _en_datum(field, n: int):
@@ -437,93 +427,31 @@ def build_h2n2(n: int, field=None, checked: bool = True, name: str | None = None
     q = field.make_root(n)
     one = field.one
     ninv = one / field.from_int(n)
-    qpow = [q**t for t in range(2 * n)]
-
-    dim = 2 * n * n
+    zsq = [ninv * q ** ((-a * b) % n) for a in range(n) for b in range(n)]  # z^2, on x^a y^b
+    exps = [(i, j, t) for t in (0, 1) for i in range(n) for j in range(n)]
+    dim = len(exps)
 
     def idx(i: int, j: int, t: int) -> int:
         return t * n * n + (i % n) * n + (j % n)
 
-    labels = []
-    for t in (0, 1):
-        for i in range(n):
-            for j in range(n):
-                factors = []
-                if i:
-                    factors.append(_pow_label("x", i))
-                if j:
-                    factors.append(_pow_label("y", j))
-                if t:
-                    factors.append("z")
-                labels.append(_word(factors))
-    labs = [None] * dim
-    pos = 0
-    for t in (0, 1):
-        for i in range(n):
-            for j in range(n):
-                labs[idx(i, j, t)] = labels[pos]
-                pos += 1
-
-    zsq = {}  # coefficients of z^2 in the group part
-    for a in range(n):
-        for b in range(n):
-            zsq[(a, b)] = ninv * qpow[(-a * b) % n]
-
-    mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for t1 in (0, 1):
-        for i1 in range(n):
-            for j1 in range(n):
-                r = idx(i1, j1, t1)
-                for t2 in (0, 1):
-                    for i2 in range(n):
-                        for j2 in range(n):
-                            c = idx(i2, j2, t2)
-                            if t1 == 0:
-                                mult[r][c] = {idx(i1 + i2, j1 + j2, t2): one}
-                            elif t2 == 0:
-                                mult[r][c] = {idx(i1 + j2, j1 + i2, 1): one}
-                            else:
-                                out = {}
-                                for (a, b), w in zsq.items():
-                                    out[idx(i1 + j2 + a, j1 + i2 + b, 0)] = w
-                                mult[r][c] = out
-
-    comult = [None] * dim
-    for i in range(n):
-        for j in range(n):
-            k0 = idx(i, j, 0)
-            comult[k0] = {k0 * dim + k0: one}
-            k1 = idx(i, j, 1)
-            t = {}
-            for a in range(n):
-                for b in range(n):
-                    left = idx(i + a, j, 1)
-                    right = idx(i, j + b, 1)
-                    t[left * dim + right] = ninv * qpow[(-a * b) % n]
-            comult[k1] = t
-
-    counit = [one] * dim
-
-    antipode = [None] * dim
-    for i in range(n):
-        for j in range(n):
-            antipode[idx(i, j, 0)] = {idx(-i, -j, 0): one}
-            antipode[idx(i, j, 1)] = {idx(-j, -i, 1): one}
-
+    mult = []
+    for i1, j1, t1 in exps:
+        row = []
+        for i2, j2, t2 in exps:
+            if t1 == 0:
+                row.append({idx(i1 + i2, j1 + j2, t2): one})
+            elif t2 == 0:
+                row.append({idx(i1 + j2, j1 + i2, 1): one})
+            else:
+                row.append({idx(i1 + j2 + a, j1 + i2 + b, 0): zsq[a * n + b] for a in range(n) for b in range(n)})
+        mult.append(row)
+    bare = _bare_algebra(field, list(map(_monomial_label("xyz"), exps)), mult, 0, name or f"H_{{2*{n}^2}}")
+    x, y, z = (bare.basis_elem(idx(*a)) for a in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    # Delta(z) = sum_(a,b) n^-1 q^(-ab) x^a z (x) y^b z
+    delta_z = Tensor(bare, 2, {idx(a, 0, 1) * dim + idx(0, b, 1): zsq[a * n + b] for a in range(n) for b in range(n)})
+    letters = [(x.tensor(x), x ** (n - 1), one), (y.tensor(y), y ** (n - 1), one), (delta_z, z, one)]
     generators = {"x": idx(1, 0, 0), "y": idx(0, 1, 0), "z": idx(0, 0, 1)}
-    return _finish(
-        field,
-        labs,
-        mult,
-        idx(0, 0, 0),
-        comult,
-        counit,
-        antipode,
-        generators,
-        name or f"H_{{2*{n}^2}}",
-        family,
-        checked,
-    )
+    return _from_letters(bare, _words(exps), letters, generators, family, checked)
 
 
 def build_h8(field=None, checked: bool = True) -> HopfData:
@@ -560,63 +488,18 @@ def build_ac4dual(field=None, checked: bool = True) -> HopfData:
     Delta(g) = g (x) g - 2 gx (x) g^3 x."""
     if field is None:
         field = get_field(FieldSpec("cyclotomic", order=4))
-    w = field.make_root(4)
-    one = field.one
-    wpow = [w**t for t in range(4)]
-
-    def idx(a: int, k: int) -> int:
-        return a * 4 + (k % 4)
-
-    labels = []
-    for a in (0, 1):
-        for k in range(4):
-            factors = []
-            if a:
-                factors.append("x")
-            if k:
-                factors.append(_pow_label("g", k))
-            labels.append(_word(factors))
-
-    dim = 8
-    mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for a in (0, 1):
-        for k in range(4):
-            for b in (0, 1):
-                for l in range(4):
-                    if a + b > 1:
-                        val = {}
-                    else:
-                        val = {idx(a + b, k + l): wpow[(-k * b) % 4]}
-                    mult[idx(a, k)][idx(b, l)] = val
-
-    bare = _bare_algebra(field, labels, mult, 0, "ac4dual-bare")
-    g = bare.basis_elem(idx(0, 1))
-    g2 = bare.basis_elem(idx(0, 2))
-    g3 = bare.basis_elem(idx(0, 3))
-    x = bare.basis_elem(idx(1, 0))
-    two = field.from_int(2)
-    dg = g.tensor(g) - (g * x).tensor(g3 * x).scaled(two)
-    dx = bare.unit().tensor(x) + x.tensor(g2)
-    words = [[0] * a + [1] * k for a in (0, 1) for k in range(4)]
-    comult = _comult_from_generators(bare, words, {0: dx, 1: dg})
-    counit = [one, one, one, one, field.zero, field.zero, field.zero, field.zero]
-    sx = -(x * g2)
-    antipode = _antipode_from_generators(bare, words, {0: sx, 1: g3})
-
-    generators = {"g": idx(0, 1), "x": idx(1, 0)}
-    return _finish(
-        field,
-        labels,
-        mult,
-        0,
-        comult,
-        counit,
-        antipode,
-        generators,
-        "(A''_C4)*",
-        FamilySpec("ac4dual", ()),
-        checked,
-    )
+    letters = [("x", 2, {}, {"g": 2}), ("g", 4)]
+    exps = list(itertools.product((0, 1), range(4)))
+    bare, monomial = _qls_algebra(letters, {("g", "x"): field.make_root(4) ** 3}, exps, _monomial_label("xg"), field, "(A''_C4)*")
+    x, g, g2, g3 = monomial({"x": 1}), monomial({"g": 1}), monomial({"g": 2}), monomial({"g": 3})
+    # the default letter data but Delta(g); Delta(x) is summed 1 (x) x first, the
+    # default's other order, which keeps the entry order of the comult table
+    images = [
+        (bare.unit().tensor(x) + x.tensor(g2), -(x * g2), field.zero),
+        (g.tensor(g) - (g * x).tensor(g3 * x).scaled(field.from_int(2)), g3, field.one),
+    ]
+    generators = {"g": bare.index["g"], "x": bare.index["x"]}
+    return _from_letters(bare, _words(exps), images, generators, FamilySpec("ac4dual", ()), checked)
 
 
 # -- tensor products ----------------------------------------------------------

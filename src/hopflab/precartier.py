@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dc_field
 from . import cohomology
 from .expressions import format_tensor, parse_element
 from .families import FamilySpec, build
-from .hopf import HopfData, HopfError, SumMap, Tensor, _generator_elems, antipode, delta, full_space, generators_span, map_rows, product_sum, restrict_and_cut, vanishes_all
+from .hopf import HopfData, HopfError, SumMap, Tensor, _generator_elems, delta, full_space, generators_span, map_rows, multiply, product_sum, restrict_and_cut, vanishes_all
 from .linalg import SparseMat, Subspace
 from .rmatrices import (
     FamilyMismatch,
@@ -262,12 +262,7 @@ def casimir(h: HopfData, chi: Tensor) -> Tensor:
     """m(S (x) Id)(chi)."""
     if h.antipode is None:
         raise PreCartierError("Casimir element needs an antipode")
-    dim = h.dim
-    out = h.zero_tensor(1)
-    for k, v in chi.coeffs.items():
-        i, j = divmod(k, dim)
-        out = out + (antipode(h.basis_elem(i)) * h.basis_elem(j)).scaled(v)
-    return out
+    return multiply(chi.apply_antipode(0))
 
 
 # -- classification ---------------------------------------------------------------

@@ -573,8 +573,6 @@ def registered_rspecs(family_spec) -> list[RSpec]:
         return [RSpec("ac4dual")]
     if kind == "group":
         return [RSpec("explicit", ("1 (x) 1",))]
-    if kind == "h2n2":
-        return []  # enumerated at run time
     return []
 
 

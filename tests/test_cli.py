@@ -342,7 +342,7 @@ def test_classify_inverts_each_r_once(capsys, monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("task", ["classify", "verify", "quantize"])
+@pytest.mark.parametrize("task", ["classify", "verify", "quantize", "enumerate-r"])
 @pytest.mark.parametrize("family", ["radford:2,2", "tensor(en:1,group:2)"])
 def test_enumerate_with_nothing_to_enumerate_exit_2(capsys, task, family):
     """A family with no registered or enumerated R is a configuration error

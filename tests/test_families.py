@@ -11,6 +11,9 @@ from hopflab.families import (
     ConstructionError,
     FamilySpec,
     UnsupportedFamily,
+    _from_letters,
+    _qls_algebra,
+    _words,
     build,
     build_group_algebra,
     build_en,
@@ -241,6 +244,22 @@ def test_constructor_refusals():
 
     with pytest.raises(OrderUnavailable):
         build_radford(2, 3, get_field(FieldSpec("cyclotomic", order=1)))
+
+
+def test_from_letters_refuses_a_wrong_word_table():
+    """A checked ``_from_letters`` build whose words do not multiply to the
+    basis is refused: on C2 x C2 with the words of g1 and g2 swapped, each
+    gets the other's Delta and S."""
+    field = get_field(FieldSpec("cyclotomic", order=1))
+    letters = [("g1", 2), ("g2", 2)]
+    exps = list(product((0, 1), repeat=2))
+    bare, monomial = _qls_algebra(letters, {}, exps, lambda a: f"g1^{a[0]}*g2^{a[1]}", field, "kC2xC2")
+    images = [(g.tensor(g), g, field.one) for g in (monomial({"g1": 1}), monomial({"g2": 1}))]
+    words = _words(exps)
+    assert words == [(), (1,), (0,), (0, 1)]
+    assert _from_letters(bare, words, images, {}, None, checked=True).comult == build("group:2,2").comult
+    with pytest.raises(ConstructionError, match="violations in"):
+        _from_letters(bare, [(), (0,), (1,), (0, 1)], images, {}, None, checked=True)
 
 
 def test_group_algebra_structure():

@@ -37,6 +37,7 @@ from hopflab.hopf import (
     delta,
     full_space,
     map_rows,
+    multiply,
     product_sum,
     product_sums as batched_product_sums,
     restrict_and_cut,
@@ -247,6 +248,27 @@ def test_dmaps_consistency(en2, rng):
 def test_antipode_antihom(en2, radford22):
     assert verify_antipode_antihom(en2).ok
     assert verify_antipode_antihom(radford22).ok
+
+
+@pytest.mark.parametrize(
+    "family, field, root",
+    [("en:2", None, 1), ("h2n2:3", None, 3), ("h2n2:3", FieldSpec("prime", p=97), 3)],
+)
+def test_multiply_is_the_plain_expansion(family, field, root):
+    """``multiply`` of a 2-tensor is the sum of v * mult[i][j] over its entries
+    (i, j; v), over Q, Q(zeta_3) and F_97 (H_18 has cells of nine terms)."""
+    h = build(family, field)
+    zeta = h.field.make_root(root)
+    t = random_sparse_tensor(h, random.Random(5), nnz=40)
+    t = Tensor(h, 2, {k: v * zeta**k for k, v in t.coeffs.items()})
+    expected = {}
+    for k, v in t.coeffs.items():
+        i, j = divmod(k, h.dim)
+        for m, c in h.mult[i][j].items():
+            expected[m] = expected.get(m, h.field.zero) + v * c
+    assert multiply(t) == Tensor(h, 1, expected) and multiply(t).legs == 1
+    with pytest.raises(HopfError):
+        multiply(h.unit())
 
 
 def _maps_under_test(h, batched=False):
@@ -844,8 +866,8 @@ def test_product_loops_never_multiply_by_zero(family):
 
 def test_crosscheck_script_verifies_over_the_prime_field(capsys, monkeypatch):
     """``scripts/crosscheck_prime_field.py`` runs ``verify_hopf`` on each case
-    family and each quantum-linear-space batch family over F_97 with the
-    exact field's check count: the F_p route of the kernel's zero test."""
+    family and each batch family over F_97 with the exact field's check
+    count: the F_p route of the kernel's zero test."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "crosscheck_prime_field.py"
     spec = importlib.util.spec_from_file_location("crosscheck_prime_field", path)
     module = importlib.util.module_from_spec(spec)
@@ -854,7 +876,8 @@ def test_crosscheck_script_verifies_over_the_prime_field(capsys, monkeypatch):
     assert module.main() == 0
     lines = [line for line in capsys.readouterr().out.splitlines() if "verify_hopf" in line]
     assert {family for family, _ in module.CASES} <= set(module.VERIFY_FAMILIES)
-    assert {"en:3", "ac2n:4", "radford:3,2"} <= set(module.VERIFY_FAMILIES)
+    assert {family for family, _ in module.FAMILIES} <= set(module.VERIFY_FAMILIES)
+    assert {"en:3", "ac2n:4", "radford:3,2", "h8", "h2n2:3", "ac4dual", "group:2,2,2"} <= set(module.VERIFY_FAMILIES)
     assert len(lines) == len(module.VERIFY_FAMILIES)
     for line in lines:
         assert line.startswith("ok ")
