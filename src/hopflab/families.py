@@ -1,17 +1,14 @@
 """Constructors for the Hopf algebra families under study; each produces a
 verified HopfData with frozen canonical basis labels.
 
-Every family but tensor products is presented by a few letters, and each basis
-element is a word in them.  Delta is an algebra map and S an anti-algebra map,
-so the letters' Delta, S and epsilon fix them on the whole basis
-(Andruskiewitsch-Schneider, J. Algebra 209, 1998).  ``_from_letters`` derives
-them by the letter rule
-
-    Delta(w y) = Delta(w) Delta(y),   S(y_1 ... y_k) = S(y_k) ... S(y_1),
-    epsilon(y_1 ... y_k) = epsilon(y_1) ... epsilon(y_k),
-
-from the product table, the word of each basis element and each letter's
-Delta, S and epsilon.
+Every family but tensor products is presented by letters, each basis element
+a word in them.  Delta is an algebra map and S an anti-algebra map, so
+``_from_letters`` derives Delta, S and epsilon from the product table, the
+words and each letter's Delta, S and epsilon (Andruskiewitsch-Schneider,
+J. Algebra 209, 1998): Delta(w y) = Delta(w) Delta(y),
+S(y_1 ... y_k) = S(y_k) ... S(y_1), epsilon(y_1 ... y_k) = epsilon(y_1) ...
+epsilon(y_k).  Tensor products keep the componentwise closed form: their
+factors carry no letter words.
 
 E(n), A_{C2^n}, H_(r,n) and the group algebras are quantum linear spaces,
 built by ``build_quantum_linear_space`` from letters y_1..y_L in word order:
@@ -22,9 +19,8 @@ and
 
     (y^a)(y^b) = prod_{t>s} c_ts^(a_t b_s) y^(a+b),
 
-group exponents reduced modulo their order, 0 once a nilpotent one reaches N.
-The letters' data: Delta(g) = g (x) g, S(g) = g^-1, epsilon(g) = 1, and
-S(x) = -g^-1 x h^-1, epsilon(x) = 0.  The families' data:
+group exponents reduced modulo their order, 0 once a nilpotent one reaches N;
+S(g) = g^-1, S(x) = -g^-1 x h^-1, epsilon(g) = 1, epsilon(x) = 0.  The data:
 
 - E(n): letters (g, x1..xn), order 2 each, all pairwise anticommuting;
   Delta(x_i) = x_i (x) 1 + g (x) x_i; basis in lex order of (g, x_n..x_1).
@@ -34,18 +30,7 @@ S(x) = -g^-1 x h^-1, epsilon(x) = 0.  The families' data:
   q = zeta_(rn); Delta(x) = 1 (x) x + x (x) g^r; lex order of (g, x).
 - prod C_(n_i): the commuting group-like letters of order n_i > 1.
 
-(A''_C4)* has the algebra of the quantum linear space on letters (x, g), x^2 = 0
-with Delta(x) = 1 (x) x + x (x) g^2, g of order 4, g x = w^3 x g for
-w = zeta_4; only Delta(g) = g (x) g - 2 gx (x) g^3 x is its own.
-
-H_{2n^2} (H8 at n = 2) keeps its own product table, as z^2 in kG is no
-quantum-linear-space relation.  Its words are x^i y^j z^t, with
-Delta(x) = x (x) x, Delta(y) = y (x) y,
-Delta(z) = sum_(a,b) n^-1 q^(-ab) x^a z (x) y^b z, S(x) = x^(n-1),
-S(y) = y^(n-1), S(z) = z and epsilon 1 on each letter.
-
-Tensor products keep the componentwise closed form: their factors carry no
-letter words.
+H_{2n^2} (and H8) and (A''_C4)* give their own letter data.
 """
 
 from __future__ import annotations
@@ -417,6 +402,11 @@ def build_h2n2(n: int, field=None, checked: bool = True, name: str | None = None
 
     With the basis {x^i y^j z^t, t = 0, 1} this is the unique relation for
     the square of z compatible with the Hopf axioms (checked at build time).
+    The product table is its own (z^2 in kG is no quantum-linear-space
+    relation); the words are x^i y^j z^t, and the letters' data
+    Delta(x) = x (x) x, Delta(y) = y (x) y,
+    Delta(z) = sum_(a,b) n^-1 q^(-ab) x^a z (x) y^b z, S(x) = x^(n-1),
+    S(y) = y^(n-1), S(z) = z, epsilon 1 on each.
     """
     family = family or FamilySpec("h2n2", (n,))
     if field is None:
@@ -485,15 +475,16 @@ def h8_idempotents(h: HopfData) -> list[Tensor]:
 def build_ac4dual(field=None, checked: bool = True) -> HopfData:
     """The 8-dimensional algebra on g (order 4) and x with
     x^2 = 0, xg = w gx for a primitive 4th root w, and twisted coproduct
-    Delta(g) = g (x) g - 2 gx (x) g^3 x."""
+    Delta(g) = g (x) g - 2 gx (x) g^3 x: the quantum linear space on the
+    letters (x, g), Delta(x) = 1 (x) x + x (x) g^2, with its own Delta(g)."""
     if field is None:
         field = get_field(FieldSpec("cyclotomic", order=4))
     letters = [("x", 2, {}, {"g": 2}), ("g", 4)]
     exps = list(itertools.product((0, 1), range(4)))
     bare, monomial = _qls_algebra(letters, {("g", "x"): field.make_root(4) ** 3}, exps, _monomial_label("xg"), field, "(A''_C4)*")
     x, g, g2, g3 = monomial({"x": 1}), monomial({"g": 1}), monomial({"g": 2}), monomial({"g": 3})
-    # the default letter data but Delta(g); Delta(x) is summed 1 (x) x first, the
-    # default's other order, which keeps the entry order of the comult table
+    # Delta(x) is summed 1 (x) x first, the reverse of the default, which
+    # keeps the entry order of the comult table
     images = [
         (bare.unit().tensor(x) + x.tensor(g2), -(x * g2), field.zero),
         (g.tensor(g) - (g * x).tensor(g3 * x).scaled(field.from_int(2)), g3, field.one),
