@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Prime-field cross-validation: rerun the key classifications over F_p
-(p = 1 mod 8 so every needed root of unity exists) and diff the dimension
-results against the rational/cyclotomic runs; run ``verify_hopf`` over F_p
-on each case family and on each family of the batch
-(``run_classifications.FAMILIES``) and compare its outcome and check count
-with the exact field's; then run the E(3)
+(p = 1 mod 8 so every needed root of unity exists) and diff the dimensions
+and flags of each report against the rational/cyclotomic run's (among the
+flags, ``cartier_equals_coboundary_cut`` compares two cuts by an
+intersection); run ``verify_hopf`` over F_p on each case family and on each
+family of the batch (``run_classifications.FAMILIES``) and compare its
+outcome and check count with the exact field's; then run the E(3)
 quantization over Q and over F_p and compare its reports entry by entry.
 
     python scripts/crosscheck_prime_field.py [--prime P]
@@ -58,10 +59,15 @@ def main() -> int:
             for k in DIM_KEYS
             if exact.dims.get(k) != modp.dims.get(k)
         }
+        diffs.update(
+            (k, (exact.flags.get(k), modp.flags.get(k)))
+            for k in exact.flags.keys() | modp.flags.keys()
+            if exact.flags.get(k) != modp.flags.get(k)
+        )
         mark = "ok" if not diffs else "DIFF"
         if diffs:
             bad += 1
-        print(f"{mark:5s} {family:12s} r={rtext}  {exact.field} vs {modp.field}  dims={modp.dims}"
+        print(f"{mark:5s} {family:12s} r={rtext}  {exact.field} vs {modp.field}  dims={modp.dims}  flags={modp.flags}"
               + (f"  differences: {diffs}" if diffs else ""))
 
     for family in VERIFY_FAMILIES:

@@ -11,14 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
-from .cohomology import cocycles, coboundaries
 from .expressions import ExprError, format_tensor, parse_element
 from .families import FamilySpec, ParameterError, build
 from .hopf import Tensor, verify_hopf
-from .precartier import cached_commutant, classify, solve_infinitesimal
-from .quantize import verify_quantized_qtr
 from .rmatrices import (
     FamilyMismatch,
     RSpec,
@@ -36,7 +33,7 @@ from .scalars import FieldSpec, OrderUnavailable
 class RunConfig:
     family: str
     r: str | None = None  # RSpec text, "enumerate", "none", or None
-    tasks: tuple = ("classify",)
+    task: str = "classify"
     field: str | None = None
     out: str | None = None
     fmt: str = "json"
@@ -100,7 +97,9 @@ def _report_failures(reports: list[dict]) -> list[str]:
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute the configured tasks in order; returns the exit status."""
+    """Execute the configured task; returns the exit status.  A task imports
+    the modules only it runs (``precartier``, ``cohomology``, ``quantize``)
+    before its ``build``, so the other tasks never load them."""
     try:
         # parsing checks the family's parameter ranges before a field is chosen for them
         fam_spec = FamilySpec.parse(cfg.family)
@@ -108,101 +107,104 @@ def run(cfg: RunConfig) -> int:
     except ValueError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    if not cfg.tasks:
-        sys.stderr.write("config error: no tasks\n")
-        return 2
-
     status = 0
-    for task in cfg.tasks:
-        if task == "build":
-            h = build(fam_spec, field_spec)
-            _emit(cfg, {"family": str(fam_spec), "dim": h.dim, "field": h.field.description(), "verified": True})
-        elif task == "verify":
-            h = build(fam_spec, field_spec, checked=False)
-            rep = verify_hopf(h)
-            payload = {"family": str(fam_spec), "hopf_ok": rep.ok, "checks": rep.checks,
-                       "failures": [list(fail) for fail in rep.failures[:20]]}
-            if not rep.ok:
-                status = max(status, 1)
-            rs = _resolve_rs(cfg, h)
-            if rs:
-                payload["r_reports"] = []
-                for spec, r, qrep in rs:
-                    if r is None:
-                        qrep = verify_qtr(h, build_r(h, spec))
-                    payload["r_reports"].append({"r": str(spec), "qtr_ok": qrep.ok,
-                                                 "failures": [list(fail) for fail in qrep.failures[:10]]})
-                    if not qrep.ok:
-                        status = max(status, 1)
-            _emit(cfg, payload)
-        elif task == "classify":
-            h = build(fam_spec, field_spec)
-            rs = _resolve_rs(cfg, h)
-            if rs is None:
-                reports = [classify(fam_spec, None, field_spec).to_dict()]
-            else:
-                reports = [
-                    classify(fam_spec, spec, field_spec, prebuilt=None if r is None else (r, qrep)).to_dict()
-                    for spec, r, qrep in rs
-                ]
-            problems = _report_failures(reports)
-            if problems:
-                status = max(status, 1)
-                for p in problems:
-                    sys.stderr.write(f"mismatch: {p}\n")
-            _emit(cfg, reports if len(reports) != 1 else reports[0])
-        elif task == "cohomology":
-            h = build(fam_spec, field_spec)
-            z1 = cocycles(h, 1)
-            z2 = cocycles(h, 2)
-            b2 = coboundaries(h, 2)
-            _emit(cfg, {"family": str(fam_spec), "field": h.field.description(),
-                        "dims": {"z1": z1.dim, "z2": z2.dim, "b2": b2.dim, "h2": z2.dim - b2.dim}})
-        elif task == "quantize":
-            h = build(fam_spec, field_spec)
-            rs = _resolve_rs(cfg, h)
-            if rs is None:
-                sys.stderr.write("config error: quantize needs --r\n")
-                return 2
-            out = []
+    task = cfg.task
+    if task == "build":
+        h = build(fam_spec, field_spec)
+        _emit(cfg, {"family": str(fam_spec), "dim": h.dim, "field": h.field.description(), "verified": True})
+    elif task == "verify":
+        h = build(fam_spec, field_spec, checked=False)
+        rep = verify_hopf(h)
+        payload = {"family": str(fam_spec), "hopf_ok": rep.ok, "checks": rep.checks,
+                   "failures": [list(fail) for fail in rep.failures[:20]]}
+        if not rep.ok:
+            status = 1
+        rs = _resolve_rs(cfg, h)
+        if rs:
+            payload["r_reports"] = []
             for spec, r, qrep in rs:
                 if r is None:
-                    r = build_r(h, spec)
-                    rinv = r_inverse(h, r)
-                else:
-                    rinv = qrep.r_inv
-                if cfg.chi:
-                    chis = [parse_element(h, cfg.chi)]
-                else:
-                    space = solve_infinitesimal(h, r, rinv=rinv, commutant=cached_commutant(h))
-                    chis = [Tensor(h, 2, v) for v in space.basis()]
-                for chi in chis:
-                    if not isinstance(chi, Tensor) or chi.legs != 2:
-                        sys.stderr.write("config error: --chi must be a 2-tensor\n")
-                        return 2
-                    qrep = verify_quantized_qtr(h, r, chi, rinv)
-                    out.append({
-                        "r": str(spec),
-                        "chi": format_tensor(chi),
-                        "hypothesis_1": qrep.hypothesis_1,
-                        "hypothesis_2": qrep.hypothesis_2,
-                        "nilpotency": qrep.nilpotency,
-                        "quantized_qtr_ok": qrep.ok,
-                        "failures": [list(fail) for fail in qrep.failures[:10]],
-                    })
-                    if not qrep.ok:
-                        status = max(status, 1)
-            _emit(cfg, out)
-        elif task == "enumerate-r":
-            h = build(fam_spec, field_spec)
-            if fam_spec.kind in ("h2n2", "h8"):
-                found = enumerate_group_rmatrices(h, with_specs=True)
-            else:  # a family with nothing to enumerate raises RSpecError, exit 2
-                found = [(spec, build_r(h, spec), None) for spec, _, _ in enumerate_rmatrices(h)]
-            _emit(cfg, [{"r": str(spec), "tensor": format_tensor(r)} for spec, r, _ in found])
+                    qrep = verify_qtr(h, build_r(h, spec))
+                payload["r_reports"].append({"r": str(spec), "qtr_ok": qrep.ok,
+                                             "failures": [list(fail) for fail in qrep.failures[:10]]})
+                if not qrep.ok:
+                    status = 1
+        _emit(cfg, payload)
+    elif task == "classify":
+        from .precartier import classify
+
+        h = build(fam_spec, field_spec)
+        rs = _resolve_rs(cfg, h)
+        if rs is None:
+            reports = [classify(fam_spec, None, field_spec).to_dict()]
         else:
-            sys.stderr.write(f"config error: unknown task {task!r}\n")
+            reports = [
+                classify(fam_spec, spec, field_spec, prebuilt=None if r is None else (r, qrep)).to_dict()
+                for spec, r, qrep in rs
+            ]
+        problems = _report_failures(reports)
+        if problems:
+            status = 1
+            for p in problems:
+                sys.stderr.write(f"mismatch: {p}\n")
+        _emit(cfg, reports if len(reports) != 1 else reports[0])
+    elif task == "cohomology":
+        from .cohomology import coboundaries, cocycles
+
+        h = build(fam_spec, field_spec)
+        z1 = cocycles(h, 1)
+        z2 = cocycles(h, 2)
+        b2 = coboundaries(h, 2)
+        _emit(cfg, {"family": str(fam_spec), "field": h.field.description(),
+                    "dims": {"z1": z1.dim, "z2": z2.dim, "b2": b2.dim, "h2": z2.dim - b2.dim}})
+    elif task == "quantize":
+        from .precartier import cached_commutant, solve_infinitesimal
+        from .quantize import verify_quantized_qtr
+
+        h = build(fam_spec, field_spec)
+        rs = _resolve_rs(cfg, h)
+        if rs is None:
+            sys.stderr.write("config error: quantize needs --r\n")
             return 2
+        out = []
+        for spec, r, qrep in rs:
+            if r is None:
+                r = build_r(h, spec)
+                rinv = r_inverse(h, r)
+            else:
+                rinv = qrep.r_inv
+            if cfg.chi:
+                chis = [parse_element(h, cfg.chi)]
+            else:
+                space = solve_infinitesimal(h, r, rinv=rinv, commutant=cached_commutant(h))
+                chis = [Tensor(h, 2, v) for v in space.basis()]
+            for chi in chis:
+                if not isinstance(chi, Tensor) or chi.legs != 2:
+                    sys.stderr.write("config error: --chi must be a 2-tensor\n")
+                    return 2
+                qrep = verify_quantized_qtr(h, r, chi, rinv)
+                out.append({
+                    "r": str(spec),
+                    "chi": format_tensor(chi),
+                    "hypothesis_1": qrep.hypothesis_1,
+                    "hypothesis_2": qrep.hypothesis_2,
+                    "nilpotency": qrep.nilpotency,
+                    "quantized_qtr_ok": qrep.ok,
+                    "failures": [list(fail) for fail in qrep.failures[:10]],
+                })
+                if not qrep.ok:
+                    status = 1
+        _emit(cfg, out)
+    elif task == "enumerate-r":
+        h = build(fam_spec, field_spec)
+        if fam_spec.kind in ("h2n2", "h8"):
+            found = enumerate_group_rmatrices(h, with_specs=True)
+        else:  # a family with nothing to enumerate raises RSpecError, exit 2
+            found = [(spec, build_r(h, spec), None) for spec, _, _ in enumerate_rmatrices(h)]
+        _emit(cfg, [{"r": str(spec), "tensor": format_tensor(r)} for spec, r, _ in found])
+    else:
+        sys.stderr.write(f"config error: unknown task {task!r}\n")
+        return 2
     return status
 
 
@@ -222,7 +224,7 @@ def main(argv=None) -> int:
     cfg = RunConfig(
         family=args.family,
         r=args.r,
-        tasks=(args.command,),
+        task=args.command,
         field=args.field,
         out=args.out,
         fmt=args.fmt,

@@ -8,10 +8,13 @@ the current echelon so very tall systems never hold more than ~ncols pivot
 rows.  Reduced row echelon form is canonical, which is what makes Subspace
 equality exact.
 
-``kernel_of_rows``, under every kernel and cut of the package, runs a
-modular pass first and eliminates exactly only the rows that pass picks
-(the rank bound of FFPACK-style elimination; Dumas, Giorgi and Pernet,
-ISSAC 2004):
+``kernel_of_rows`` is the one elimination under every kernel, cut,
+intersection and solve of the package (``Echelon`` spans, and runs its
+fallback).  ``Subspace.intersect`` cuts the smaller space by its residues
+modulo the larger; ``solve`` reads A x = b off the kernel of [-b | A], so
+its x vanishes at the pivots of ker A.  It runs a modular pass first and
+eliminates exactly only the rows that pass picks (the rank bound of
+FFPACK-style elimination; Dumas, Giorgi and Pernet, ISSAC 2004):
 
 - The pass maps every entry to F_p by a ring morphism phi chosen from the
   entries' own field (``scalars.residue_map``) and eliminates on Python
@@ -40,9 +43,9 @@ ISSAC 2004):
   every other free column: the v_f are already the canonical RREF basis of
   the kernel, and no elimination of the kernel itself is needed.
 
-``ROUTES`` counts how each kernel was found: ``certified_zero`` (F_p rank
-ncols), ``picked_rows`` (exact elimination of S and the exact check) and
-``fallback``.
+``ROUTES`` counts how each kernel was found, solves and intersections
+included: ``certified_zero`` (F_p rank ncols), ``picked_rows`` (exact
+elimination of S and the exact check) and ``fallback``.
 It is one tally per process, because ``kernel_of_rows`` keeps its
 (rows, ncols) signature: scripts print it, and tests read its differences.
 """
@@ -216,39 +219,43 @@ class Subspace:
             raise AmbientDimensionMismatch("sum of subspaces of different ambient spaces")
         return Subspace.from_vectors(list(self.rows) + list(other.rows), self.ambient_dim)
 
-    def complement_equations(self, one=None) -> "Subspace":
-        """Kernel of the basis-rows matrix: the annihilator in coordinates.
-        The zero subspace knows no field: its annihilator, the whole space,
-        is written with the caller's ``one``."""
-        n = self.ambient_dim
-        if not self.rows:
-            if one is None:
-                raise LinAlgError("the annihilator of the zero subspace needs the field's one")
-            return Subspace(n, tuple({i: one} for i in range(n)), tuple(range(n)))
-        return kernel(SparseMat(len(self.rows), n, [dict(r) for r in self.rows]))
+    def combine(self, coeffs: "Subspace") -> "Subspace":
+        """The vectors sum_i c_i row_i, one for each row c of ``coeffs``: a
+        canonical kernel in the coefficients of this basis, as from
+        ``kernel_of_rows(rows, self.dim)``.
+
+        The vectors are already the canonical RREF basis of their span.
+        Row i of this basis has its pivot p_i, with coefficient 1, and
+        entries only in columns >= p_i and in no other pivot column, so
+        v = sum_i c_i row_i has the coordinate c_i at p_i.  A row c (in
+        RREF) with pivot j thus gives a v with leading column p_j,
+        coefficient 1, and zeros at p_k for every other pivot k of
+        ``coeffs``: the RREF conditions, with pivots increasing as j does."""
+        vecs = []
+        for crow in coeffs.rows:
+            acc: dict = {}
+            for i, c in crow.items():
+                vec_axpy(acc, self.rows[i], c)
+            vecs.append(acc)
+        return Subspace(self.ambient_dim, tuple(vecs), tuple(self.pivot_cols[j] for j in coeffs.pivot_cols))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via kernel of the stacked complements.  A zero or a
-        full operand decides it alone (canonical RREF makes the returned
-        operand equal to what elimination would give), so the stacked rows
-        always have an entry to read the field's one from."""
+        """Intersection as a cut of the smaller space: sum_i c_i a_i lies in
+        the larger exactly when sum_i c_i r_i = 0, r_i the residue of row
+        a_i modulo it (``reduce`` is linear, with the larger as kernel).
+        A smaller space with no residue (zero, or inside the larger, as
+        inside a full one) is the intersection, and canonical RREF makes
+        it equal to what elimination would give."""
         if self.ambient_dim != other.ambient_dim:
             raise AmbientDimensionMismatch("intersecting subspaces of different ambient spaces")
-        if not self.rows or other.dim == other.ambient_dim:
-            return self
-        if not other.rows or self.dim == self.ambient_dim:
-            return other
-        eq1 = self.complement_equations()
-        eq2 = other.complement_equations()
-        stacked = SparseMat(
-            eq1.dim + eq2.dim, self.ambient_dim, [dict(r) for r in eq1.rows] + [dict(r) for r in eq2.rows]
-        )
-        return kernel(stacked)
-
-
-def kernel(mat: SparseMat) -> Subspace:
-    """Exact null space {v : mat . v = 0} as a canonical Subspace."""
-    return kernel_of_rows(mat.rows, mat.ncols)
+        small, large = (self, other) if self.dim <= other.dim else (other, self)
+        eqs: dict = {}  # ambient coordinate -> {basis row i of small: r_i there}
+        for i, row in enumerate(small.rows):
+            for k, v in large.reduce(row).items():
+                eqs.setdefault(k, {})[i] = v
+        if not eqs:
+            return small
+        return small.combine(kernel_of_rows(eqs.values(), small.dim))
 
 
 def kernel_of_rows(rows, ncols: int) -> Subspace:
@@ -260,9 +267,9 @@ def kernel_of_rows(rows, ncols: int) -> Subspace:
     a pivot row (its leading coefficient), never divided out of an entry.
     When no row has an entry nothing names the field and it is the integer
     1: callers that know the field handle that case (``restrict_and_cut``
-    returns its input space, ``Subspace.complement_equations`` takes the
-    field's one).  Once the F_p rank reaches ``ncols`` the kernel is zero,
-    whatever rows follow, and the rest of the iterable is not read."""
+    and ``Subspace.intersect`` return an input space instead).  Once the
+    F_p rank reaches ``ncols`` the kernel is zero, whatever rows follow,
+    and the rest of the iterable is not read."""
     rows = iter(rows)
     seen: list[dict] = []  # every row read, in order
     try:
@@ -401,24 +408,22 @@ def exact_kernel(rows, ncols: int) -> Subspace:
 
 
 def solve(rows, ncols: int, rhs: dict) -> dict | None:
-    """One solution of (rows) . x = rhs with all free coordinates zero.
+    """One solution of (rows) . x = rhs, or None when there is none.
 
     ``rows`` iterates equation rows {col: coeff}; ``rhs`` maps row index ->
-    scalar.  Returns None when inconsistent.
+    scalar.  The kernel of [-b | A], with b in column 0, holds (1, x)
+    exactly when A x = b; its canonical row with pivot 0 is that vector
+    for the one x that vanishes at the pivots of ker A.  Column 0 is a
+    pivot of that kernel exactly when the system is consistent.
     """
-    sentinel = ncols
-    ech = Echelon(ncols + 1)
+    aug = []
     for r, row in enumerate(rows):
-        aug = dict(row)
+        shifted = {c + 1: v for c, v in row.items()}
         b = rhs.get(r)
         if b is not None and b:
-            aug[sentinel] = -b
-        ech.add_row(aug)
-    if sentinel in ech.pivots:
+            shifted[0] = -b
+        aug.append(shifted)
+    ker = kernel_of_rows(aug, ncols + 1)
+    if ker.pivot_cols[:1] != (0,):
         return None
-    sol = {}
-    for c, row in ech.rref_rows():
-        v = row.get(sentinel)
-        if v is not None and v:
-            sol[c] = -v
-    return sol
+    return {c - 1: v for c, v in ker.rows[0].items() if c}

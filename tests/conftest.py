@@ -6,7 +6,7 @@ import pytest
 
 from hopflab.expressions import parse_element
 from hopflab.families import build
-from hopflab.hopf import HopfData, Tensor, VerifyReport, counit, delta
+from hopflab.hopf import HopfData, Tensor, VerifyReport, antipode, counit, delta
 
 
 @pytest.fixture(scope="session")
@@ -163,6 +163,24 @@ def oracle_verify_bialgebra(h) -> VerifyReport:
                 "counit.morphism",
                 f"({labels[i]},{labels[j]})",
                 counit(prod[i][j]) == counit(basis[i]) * counit(basis[j]),
+            )
+    return rep
+
+
+def verify_antipode_antihom(h) -> VerifyReport:
+    """S(ab) = S(b)S(a) on all basis pairs: a consequence of the Hopf axioms
+    that ``verify_hopf`` does not check, so an oracle for its tables."""
+    rep = VerifyReport(f"antipode-antihom({h.name})")
+    if h.antipode is None:
+        rep.record("antipode.present", h.name, False)
+        return rep
+    for i in range(h.dim):
+        for j in range(h.dim):
+            a, b = h.basis_elem(i), h.basis_elem(j)
+            rep.record(
+                "antipode.antihom",
+                f"({h.labels[i]},{h.labels[j]})",
+                antipode(a * b) == antipode(b) * antipode(a),
             )
     return rep
 

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,14 +186,35 @@ def test_out_file_and_table_format(tmp_path, capsys):
 
 
 def test_runconfig_multiple_tasks(capsys):
-    cfg = RunConfig(family="en:1", r="en-a:[[0]]", tasks=("verify", "classify", "cohomology"))
-    assert run(cfg) == 0
-    out = capsys.readouterr().out
-    assert out.count("{") > 3  # three JSON payloads emitted
+    """One task per run: three runs of one config emit one payload each."""
+    keys = []
+    for task in ("verify", "classify", "cohomology"):
+        assert run(RunConfig(family="en:1", r="en-a:[[0]]", task=task)) == 0
+        keys.append(set(json.loads(capsys.readouterr().out)))
+    assert "hopf_ok" in keys[0] and "flags" in keys[1] and keys[2] == {"family", "field", "dims"}
 
 
-def test_runconfig_no_tasks():
-    assert run(RunConfig(family="en:1", tasks=())) == 2
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["build", "--family", "en:1"], []),
+        (["classify", "--family", "en:1", "--r", "en-a:[[0]]"], ["cohomology", "precartier"]),
+    ],
+)
+def test_each_task_imports_what_it_runs(argv, loaded):
+    """In a fresh process, a task loads only the task modules it runs."""
+    probe = ("import sys; from hopflab.cli import main; main(sys.argv[1:]); "
+             "print(*sorted(m for m in ('cohomology', 'precartier', 'quantize') if 'hopflab.' + m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1].split() == loaded
+
+
+def test_runconfig_no_tasks(capsys):
+    """An empty or unknown task is a configuration error."""
+    for task in ("", "bogus"):
+        assert run(RunConfig(family="en:1", task=task)) == 2
+        assert capsys.readouterr().err == f"config error: unknown task {task!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -360,11 +385,12 @@ def test_enumeration_survivors_are_verified_once(capsys, monkeypatch, task):
     their reports: ``verify_qtr`` runs once per survivor (9 on h2n2:3),
     inside the enumeration, and no R is built or inverted again.  The
     quantize solve is stubbed out (no chi): only the R's are counted."""
+    import hopflab.precartier as pc
     import hopflab.rmatrices as rm
     from hopflab.linalg import Subspace
 
     calls, builds = [], []
-    monkeypatch.setattr(cli, "solve_infinitesimal", lambda h, r, rinv, commutant: Subspace(h.dim**2, (), ()))
+    monkeypatch.setattr(pc, "solve_infinitesimal", lambda h, r, rinv, commutant: Subspace(h.dim**2, (), ()))
     monkeypatch.setattr(cli, "r_inverse", lambda h, r: pytest.fail("R inverted again"))
     verify_qtr, build_r = rm.verify_qtr, rm.build_r
 

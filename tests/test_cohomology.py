@@ -52,7 +52,7 @@ def test_h8_cocycles_equal_coboundaries(h8):
     assert cocycles(h8, 2) == coboundaries(h8, 2)
 
 
-def test_coboundary_preimage(en2):
+def test_coboundary_preimage(en2, rng):
     zero = en2.zero_tensor(2)
     a = coboundary_preimage(en2, zero)
     assert a is not None and b1_elem(en2, a) == zero
@@ -60,9 +60,18 @@ def test_coboundary_preimage(en2):
     a = coboundary_preimage(en2, t)
     assert a is not None
     assert b1_elem(en2, a) == t
-    # x1*x2 is also a valid (non-canonical) preimage
-    assert b1_elem(en2, pe(en2, "x{1,2}")) == t
+    # Z^1 = 0, so the preimage is unique: here x1*x2
+    assert a == pe(en2, "x{1,2}")
     assert coboundary_preimage(en2, pe(en2, "g^1*x{1} (x) x{1}")) is None
+    # the same on other families; a tensor outside B^2 has no preimage
+    for family in ("h8", "ac4dual", "ac2n:3"):
+        h = build(family)
+        a = random_sparse_tensor(h, rng, legs=1, nnz=3)
+        assert cocycles(h, 1).dim == 0
+        assert coboundary_preimage(h, b1_elem(h, a)) == a
+        b2 = coboundaries(h, 2)
+        outside = next(k for k in range(h.dim**2) if not b2.contains({k: h.field.one}))
+        assert coboundary_preimage(h, Tensor(h, 2, {outside: h.field.one})) is None
 
 
 def test_en_z2_decomposition(en1, en2, en3):

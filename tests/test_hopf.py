@@ -18,6 +18,7 @@ from conftest import (
     oracle_verify_bialgebra,
     pe,
     random_sparse_tensor,
+    verify_antipode_antihom,
 )
 from hopflab.cohomology import b_apply
 from hopflab.expressions import format_tensor
@@ -42,7 +43,6 @@ from hopflab.hopf import (
     product_sums as batched_product_sums,
     restrict_and_cut,
     vanishes_all,
-    verify_antipode_antihom,
     verify_bialgebra,
     verify_hopf,
 )
@@ -864,17 +864,29 @@ def test_product_loops_never_multiply_by_zero(family):
             assert {k: v.x for k, v in loop(wrapped, h.dim, wa, wb).items()} == ref
 
 
-def test_crosscheck_script_verifies_over_the_prime_field(capsys, monkeypatch):
-    """``scripts/crosscheck_prime_field.py`` runs ``verify_hopf`` on each case
-    family and each batch family over F_97 with the exact field's check
-    count: the F_p route of the kernel's zero test."""
+def _crosscheck_module(monkeypatch):
     path = Path(__file__).resolve().parents[1] / "scripts" / "crosscheck_prime_field.py"
     spec = importlib.util.spec_from_file_location("crosscheck_prime_field", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr("sys.argv", ["crosscheck_prime_field.py"])
+    return module
+
+
+def test_crosscheck_script_verifies_over_the_prime_field(capsys, monkeypatch):
+    """``scripts/crosscheck_prime_field.py`` runs ``verify_hopf`` on each case
+    family and each batch family over F_97 with the exact field's check
+    count: the F_p route of the kernel's zero test.  Each case report has
+    the same dims and flags over F_97, ``cartier_equals_coboundary_cut``
+    (an intersection of two cuts) among them."""
+    module = _crosscheck_module(monkeypatch)
     assert module.main() == 0
-    lines = [line for line in capsys.readouterr().out.splitlines() if "verify_hopf" in line]
+    out = capsys.readouterr().out.splitlines()
+    cases = [line for line in out if " r=" in line]
+    assert len(cases) == len(module.CASES) and all(line.startswith("ok ") for line in cases)
+    for family in ("en:2", "ac2n:3"):
+        assert "'cartier_equals_coboundary_cut': True" in next(line for line in cases if f" {family} " in line)
+    lines = [line for line in out if "verify_hopf" in line]
     assert {family for family, _ in module.CASES} <= set(module.VERIFY_FAMILIES)
     assert {family for family, _ in module.FAMILIES} <= set(module.VERIFY_FAMILIES)
     assert {"en:3", "ac2n:4", "radford:3,2", "h8", "h2n2:3", "ac4dual", "group:2,2,2"} <= set(module.VERIFY_FAMILIES)
@@ -883,3 +895,23 @@ def test_crosscheck_script_verifies_over_the_prime_field(capsys, monkeypatch):
         assert line.startswith("ok ")
         exact, modp = re.findall(r"(\d+) checks", line)
         assert exact == modp and int(exact) > 0
+
+
+def test_crosscheck_script_reports_a_flag_that_differs(capsys, monkeypatch):
+    """A case whose F_p report differs only in a flag is a DIFF, exit 1."""
+    module = _crosscheck_module(monkeypatch)
+    classify = module.classify
+
+    def flipped_over_fp(family, rtext, field=None):
+        rep = classify(family, rtext, field)
+        if field is not None:
+            rep.flags["cartier_equals_coboundary_cut"] = not rep.flags["cartier_equals_coboundary_cut"]
+        return rep
+
+    monkeypatch.setattr(module, "classify", flipped_over_fp)
+    monkeypatch.setattr(module, "CASES", [("en:1", "en-a:[[0]]")])
+    monkeypatch.setattr(module, "VERIFY_FAMILIES", [])
+    monkeypatch.setattr(module, "quantize_entries", lambda family, field=None: [])
+    assert module.main() == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("DIFF ") and "differences: {'cartier_equals_coboundary_cut': (True, False)}" in line

@@ -9,15 +9,14 @@ from hopflab.linalg import (
     ROUTES,
     AmbientDimensionMismatch,
     Echelon,
-    LinAlgError,
     SparseMat,
     Subspace,
     exact_kernel,
-    kernel,
     kernel_of_rows,
     solve,
     vec_axpy,
 )
+from hopflab import linalg
 from hopflab.scalars import MODULAR_PRIME, FieldSpec, get_field, residue_map
 
 
@@ -35,9 +34,9 @@ def test_rref_examples():
 
 
 def test_kernel_examples():
-    assert kernel(mat([{}], 5)).dim == 5
-    assert kernel(mat([{0: 1}, {1: 1}], 2)).dim == 0
-    k = kernel(mat([{0: 1, 1: -1}], 2))
+    assert kernel_of_rows([{}], 5).dim == 5
+    assert kernel_of_rows(mat([{0: 1}, {1: 1}], 2).rows, 2).dim == 0
+    k = kernel_of_rows(mat([{0: 1, 1: -1}], 2).rows, 2)
     assert k.dim == 1
     assert k.rows[0] == {0: Fraction(1), 1: Fraction(1)}
 
@@ -60,7 +59,7 @@ def test_kernel_annihilates_and_rank_nullity():
     for _ in range(25):
         m = _random_mat(rng, rng.randint(1, 6), rng.randint(1, 6))
         rank = Subspace.from_vectors(m.rows, m.ncols).dim
-        ker = kernel(m)
+        ker = kernel_of_rows(m.rows, m.ncols)
         assert rank + ker.dim == m.ncols
         for v in ker.basis():
             assert not m.apply(v)
@@ -71,7 +70,7 @@ def test_kernel_annihilates_and_rank_nullity():
 def test_rref_canonical_under_row_shuffle(seed, ncols, nrows):
     rng = random.Random(seed)
     m = _random_mat(rng, nrows, ncols)
-    red1, ker1 = Subspace.from_vectors(m.rows, ncols), kernel(m)
+    red1, ker1 = Subspace.from_vectors(m.rows, ncols), kernel_of_rows(m.rows, ncols)
     rows = list(m.rows)
     rng.shuffle(rows)
     red2, ker2 = Subspace.from_vectors(rows, ncols), kernel_of_rows(rows, ncols)
@@ -85,7 +84,7 @@ def test_rref_idempotent():
     red = Subspace.from_vectors(m.rows, 4)
     again = Subspace.from_vectors(red.rows, 4)
     assert red.rows == again.rows
-    ker = kernel(m)
+    ker = kernel_of_rows(m.rows, m.ncols)
     assert Subspace.from_vectors(ker.rows, 4).rows == ker.rows
 
 
@@ -143,9 +142,9 @@ def test_solve():
     # inconsistent
     sol = solve([{0: Fraction(1)}, {0: Fraction(1)}], 1, {0: Fraction(1), 1: Fraction(2)})
     assert sol is None
-    # underdetermined: free coordinate stays zero
+    # underdetermined: ker A = span{(1, -1/2)} has pivot 0, where x vanishes
     sol = solve([{0: Fraction(1), 1: Fraction(2)}], 2, {0: Fraction(4)})
-    assert sol == {0: Fraction(4)}
+    assert sol == {1: Fraction(2)}
 
 
 def test_echelon_incremental_rank():
@@ -184,32 +183,28 @@ def test_kernel_of_rows_reads_every_row_below_full_rank():
 
 @pytest.mark.parametrize("spec", ["Q", "cyclotomic:3", "prime:97"])
 def test_zero_and_full_subspaces_keep_the_field(spec):
-    """The annihilator of the zero subspace is the full space and the other
-    way round; intersections with either keep the field's element type and
-    never divide (the field's one comes from the caller or a pivot)."""
+    """Intersections with the zero or the full space, and of nested spaces,
+    keep the field's element type and never divide (the field's one comes
+    from an operand or a pivot)."""
     f = get_field(FieldSpec.parse(spec))
     n = 4
     zero = Subspace(n, (), ())
-    full = Subspace(n, tuple({i: f.one} for i in range(n)), tuple(range(n)))
+    full = _full(n, f.one)
     typ = type(f.one)
-
-    ann = zero.complement_equations(f.one)
-    assert ann == full and all(type(v) is typ for row in ann.rows for v in row.values())
-    assert full.complement_equations() == zero
-    with pytest.raises(LinAlgError):
-        zero.complement_equations()
-
     two = f.from_int(2)
     line = Subspace.from_vectors([{0: two, 2: -two}], n)
     inside = Subspace.from_vectors([{0: two, 1: f.one}], n)
     plane = inside.sum(Subspace.from_vectors([{2: f.one, 3: -two}], n))
-    assert line.complement_equations().dim == 3 and plane.complement_equations().dim == 2
     for a, b, expected in [(zero, full, zero), (full, zero, zero), (full, full, full), (zero, zero, zero),
                            (line, full, line), (full, line, line), (line, zero, zero), (line, plane, zero),
                            (plane, inside, inside), (inside, plane, inside)]:
         got = a.intersect(b)
         assert got == expected
         assert all(type(v) is typ for row in got.rows for v in row.values())
+
+
+def _full(n, one):
+    return Subspace(n, tuple({i: one} for i in range(n)), tuple(range(n)))
 
 
 # -- the modular route of kernel_of_rows against the exact fallback ----------
@@ -345,4 +340,117 @@ def test_int_entries_are_rationals():
             assert all(type(v) is Fraction for row in ker.rows for v in row.values())
     assert all(type(v) is Fraction for v in red.rows[0].values())
     sol = solve([{0: 2, 1: 4}], 2, {0: 3})
-    assert sol == {0: Fraction(3, 2)} and type(sol[0]) is Fraction
+    assert sol == {1: Fraction(3, 4)} and type(sol[1]) is Fraction
+
+
+# -- intersect and solve, the two routes into kernel_of_rows ---------------
+
+def _annihilator_rows(s: Subspace, one) -> list:
+    if not s.rows:
+        return [{i: one} for i in range(s.ambient_dim)]
+    return list(exact_kernel(s.rows, s.ambient_dim).rows)
+
+
+def _stacked_intersection(a: Subspace, b: Subspace, one) -> Subspace:
+    """The intersection as the kernel of both annihilators stacked, every
+    elimination by ``exact_kernel``."""
+    eqs = _annihilator_rows(a, one) + _annihilator_rows(b, one)
+    return exact_kernel(eqs, a.ambient_dim) if eqs else _full(a.ambient_dim, one)
+
+
+@st.composite
+def _subspace_pairs(draw, spec: str):
+    """Two subspaces of one ambient space of dimension <= 8: unrelated,
+    nested, or one of them zero or full, in either order."""
+    scalars = _scalars(spec)
+    n = draw(st.integers(1, 8))
+
+    def space(k):
+        vecs = [{c: draw(scalars) for c in range(n) if draw(st.booleans())} for _ in range(k)]
+        return Subspace.from_vectors(vecs, n)
+
+    a = space(draw(st.integers(0, n)))
+    kind = draw(st.sampled_from(["random", "nested", "zero", "full"]))
+    if kind == "random":
+        b = space(draw(st.integers(0, n)))
+    elif kind == "nested":
+        b = a.sum(space(draw(st.integers(0, 2))))
+    elif kind == "zero":
+        b = Subspace(n, (), ())
+    else:
+        b = _full(n, get_field(FieldSpec.parse(spec)).one)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@pytest.mark.parametrize("spec", ["Q", "cyclotomic:3", "prime:97"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_intersect_equals_stacked_annihilators(spec, data):
+    """Both argument orders give the oracle's canonical basis, in the
+    field's own element type."""
+    a, b = data.draw(_subspace_pairs(spec))
+    one = get_field(FieldSpec.parse(spec)).one
+    want = _stacked_intersection(a, b, one)
+    for got in (a.intersect(b), b.intersect(a)):
+        assert _same(got, want)
+        assert _same(got, Subspace.from_vectors(got.rows, got.ambient_dim))
+        assert all(type(v) is type(one) for row in got.rows for v in row.values())
+
+
+def _evaluate(row: dict, x: dict):
+    acc = 0
+    for c, v in row.items():
+        if c in x:
+            acc = acc + v * x[c]
+    return acc
+
+
+def _rank(rows, ncols: int) -> int:
+    return ncols - exact_kernel(rows, ncols).dim
+
+
+@pytest.mark.parametrize("spec", ["Q", "cyclotomic:3", "prime:97"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_solve_properties(spec, data):
+    """A x = b by direct evaluation; None exactly when rank A < rank [A | b];
+    x zero at every pivot of ker A.  Half the right-hand sides are A x0."""
+    rows, ncols = data.draw(_matrices(spec))
+    scalars = _scalars(spec)
+    if data.draw(st.booleans()):
+        x0 = {c: data.draw(scalars) for c in range(ncols)}
+        rhs = {r: _evaluate(row, x0) for r, row in enumerate(rows)}
+    else:
+        rhs = {r: data.draw(scalars) for r in range(len(rows)) if data.draw(st.booleans())}
+    x = solve(rows, ncols, rhs)
+    aug = [{**row, ncols: rhs[r]} if r in rhs else row for r, row in enumerate(rows)]
+    assert (x is None) == (_rank(rows, ncols) < _rank(aug, ncols + 1))
+    if x is not None:
+        for r, row in enumerate(rows):
+            assert not (_evaluate(row, x) - rhs.get(r, 0))
+        assert not set(x) & set(exact_kernel(rows, ncols).pivot_cols)
+
+
+def test_solve_and_intersect_make_one_kernel_call(monkeypatch):
+    """``solve`` makes one kernel call over ncols + 1 columns; ``intersect``
+    at most one, over the smaller dimension, and none when the smaller
+    space lies in the larger."""
+    calls = []
+    orig = linalg.kernel_of_rows
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return orig(rows, ncols)
+
+    monkeypatch.setattr(linalg, "kernel_of_rows", counting)
+    assert solve([{0: Fraction(1), 1: Fraction(1)}], 3, {0: Fraction(2)}) == {1: Fraction(2)}
+    assert calls == [4]
+    calls.clear()
+    line = Subspace.from_vectors([{0: Fraction(1), 1: Fraction(1)}], 3)
+    plane = Subspace.from_vectors([{0: Fraction(1)}, {2: Fraction(1)}], 3)
+    assert line.intersect(plane).dim == 0 and plane.intersect(line).dim == 0
+    assert calls == [1, 1]
+    calls.clear()
+    above = line.sum(Subspace.from_vectors([{2: Fraction(1)}], 3))
+    assert line.intersect(above) == line and above.intersect(line) == line
+    assert calls == []

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import copy_tables, pe, registered_rs
+from conftest import batch_modes, copy_tables, pe, registered_rs
 import hopflab.rmatrices as rm
 from hopflab.families import FamilySpec, build
 from hopflab.hopf import HopfData, Tensor, cocommutativity_indices, delta, generators_span, verify_hopf
@@ -173,6 +173,14 @@ def test_r_inverse_candidate_equals_solve(en2, h8, monkeypatch):
             rinv = r_inverse(h, r)
             assert rinv == _solve_inverse(h, r), str(spec)
             assert rinv == antipode_first_leg(r)
+    # one R of every other batch family with R-matrices, an h2n2:3 survivor for the enumerated one
+    for family, mode in batch_modes():
+        if mode == "rfree" or family in ("en:2", "h8"):
+            continue
+        h = build(family)
+        spec = "bichar:[[0,0],[1,0]]" if mode == "enumerate" else registered_rspecs(h.family)[0]
+        r = build_r(h, spec)
+        assert r_inverse(h, r) == _solve_inverse(h, r) == antipode_first_leg(r), family
     assert calls == []  # every registered R took the antipode candidate
 
 
