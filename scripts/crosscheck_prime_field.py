@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Prime-field cross-validation: rerun the key classifications over F_p
-(p = 1 mod 8 so every needed root of unity exists) and diff the dimensions
+(p = 1 mod 24 so every needed root of unity exists) and diff the dimensions
 and flags of each report against the rational/cyclotomic run's (among the
 flags, ``cartier_equals_coboundary_cut`` compares two cuts by an
 intersection); run ``verify_hopf`` over F_p on each case family and on each
@@ -33,6 +33,7 @@ CASES = [
     ("ac2n:3", "ac22:q=1,a=1"),
     ("h8", "h8pm:+1,-1"),
     ("h8", "h8omega:z8"),
+    ("h2n2:3", "bichar:[[0,0],[1,0]]"),
     ("radford:2,2", None),
 ]
 

@@ -43,16 +43,14 @@ class RunConfig:
         return FieldSpec.parse(self.field) if self.field else None
 
 
-def _resolve_rs(cfg: RunConfig, h) -> list[tuple] | None:
-    """None means R-free; otherwise the (spec, R, QtrReport) triples to
-    iterate, R and its report None where the task builds and verifies R
-    itself (``rmatrices.enumerate_rmatrices`` passes the enumeration's
-    survivors already verified)."""
+def _resolve_rs(cfg: RunConfig, h) -> list[RSpec] | None:
+    """None means R-free; otherwise the R specs to iterate.  Each task
+    builds R from its spec and checks it."""
     if cfg.r in (None, "none"):
         return None
     if cfg.r == "enumerate":
         return enumerate_rmatrices(h)
-    return [(RSpec.parse(cfg.r), None, None)]
+    return [RSpec.parse(cfg.r)]
 
 
 def _emit(cfg: RunConfig, payload) -> None:
@@ -122,9 +120,8 @@ def run(cfg: RunConfig) -> int:
         rs = _resolve_rs(cfg, h)
         if rs:
             payload["r_reports"] = []
-            for spec, r, qrep in rs:
-                if r is None:
-                    qrep = verify_qtr(h, build_r(h, spec))
+            for spec in rs:
+                qrep = verify_qtr(h, build_r(h, spec))
                 payload["r_reports"].append({"r": str(spec), "qtr_ok": qrep.ok,
                                              "failures": [list(fail) for fail in qrep.failures[:10]]})
                 if not qrep.ok:
@@ -134,14 +131,8 @@ def run(cfg: RunConfig) -> int:
         from .precartier import classify
 
         h = build(fam_spec, field_spec)
-        rs = _resolve_rs(cfg, h)
-        if rs is None:
-            reports = [classify(fam_spec, None, field_spec).to_dict()]
-        else:
-            reports = [
-                classify(fam_spec, spec, field_spec, prebuilt=None if r is None else (r, qrep)).to_dict()
-                for spec, r, qrep in rs
-            ]
+        specs = _resolve_rs(cfg, h) or [None]  # None: the R-free classification
+        reports = [classify(fam_spec, spec, field_spec).to_dict() for spec in specs]
         problems = _report_failures(reports)
         if problems:
             status = 1
@@ -158,7 +149,7 @@ def run(cfg: RunConfig) -> int:
         _emit(cfg, {"family": str(fam_spec), "field": h.field.description(),
                     "dims": {"z1": z1.dim, "z2": z2.dim, "b2": b2.dim, "h2": z2.dim - b2.dim}})
     elif task == "quantize":
-        from .precartier import cached_commutant, solve_infinitesimal
+        from .precartier import solve_infinitesimal
         from .quantize import verify_quantized_qtr
 
         h = build(fam_spec, field_spec)
@@ -167,16 +158,13 @@ def run(cfg: RunConfig) -> int:
             sys.stderr.write("config error: quantize needs --r\n")
             return 2
         out = []
-        for spec, r, qrep in rs:
-            if r is None:
-                r = build_r(h, spec)
-                rinv = r_inverse(h, r)
-            else:
-                rinv = qrep.r_inv
+        for spec in rs:
+            r = build_r(h, spec)
+            rinv = r_inverse(h, r)  # R is checked at hbar^0 by verify_quantized_qtr
             if cfg.chi:
                 chis = [parse_element(h, cfg.chi)]
             else:
-                space = solve_infinitesimal(h, r, rinv=rinv, commutant=cached_commutant(h))
+                space = solve_infinitesimal(h, r, rinv=rinv)
                 chis = [Tensor(h, 2, v) for v in space.basis()]
             for chi in chis:
                 if not isinstance(chi, Tensor) or chi.legs != 2:
@@ -198,10 +186,19 @@ def run(cfg: RunConfig) -> int:
     elif task == "enumerate-r":
         h = build(fam_spec, field_spec)
         if fam_spec.kind in ("h2n2", "h8"):
-            found = enumerate_group_rmatrices(h, with_specs=True)
+            specs = enumerate_group_rmatrices(h)
         else:  # a family with nothing to enumerate raises RSpecError, exit 2
-            found = [(spec, build_r(h, spec), None) for spec, _, _ in enumerate_rmatrices(h)]
-        _emit(cfg, [{"r": str(spec), "tensor": format_tensor(r)} for spec, r, _ in found])
+            specs = enumerate_rmatrices(h)
+        found = []
+        for spec in specs:
+            r = build_r(h, spec)
+            qrep = verify_qtr(h, r)
+            if qrep.ok:
+                found.append({"r": str(spec), "tensor": format_tensor(r)})
+            else:
+                status = 1
+                sys.stderr.write(f"error: R {spec} fails the axioms: {qrep.summary()}\n")
+        _emit(cfg, found)
     else:
         sys.stderr.write(f"config error: unknown task {task!r}\n")
         return 2
@@ -234,6 +231,11 @@ def main(argv=None) -> int:
         return run(cfg)
     except (RSpecError, FamilyMismatch, ParameterError, ExprError, OrderUnavailable) as exc:
         sys.stderr.write(f"config error: {exc}\n")
+        return 2
+    except OSError as exc:
+        if cfg.out is None or exc.filename != cfg.out:
+            raise
+        sys.stderr.write(f"config error: cannot write the report: {exc}\n")
         return 2
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")

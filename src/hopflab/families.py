@@ -703,7 +703,7 @@ def build(spec, field_spec: FieldSpec | None = None, checked: bool = True) -> Ho
     one per slot width used over a cyclotomic field), the generator
     certificate (``hopf.generators_span``, granted once ``verify_hopf``
     passed on the instance, as it has on every checked build), and the
-    ``precartier._analysis_cache`` memo of R-independent results
+    ``precartier.analysis`` memo of R-independent results
     (commutant, R-free space, cocycles, coboundaries); and, per interned
     cyclotomic field, the ``CycElt`` product and sum caches, which stop
     growing at 300000 entries each.  A long-lived process that builds many

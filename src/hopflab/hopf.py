@@ -211,6 +211,7 @@ class HopfData:
         self._int_terms: dict = {}  # width -> int copy of mult_terms
         self.hopf_verified = False  # set by a passing verify_hopf
         self._words_span: bool | None = None  # cached _close_generator_words
+        self._analysis_cache: dict = {}  # precartier.analysis: key -> R-independent subspace
 
     def int_terms(self, width) -> list:
         """``mult_terms`` over Z for the field's ``pack`` at ``width`` (a

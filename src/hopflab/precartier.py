@@ -40,7 +40,6 @@ from .families import FamilySpec, build
 from .hopf import HopfData, HopfError, SumMap, Tensor, _generator_elems, delta, full_space, generators_span, map_rows, multiply, product_sum, restrict_and_cut, vanishes_all
 from .linalg import SparseMat, Subspace
 from .rmatrices import (
-    FamilyMismatch,
     RSpec,
     build_r,
     enumerate_rmatrices,
@@ -109,10 +108,6 @@ def cartier_map(h: HopfData, r: Tensor) -> SumMap:
     return SumMap(2, lambda t: [(None, r.coeffs, t.coeffs), (minus, t.flip().coeffs, r.coeffs)])
 
 
-def eval_cocycle(h: HopfData, t: Tensor) -> Tensor:
-    return t.leg(12) + t.apply_delta(0) - t.leg(23) - t.apply_delta(1)
-
-
 def eval_counits(h: HopfData, t: Tensor) -> tuple[Tensor, Tensor]:
     return t.apply_counit(1), t.apply_counit(0)
 
@@ -155,7 +150,7 @@ def build_system(h: HopfData, r: Tensor | None = None, tags=None, assume_qtr: bo
         "counit_left": ([lambda t: t.apply_counit(1)], dim),
         "counit_right": ([lambda t: t.apply_counit(0)], dim),
         "cartier": ([lambda t: eval_cartier(h, r, t)], dim**2),
-        "cocycle": ([lambda t: eval_cocycle(h, t)], dim**3),
+        "cocycle": ([lambda t: cohomology.b_apply(h, 2, t)], dim**3),
     }
     blocks = []
     for tag in tags:
@@ -215,8 +210,9 @@ def solve_rfree(h: HopfData) -> Subspace:
     return space
 
 
-def solve_infinitesimal(h: HopfData, r: Tensor, rinv: Tensor | None = None, commutant: Subspace | None = None) -> Subspace:
-    """The full solution space of C1, C2, C3 for the given R.
+def solve_infinitesimal(h: HopfData, r: Tensor, rinv: Tensor | None = None) -> Subspace:
+    """The full solution space of C1, C2, C3 for the given R: the C2 and
+    then the C3 cut of ``cached_commutant(h)``.
 
     Every basis vector of the result is rechecked by direct evaluation: C1
     against the generators (which covers every b by ``generators_span``, see
@@ -224,9 +220,7 @@ def solve_infinitesimal(h: HopfData, r: Tensor, rinv: Tensor | None = None, comm
     asserted post-hoc.
     """
     _require_generators_span(h)
-    if commutant is None:
-        commutant = commutant_of_coproducts(h, _generator_elems(h))
-    space = restrict_and_cut(h, 2, commutant, [cqtr_rmul_map(h, r, 12)])
+    space = restrict_and_cut(h, 2, cached_commutant(h), [cqtr_rmul_map(h, r, 12)])
     space = restrict_and_cut(h, 2, space, [cqtr_rmul_map(h, r, 23)])
     if rinv is None:
         rinv = r_inverse(h, r)
@@ -247,15 +241,10 @@ def cartier_subspace(h: HopfData, r: Tensor, chi_space: Subspace) -> Subspace:
     return restrict_and_cut(h, 2, chi_space, [cartier_map(h, r)])
 
 
-def cartier_coboundary_check(h: HopfData, r: Tensor, chi_space: Subspace, cart: Subspace | None = None) -> bool:
-    """Does the Cartier cut equal the coboundary cut of the solution space?
-    ``cart`` is the Cartier cut when the caller has already computed it."""
-    if cart is None:
-        cart = cartier_subspace(h, r, chi_space)
-    cache = _analysis_cache(h)
-    if "b2" not in cache:
-        cache["b2"] = cohomology.coboundaries(h, 2)
-    return cart == chi_space.intersect(cache["b2"])
+def cartier_coboundary_check(h: HopfData, chi_space: Subspace, cart: Subspace) -> bool:
+    """Does the Cartier cut ``cart`` (``cartier_subspace`` of ``chi_space``)
+    equal the coboundary cut of the solution space?"""
+    return cart == chi_space.intersect(analysis(h, "b2"))
 
 
 def casimir(h: HopfData, chi: Tensor) -> Tensor:
@@ -349,21 +338,28 @@ class ClassificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _analysis_cache(h: HopfData) -> dict:
-    """Memo for the R-independent artifacts of one algebra (the HopfData
-    instances are interned by the build cache, so this is sound)."""
-    cache = getattr(h, "_analysis_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(h, "_analysis_cache", cache)
-    return cache
+def analysis(h: HopfData, key: str) -> Subspace:
+    """The R-independent artifact ``key`` of h, computed on first use and
+    kept in the memo ``h._analysis_cache`` (the HopfData instances are
+    interned by the build cache, so this is sound): "commutant" (the C1 cut
+    by the generators), "rfree" (``solve_rfree``), "z1" and "z2" (cobar
+    cocycles) and "b2" (coboundaries).  Every reader goes through here, so
+    each is computed once per algebra."""
+    cache = h._analysis_cache
+    if key not in cache:
+        if key == "commutant":
+            cache[key] = commutant_of_coproducts(h, _generator_elems(h))
+        elif key == "rfree":
+            cache[key] = solve_rfree(h)
+        elif key in ("z1", "z2"):
+            cache[key] = cohomology.cocycles(h, int(key[1]))
+        else:  # "b2"
+            cache[key] = cohomology.coboundaries(h, 2)
+    return cache[key]
 
 
 def cached_commutant(h: HopfData) -> Subspace:
-    cache = _analysis_cache(h)
-    if "commutant" not in cache:
-        cache["commutant"] = commutant_of_coproducts(h, _generator_elems(h))
-    return cache["commutant"]
+    return analysis(h, "commutant")
 
 
 def classify(
@@ -371,15 +367,13 @@ def classify(
     rspec: RSpec | str | None = None,
     field_spec=None,
     with_cohomology: bool = True,
-    prebuilt: tuple | None = None,
 ) -> ClassificationReport:
-    """Build the family and an R-matrix, solve, and fill a report.
+    """Build the family and the R-matrix of ``rspec``, verify R, solve, and
+    fill a report.
 
     ``rspec`` may be None (R-free bound only, used for the Radford family and
-    group algebras where the classification is R-independent).  ``prebuilt``
-    is (R, QtrReport) when the caller already built R from ``rspec`` over
-    this family and verified it (an enumeration survivor); R is then not
-    rebuilt nor verified again, and a report that is not ok is refused.
+    group algebras where the classification is R-independent).  An R that
+    fails ``verify_qtr`` is refused.
     """
     if isinstance(family_spec, str):
         family_spec = FamilySpec.parse(family_spec)
@@ -387,50 +381,34 @@ def classify(
     f = h.field
     notes = []
     flags = {}
-    cache = _analysis_cache(h)
 
-    r = None
-    r_str = None
-    qrep = None
-    if prebuilt is not None and rspec is None:
-        raise PreCartierError("a prebuilt R needs the spec it was built from")
+    r = r_str = None
     if rspec is not None:
         # a malformed R spec is a configuration error: raise it before any solve
         if isinstance(rspec, str):
             rspec = RSpec.parse(rspec)
-        if prebuilt is None:
-            r = build_r(h, rspec)
-        else:
-            r, qrep = prebuilt
-            if r.parent is not h:
-                raise FamilyMismatch(f"the prebuilt R belongs to {r.parent.name}, not {h.name}")
+        r = build_r(h, rspec)
         r_str = str(rspec)
-
-    if "rfree" not in cache:
-        cache["rfree"] = solve_rfree(h)
-    rfree = cache["rfree"]
-    dims = {"rfree": rfree.dim}
-
-    if r is not None:
-        if qrep is None:
-            qrep = verify_qtr(h, r)
+        qrep = verify_qtr(h, r)
         if not qrep.ok:
             raise PreCartierError(f"R fails the axioms: {qrep.summary()}")
         flags["r_verified"] = True
         rinv = qrep.r_inv  # the verified two-sided inverse, reused below
         flags["r_triangular"] = is_triangular(h, r, rinv)
 
+    rfree = analysis(h, "rfree")
+    dims = {"rfree": rfree.dim}
     basis_exprs = []
     cart_exprs = []
     if r is not None:
-        chi_space = solve_infinitesimal(h, r, rinv=rinv, commutant=cached_commutant(h))
+        chi_space = solve_infinitesimal(h, r, rinv=rinv)
         dims["precartier"] = chi_space.dim
         cart = cartier_subspace(h, r, chi_space)
         dims["cartier"] = cart.dim
         basis_exprs = [format_tensor(Tensor(h, 2, v)) for v in chi_space.basis()]
         cart_exprs = [format_tensor(Tensor(h, 2, v)) for v in cart.basis()]
         flags["counit_auto_satisfied"] = True  # asserted inside solve_infinitesimal
-        flags["cartier_equals_coboundary_cut"] = cartier_coboundary_check(h, r, chi_space, cart)
+        flags["cartier_equals_coboundary_cut"] = cartier_coboundary_check(h, chi_space, cart)
         if not rfree.dim >= chi_space.dim:
             raise PreCartierError("R-free bound smaller than a solution space")
     elif rfree.dim == 0:
@@ -441,15 +419,11 @@ def classify(
         notes.append("precartier dimension pinned by the vanishing R-free bound, valid for every R")
 
     if with_cohomology:
-        if "z2" not in cache:
-            cache["z1"] = cohomology.cocycles(h, 1)
-            cache["z2"] = cohomology.cocycles(h, 2)
-            cache["b2"] = cohomology.coboundaries(h, 2)
-        z1, z2, b2 = cache["z1"], cache["z2"], cache["b2"]
+        z1, z2, b2 = analysis(h, "z1"), analysis(h, "z2"), analysis(h, "b2")
         dims["z1"] = z1.dim
         dims["z2"] = z2.dim
         dims["b2"] = b2.dim
-        dims["h2"] = z2.dim - b2.dim
+        dims["h2"] = dims["z2"] - dims["b2"]
 
     expected = expected_for(family_spec)
     flags["paper_partial"] = bool(expected and "partial_member" in expected)
@@ -464,7 +438,7 @@ def classify(
             if key in dims and dims[key] != val:
                 matches = False
         if expected.get("z2_equals_b2"):
-            same = (cache["z2"] == cache["b2"]) if with_cohomology else None
+            same = (z2 == b2) if with_cohomology else None
             flags["z2_equals_b2"] = same
             if same is False:
                 matches = False
@@ -491,13 +465,9 @@ def classify(
 
 
 def classify_enumerated(family_spec: FamilySpec | str, field_spec=None, with_cohomology: bool = True) -> list[ClassificationReport]:
-    """Classification over every R of ``rmatrices.enumerate_rmatrices`` for
-    the family; an enumeration survivor is classified with the R and report
-    the enumeration made."""
+    """Classification over every R spec of ``rmatrices.enumerate_rmatrices``
+    for the family."""
     if isinstance(family_spec, str):
         family_spec = FamilySpec.parse(family_spec)
     h = build(family_spec, field_spec)
-    return [
-        classify(family_spec, spec, field_spec, with_cohomology, prebuilt=None if r is None else (r, qrep))
-        for spec, r, qrep in enumerate_rmatrices(h)
-    ]
+    return [classify(family_spec, spec, field_spec, with_cohomology) for spec in enumerate_rmatrices(h)]

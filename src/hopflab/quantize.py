@@ -102,28 +102,28 @@ class PolyTensor:
         return " + ".join(f"hbar^{d}*({c!r})" for d, c in enumerate(self.coeffs)) or "0"
 
 
+def _powers(h: HopfData, chi: Tensor) -> list[Tensor]:
+    """chi^0, chi^1, ..., chi^(k-1) for chi nilpotent of degree k: every
+    power up to the last nonzero one."""
+    powers = [h.unit_tensor(2)]
+    bound = (h.dim * h.dim) + 1
+    while power := powers[-1] * chi:
+        if len(powers) == bound:
+            raise NotNilpotent(f"no vanishing power up to {bound}")
+        powers.append(power)
+    return powers
+
+
 def nilpotency_degree(h: HopfData, chi: Tensor) -> int:
     """Smallest k with chi^k = 0 in H (x) H."""
-    power = h.unit_tensor(2)
-    bound = (h.dim * h.dim) + 1
-    for k in range(1, bound + 1):
-        power = power * chi
-        if not power:
-            return k
-    raise NotNilpotent(f"no vanishing power up to {bound}")
+    return len(_powers(h, chi))
 
 
-def exp_hbar(h: HopfData, chi: Tensor, k: int | None = None) -> PolyTensor:
-    """sum_(j<k) hbar^j chi^j / j! for chi nilpotent of degree k; exact.
-    ``k`` is ``nilpotency_degree(h, chi)`` when the caller already has it."""
-    if k is None:
-        k = nilpotency_degree(h, chi)
+def exp_hbar(h: HopfData, chi: Tensor) -> PolyTensor:
+    """sum_(j<k) hbar^j chi^j / j! for chi nilpotent of degree k; exact."""
     f = h.field
     coeffs = []
-    power = h.unit_tensor(2)
-    for j in range(k):
-        if j:
-            power = power * chi
+    for j, power in enumerate(_powers(h, chi)):
         fact = f.from_int(math.factorial(j))
         if not fact:
             raise FactorialNotInvertible(f"{j}! vanishes in characteristic {f.characteristic}")
@@ -170,15 +170,24 @@ def verify_quantized_qtr(h: HopfData, r: Tensor, chi: Tensor, rinv: Tensor | Non
     ``hopf.cocommutativity_indices(h)``, as in ``rmatrices.verify_qtr``: the
     generators when ``generators_span`` holds (it needs a passing
     ``verify_hopf`` on ``h``, so H (x) H [hbar] is associative), every basis
-    element otherwise; a failure names the basis label of b."""
+    element otherwise; a failure names the basis label of b.
+
+    R itself need not have passed ``rmatrices.verify_qtr``: R is the hbar^0
+    coefficient of R exp(hbar chi), and R^-1 that of exp(-hbar chi) R^-1,
+    and the laws below compare polynomials coefficient by coefficient.  So
+    their hbar^0 parts are R's own axioms: both inverse laws for R and
+    ``rinv``, quasi-cocommutativity of R on the same b, and both hexagons
+    of R.  The counit, Yang-Baxter and antipode-inverse checks that
+    ``verify_qtr`` adds follow from these (Kassel, Quantum Groups, VIII.2)."""
     if rinv is None:
         rinv = r_inverse(h, r)
     hyp1, hyp2 = check_commutation_hypotheses(h, r, chi, rinv)
-    k = nilpotency_degree(h, chi)
+    exp_pos = exp_hbar(h, chi)
+    k = len(exp_pos.coeffs)  # chi^(k-1) / (k-1)! is the last nonzero term
     rep = QuantizationReport(f"quantize({h.name})", hypothesis_1=hyp1, hypothesis_2=hyp2, nilpotency=k)
 
-    exp_pos = exp_hbar(h, chi, k)
-    exp_neg = exp_hbar(h, -chi, k)  # (-chi)^j = +-chi^j: the same degree
+    # exp(-hbar chi): (-chi)^j / j! = (-1)^j chi^j / j!
+    exp_neg = PolyTensor(h, 2, [-c if j % 2 else c for j, c in enumerate(exp_pos.coeffs)])
     rt = PolyTensor.constant(r) * exp_pos
     rt_inv = exp_neg * PolyTensor.constant(rinv)
 

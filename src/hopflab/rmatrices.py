@@ -48,7 +48,7 @@ class RSpec:
     params: tuple = ()
 
     @staticmethod
-    def parse(text: str, field=None) -> "RSpec":
+    def parse(text: str) -> "RSpec":
         """Parse the text form; any malformed text raises RSpecError."""
         try:
             return RSpec._parse(text.strip())
@@ -73,7 +73,7 @@ class RSpec:
         if text.startswith("h8omega:"):
             return RSpec("h8_omega", (text[len("h8omega:") :],))
         if text.startswith("bichar:"):
-            mat = _parse_int_matrix(text[len("bichar:") :])
+            mat = _parse_matrix(text[len("bichar:") :], int)
             return RSpec("bichar", (tuple(tuple(r) for r in mat),))
         if text.startswith("explicit:"):
             return RSpec("explicit", (text[len("explicit:") :],))
@@ -96,20 +96,12 @@ class RSpec:
         return self.kind
 
 
-def _parse_int_matrix(text: str) -> list[list[int]]:
-    text = text.strip()
-    if not (text.startswith("[[") and text.endswith("]]")):
-        raise ValueError(f"expected [[..],[..]] matrix, got {text!r}")
-    rows = re.findall(r"\[([^\[\]]*)\]", text)
-    return [[int(x) for x in row.split(",")] for row in rows]
-
-
-def _parse_scalar_matrix(field, text: str) -> list[list]:
+def _parse_matrix(text: str, entry) -> list[list]:
+    """The rows of the text form [[..],[..]], each entry read by ``entry``."""
     text = text.strip()
     if not (text.startswith("[[") and text.endswith("]]")):
         raise RSpecError(f"expected [[..],[..]] matrix, got {text!r}")
-    rows = re.findall(r"\[([^\[\]]*)\]", text)
-    return [[_parse_body_scalar(field, x) for x in row.split(",")] for row in rows]
+    return [[entry(x) for x in row.split(",")] for row in re.findall(r"\[([^\[\]]*)\]", text)]
 
 
 def _parse_body_scalar(field, text: str):
@@ -273,46 +265,43 @@ def build_r_ac4dual(h: HopfData) -> Tensor:
     )
 
 
-def build_r_bichar(h: HopfData, mat: tuple) -> Tensor:
-    """Group-supported candidate from a 2x2 integer matrix mod n: the sum of
-    B(c, d) E_c (x) E_d over dual-group characters, B(c, d) = q^(c.M.d).
-
-    The idempotents are E_c = (1/n^2) sum_g q^(-c.g) x^g1 y^g2, so E_c (x) E_d
-    is written down directly: its coefficient at x^g1 y^g2 (x) x^h1 y^h2 is
-    q^(-(c.g + d.h)) / n^4, the product of the idempotents' coefficients.
-    The terms are added in place in the order of the sum, so R, down to the
-    order of its entries, is the tensor that adding the products term by
-    term gives; an enumeration builds n^4 candidates this way."""
+def _bichar_order(h: HopfData) -> int:
+    """n of the semisimple family H_(2n^2), 2 on the 8-dimensional member."""
     fam = h.family
-    n = fam.params[0] if fam and fam.kind == "h2n2" else (2 if fam and fam.kind == "h8" else None)
-    if n is None:
-        raise FamilyMismatch("bicharacter R-matrices live on the semisimple family")
+    if fam is None or fam.kind not in ("h2n2", "h8"):
+        raise FamilyMismatch("bicharacter R-matrices and their enumeration live on the semisimple family")
+    return fam.params[0] if fam.kind == "h2n2" else 2
+
+
+def build_r_bichar(h: HopfData, mat: tuple) -> Tensor:
+    """Group-supported candidate from a 2x2 integer matrix M mod n: the sum of
+    B(c, d) E_c (x) E_d over dual-group characters, B(c, d) = q^(c.M.d), with
+    the idempotents E_c = (1/n^2) sum_g q^(-c.g) x^g1 y^g2.
+
+    Summing over d first, sum_d q^(c.M.d) E_d = (1/n^2) sum_h x^h1 y^h2
+    sum_d q^(d.(M^T c - h)) = x^h1 y^h2 at h = M^T c (mod n), so
+    R = sum_c E_c (x) x^h1 y^h2 with h1 = m11 c1 + m21 c2 and
+    h2 = m12 c1 + m22 c2: n^4 scalar additions, c1 then c2 outermost and
+    the entries of each E_c in the order of g."""
+    n = _bichar_order(h)
     if len(mat) != 2 or any(len(row) != 2 for row in mat):
         raise RSpecError("bicharacter matrix must be 2x2")
     f = h.field
     q = f.make_root(n)
-    qpow = [q**t for t in range(n)]
-    inv_n4 = f.one / f.from_int(n**4)
-    coef = [qpow[-t % n] * inv_n4 for t in range(n)]  # q^(-t) / n^4
+    inv_n2 = f.one / f.from_int(n * n)
+    coef = [q ** (-t % n) * inv_n2 for t in range(n)]  # q^(-t) / n^2
     x, y = h.gen("x"), h.gen("y")
-    dim = h.dim
-    words = []  # (g1, g2, index of the basis element x^g1 y^g2)
+    index = {}  # (g1, g2) -> index of the basis element x^g1 y^g2
     for g1 in range(n):
         for g2 in range(n):
-            (k,) = (x**g1 * y**g2).coeffs
-            words.append((g1, g2, k))
-    chars = [(c1, c2) for c1 in range(n) for c2 in range(n)]
+            (index[g1, g2],) = (x**g1 * y**g2).coeffs
     ((m11, m12), (m21, m22)) = mat
     acc: dict = {}
-    for c1, c2 in chars:
-        for d1, d2 in chars:
-            exp = c1 * (m11 * d1 + m12 * d2) + c2 * (m21 * d1 + m22 * d2)
-            block = {
-                kg * dim + kh: coef[(c1 * g1 + c2 * g2 + d1 * h1 + d2 * h2) % n]
-                for g1, g2, kg in words
-                for h1, h2, kh in words
-            }
-            vec_axpy(acc, block, qpow[exp % n])
+    for c1 in range(n):
+        for c2 in range(n):
+            kh = index[(m11 * c1 + m21 * c2) % n, (m12 * c1 + m22 * c2) % n]
+            block = {kg * h.dim + kh: coef[(c1 * g1 + c2 * g2) % n] for (g1, g2), kg in index.items()}
+            vec_axpy(acc, block, f.one)
     return Tensor(h, 2, acc)
 
 
@@ -320,7 +309,9 @@ def build_r(h: HopfData, spec: RSpec | str) -> Tensor:
     if isinstance(spec, str):
         spec = RSpec.parse(spec)
     if spec.kind == "en_a":
-        A = _parse_scalar_matrix(h.field, spec.params[0]) if isinstance(spec.params[0], str) else spec.params[0]
+        A = spec.params[0]
+        if isinstance(A, str):
+            A = _parse_matrix(A, lambda x: _parse_body_scalar(h.field, x))
         return build_r_en(h, A)
     if spec.kind == "ac22":
         return build_r_ac22(h, spec.params[0], spec.params[1])
@@ -333,11 +324,8 @@ def build_r(h: HopfData, spec: RSpec | str) -> Tensor:
     if spec.kind == "bichar":
         return build_r_bichar(h, spec.params[0])
     if spec.kind == "explicit":
-        val = spec.params[0]
-        if isinstance(val, Tensor):
-            return val
         try:
-            t = parse_element(h, val)
+            t = parse_element(h, spec.params[0])
         except ExprError as exc:
             raise RSpecError(f"cannot parse explicit R: {exc}") from None
         if not isinstance(t, Tensor) or t.legs != 2:
@@ -511,25 +499,26 @@ def rswap_identities_en(h: HopfData, r: Tensor) -> VerifyReport:
 # -- enumeration ----------------------------------------------------------------
 
 
-def enumerate_group_rmatrices(h: HopfData, n: int | None = None, with_specs: bool = False):
-    """All group-supported R-matrices of the semisimple family, found by
-    filtering the n^4 bicharacter candidates through the full axiom check.
+def enumerate_group_rmatrices(h: HopfData) -> list[RSpec]:
+    """The group-supported R-matrices of the semisimple family, as specs:
+    the n^4 bicharacter candidates M (in the order of M) whose R passes
+    R Delta(z) = Delta^op(z) R.
 
+    On the group part the axioms hold for every bicharacter, so only the z
+    condition can fail, and on the generators it decides all of Q1; the
+    caller builds and verifies each R it uses (``verify_qtr``).
     Completeness relative to the cited classification of all R-matrices is
-    assumed, not proved; callers should surface that flag.  With
-    ``with_specs`` each survivor comes as (spec, R, its ok ``QtrReport``).
+    assumed, not proved; callers should surface that flag.  Beyond n = 4
+    the n^4 candidates are refused as a configuration (RSpecError): an
+    explicit ``bichar:[[..]]`` spec still classifies one R.
     """
-    fam = h.family
-    fam_n = fam.params[0] if fam and fam.kind == "h2n2" else (2 if fam and fam.kind == "h8" else None)
-    if fam_n is None:
-        raise FamilyMismatch("enumeration targets the semisimple family")
-    if n is not None and n != fam_n:
-        raise FamilyMismatch(f"n={n} does not match the family (n={fam_n})")
-    n = fam_n
+    n = _bichar_order(h)
     if n > 4:
-        raise RMatrixError("bicharacter enumeration capped at n <= 4")
-    z = h.gen("z")
-    dz = delta(z)
+        raise RSpecError(
+            f"the bicharacter enumeration on {h.family} is capped at n <= 4; "
+            "give one R explicitly, as --r bichar:[[m11,m12],[m21,m22]]"
+        )
+    dz = delta(h.gen("z"))
     dz_op = dz.flip()
     survivors = []
     for m11 in range(n):
@@ -538,17 +527,9 @@ def enumerate_group_rmatrices(h: HopfData, n: int | None = None, with_specs: boo
                 for m22 in range(n):
                     mat = ((m11, m12), (m21, m22))
                     r = build_r_bichar(h, mat)
-                    # cheap complete pre-filter: on the group part the axioms
-                    # are automatic for a bicharacter, so only the z condition
-                    # can fail, and on generators it decides all of Q1
-                    if r * dz != dz_op * r:
-                        continue
-                    rep = verify_qtr(h, r)
-                    if rep.ok:
-                        survivors.append((RSpec("bichar", (mat,)), r, rep))
-    if with_specs:
-        return survivors
-    return [r for _, r, _ in survivors]
+                    if r * dz == dz_op * r:
+                        survivors.append(RSpec("bichar", (mat,)))
+    return survivors
 
 
 # -- registries -------------------------------------------------------------------
@@ -576,19 +557,17 @@ def registered_rspecs(family_spec) -> list[RSpec]:
     return []
 
 
-def enumerate_rmatrices(h: HopfData) -> list:
-    """The R-matrices ``--r enumerate`` iterates for the family of h, as
-    (spec, R, QtrReport): on H_(2n^2) the survivors of
-    ``enumerate_group_rmatrices``, already built and verified; on any other
-    family the ``registered_rspecs``, with R and the report None for the
-    caller to build and verify.  A family with neither (``radford``,
+def enumerate_rmatrices(h: HopfData) -> list[RSpec]:
+    """The R specs ``--r enumerate`` iterates for the family of h: on
+    H_(2n^2) the survivors of ``enumerate_group_rmatrices``, on any other
+    family the ``registered_rspecs``.  A family with neither (``radford``,
     ``tensor``) raises RSpecError: there is nothing to enumerate, and the
     R-free classification is ``--r none``."""
     fam = h.family
     if fam is not None and fam.kind == "h2n2":
-        found = enumerate_group_rmatrices(h, with_specs=True)
+        found = enumerate_group_rmatrices(h)
     else:
-        found = [(spec, None, None) for spec in registered_rspecs(fam)] if fam is not None else []
+        found = registered_rspecs(fam) if fam is not None else []
     if not found:
         raise RSpecError(f"--r enumerate: family {fam} has no registered or enumerated R-matrix; use --r none")
     return found

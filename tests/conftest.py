@@ -94,11 +94,9 @@ def copy_tables(h, comult=None, generators=None, mult=None) -> HopfData:
 
 def registered_rs(h):
     """The R-matrices ``--r enumerate`` iterates for the family of h."""
-    from hopflab.rmatrices import build_r, enumerate_group_rmatrices, registered_rspecs
+    from hopflab.rmatrices import build_r, enumerate_rmatrices
 
-    if h.family.kind == "h2n2":
-        return enumerate_group_rmatrices(h)
-    return [build_r(h, spec) for spec in registered_rspecs(h.family)]
+    return [build_r(h, spec) for spec in enumerate_rmatrices(h)]
 
 
 def apply_rows(rows: dict, vec: dict) -> dict:

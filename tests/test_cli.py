@@ -379,35 +379,66 @@ def test_enumerate_with_nothing_to_enumerate_exit_2(capsys, task, family):
     assert out == ""
 
 
-@pytest.mark.parametrize("task", ["verify", "quantize"])
+@pytest.mark.parametrize("task", ["verify", "quantize", "enumerate-r"])
 def test_enumeration_survivors_are_verified_once(capsys, monkeypatch, task):
-    """``verify`` and ``quantize`` take the enumeration's survivors with
-    their reports: ``verify_qtr`` runs once per survivor (9 on h2n2:3),
-    inside the enumeration, and no R is built or inverted again.  The
-    quantize solve is stubbed out (no chi): only the R's are counted."""
+    """Each task builds every survivor of the h2n2:3 enumeration (9) once,
+    from its spec.  ``verify`` and ``enumerate-r`` check each R with one
+    ``verify_qtr``; ``quantize`` runs none and inverts each R once, as
+    ``verify_quantized_qtr`` checks R at hbar^0.  The quantize solve is
+    stubbed out (no chi): only the R's are counted."""
     import hopflab.precartier as pc
     import hopflab.rmatrices as rm
     from hopflab.linalg import Subspace
 
-    calls, builds = [], []
-    monkeypatch.setattr(pc, "solve_infinitesimal", lambda h, r, rinv, commutant: Subspace(h.dim**2, (), ()))
-    monkeypatch.setattr(cli, "r_inverse", lambda h, r: pytest.fail("R inverted again"))
-    verify_qtr, build_r = rm.verify_qtr, rm.build_r
+    verified, builds, inverted = [], [], []
 
-    def counting_verify(h, r):
-        calls.append(r)
-        return verify_qtr(h, r)
+    def counting(log, fn):
+        def counted(h, arg):
+            log.append(arg)
+            return fn(h, arg)
 
-    def counting_build(h, spec):
-        builds.append(spec)
-        return build_r(h, spec)
+        return counted
 
+    monkeypatch.setattr(pc, "solve_infinitesimal", lambda h, r, rinv: Subspace(h.dim**2, (), ()))
     for module in (cli, rm):
-        monkeypatch.setattr(module, "verify_qtr", counting_verify)
-    monkeypatch.setattr(cli, "build_r", counting_build)
-    code, out, _ = run_cli(capsys, task, "--family", "h2n2:3", "--r", "enumerate")
+        monkeypatch.setattr(module, "verify_qtr", counting(verified, rm.verify_qtr))
+    monkeypatch.setattr(cli, "build_r", counting(builds, rm.build_r))
+    monkeypatch.setattr(cli, "r_inverse", counting(inverted, rm.r_inverse))
+    argv = [task, "--family", "h2n2:3"] + ([] if task == "enumerate-r" else ["--r", "enumerate"])
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     if task == "verify":
         assert len(json.loads(out)["r_reports"]) == 9
-    assert len(calls) == 9
-    assert builds == []
+    assert len(builds) == len(set(builds)) == 9
+    assert len(verified) == (0 if task == "quantize" else 9)
+    assert len(inverted) == (9 if task == "quantize" else 0)
+
+
+def test_enumerate_r_exits_1_naming_an_r_that_fails(capsys, monkeypatch):
+    """``enumerate-r`` verifies each R it prints; one that fails is named on
+    stderr, left out of the output, and the exit status is 1."""
+    from hopflab.families import build
+    from hopflab.rmatrices import QtrReport, enumerate_group_rmatrices
+
+    specs = [str(spec) for spec in enumerate_group_rmatrices(build("h8"))]
+    calls = []
+
+    def failing_first(h, r):
+        calls.append(r)
+        rep = QtrReport("qtr")
+        rep.record("qyb", "", len(calls) > 1)
+        return rep
+
+    monkeypatch.setattr(cli, "verify_qtr", failing_first)
+    code, out, err = run_cli(capsys, "enumerate-r", "--family", "h8")
+    assert code == 1
+    assert f"R {specs[0]} fails the axioms" in err and "qyb" in err
+    assert [entry["r"] for entry in json.loads(out)] == specs[1:]
+
+
+def test_out_path_that_cannot_be_written_exit_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "build", "--family", "en:1", "--out", str(target))
+    assert code == 2
+    assert err.startswith("config error:") and "report.json" in err
+    assert out == "" and not target.exists()

@@ -886,6 +886,10 @@ def test_crosscheck_script_verifies_over_the_prime_field(capsys, monkeypatch):
     assert len(cases) == len(module.CASES) and all(line.startswith("ok ") for line in cases)
     for family in ("en:2", "ac2n:3"):
         assert "'cartier_equals_coboundary_cut': True" in next(line for line in cases if f" {family} " in line)
+    # the closed-form bicharacter R over Q(zeta_3) and over F_97
+    line = next(line for line in cases if " h2n2:3 " in line)
+    assert line.startswith("ok ") and "r=bichar:[[0,0],[1,0]]" in line
+    assert "'rfree': 82" in line and "'z2': 18, 'b2': 18" in line and "'matches_paper_theorem': True" in line
     lines = [line for line in out if "verify_hopf" in line]
     assert {family for family, _ in module.CASES} <= set(module.VERIFY_FAMILIES)
     assert {family for family, _ in module.FAMILIES} <= set(module.VERIFY_FAMILIES)

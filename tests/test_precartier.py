@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import batch_modes, copy_tables, pe, random_sparse_tensor
-from hopflab.cohomology import cocycles
+from hopflab.cohomology import b_apply, cocycles
 from hopflab.families import build, coradical_projection
 from hopflab.hopf import Tensor, _close_generator_words, generators_span, verify_hopf
 from hopflab.precartier import (
@@ -19,7 +19,6 @@ from hopflab.precartier import (
     classify,
     classify_enumerated,
     eval_cartier,
-    eval_cocycle,
     eval_counits,
     eval_cqtr1,
     eval_cqtr2,
@@ -65,7 +64,7 @@ def test_block_matrix_matches_direct_eval(en2, rng):
         assert (not blocks["cqtr2"].apply(vec)) == (not eval_cqtr2(en2, r, rinv, t))
         assert (not blocks["cqtr3"].apply(vec)) == (not eval_cqtr3(en2, r, rinv, t))
         assert (not blocks["cartier"].apply(vec)) == (not eval_cartier(en2, r, t))
-        assert (not blocks["cocycle"].apply(vec)) == (not eval_cocycle(en2, t))
+        assert (not blocks["cocycle"].apply(vec)) == (not b_apply(en2, 2, t))
         cqtr1_dead = not blocks["cqtr1"].apply(vec)
         direct_dead = all(not eval_cqtr1(en2, t, en2.basis_elem(b)) for b in range(en2.dim))
         assert cqtr1_dead == direct_dead
@@ -179,7 +178,7 @@ def test_cartier_coboundary_equivalence(en1, en2, en3):
     for h, rtext in ((en1, "en-a:[[2]]"), (en2, "en-a:[[1,2],[3,5]]"), (en3, "en-a:[[1,0,0],[0,1,0],[0,0,1]]")):
         r = build_r(h, rtext)
         space = solve_infinitesimal(h, r)
-        assert cartier_coboundary_check(h, r, space)
+        assert cartier_coboundary_check(h, space, cartier_subspace(h, r, space))
 
 
 def test_counits_on_solutions(en2):
@@ -263,17 +262,35 @@ def test_classify_enumerated_verifies_each_survivor_once(monkeypatch):
     assert [rep.to_dict() for rep in reports] == [classify("h2n2:2", rep.r).to_dict() for rep in reports]
 
 
-def test_classify_refuses_a_failed_prebuilt_report():
-    from hopflab.rmatrices import QtrReport
-
-    spec = "bichar:[[0,0],[0,0]]"
-    h = build("h2n2:2")
-    rep = QtrReport("qtr")
-    rep.record("qyb", "", False)
+def test_classify_refuses_an_r_that_fails_the_axioms():
+    """classify builds R from its spec and verifies it; 1 (x) 1 is no R on
+    the non-cocommutative E(2)."""
     with pytest.raises(PreCartierError, match="R fails the axioms"):
-        classify("h2n2:2", spec, prebuilt=(build_r(h, spec), rep))
-    with pytest.raises(PreCartierError, match="needs the spec"):
-        classify("h2n2:2", None, prebuilt=(build_r(h, spec), rep))
+        classify("en:2", "explicit:1 (x) 1")
+
+
+@pytest.mark.parametrize(
+    "family,rspec",
+    [("en:3", "en-a:[[1,0,0],[0,1,0],[0,0,1]]"), ("ac2n:4", "ac22:q=1,a=1"), ("h8", "h8pm:+1,-1"),
+     ("h2n2:3", "bichar:[[0,0],[1,0]]")],
+)
+def test_classify_computes_each_r_independent_artifact_once(monkeypatch, family, rspec):
+    """B^2 is read by the Cartier check and by the cohomology block, and the
+    commutant by the R-free and the R-dependent solve: one process computes
+    each of them, Z^1 and Z^2 once (the memo ``precartier.analysis``)."""
+    import hopflab.cohomology as cohomology
+    import hopflab.precartier as pc
+
+    h = build(family)
+    monkeypatch.setattr(h, "_analysis_cache", {})  # a cold memo
+    calls = []
+    for name in ("cocycles", "coboundaries"):
+        monkeypatch.setattr(cohomology, name, lambda h, n, fn=getattr(cohomology, name), name=name: calls.append((name, n)) or fn(h, n))
+    commutant = pc.commutant_of_coproducts
+    monkeypatch.setattr(pc, "commutant_of_coproducts", lambda h, elems: calls.append(("commutant", 0)) or commutant(h, elems))
+    classify(family, rspec)
+    classify(family, None)
+    assert sorted(calls) == [("coboundaries", 2), ("cocycles", 1), ("cocycles", 2), ("commutant", 0)]
 
 
 def _batch_families() -> list[str]:

@@ -10,11 +10,13 @@ from hopflab.rmatrices import (
     FamilyMismatch,
     NotInvertible,
     RSpec,
+    RSpecError,
     _solve_inverse,
     build_r,
     build_r_h8_pm,
     conjugation_identities_h8,
     enumerate_group_rmatrices,
+    enumerate_rmatrices,
     is_triangular,
     r_inverse,
     registered_rspecs,
@@ -236,7 +238,7 @@ def test_rswap_rejects_other_families(h8):
 
 
 def test_enumeration_h8_matches_pm_family(h8):
-    survivors = enumerate_group_rmatrices(h8)
+    survivors = [build_r(h8, spec) for spec in enumerate_group_rmatrices(h8)]
     assert len(survivors) == 4
     pm = [build_r_h8_pm(h8, a, b) for a in (1, -1) for b in (1, -1)]
     for r in survivors:
@@ -252,10 +254,31 @@ H2N2_3_SURVIVORS = [
 
 
 def test_enumeration_h2n2_3(h2n2_3):
-    survivors = enumerate_group_rmatrices(h2n2_3, with_specs=True)
-    assert [spec.params[0] for spec, _, _ in survivors] == H2N2_3_SURVIVORS
-    for _, r, _ in survivors:
-        assert verify_qtr(h2n2_3, r).ok
+    survivors = enumerate_group_rmatrices(h2n2_3)
+    assert survivors == [RSpec("bichar", (mat,)) for mat in H2N2_3_SURVIVORS]
+    for spec in survivors:
+        assert verify_qtr(h2n2_3, build_r(h2n2_3, spec)).ok
+
+
+def _all_matrices(n):
+    return [((a, b), (c, d)) for a in range(n) for b in range(n) for c in range(n) for d in range(n)]
+
+
+@pytest.mark.parametrize("family,n", [("h8", 2), ("h2n2:2", 2), ("h2n2:3", 3)])
+def test_delta_z_filter_keeps_exactly_the_verified_candidates(family, n):
+    """The enumeration keeps a bicharacter candidate when its R passes
+    R Delta(z) = Delta^op(z) R alone: over all n^4 candidates that set is
+    the set whose R passes the full ``verify_qtr``."""
+    h = build(family)
+    kept = {spec.params[0] for spec in enumerate_group_rmatrices(h)}
+    verified = {mat for mat in _all_matrices(n) if verify_qtr(h, build_r(h, RSpec("bichar", (mat,)))).ok}
+    assert kept == verified and kept
+
+
+def test_enumeration_beyond_n_4_is_a_configuration_error():
+    h = build("h2n2:5", checked=False)  # the cap refuses before any axiom is needed
+    with pytest.raises(RSpecError, match=r"h2n2:5 is capped at n <= 4.*--r bichar:\[\["):
+        enumerate_rmatrices(h)
 
 
 def plain_bichar_sum(h, n, mat):
@@ -282,12 +305,23 @@ def plain_bichar_sum(h, n, mat):
     return acc
 
 
-@pytest.mark.parametrize(
-    "family,n,mat",
-    [("h8", 2, ((0, 0), (1, 0))), ("h8", 2, ((1, 1), (1, 0))), ("h2n2:3", 3, ((0, 0), (1, 0))),
-     ("h2n2:3", 3, ((2, 1), (0, 2)))],
-)
+# ids mat0..mat3 name the first four cases; in all, every M at n = 2 and, at
+# n = 3, the nine survivors and four non-survivors
+BICHAR_CASES = [("h8", 2, ((0, 0), (1, 0))), ("h8", 2, ((1, 1), (1, 0))), ("h2n2:3", 3, ((0, 0), (1, 0))),
+                ("h2n2:3", 3, ((2, 1), (0, 2)))]
+BICHAR_CASES += [
+    case
+    for case in [("h8", 2, mat) for mat in _all_matrices(2)]
+    + [("h2n2:2", 2, mat) for mat in _all_matrices(2)]
+    + [("h2n2:3", 3, mat) for mat in H2N2_3_SURVIVORS + [((0, 0), (0, 0)), ((1, 0), (0, 1)), ((2, 2), (2, 2))]]
+    if case not in BICHAR_CASES
+]
+
+
+@pytest.mark.parametrize("family,n,mat", BICHAR_CASES)
 def test_bichar_r_equals_plain_sum(family, n, mat):
+    """The closed form of ``build_r_bichar`` is the character sum, in value
+    and in the order of its entries."""
     h = build(family)
     r = build_r(h, RSpec("bichar", (mat,)))
     ref = plain_bichar_sum(h, n, mat)
