@@ -5,8 +5,10 @@ and flags of each report against the rational/cyclotomic run's (among the
 flags, ``cartier_equals_coboundary_cut`` compares two cuts by an
 intersection); run ``verify_hopf`` over F_p on each case family and on each
 family of the batch (``run_classifications.FAMILIES``) and compare its
-outcome and check count with the exact field's; then run the E(3)
-quantization over Q and over F_p and compare its reports entry by entry.
+outcome and check count with the exact field's; run `enumerate-r` on
+H_18 over Q(zeta_3) and over F_p, so each bicharacter survivor of the closed
+form is verified over a second field; then run the E(3) quantization over Q
+and over F_p and compare its reports entry by entry.
 
     python scripts/crosscheck_prime_field.py [--prime P]
 """
@@ -40,6 +42,7 @@ CASES = [
 # every case family, then every batch family (F_97 holds zeta_3, zeta_4 and zeta_8)
 VERIFY_FAMILIES = list(dict.fromkeys([family for family, _ in CASES] + [family for family, _ in FAMILIES]))
 
+ENUMERATE_FAMILY = "h2n2:3"
 QUANTIZE_FAMILY = "en:3"
 
 DIM_KEYS = ("precartier", "cartier", "z1", "z2", "b2", "h2")
@@ -80,8 +83,18 @@ def main() -> int:
         print(f"{'ok' if same else 'DIFF':5s} verify_hopf {family:12s} {exact.checks} checks, ok={exact.ok} "
               f"vs F_{args.prime} {modp.checks} checks, ok={modp.ok}")
 
-    exact = quantize_entries(QUANTIZE_FAMILY)
-    modp = quantize_entries(QUANTIZE_FAMILY, str(fp))
+    argv = ["enumerate-r", "--family", ENUMERATE_FAMILY]
+    exact = [entry["r"] for entry in cli_entries(argv)]
+    modp = [entry["r"] for entry in cli_entries(argv + ["--field", str(fp)])]
+    same = bool(exact) and exact == modp
+    if not same:
+        bad += 1
+    print(f"{'ok' if same else 'DIFF':5s} enumerate-r {ENUMERATE_FAMILY}  exact vs F_{args.prime}  "
+          f"{len(exact)} vs {len(modp)} verified specs")
+
+    argv = ["quantize", "--family", QUANTIZE_FAMILY, "--r", "enumerate"]
+    exact = cli_entries(argv)
+    modp = cli_entries(argv + ["--field", str(fp)])
     diffs = [i for i, (a, b) in enumerate(zip(exact, modp)) if a != b]
     if len(exact) != len(modp):
         diffs.append(f"{len(exact)} vs {len(modp)} entries")
@@ -93,14 +106,14 @@ def main() -> int:
     return 1 if bad else 0
 
 
-def quantize_entries(family: str, field: str | None = None) -> list:
-    """The report entries of `hopflab quantize --family FAMILY --r enumerate`."""
-    argv = ["quantize", "--family", family, "--r", "enumerate"] + (["--field", field] if field else [])
+def cli_entries(argv: list) -> list:
+    """The JSON list a `hopflab` command prints; a nonzero exit status ends
+    the script."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli_main(argv)
     if code != 0:
-        raise SystemExit(f"quantize {family} {field or 'Q'} exited {code}")
+        raise SystemExit(f"hopflab {' '.join(argv)} exited {code}")
     return json.loads(out.getvalue())
 
 

@@ -21,7 +21,6 @@ from .rmatrices import (
     RSpec,
     RSpecError,
     build_r,
-    enumerate_group_rmatrices,
     enumerate_rmatrices,
     r_inverse,
     verify_qtr,
@@ -185,12 +184,8 @@ def run(cfg: RunConfig) -> int:
         _emit(cfg, out)
     elif task == "enumerate-r":
         h = build(fam_spec, field_spec)
-        if fam_spec.kind in ("h2n2", "h8"):
-            specs = enumerate_group_rmatrices(h)
-        else:  # a family with nothing to enumerate raises RSpecError, exit 2
-            specs = enumerate_rmatrices(h)
         found = []
-        for spec in specs:
+        for spec in enumerate_rmatrices(h):  # nothing to enumerate raises RSpecError, exit 2
             r = build_r(h, spec)
             qrep = verify_qtr(h, r)
             if qrep.ok:

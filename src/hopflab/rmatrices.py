@@ -186,7 +186,7 @@ def build_r_ac22(h: HopfData, q: int, a) -> Tensor:
     if fam is None or fam.kind != "ac2n":
         raise FamilyMismatch("ac22 R-matrices live on the A_{C2^n} family")
     if q not in (0, 1):
-        raise RMatrixError("q must be 0 or 1")
+        raise RSpecError("q must be 0 or 1")
     f = h.field
     g, hh, x = h.gen("g"), h.gen("h"), h.gen("x")
     quarter = f.one / f.from_int(4)
@@ -206,21 +206,6 @@ def build_r_ac22(h: HopfData, q: int, a) -> Tensor:
     return rq * (h.unit_tensor(2) + x.tensor(g * x).scaled(a))
 
 
-def build_r_h8_pm(h: HopfData, alpha: int, beta: int) -> Tensor:
-    """The four group-supported structures on the 8-dimensional member."""
-    if alpha not in (1, -1) or beta not in (1, -1):
-        raise RMatrixError("alpha, beta must be +-1")
-    f = h.field
-    e1, ex, ey, exy = h8_idempotents(h)
-    al, be = f.from_int(alpha), f.from_int(beta)
-    return (
-        e1.tensor(e1 + ex + ey + exy)
-        + ex.tensor(e1) + ex.tensor(ex).scaled(al) + ex.tensor(ey).scaled(be) + ex.tensor(exy).scaled(al * be)
-        + ey.tensor(e1) - ey.tensor(ex).scaled(be) + ey.tensor(ey).scaled(al) - ey.tensor(exy).scaled(al * be)
-        + exy.tensor(e1) - exy.tensor(ex).scaled(al * be) + exy.tensor(ey).scaled(al * be) - exy.tensor(exy)
-    )
-
-
 def build_r_h8_omega(h: HopfData, omega) -> Tensor:
     """The four structures involving z, one per primitive 8th root.
 
@@ -233,7 +218,7 @@ def build_r_h8_omega(h: HopfData, omega) -> Tensor:
     if isinstance(omega, str):
         omega = _parse_body_scalar(f, omega)
     if omega**4 != -f.one:
-        raise RMatrixError("omega must be a primitive 8th root of unity")
+        raise RSpecError("omega must be a primitive 8th root of unity")
     e1, ex, ey, exy = h8_idempotents(h)
     z = h.gen("z")
     one = h.unit()
@@ -316,7 +301,14 @@ def build_r(h: HopfData, spec: RSpec | str) -> Tensor:
     if spec.kind == "ac22":
         return build_r_ac22(h, spec.params[0], spec.params[1])
     if spec.kind == "h8_pm":
-        return build_r_h8_pm(h, spec.params[0], spec.params[1])
+        # the bicharacter M = ((a, b), (b + 1, a)) mod 2 with alpha = (-1)^a, beta = (-1)^b
+        alpha, beta = spec.params
+        if alpha not in (1, -1) or beta not in (1, -1):
+            raise RSpecError("alpha, beta must be +-1")
+        if _bichar_order(h) != 2:
+            raise FamilyMismatch("h8pm R-matrices live on the 8-dimensional member")
+        a, b = (1 - alpha) // 2, (1 - beta) // 2
+        return build_r_bichar(h, ((a, b), (1 - b, a)))
     if spec.kind == "h8_omega":
         return build_r_h8_omega(h, spec.params[0])
     if spec.kind == "ac4dual":
@@ -500,36 +492,30 @@ def rswap_identities_en(h: HopfData, r: Tensor) -> VerifyReport:
 
 
 def enumerate_group_rmatrices(h: HopfData) -> list[RSpec]:
-    """The group-supported R-matrices of the semisimple family, as specs:
-    the n^4 bicharacter candidates M (in the order of M) whose R passes
-    R Delta(z) = Delta^op(z) R.
+    """The group-supported R-matrices of the semisimple family, as specs: the
+    n^2 bicharacters M = ((a, b), (b + 1 mod n, a)), in the order of M.  No
+    R is built; the caller builds and verifies each R it uses (``verify_qtr``).
 
-    On the group part the axioms hold for every bicharacter, so only the z
-    condition can fail, and on the generators it decides all of Q1; the
-    caller builds and verifies each R it uses (``verify_qtr``).
+    These are the M whose R passes R Delta(z) = Delta^op(z) R.  Write
+    g_h = x^h1 y^h2 and P for the swap (h1, h2) -> (h2, h1).  Then
+    z g_h = g_Ph z, so z E_c = E_Pc z for the idempotents E_c of
+    ``build_r_bichar``.  Delta(z) = J (z (x) z) and
+    Delta^op(z) = J^op (z (x) z) with J = sum_(a,b) n^-1 q^(-ab) x^a (x) y^b,
+    and on E_c (x) E_d, J acts as q^(c1 d2) and J^op as q^(c2 d1).  R_M acts there as B(c, d) = q^(c.M.d),
+    and (z (x) z) R_M = R' (z (x) z) with R' acting as B(Pc, Pd).  z is
+    invertible (z^2 acts on E_c as q^(c1 c2)), so R Delta(z) = Delta^op(z) R
+    reads q^(c.(M - PMP + [[0,1],[-1,0]]).d) = 1 for all c and d, which holds
+    exactly when M - PMP + [[0,1],[-1,0]] = 0 mod n: m22 = m11 and
+    m21 = m12 + 1 mod n.  The group part is commutative, so Delta(x) and
+    Delta(y) commute with every R_M, and on the generators the z condition
+    decides all of Q1.
+
     Completeness relative to the cited classification of all R-matrices is
-    assumed, not proved; callers should surface that flag.  Beyond n = 4
-    the n^4 candidates are refused as a configuration (RSpecError): an
-    explicit ``bichar:[[..]]`` spec still classifies one R.
+    assumed, not proved: only group-supported candidates are considered, and
+    callers should surface that flag.
     """
     n = _bichar_order(h)
-    if n > 4:
-        raise RSpecError(
-            f"the bicharacter enumeration on {h.family} is capped at n <= 4; "
-            "give one R explicitly, as --r bichar:[[m11,m12],[m21,m22]]"
-        )
-    dz = delta(h.gen("z"))
-    dz_op = dz.flip()
-    survivors = []
-    for m11 in range(n):
-        for m12 in range(n):
-            for m21 in range(n):
-                for m22 in range(n):
-                    mat = ((m11, m12), (m21, m22))
-                    r = build_r_bichar(h, mat)
-                    if r * dz == dz_op * r:
-                        survivors.append(RSpec("bichar", (mat,)))
-    return survivors
+    return [RSpec("bichar", (((a, b), ((b + 1) % n, a)),)) for a in range(n) for b in range(n)]
 
 
 # -- registries -------------------------------------------------------------------

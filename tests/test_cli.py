@@ -75,10 +75,15 @@ def test_quantize_subcommand(capsys):
 
 
 def test_enumerate_r_h8(capsys):
+    """``enumerate-r`` lists the R specs that ``--r enumerate`` classifies:
+    on h8 the eight registered structures, in the same order."""
     code, out, _ = run_cli(capsys, "enumerate-r", "--family", "h8")
     assert code == 0
-    reps = json.loads(out)
-    assert len(reps) == 4  # the group-supported structures
+    listed = [entry["r"] for entry in json.loads(out)]
+    code, out, _ = run_cli(capsys, "classify", "--family", "h8", "--r", "enumerate")
+    assert code == 0
+    assert len(listed) == 8
+    assert listed == [rep["r"] for rep in json.loads(out)]
 
 
 def test_prime_field_flag(capsys):
@@ -142,12 +147,14 @@ def test_classify_report_bytes(capsys, family, rspec, digest):
         # the R builders' outer products of elements
         (["enumerate-r", "--family", "en:3"], "4bf53857a49aa4e626b3e3579b3fb0482dd49a1799b1754177115fad48a1fb30"),
         (["enumerate-r", "--family", "ac2n:3"], "e45dcc11b46004ab6f64817372d094aefe298a9284fb73a69b3fed3b30223ee5"),
+        # the eight registered structures, h8pm as closed-form bicharacters
+        (["enumerate-r", "--family", "h8"], "198e114f8cf2a95985d43f870fba948bae3e3d7949ab7661744fe553a0959807"),
         # the unit insertions of the cobar differential
         (["cohomology", "--family", "h8"], "62a440ff1cb7b6cad0e969187908d01b0626fdcb37da0108f2ea8ddf7eba0a55"),
         # the enumeration survivors' reports, passed to the task
         (["verify", "--family", "h2n2:3", "--r", "enumerate"], "3ac6df7e0e066a805f9037c570b8daefd358132d71523309ca59e605aa6332af"),
     ],
-    ids=["enumerate-r-en:3", "enumerate-r-ac2n:3", "cohomology-h8", "verify-h2n2:3"],
+    ids=["enumerate-r-en:3", "enumerate-r-ac2n:3", "enumerate-r-h8", "cohomology-h8", "verify-h2n2:3"],
 )
 def test_command_output_bytes(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
@@ -227,6 +234,11 @@ def test_runconfig_no_tasks(capsys):
         ("en:1", "en-a:[[x]]"),  # en-a matrix entry that is not a scalar
         ("h2n2:3", "bichar:[[0]]"),  # bicharacter matrix of the wrong shape
         ("en:1", "explicit:foo"),  # explicit body that does not parse
+        ("ac2n:2", "ac22:q=2,a=0"),  # q out of range
+        ("h8", "h8pm:+2,+1"),  # alpha out of range
+        ("h8", "h8omega:z4"),  # omega no primitive 8th root of unity
+        ("en:2", "h8pm:+1,+1"),  # h8pm off the semisimple family
+        ("h2n2:3", "h8pm:+1,+1"),  # h8pm on a member other than n = 2
     ],
 )
 def test_bad_r_spec_exit_2(capsys, family, rspec):
@@ -418,9 +430,9 @@ def test_enumerate_r_exits_1_naming_an_r_that_fails(capsys, monkeypatch):
     """``enumerate-r`` verifies each R it prints; one that fails is named on
     stderr, left out of the output, and the exit status is 1."""
     from hopflab.families import build
-    from hopflab.rmatrices import QtrReport, enumerate_group_rmatrices
+    from hopflab.rmatrices import QtrReport, enumerate_rmatrices
 
-    specs = [str(spec) for spec in enumerate_group_rmatrices(build("h8"))]
+    specs = [str(spec) for spec in enumerate_rmatrices(build("h8"))]
     calls = []
 
     def failing_first(h, r):

@@ -878,7 +878,8 @@ def test_crosscheck_script_verifies_over_the_prime_field(capsys, monkeypatch):
     family and each batch family over F_97 with the exact field's check
     count: the F_p route of the kernel's zero test.  Each case report has
     the same dims and flags over F_97, ``cartier_equals_coboundary_cut``
-    (an intersection of two cuts) among them."""
+    (an intersection of two cuts) among them.  ``enumerate-r`` on H_18
+    verifies the same nine bicharacter survivors over both fields."""
     module = _crosscheck_module(monkeypatch)
     assert module.main() == 0
     out = capsys.readouterr().out.splitlines()
@@ -886,6 +887,8 @@ def test_crosscheck_script_verifies_over_the_prime_field(capsys, monkeypatch):
     assert len(cases) == len(module.CASES) and all(line.startswith("ok ") for line in cases)
     for family in ("en:2", "ac2n:3"):
         assert "'cartier_equals_coboundary_cut': True" in next(line for line in cases if f" {family} " in line)
+    # every bicharacter survivor of the closed form, verified over Q(zeta_3) and over F_97
+    assert "ok    enumerate-r h2n2:3  exact vs F_97  9 vs 9 verified specs" in out
     # the closed-form bicharacter R over Q(zeta_3) and over F_97
     line = next(line for line in cases if " h2n2:3 " in line)
     assert line.startswith("ok ") and "r=bichar:[[0,0],[1,0]]" in line
@@ -915,7 +918,7 @@ def test_crosscheck_script_reports_a_flag_that_differs(capsys, monkeypatch):
     monkeypatch.setattr(module, "classify", flipped_over_fp)
     monkeypatch.setattr(module, "CASES", [("en:1", "en-a:[[0]]")])
     monkeypatch.setattr(module, "VERIFY_FAMILIES", [])
-    monkeypatch.setattr(module, "quantize_entries", lambda family, field=None: [])
+    monkeypatch.setattr(module, "cli_entries", lambda argv: [])
     assert module.main() == 1
     line = capsys.readouterr().out.splitlines()[0]
     assert line.startswith("DIFF ") and "differences: {'cartier_equals_coboundary_cut': (True, False)}" in line

@@ -4,19 +4,16 @@ import pytest
 
 from conftest import batch_modes, copy_tables, pe, registered_rs
 import hopflab.rmatrices as rm
-from hopflab.families import FamilySpec, build
+from hopflab.families import FamilySpec, build, h8_idempotents
 from hopflab.hopf import HopfData, Tensor, cocommutativity_indices, delta, generators_span, verify_hopf
 from hopflab.rmatrices import (
     FamilyMismatch,
     NotInvertible,
     RSpec,
-    RSpecError,
     _solve_inverse,
     build_r,
-    build_r_h8_pm,
     conjugation_identities_h8,
     enumerate_group_rmatrices,
-    enumerate_rmatrices,
     is_triangular,
     r_inverse,
     registered_rspecs,
@@ -237,10 +234,31 @@ def test_rswap_rejects_other_families(h8):
         rswap_identities_en(h8, h8.unit_tensor(2))
 
 
+def paper_h8_pm(h, alpha, beta):
+    """The paper's idempotent formula for the four group-supported
+    structures on the 8-dimensional member."""
+    f = h.field
+    e1, ex, ey, exy = h8_idempotents(h)
+    al, be = f.from_int(alpha), f.from_int(beta)
+    return (
+        e1.tensor(e1 + ex + ey + exy)
+        + ex.tensor(e1) + ex.tensor(ex).scaled(al) + ex.tensor(ey).scaled(be) + ex.tensor(exy).scaled(al * be)
+        + ey.tensor(e1) - ey.tensor(ex).scaled(be) + ey.tensor(ey).scaled(al) - ey.tensor(exy).scaled(al * be)
+        + exy.tensor(e1) - exy.tensor(ex).scaled(al * be) + exy.tensor(ey).scaled(al * be) - exy.tensor(exy)
+    )
+
+
 def test_enumeration_h8_matches_pm_family(h8):
+    """``h8pm:alpha,beta`` is the paper's formula, and the four of them are
+    the bicharacter survivors."""
+    pm = []
+    for a in (1, -1):
+        for b in (1, -1):
+            r = build_r(h8, f"h8pm:{a:+d},{b:+d}")
+            assert r == paper_h8_pm(h8, a, b)
+            pm.append(r)
     survivors = [build_r(h8, spec) for spec in enumerate_group_rmatrices(h8)]
     assert len(survivors) == 4
-    pm = [build_r_h8_pm(h8, a, b) for a in (1, -1) for b in (1, -1)]
     for r in survivors:
         assert any(r == p for p in pm)
     for p in pm:
@@ -264,21 +282,34 @@ def _all_matrices(n):
     return [((a, b), (c, d)) for a in range(n) for b in range(n) for c in range(n) for d in range(n)]
 
 
-@pytest.mark.parametrize("family,n", [("h8", 2), ("h2n2:2", 2), ("h2n2:3", 3)])
+@pytest.mark.parametrize("family,n", [("h8", 2), ("h2n2:2", 2), ("h2n2:3", 3), ("h2n2:4", 4)])
 def test_delta_z_filter_keeps_exactly_the_verified_candidates(family, n):
-    """The enumeration keeps a bicharacter candidate when its R passes
-    R Delta(z) = Delta^op(z) R alone: over all n^4 candidates that set is
+    """The closed form is the R Delta(z) = Delta^op(z) R filter over all n^4
+    bicharacter candidates, in set and in order; at n <= 3 that set is also
     the set whose R passes the full ``verify_qtr``."""
     h = build(family)
-    kept = {spec.params[0] for spec in enumerate_group_rmatrices(h)}
-    verified = {mat for mat in _all_matrices(n) if verify_qtr(h, build_r(h, RSpec("bichar", (mat,)))).ok}
-    assert kept == verified and kept
+    dz = delta(h.gen("z"))
+
+    def passes(mat):
+        r = build_r(h, RSpec("bichar", (mat,)))
+        return r * dz == dz.flip() * r
+
+    kept = [mat for mat in _all_matrices(n) if passes(mat)]
+    assert [spec.params[0] for spec in enumerate_group_rmatrices(h)] == kept
+    if n <= 3:
+        verified = [mat for mat in _all_matrices(n) if verify_qtr(h, build_r(h, RSpec("bichar", (mat,)))).ok]
+        assert kept == verified
 
 
-def test_enumeration_beyond_n_4_is_a_configuration_error():
-    h = build("h2n2:5", checked=False)  # the cap refuses before any axiom is needed
-    with pytest.raises(RSpecError, match=r"h2n2:5 is capped at n <= 4.*--r bichar:\[\["):
-        enumerate_rmatrices(h)
+@pytest.mark.parametrize("family,n", [("h8", 2), ("h2n2:2", 2), ("h2n2:3", 3), ("h2n2:4", 4), ("h2n2:5", 5)])
+def test_enumeration_is_the_rule_on_m(family, n):
+    """The survivors are the n^2 matrices M with m22 = m11 and
+    m21 = m12 + 1 mod n, in the order of M; no R is built, so the algebra
+    needs no axiom check, and n = 5 is enumerated like any other n."""
+    specs = enumerate_group_rmatrices(build(family, checked=False))
+    rule = [mat for mat in _all_matrices(n) if mat[1][1] == mat[0][0] and mat[1][0] == (mat[0][1] + 1) % n]
+    assert len(rule) == n * n
+    assert specs == [RSpec("bichar", (mat,)) for mat in rule]
 
 
 def plain_bichar_sum(h, n, mat):
@@ -327,13 +358,6 @@ def test_bichar_r_equals_plain_sum(family, n, mat):
     ref = plain_bichar_sum(h, n, mat)
     assert r == ref
     assert list(r.coeffs) == list(ref.coeffs)
-
-
-def test_enumeration_candidate_count():
-    # n^4 candidate matrices before filtering
-    n = 2
-    count = sum(1 for a in range(n) for b in range(n) for c in range(n) for d in range(n))
-    assert count == n**4
 
 
 def test_family_mismatch(en2, h8):
