@@ -16,8 +16,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from hopflab.families import build
 from hopflab.linalg import ROUTES
-from hopflab.precartier import classify, classify_enumerated
+from hopflab.precartier import classify
+from hopflab.rmatrices import enumerate_rmatrices
 
 FAMILIES = [
     ("en:1", "registered"),
@@ -46,10 +48,8 @@ def main() -> int:
     failures = 0
     for family, mode in FAMILIES:
         t0 = time.time()
-        if mode == "rfree":
-            reports = [classify(family, None, with_cohomology=not args.skip_cohomology)]
-        else:
-            reports = classify_enumerated(family, with_cohomology=not args.skip_cohomology)
+        specs = [None] if mode == "rfree" else enumerate_rmatrices(build(family))
+        reports = [classify(family, spec, with_cohomology=not args.skip_cohomology) for spec in specs]
         for rep in reports:
             d = rep.to_dict()
             bundle.append(d)

@@ -220,20 +220,18 @@ def build_group_algebra(
     field=None,
     gen_names: tuple | None = None,
     checked: bool = True,
-    name: str | None = None,
-    family: FamilySpec | None = None,
 ) -> HopfData:
     """Group algebra of the abelian group prod C_{n_i}: the quantum linear
     space on the group-like letters of order > 1 (k with no invariants)."""
     invariants = tuple(int(n) for n in invariants)
-    family = family or FamilySpec("group", invariants)
+    family = FamilySpec("group", invariants)
     if field is None:
         field = get_field(FieldSpec("cyclotomic", order=1))
     if gen_names is None:
         gen_names = tuple(f"g{i+1}" for i in range(len(invariants)))
     letters = [(g, n) for g, n in zip(gen_names, invariants) if n > 1]
     exps = list(itertools.product(*(range(n) for _, n in letters)))
-    name = name or ("k[" + "x".join(f"C{n}" for n in invariants) + "]" if invariants else "k")
+    name = "k[" + "x".join(f"C{n}" for n in invariants) + "]" if invariants else "k"
     return build_quantum_linear_space(letters, {}, exps, _monomial_label([g for g, _ in letters]), field, name, family, checked)
 
 

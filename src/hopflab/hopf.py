@@ -478,9 +478,8 @@ def map_rows(h: HopfData, legs: int, maps, columns=None) -> dict:
     against 1.4k; peak memory of ``classify h8 --r enumerate`` 19.4 ->
     23.0 MB), and rows interleaved across maps made the h2n2:3 commutant
     three times slower (0.34 -> 1.14 s, 2-vCPU machine, Python 3.11).
-    ``restrict_and_cut`` passes one map at a time; several maps reach here
-    together only from callers that stack blocks or solve.  A ``SumMap``
-    is evaluated on all the columns at once (``product_sums``)."""
+    ``restrict_and_cut`` passes one map at a time.  A ``SumMap`` is
+    evaluated on all the columns at once (``product_sums``)."""
     if columns is None:
         one = h.field.one
         columns = [{c: one} for c in range(h.dim**legs)]

@@ -69,30 +69,6 @@ class AmbientDimensionMismatch(LinAlgError):
     pass
 
 
-class SparseMat:
-    """Sparse matrix stored row-wise; ``rows[r]`` maps column -> scalar."""
-
-    __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, nrows: int, ncols: int, rows: list[dict] | None = None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = rows if rows is not None else [dict() for _ in range(nrows)]
-
-    def apply(self, vec: dict) -> dict:
-        """Matrix-vector product on sparse coordinate dicts."""
-        out = {}
-        for r, row in enumerate(self.rows):
-            acc = None
-            for c, m in row.items():
-                v = vec.get(c)
-                if v is not None:
-                    acc = m * v if acc is None else acc + m * v
-            if acc is not None and acc:
-                out[r] = acc
-        return out
-
-
 def vec_axpy(dst: dict, src: dict, c) -> None:
     """dst += c * src, in place, dropping cancelled entries."""
     for k, v in src.items():
@@ -107,6 +83,21 @@ def vec_axpy(dst: dict, src: dict, c) -> None:
                 dst[k] = w
             else:
                 del dst[k]
+
+
+def _reduce(row: dict, pivots: dict, lead) -> dict:
+    """Reduce ``row`` in place against ``pivots`` ({pivot column: row with
+    coefficient 1 there}), clearing the hit that ``lead`` picks until no
+    hit is left.  A pivot row has entries only on the far side of its
+    pivot, so reducing the nearest hit first never brings back a column
+    already cleared."""
+    while row:
+        hits = [c for c in row if c in pivots]
+        if not hits:
+            break
+        c = lead(hits)
+        vec_axpy(row, pivots[c], -row[c])
+    return row
 
 
 def _exact_row(row: dict) -> dict:
@@ -124,18 +115,8 @@ class Echelon:
         self.pivots: dict[int, dict] = {}  # pivot column -> row (leading coeff 1)
 
     def reduce(self, row: dict) -> dict:
-        """Fully reduce a row against the current pivot rows.  A pivot row
-        has entries only on the far side of its pivot, so reducing the
-        nearest hit first never brings back a column already cleared."""
-        row = _exact_row(row)
-        lead = self.lead
-        while row:
-            hits = [c for c in row if c in self.pivots]
-            if not hits:
-                break
-            c = lead(hits)
-            vec_axpy(row, self.pivots[c], -row[c])
-        return row
+        """Fully reduce a row against the current pivot rows."""
+        return _reduce(_exact_row(row), self.pivots, self.lead)
 
     def add_row(self, row: dict) -> int | None:
         """Reduce and insert; returns the new pivot column, or None."""
@@ -194,15 +175,7 @@ class Subspace:
 
     def reduce(self, vec: dict) -> dict:
         """Residue of vec modulo this subspace."""
-        row = dict(vec)
-        piv = dict(zip(self.pivot_cols, self.rows))
-        while row:
-            hits = [c for c in row if c in piv]
-            if not hits:
-                break
-            c = min(hits)
-            vec_axpy(row, piv[c], -row[c])
-        return row
+        return _reduce(dict(vec), dict(zip(self.pivot_cols, self.rows)), min)
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)

@@ -12,12 +12,11 @@ Axioms, for a quasitriangular (H, R):
 
 The solver cuts: the commutant of the coproducts (C1) in H (x) H, then C2 on
 that, then C3 on the result, each step a ``hopf.restrict_and_cut``.  The rows
-of every cut, and of the block matrices of ``build_system``, are built in one
-place, ``hopf.map_rows``.  C2/C3 enter in the R-multiplied equivalent form
-(left-multiplied by R12 resp. R23) so no inverse appears in row generation;
-the R^-1 form is kept as the independent recheck applied to every solution
-basis vector.  The counit conditions are implied and asserted, never cut by
-``solve_infinitesimal``.
+of every cut are built in one place, ``hopf.map_rows``.  C2/C3 enter in
+the R-multiplied equivalent form (left-multiplied by R12 resp. R23) so no
+inverse appears in row generation; the R^-1 form is kept as the
+independent recheck applied to every solution basis vector.  The counit
+conditions are implied and asserted, never cut by ``solve_infinitesimal``.
 
 C1 is cut and rechecked against the generators of H only.  That covers
 every b because of the certificate ``hopf.generators_span``: the generator
@@ -37,12 +36,11 @@ from dataclasses import dataclass, field as dc_field
 from . import cohomology
 from .expressions import format_tensor, parse_element
 from .families import FamilySpec, build
-from .hopf import HopfData, HopfError, SumMap, Tensor, _generator_elems, delta, full_space, generators_span, map_rows, multiply, product_sum, restrict_and_cut, vanishes_all
-from .linalg import SparseMat, Subspace
+from .hopf import HopfData, HopfError, SumMap, Tensor, _generator_elems, delta, full_space, generators_span, multiply, product_sum, restrict_and_cut, vanishes_all
+from .linalg import Subspace
 from .rmatrices import (
     RSpec,
     build_r,
-    enumerate_rmatrices,
     is_triangular,
     r_inverse,
     verify_qtr,
@@ -53,18 +51,11 @@ class PreCartierError(HopfError):
     pass
 
 
-BLOCK_TAGS = ("cqtr1", "cqtr2", "cqtr3", "counit_left", "counit_right", "cartier", "cocycle")
-
-
 # -- direct evaluators (the independent checkers) ------------------------------
 
 
 def eval_cqtr1(h: HopfData, t: Tensor, b: Tensor) -> Tensor:
-    return _commutator(h, t, delta(b))
-
-
-def _commutator(h: HopfData, t: Tensor, d: Tensor) -> Tensor:
-    return Tensor._raw(h, 2, product_sum(h, 2, _commutator_terms(h, t, d)))
+    return Tensor._raw(h, 2, product_sum(h, 2, _commutator_terms(h, t, delta(b))))
 
 
 def _commutator_terms(h: HopfData, t: Tensor, d: Tensor) -> list:
@@ -80,14 +71,6 @@ def eval_cqtr3(h: HopfData, r: Tensor, rinv: Tensor, t: Tensor) -> Tensor:
     return t.apply_delta(0) - t.leg(23) - rinv.leg(23) * t.leg(13) * r.leg(23)
 
 
-def eval_cqtr2_rmul(h: HopfData, r: Tensor, t: Tensor) -> Tensor:
-    return cqtr_rmul_map(h, r, 12)(t)
-
-
-def eval_cqtr3_rmul(h: HopfData, r: Tensor, t: Tensor) -> Tensor:
-    return cqtr_rmul_map(h, r, 23)(t)
-
-
 def cqtr_rmul_map(h: HopfData, r: Tensor, l: int) -> SumMap:
     """rl t_delta - rl t_l - t13 rl with rl = R_l, the R-multiplied C2
     (l = 12: t_delta = (Id (x) Delta)(t)) or C3 (l = 23: (Delta (x) Id)(t)),
@@ -98,66 +81,10 @@ def cqtr_rmul_map(h: HopfData, r: Tensor, l: int) -> SumMap:
     return SumMap(3, lambda t: [(None, rl, t.apply_delta(slot).coeffs), (minus, rl, t.leg(l).coeffs), (minus, t.leg(13).coeffs, rl)])
 
 
-def eval_cartier(h: HopfData, r: Tensor, t: Tensor) -> Tensor:
-    return cartier_map(h, r)(t)
-
-
 def cartier_map(h: HopfData, r: Tensor) -> SumMap:
     """R t - t_op R."""
     minus = -h.field.one
     return SumMap(2, lambda t: [(None, r.coeffs, t.coeffs), (minus, t.flip().coeffs, r.coeffs)])
-
-
-def eval_counits(h: HopfData, t: Tensor) -> tuple[Tensor, Tensor]:
-    return t.apply_counit(1), t.apply_counit(0)
-
-
-# -- full constraint blocks -----------------------------------------------------
-
-
-@dataclass
-class ChiSystem:
-    parent: HopfData
-    r: Tensor | None
-    blocks: list  # list of (tag, SparseMat), each with (dim H)^2 columns
-
-
-def _block(h: HopfData, maps, out_dim: int) -> SparseMat:
-    """The maps on H (x) H stacked into one matrix: the row of output
-    coordinate k of map i is row i * out_dim + k."""
-    mat = SparseMat(len(maps) * out_dim, h.dim * h.dim)
-    for (mi, coord), row in map_rows(h, 2, maps).items():
-        mat.rows[mi * out_dim + coord] = row
-    return mat
-
-
-def build_system(h: HopfData, r: Tensor | None = None, tags=None, assume_qtr: bool = False) -> ChiSystem:
-    """Assemble the requested constraint blocks as explicit sparse matrices."""
-    if tags is None:
-        tags = ("cqtr1", "counit_left", "counit_right", "cocycle") if r is None else BLOCK_TAGS
-    needs_r = {"cqtr2", "cqtr3", "cartier"} & set(tags)
-    if needs_r and r is None:
-        raise PreCartierError(f"blocks {sorted(needs_r)} need an R-matrix")
-    if r is not None and not assume_qtr:
-        rep = verify_qtr(h, r)
-        if not rep.ok:
-            raise PreCartierError(f"R is not quasitriangular: {rep.summary()}")
-    dim = h.dim
-    ops = {
-        "cqtr1": ([lambda t, b=h.basis_elem(b): eval_cqtr1(h, t, b) for b in range(dim)], dim**2),
-        "cqtr2": ([lambda t: eval_cqtr2_rmul(h, r, t)], dim**3),
-        "cqtr3": ([lambda t: eval_cqtr3_rmul(h, r, t)], dim**3),
-        "counit_left": ([lambda t: t.apply_counit(1)], dim),
-        "counit_right": ([lambda t: t.apply_counit(0)], dim),
-        "cartier": ([lambda t: eval_cartier(h, r, t)], dim**2),
-        "cocycle": ([lambda t: cohomology.b_apply(h, 2, t)], dim**3),
-    }
-    blocks = []
-    for tag in tags:
-        if tag not in ops:
-            raise PreCartierError(f"unknown block tag {tag!r}")
-        blocks.append((tag, _block(h, *ops[tag])))
-    return ChiSystem(h, r, blocks)
 
 
 # -- solvers ---------------------------------------------------------------------
@@ -190,8 +117,8 @@ def solve_rfree(h: HopfData) -> Subspace:
     """Kernel of the C1 commutation rows plus both counit conditions: an
     R-independent upper bound for the solution space over any R.
 
-    It is the counit cut of ``cached_commutant(h)``, whose C1 rows come from
-    the generators only.  Every kernel vector is rechecked by direct
+    It is the counit cut of ``analysis(h, "commutant")``, whose C1 rows
+    come from the generators only.  Every kernel vector is rechecked by direct
     evaluation against Delta(g) for each generator g, an oracle independent
     of the elimination.  This implies C1 for every basis element because
     ``generators_span`` holds: if chi commutes with Delta(g) for each
@@ -204,7 +131,7 @@ def solve_rfree(h: HopfData) -> Subspace:
     """
     _require_generators_span(h)
     counits = [lambda t: t.apply_counit(1), lambda t: t.apply_counit(0)]
-    space = restrict_and_cut(h, 2, cached_commutant(h), counits)
+    space = restrict_and_cut(h, 2, analysis(h, "commutant"), counits)
     if not _commute_with_generators(h, [Tensor(h, 2, vec) for vec in space.rows]):
         raise PreCartierError("a kernel vector violates C1 against a generator on recheck")
     return space
@@ -212,26 +139,25 @@ def solve_rfree(h: HopfData) -> Subspace:
 
 def solve_infinitesimal(h: HopfData, r: Tensor, rinv: Tensor | None = None) -> Subspace:
     """The full solution space of C1, C2, C3 for the given R: the C2 and
-    then the C3 cut of ``cached_commutant(h)``.
+    then the C3 cut of ``analysis(h, "commutant")``.
 
     Every basis vector of the result is rechecked by direct evaluation: C1
-    against the generators (which covers every b by ``generators_span``, see
-    ``solve_rfree``), C2/C3 in the R^-1 form, and the counit conditions are
-    asserted post-hoc.
+    against the generators, all vectors on one lift (which covers every b
+    by ``generators_span``, see ``solve_rfree``), C2/C3 in the R^-1 form,
+    and the counit conditions are asserted post-hoc.
     """
     _require_generators_span(h)
-    space = restrict_and_cut(h, 2, cached_commutant(h), [cqtr_rmul_map(h, r, 12)])
+    space = restrict_and_cut(h, 2, analysis(h, "commutant"), [cqtr_rmul_map(h, r, 12)])
     space = restrict_and_cut(h, 2, space, [cqtr_rmul_map(h, r, 23)])
     if rinv is None:
         rinv = r_inverse(h, r)
-    for vec in space.basis():
-        t = Tensor(h, 2, vec)
-        if not _commute_with_generators(h, [t]):
-            raise PreCartierError("solution violates the C1 commutation on recheck")
+    ts = [Tensor(h, 2, vec) for vec in space.rows]
+    if not _commute_with_generators(h, ts):
+        raise PreCartierError("solution violates the C1 commutation on recheck")
+    for t in ts:
         if eval_cqtr2(h, r, rinv, t) or eval_cqtr3(h, r, rinv, t):
             raise PreCartierError("solution violates C2/C3 on direct recheck")
-        cl, cr = eval_counits(h, t)
-        if cl or cr:
+        if t.apply_counit(1) or t.apply_counit(0):
             raise PreCartierError("counit conditions fail on a solution: implication broken")
     return space
 
@@ -358,10 +284,6 @@ def analysis(h: HopfData, key: str) -> Subspace:
     return cache[key]
 
 
-def cached_commutant(h: HopfData) -> Subspace:
-    return analysis(h, "commutant")
-
-
 def classify(
     family_spec: FamilySpec | str,
     rspec: RSpec | str | None = None,
@@ -462,12 +384,3 @@ def classify(
         expected=expected,
         notes=notes,
     )
-
-
-def classify_enumerated(family_spec: FamilySpec | str, field_spec=None, with_cohomology: bool = True) -> list[ClassificationReport]:
-    """Classification over every R spec of ``rmatrices.enumerate_rmatrices``
-    for the family."""
-    if isinstance(family_spec, str):
-        family_spec = FamilySpec.parse(family_spec)
-    h = build(family_spec, field_spec)
-    return [classify(family_spec, spec, field_spec, with_cohomology) for spec in enumerate_rmatrices(h)]

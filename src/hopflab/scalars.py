@@ -216,9 +216,25 @@ class CycElt:
         return o * self.inverse()
 
     def inverse(self) -> "CycElt":
+        """x^-1 by the field norm.  For x = P(zeta)/d, let Q be the product
+        of the conjugates sigma_k(P) = sum_i p_i zeta^(ik) over the units
+        k != 1 mod M.  Then N = P Q is the norm of P(zeta), a nonzero
+        integer when x != 0, and x^-1 = d Q(zeta) / N."""
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
-        return self.field._inverse(self)
+        f = self.field
+        m = f.order
+        q = f.one.nums
+        for k in range(2, m):
+            if math.gcd(k, m) == 1:
+                conj = [0] * m
+                for i, p in enumerate(self.nums):
+                    conj[i * k % m] += p
+                q = f._mulmod(q, 1, f._reduce_int(conj), 1)[0]
+        norm = f._mulmod(self.nums, 1, q, 1)[0][0]
+        sign = 1 if norm > 0 else -1
+        nums, den = _canonical(tuple(sign * self.den * c for c in q), sign * norm)
+        return CycElt(f, nums, den)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -462,14 +478,6 @@ class CycField:
     def from_fraction(self, q: Fraction) -> CycElt:
         return CycElt(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
-    def from_coeffs(self, coeffs) -> CycElt:
-        fracs = [Fraction(x) for x in coeffs]
-        den = 1
-        for q in fracs:
-            den = den * q.denominator // math.gcd(den, q.denominator)
-        out = _canonical(self._reduce_int([int(q * den) for q in fracs]), den)
-        return CycElt(self, out[0], out[1])
-
     def _reduce_int(self, poly) -> tuple:
         """Remainder of an integer polynomial (ascending coefficients, any
         length) on division by the monic modulus, as ``degree`` integers."""
@@ -561,41 +569,6 @@ class CycField:
         A packed 0 is the zero polynomial; otherwise P is read back from its
         balanced digits and reduced modulo Phi_M, with no element built."""
         return not packed or not any(self._reduce_int(_digits(packed, bits)))
-
-    def _inverse(self, x: CycElt) -> CycElt:
-        # Extended Euclid in Q[t] against the (irreducible) modulus.
-        r0 = [Fraction(c) for c in self.modulus]
-        r1 = list(x.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def deg_of(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
-
-        while deg_of(r1) > 0:
-            d0, d1 = deg_of(r0), deg_of(r1)
-            q = [Fraction(0)] * (d0 - d1 + 1)
-            r0 = list(r0)
-            while d0 >= d1:
-                c = r0[d0] / r1[d1]
-                q[d0 - d1] = c
-                for i in range(d1 + 1):
-                    r0[d0 - d1 + i] -= c * r1[i]
-                d0 = deg_of(r0)
-            s_new = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        s_new[i + j] -= qi * sj
-            r0, r1 = r1, r0
-            s0, s1 = s1, s_new
-        d = deg_of(r1)
-        if d < 0:
-            raise ZeroDivisionError("not invertible")
-        lead = r1[d]
-        return self.from_coeffs([c / lead for c in s1])
 
     def make_root(self, m: int) -> CycElt:
         """Primitive m-th root of unity, when one exists in Q(zeta_M)."""

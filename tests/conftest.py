@@ -113,6 +113,45 @@ def apply_rows(rows: dict, vec: dict) -> dict:
     return out
 
 
+def commutator_maps(h, elems) -> list:
+    """The C1 commutators t -> t Delta(e) - Delta(e) t, one ``SumMap`` per
+    e, as ``precartier.commutant_of_coproducts`` cuts by them."""
+    from hopflab.hopf import SumMap
+    from hopflab.precartier import _commutator_terms
+
+    return [SumMap(2, lambda t, d=delta(e): _commutator_terms(h, t, d)) for e in elems]
+
+
+def constraint_oracles(h, r=None) -> list:
+    """(name, rows, vanishes) for each map the solver cuts by: its rows from
+    ``hopf.map_rows``, and whether its direct evaluator vanishes on a
+    2-tensor.  C1 comes over every basis element and over the generators;
+    C2 and C3 are cut in the R-multiplied form and evaluated in the R^-1
+    form, the Cartier map by ``Tensor`` products."""
+    from hopflab.cohomology import b_apply
+    from hopflab.hopf import _generator_elems, map_rows
+    from hopflab.precartier import cartier_map, cqtr_rmul_map, eval_cqtr1, eval_cqtr2, eval_cqtr3
+    from hopflab.rmatrices import r_inverse
+
+    basis = [h.basis_elem(b) for b in range(h.dim)]
+    gens = _generator_elems(h)
+    oracles = [
+        ("cqtr1", commutator_maps(h, basis), lambda t: all(not eval_cqtr1(h, t, b) for b in basis)),
+        ("cqtr1 generators", commutator_maps(h, gens), lambda t: all(not eval_cqtr1(h, t, g) for g in gens)),
+        ("counit_left", [lambda t: t.apply_counit(1)], lambda t: not t.apply_counit(1)),
+        ("counit_right", [lambda t: t.apply_counit(0)], lambda t: not t.apply_counit(0)),
+        ("cocycle", [lambda t: b_apply(h, 2, t)], lambda t: not b_apply(h, 2, t)),
+    ]
+    if r is not None:
+        rinv = r_inverse(h, r)
+        oracles += [
+            ("cqtr2", [cqtr_rmul_map(h, r, 12)], lambda t: not eval_cqtr2(h, r, rinv, t)),
+            ("cqtr3", [cqtr_rmul_map(h, r, 23)], lambda t: not eval_cqtr3(h, r, rinv, t)),
+            ("cartier", [cartier_map(h, r)], lambda t: not (r * t - t.flip() * r)),
+        ]
+    return [(name, map_rows(h, 2, maps), vanishes) for name, maps, vanishes in oracles]
+
+
 def direct_images(maps, t) -> dict:
     """The maps evaluated on t, keyed like ``apply_rows``."""
     return {(mi, k): v for mi, op in enumerate(maps) for k, v in op(t).coeffs.items()}

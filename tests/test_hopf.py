@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     apply_rows,
     batch_modes,
+    commutator_maps,
     copy_tables,
     direct_images,
     oracle_verify_bialgebra,
@@ -27,7 +28,6 @@ from hopflab.hopf import (
     HopfData,
     HopfError,
     ParentMismatch,
-    SumMap,
     Tensor,
     _generator_elems,
     _factored_operand,
@@ -47,7 +47,7 @@ from hopflab.hopf import (
     verify_hopf,
 )
 from hopflab.linalg import Subspace, kernel_of_rows
-from hopflab.precartier import _commutator_terms, cached_commutant, commutant_of_coproducts, cqtr_rmul_map, eval_cqtr1, eval_cqtr2_rmul, solve_rfree
+from hopflab.precartier import analysis, commutant_of_coproducts, cqtr_rmul_map, eval_cqtr1, solve_rfree
 from hopflab.rmatrices import build_r
 from hopflab.scalars import CycField, FieldSpec
 
@@ -275,12 +275,12 @@ def _maps_under_test(h, batched=False):
     """Plain callables, or with ``batched`` the ``SumMap`` form that
     ``map_rows`` evaluates on all columns on one lift."""
     if h.family.kind == "en":  # C2 in the R-multiplied form
-        r = build_r(h, "en-a:[[1,2],[3,5]]")
-        return [cqtr_rmul_map(h, r, 12)] if batched else [lambda t: eval_cqtr2_rmul(h, r, t)]
+        c2 = cqtr_rmul_map(h, build_r(h, "en-a:[[1,2],[3,5]]"), 12)
+        return [c2] if batched else [lambda t: c2(t)]
     if h.family.kind == "h8":  # the cobar differential b2
         return [lambda t: b_apply(h, 2, t)]
     if batched:  # one commutator per generator, Delta(g) shared by every column
-        return [SumMap(2, lambda t, d=delta(g): _commutator_terms(h, t, d)) for g in _generator_elems(h)]
+        return commutator_maps(h, _generator_elems(h))
     return [lambda t, g=g: eval_cqtr1(h, t, g) for g in _generator_elems(h)]
 
 
@@ -320,7 +320,7 @@ def test_cut_by_a_vanishing_map_returns_the_space():
     rfree = solve_rfree(h)
     counits = [lambda t: t.apply_counit(1), lambda t: t.apply_counit(0)]
     assert restrict_and_cut(h, 2, rfree, counits) == rfree
-    comm = cached_commutant(h)
+    comm = analysis(h, "commutant")
     assert restrict_and_cut(h, 2, comm, [lambda t: eval_cqtr1(h, t, h.gen("g"))]) == comm
     whole = full_space(h, 2)
     assert restrict_and_cut(h, 2, whole, [lambda t: eval_cqtr1(h, t, h.unit())]) == whole
@@ -334,9 +334,9 @@ def test_cut_is_canonical_and_equals_the_intersection(family, rspec):
     the canonical RREF, and the space must be the intersection of the input
     with the kernel of the full matrix of the map."""
     h = build(family)
-    r = build_r(h, rspec)
-    space = cached_commutant(h)
-    maps = [lambda t: eval_cqtr2_rmul(h, r, t)]
+    c2 = cqtr_rmul_map(h, build_r(h, rspec), 12)
+    space = analysis(h, "commutant")
+    maps = [lambda t: c2(t)]
     cut = restrict_and_cut(h, 2, space, maps)
     assert 0 < cut.dim < space.dim
     assert Subspace.from_vectors(list(cut.rows), cut.ambient_dim) == cut
@@ -348,7 +348,7 @@ def test_vanishing_commutant_keeps_field_coefficients(field):
     """On a commutative, cocommutative H every commutator vanishes: the
     commutant is all of H (x) H, with coefficients of the field's type."""
     h = build("group:2,2", FieldSpec.parse(field))
-    comm = cached_commutant(h)
+    comm = analysis(h, "commutant")
     assert comm.dim == h.dim**2
     kind = type(h.field.one)
     assert all(type(v) is kind for row in comm.rows for v in row.values())

@@ -6,71 +6,35 @@ from pathlib import Path
 
 import pytest
 
-from conftest import batch_modes, copy_tables, pe, random_sparse_tensor
-from hopflab.cohomology import b_apply, cocycles
+from conftest import apply_rows, batch_modes, commutator_maps, constraint_oracles, copy_tables, pe, random_sparse_tensor
+from hopflab.cohomology import cocycles
 from hopflab.families import build, coradical_projection
-from hopflab.hopf import Tensor, _close_generator_words, generators_span, verify_hopf
+from hopflab.hopf import Tensor, _close_generator_words, generators_span, map_rows, verify_hopf
 from hopflab.precartier import (
     PreCartierError,
-    build_system,
     cartier_coboundary_check,
     cartier_subspace,
     casimir,
     classify,
-    classify_enumerated,
-    eval_cartier,
-    eval_counits,
-    eval_cqtr1,
-    eval_cqtr2,
-    eval_cqtr2_rmul,
-    eval_cqtr3,
-    eval_cqtr3_rmul,
     solve_infinitesimal,
     solve_rfree,
 )
-from hopflab.rmatrices import build_r, r_inverse
-
-
-def test_system_shape(en2):
-    r = build_r(en2, "en-a:[[0,0],[0,0]]")
-    sys = build_system(en2, r, assume_qtr=True)
-    tags = dict(sys.blocks)
-    assert set(tags) == {"cqtr1", "cqtr2", "cqtr3", "counit_left", "counit_right", "cartier", "cocycle"}
-    for _, mat in sys.blocks:
-        assert mat.ncols == 64
+from hopflab.rmatrices import build_r, enumerate_rmatrices
 
 
 def test_cqtr1_block_zero_for_group_algebra(kc2):
-    sys = build_system(kc2)
-    mat = dict(sys.blocks)["cqtr1"]
-    assert all(not row for row in mat.rows)
-
-
-def test_system_requires_qtr(en2):
-    bogus = en2.gen("x1").tensor(en2.gen("x1"))
-    with pytest.raises(PreCartierError):
-        build_system(en2, bogus)
+    """No C1 row survives on a commutative, cocommutative H."""
+    assert not map_rows(kc2, 2, commutator_maps(kc2, [kc2.basis_elem(b) for b in range(kc2.dim)]))
 
 
 def test_block_matrix_matches_direct_eval(en2, rng):
-    r = build_r(en2, "en-a:[[1,2],[3,5]]")
-    rinv = r_inverse(en2, r)
-    sys = build_system(en2, r, assume_qtr=True)
-    blocks = dict(sys.blocks)
+    """The rows of every map the solver cuts by annihilate a tensor exactly
+    when the direct evaluator vanishes on it."""
+    oracles = constraint_oracles(en2, build_r(en2, "en-a:[[1,2],[3,5]]"))
     for _ in range(12):
         t = random_sparse_tensor(en2, rng)
-        vec = t.coeffs
-        # every block annihilates vec exactly when the direct form vanishes
-        assert (not blocks["cqtr2"].apply(vec)) == (not eval_cqtr2(en2, r, rinv, t))
-        assert (not blocks["cqtr3"].apply(vec)) == (not eval_cqtr3(en2, r, rinv, t))
-        assert (not blocks["cartier"].apply(vec)) == (not eval_cartier(en2, r, t))
-        assert (not blocks["cocycle"].apply(vec)) == (not b_apply(en2, 2, t))
-        cqtr1_dead = not blocks["cqtr1"].apply(vec)
-        direct_dead = all(not eval_cqtr1(en2, t, en2.basis_elem(b)) for b in range(en2.dim))
-        assert cqtr1_dead == direct_dead
-        cl, cr = eval_counits(en2, t)
-        assert (not blocks["counit_left"].apply(vec)) == (not cl)
-        assert (not blocks["counit_right"].apply(vec)) == (not cr)
+        for name, rows, vanishes in oracles:
+            assert (not apply_rows(rows, t.coeffs)) == vanishes(t), name
 
 
 def test_en2_solution_space(en2):
@@ -184,8 +148,8 @@ def test_cartier_coboundary_equivalence(en1, en2, en3):
 def test_counits_on_solutions(en2):
     space = solve_infinitesimal(en2, build_r(en2, "en-a:[[0,0],[0,0]]"))
     for v in space.basis():
-        cl, cr = eval_counits(en2, Tensor(en2, 2, v))
-        assert not cl and not cr
+        t = Tensor(en2, 2, v)
+        assert not t.apply_counit(1) and not t.apply_counit(0)
 
 
 def test_casimir(en2):
@@ -237,7 +201,7 @@ def test_classify_json_deterministic():
 
 
 def test_classify_enumerated_ac22():
-    reports = classify_enumerated("ac2n:2", with_cohomology=False)
+    reports = [classify("ac2n:2", spec, with_cohomology=False) for spec in enumerate_rmatrices(build("ac2n:2"))]
     assert len(reports) == 4
     assert all(r.dims["precartier"] == 1 for r in reports)
 
@@ -255,7 +219,7 @@ def test_classify_enumerated_verifies_each_survivor_once(monkeypatch):
 
     for module in (pc, rm):
         monkeypatch.setattr(module, "verify_qtr", counting)
-    reports = classify_enumerated("h2n2:2")
+    reports = [classify("h2n2:2", spec) for spec in enumerate_rmatrices(build("h2n2:2"))]
     assert len(reports) == 4
     assert len(calls) == 4
     monkeypatch.undo()
@@ -305,8 +269,8 @@ def test_batch_report_bytes_without_h2n2_3():
     for family, mode in batch_modes():
         if family == "h2n2:3":
             continue
-        reports = [classify(family, None)] if mode == "rfree" else classify_enumerated(family)
-        bundle.extend(rep.to_dict() for rep in reports)
+        specs = [None] if mode == "rfree" else enumerate_rmatrices(build(family))
+        bundle.extend(classify(family, spec).to_dict() for spec in specs)
     assert len(bundle) == 34
     data = (json.dumps(bundle, indent=2) + "\n").encode()
     assert hashlib.sha256(data).hexdigest() == "d78a1821fc8cd7ecb785905104b0f22e946171ad10aabcdaf11a972e6e96b14c"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hopflab.scalars import (
     MODULAR_PRIME,
+    CycElt,
     FieldSpec,
     MixedFieldSpec,
     NotInImage,
@@ -80,19 +81,27 @@ def test_field_ops_examples():
 
 
 def test_from_coeffs_reduces_any_length():
+    """``_reduce_int`` reduces an integer polynomial of any length."""
     Q3 = get_field(FieldSpec("cyclotomic", order=3))
-    assert Q3.from_coeffs([0, 0, 0, 1]) == Q3.one
-    assert Q8.from_coeffs([0] * 8 + [1]) == Q8.one
+    assert Q3._reduce_int([0, 0, 0, 1]) == Q3.one.nums
+    assert Q8._reduce_int([0] * 8 + [1]) == Q8.one.nums
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(-50, 50), max_size=20))
 def test_from_coeffs_matches_power_sum(coeffs):
+    """``_reduce_int`` of c_0, c_1, ... is sum_k c_k zeta^k."""
     z = make_root(Q8, 8)
     expected = Q8.zero
     for k, c in enumerate(coeffs):
         expected = expected + Q8.from_int(c) * z**k
-    assert Q8.from_coeffs(coeffs) == expected
+    assert (Q8._reduce_int(coeffs), 1) == (expected.nums, expected.den)
+
+
+def _power_sum(coeffs):
+    """sum_k coeffs[k] zeta_8^k in Q8."""
+    z = make_root(Q8, 8)
+    return sum((Fraction(c) * z**k for k, c in enumerate(coeffs)), Q8.zero)
 
 
 def _poly_mult_oracle(a, b, order):
@@ -138,9 +147,7 @@ def test_primitive_roots():
 
 
 scalars8 = st.builds(
-    lambda nums, den: get_field(FieldSpec("cyclotomic", order=8)).from_coeffs(
-        [Fraction(n, den) for n in nums]
-    ),
+    lambda nums, den: CycElt(Q8, tuple(nums)) * Fraction(1, den),
     st.lists(st.integers(-30, 30), min_size=4, max_size=4),
     st.integers(1, 12),
 )
@@ -157,11 +164,26 @@ def test_field_axioms(a, b, c):
         assert a * a.inverse() == Q8.one
 
 
+@pytest.mark.parametrize("order", [3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 24])
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=8, max_size=8), st.integers(1, 12))
+def test_inverse_by_the_norm(order, nums, den):
+    """x x^-1 = 1 for every nonzero x of Q(zeta_M), up to degree 8."""
+    f = get_field(FieldSpec("cyclotomic", order=order))
+    x = CycElt(f, tuple(nums[: f.degree])) * Fraction(1, den)
+    if x:
+        assert x * x.inverse() == f.one
+        assert x.inverse().inverse() == x
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.fractions(min_value=-5, max_value=5), min_size=4, max_size=4))
 def test_canonical_form_idempotent(coeffs):
-    x = Q8.from_coeffs(coeffs)
-    again = Q8.from_coeffs(x.coeffs)
+    x = _power_sum(coeffs)
+    again = _power_sum(x.coeffs)
     assert x == again
     assert x.nums == again.nums and x.den == again.den
 
