@@ -41,7 +41,6 @@ FAMILIES = [
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="classification_reports.json")
-    ap.add_argument("--skip-cohomology", action="store_true", help="skip the Z2/B2 computations")
     args = ap.parse_args()
 
     bundle = []
@@ -49,7 +48,7 @@ def main() -> int:
     for family, mode in FAMILIES:
         t0 = time.time()
         specs = [None] if mode == "rfree" else enumerate_rmatrices(build(family))
-        reports = [classify(family, spec, with_cohomology=not args.skip_cohomology) for spec in specs]
+        reports = [classify(family, spec) for spec in specs]
         for rep in reports:
             d = rep.to_dict()
             bundle.append(d)

@@ -245,27 +245,19 @@ def _format_term(q: Fraction, root: str, word: str, first: bool) -> str:
     return f" {sign} {body}"
 
 
-def format_elem(a: Tensor) -> str:
-    """An element of H (a 1-leg tensor) in the expression grammar."""
-    h = a.parent
-    if not a.coeffs:
-        return "0"
-    parts = []
-    for idx in sorted(a.coeffs):
-        for q, root in _scalar_terms(h.field, a.coeffs[idx]):
-            word = h.labels[idx]
-            word = "" if word == "1" else word
-            parts.append(_format_term(q, root, word, not parts))
-    return "".join(parts)
-
-
 def format_tensor(t: Tensor) -> str:
+    """A tensor in the expression grammar: each basis tensor as its legs'
+    labels joined by (x) inside parentheses, an element of H (one leg) as
+    its bare label, so that ``parse_element`` reads it back."""
     h = t.parent
     if not t.coeffs:
         return "0"
     parts = []
     for idx in sorted(t.coeffs):
-        word = "(" + " (x) ".join(h.labels[i] for i in t._split(idx)) + ")"
+        if t.legs == 1:
+            word = "" if h.labels[idx] == "1" else h.labels[idx]
+        else:
+            word = "(" + " (x) ".join(h.labels[i] for i in t._split(idx)) + ")"
         for q, root in _scalar_terms(h.field, t.coeffs[idx]):
             parts.append(_format_term(q, root, word, not parts))
     return "".join(parts)

@@ -218,7 +218,6 @@ def _from_letters(bare: HopfData, words: list[tuple], letters: list[tuple], gene
 def build_group_algebra(
     invariants: tuple,
     field=None,
-    gen_names: tuple | None = None,
     checked: bool = True,
 ) -> HopfData:
     """Group algebra of the abelian group prod C_{n_i}: the quantum linear
@@ -227,9 +226,7 @@ def build_group_algebra(
     family = FamilySpec("group", invariants)
     if field is None:
         field = get_field(FieldSpec("cyclotomic", order=1))
-    if gen_names is None:
-        gen_names = tuple(f"g{i+1}" for i in range(len(invariants)))
-    letters = [(g, n) for g, n in zip(gen_names, invariants) if n > 1]
+    letters = [(f"g{i+1}", n) for i, n in enumerate(invariants) if n > 1]
     exps = list(itertools.product(*(range(n) for _, n in letters)))
     name = "k[" + "x".join(f"C{n}" for n in invariants) + "]" if invariants else "k"
     return build_quantum_linear_space(letters, {}, exps, _monomial_label([g for g, _ in letters]), field, name, family, checked)
@@ -350,10 +347,6 @@ def _radford_datum(field, r: int, n: int):
     letters = [("g", r * n), ("x", n, {}, {"g": r})]
     commute = {("x", "g"): field.make_root(r * n)}
     return letters, commute, list(itertools.product(range(r * n), range(n))), _monomial_label(["g", "x"])
-
-
-# (letters, commute, exps, label) of each family, as in the module docstring
-_QLS_DATA = {"en": _en_datum, "ac2n": _ac2n_datum, "radford": _radford_datum}
 
 
 def _excluding_char2(field):
@@ -580,88 +573,6 @@ def tensor_product(a: HopfData, b: HopfData, checked: bool = True) -> HopfData:
         fam,
         checked,
     )
-
-
-# -- coradical projections -----------------------------------------------------
-
-
-class CoradicalProjection:
-    """Hopf algebra projection onto the group-algebra part, with its section."""
-
-    def __init__(self, source: HopfData, target: HopfData, images: list, section: list):
-        self.source = source
-        self.target = target
-        self.images = images  # source basis index -> target basis index or None
-        self.section = section  # target basis index -> source basis index
-
-    def apply(self, t: Tensor) -> Tensor:
-        """The projection on every slot of a tensor of any leg count."""
-        dt = self.target.dim
-        out = {}
-        for k, c in t.coeffs.items():
-            key = 0
-            for i in t._split(k):
-                j = self.images[i]
-                if j is None:
-                    break
-                key = key * dt + j
-            else:
-                cur = out.get(key)
-                out[key] = c if cur is None else cur + c
-        return Tensor(self.target, t.legs, out)
-
-    def include(self, a: Tensor) -> Tensor:
-        return Tensor(self.source, 1, {self.section[j]: c for j, c in a.coeffs.items()})
-
-    def verify(self):
-        """Check the morphism laws and the splitting on all basis elements."""
-        from .hopf import VerifyReport, counit, delta
-
-        rep = VerifyReport(f"projection({self.source.name})")
-        src, tgt = self.source, self.target
-        for i in range(src.dim):
-            for j in range(src.dim):
-                lhs = self.apply(src.basis_elem(i) * src.basis_elem(j))
-                rhs = self.apply(src.basis_elem(i)) * self.apply(src.basis_elem(j))
-                rep.record("projection.mult", f"({src.labels[i]},{src.labels[j]})", lhs == rhs)
-        for i in range(src.dim):
-            b = src.basis_elem(i)
-            rep.record("projection.comult", src.labels[i], self.apply(delta(b)) == delta(self.apply(b)))
-            rep.record("projection.counit", src.labels[i], counit(self.apply(b)) == counit(b))
-        for j in range(tgt.dim):
-            rep.record("projection.section", tgt.labels[j], self.apply(self.include(tgt.basis_elem(j))) == tgt.basis_elem(j))
-        return rep
-
-
-def coradical_projection(h: HopfData) -> CoradicalProjection:
-    """Projection onto the group-like coradical for the pointed families."""
-    fam = h.family
-    if fam is None:
-        raise UnsupportedFamily("no family metadata on this HopfData")
-    field = h.field
-    if fam.kind == "group":
-        tgt = h
-        images = list(range(h.dim))
-        section = list(range(h.dim))
-        return CoradicalProjection(h, tgt, images, section)
-    if fam.kind in _QLS_DATA:
-        # x-free monomials go to the group algebra on the group letters, the rest to 0
-        letters, _, exps, _ = _QLS_DATA[fam.kind](field, *fam.params)
-        group = [t for t, letter in enumerate(letters) if len(letter) == 2]
-        tgt = build_group_algebra(
-            tuple(letters[t][1] for t in group), field, gen_names=tuple(letters[t][0] for t in group), checked=False
-        )
-        images, section = [], [None] * tgt.dim
-        for i, a in enumerate(exps):
-            j = None
-            if all(e == 0 for t, e in enumerate(a) if t not in group):
-                j = 0
-                for t in group:  # the group algebra's index: mixed radix, first letter leading
-                    j = j * letters[t][1] + a[t]
-                section[j] = i
-            images.append(j)
-        return CoradicalProjection(h, tgt, images, section)
-    raise UnsupportedFamily(f"no coradical projection for family {fam.kind!r}")
 
 
 # -- registry -------------------------------------------------------------------

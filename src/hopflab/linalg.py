@@ -187,11 +187,6 @@ class Subspace:
             raise AmbientDimensionMismatch("comparing subspaces of different ambient spaces")
         return self.pivot_cols == other.pivot_cols and list(self.rows) == list(other.rows)
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise AmbientDimensionMismatch("sum of subspaces of different ambient spaces")
-        return Subspace.from_vectors(list(self.rows) + list(other.rows), self.ambient_dim)
-
     def combine(self, coeffs: "Subspace") -> "Subspace":
         """The vectors sum_i c_i row_i, one for each row c of ``coeffs``: a
         canonical kernel in the coefficients of this basis, as from

@@ -30,13 +30,12 @@ raise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 from . import cohomology
 from .expressions import format_tensor, parse_element
 from .families import FamilySpec, build
-from .hopf import HopfData, HopfError, SumMap, Tensor, _generator_elems, delta, full_space, generators_span, multiply, product_sum, restrict_and_cut, vanishes_all
+from .hopf import HopfData, HopfError, SumMap, Tensor, _generator_elems, delta, full_space, generators_span, restrict_and_cut, vanishes_all
 from .linalg import Subspace
 from .rmatrices import (
     RSpec,
@@ -52,10 +51,6 @@ class PreCartierError(HopfError):
 
 
 # -- direct evaluators (the independent checkers) ------------------------------
-
-
-def eval_cqtr1(h: HopfData, t: Tensor, b: Tensor) -> Tensor:
-    return Tensor._raw(h, 2, product_sum(h, 2, _commutator_terms(h, t, delta(b))))
 
 
 def _commutator_terms(h: HopfData, t: Tensor, d: Tensor) -> list:
@@ -92,8 +87,8 @@ def cartier_map(h: HopfData, r: Tensor) -> SumMap:
 
 def commutant_of_coproducts(h: HopfData, elems) -> Subspace:
     """Tensors commuting with Delta(e) for every e in elems: the cut of
-    H (x) H by ``eval_cqtr1`` at each e, with Delta(e) formed once per e
-    rather than once per basis tensor."""
+    H (x) H by the commutator t Delta(e) - Delta(e) t at each e, with
+    Delta(e) formed once per e rather than once per basis tensor."""
     return restrict_and_cut(h, 2, full_space(h, 2), [SumMap(2, lambda t, d=delta(e): _commutator_terms(h, t, d)) for e in elems])
 
 
@@ -171,13 +166,6 @@ def cartier_coboundary_check(h: HopfData, chi_space: Subspace, cart: Subspace) -
     """Does the Cartier cut ``cart`` (``cartier_subspace`` of ``chi_space``)
     equal the coboundary cut of the solution space?"""
     return cart == chi_space.intersect(analysis(h, "b2"))
-
-
-def casimir(h: HopfData, chi: Tensor) -> Tensor:
-    """m(S (x) Id)(chi)."""
-    if h.antipode is None:
-        raise PreCartierError("Casimir element needs an antipode")
-    return multiply(chi.apply_antipode(0))
 
 
 # -- classification ---------------------------------------------------------------
@@ -260,9 +248,6 @@ class ClassificationReport:
             out["notes"] = self.notes
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def analysis(h: HopfData, key: str) -> Subspace:
     """The R-independent artifact ``key`` of h, computed on first use and
@@ -288,7 +273,6 @@ def classify(
     family_spec: FamilySpec | str,
     rspec: RSpec | str | None = None,
     field_spec=None,
-    with_cohomology: bool = True,
 ) -> ClassificationReport:
     """Build the family and the R-matrix of ``rspec``, verify R, solve, and
     fill a report.
@@ -340,12 +324,11 @@ def classify(
         flags["counit_auto_satisfied"] = True
         notes.append("precartier dimension pinned by the vanishing R-free bound, valid for every R")
 
-    if with_cohomology:
-        z1, z2, b2 = analysis(h, "z1"), analysis(h, "z2"), analysis(h, "b2")
-        dims["z1"] = z1.dim
-        dims["z2"] = z2.dim
-        dims["b2"] = b2.dim
-        dims["h2"] = dims["z2"] - dims["b2"]
+    z1, z2, b2 = analysis(h, "z1"), analysis(h, "z2"), analysis(h, "b2")
+    dims["z1"] = z1.dim
+    dims["z2"] = z2.dim
+    dims["b2"] = b2.dim
+    dims["h2"] = dims["z2"] - dims["b2"]
 
     expected = expected_for(family_spec)
     flags["paper_partial"] = bool(expected and "partial_member" in expected)
@@ -360,9 +343,8 @@ def classify(
             if key in dims and dims[key] != val:
                 matches = False
         if expected.get("z2_equals_b2"):
-            same = (z2 == b2) if with_cohomology else None
-            flags["z2_equals_b2"] = same
-            if same is False:
+            flags["z2_equals_b2"] = z2 == b2
+            if not flags["z2_equals_b2"]:
                 matches = False
         if "partial_member" in expected and r is not None:
             member = parse_element(h, expected["partial_member"])

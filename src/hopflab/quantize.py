@@ -59,13 +59,6 @@ class PolyTensor:
         n = max(len(self.coeffs), len(other.coeffs))
         return PolyTensor(self.parent, self.legs, [self.coeff(d) + other.coeff(d) for d in range(n)])
 
-    def __sub__(self, other: "PolyTensor") -> "PolyTensor":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyTensor(self.parent, self.legs, [self.coeff(d) - other.coeff(d) for d in range(n)])
-
-    def __neg__(self) -> "PolyTensor":
-        return PolyTensor(self.parent, self.legs, [-c for c in self.coeffs])
-
     def __mul__(self, other: "PolyTensor") -> "PolyTensor":
         """Convolution of coefficient sequences, legwise tensor products
         inside: each hbar-degree d is one ``product_sum`` of a_i * b_(d-i)."""
@@ -114,11 +107,6 @@ def _powers(h: HopfData, chi: Tensor) -> list[Tensor]:
     return powers
 
 
-def nilpotency_degree(h: HopfData, chi: Tensor) -> int:
-    """Smallest k with chi^k = 0 in H (x) H."""
-    return len(_powers(h, chi))
-
-
 def exp_hbar(h: HopfData, chi: Tensor) -> PolyTensor:
     """sum_(j<k) hbar^j chi^j / j! for chi nilpotent of degree k; exact."""
     f = h.field
@@ -149,10 +137,6 @@ class QuantizationReport(VerifyReport):
     hypothesis_1: bool
     hypothesis_2: bool
     nilpotency: int
-
-    @property
-    def hypotheses_ok(self):
-        return self.hypothesis_1 and self.hypothesis_2
 
     def summary(self):
         head = f"hypotheses=({self.hypothesis_1},{self.hypothesis_2}) nilpotency={self.nilpotency}"

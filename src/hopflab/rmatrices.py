@@ -420,74 +420,6 @@ def is_triangular(h: HopfData, r: Tensor, rinv: Tensor | None = None) -> bool:
     return rinv == r.flip()
 
 
-# -- identity suites -----------------------------------------------------------
-
-
-def conjugation_identities_h8(h: HopfData, omega=None) -> VerifyReport:
-    """The conjugation equalities for the z-dependent structure on the
-    8-dimensional member, with the +2 e_xy coefficient (the variant that
-    holds identically)."""
-    f = h.field
-    if omega is None:
-        omega = f.make_root(8)
-    rep = VerifyReport(f"h8-conjugation(omega={omega!r})")
-    r = build_r_h8_omega(h, omega)
-    rinv = r_inverse(h, r)
-    e1, ex, ey, exy = h8_idempotents(h)
-    z = h.gen("z")
-    x, y = h.gen("x"), h.gen("y")
-    one = h.unit()
-    two = f.from_int(2)
-    half = f.one / two
-    w2 = omega * omega
-
-    def conj(a):
-        return rinv * a.tensor(one) * r
-
-    rep.record("conj.e1", "e1", conj(e1) == e1.tensor(one))
-    rep.record("conj.exy", "exy", conj(exy) == exy.tensor(one))
-    rep.record("conj.ex", "ex", conj(ex) == ey.tensor(one) + (ex - ey).tensor(e1 + exy))
-    rep.record("conj.ey", "ey", conj(ey) == ex.tensor(one) - (ex - ey).tensor(e1 + exy))
-    zl_rhs = z.tensor(one) * (
-        h.unit_tensor(2) - (ex + ey).tensor(ex + ey + exy.scaled(two)) - (ex - ey).tensor(ex - ey).scaled(w2)
-    )
-    rep.record("conj.z", "z", conj(z) == zl_rhs)
-    rep.record(
-        "conj.ex.remark",
-        "ex",
-        conj(ex) == (ex + ey).tensor(one).scaled(half) + (ex - ey).tensor(x * y).scaled(half),
-    )
-    rep.record("z-square", "z", z * z == e1 + ex + ey - exy)
-    rep.record("z-fourth", "z", z**4 == one)
-    # membership: conjugating the group part lands in A (x) (k1 + k xy)
-    span_ok = True
-    for a in (e1, ex, ey, exy, x, y, x * y, one):
-        for k in conj(a).coeffs:
-            _, j = divmod(k, h.dim)
-            if h.labels[j] not in ("1", "x*y"):
-                span_ok = False
-    rep.record("conj.group-membership", "A (x) span{1, xy}", span_ok)
-    return rep
-
-
-def rswap_identities_en(h: HopfData, r: Tensor) -> VerifyReport:
-    """R(g (x) g) = (g (x) g)R, R(x_p (x) 1) = (x_p (x) g)R and
-    R(g (x) x_q) = (1 (x) x_q)R for every p, q."""
-    fam = h.family
-    if fam is None or fam.kind != "en":
-        raise FamilyMismatch("these identities are specific to E(n)")
-    n = fam.params[0]
-    rep = VerifyReport(f"rswap({h.name})")
-    g = h.gen("g")
-    one = h.unit()
-    rep.record("rswap.gg", "g", r * g.tensor(g) == g.tensor(g) * r)
-    for p in range(1, n + 1):
-        xp = h.gen(f"x{p}")
-        rep.record("rswap.x-left", f"x{p}", r * xp.tensor(one) == xp.tensor(g) * r)
-        rep.record("rswap.x-right", f"x{p}", r * g.tensor(xp) == one.tensor(xp) * r)
-    return rep
-
-
 # -- enumeration ----------------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_sparse_tensor
-from hopflab.expressions import ExprError, format_elem, format_tensor, parse_element, parse_scalar
+from hopflab.expressions import ExprError, format_tensor, parse_element, parse_scalar
 from hopflab.families import build
 from hopflab.hopf import Tensor
 from hopflab.scalars import FieldSpec, get_field
@@ -92,7 +92,16 @@ def test_roundtrip_elems(en2, rng):
                 Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             )
         e = Tensor(en2, 1, coeffs)
-        assert parse_element(en2, format_elem(e)) == e
+        assert parse_element(en2, format_tensor(e)) == e
+    # an element of H prints as its bare label: ``x`` inside ``(x)`` would
+    # read as the tensor separator
+    for family in ("h8", "ac2n:2", "radford:2,2", "h2n2:3"):
+        h = build(family)
+        minus_half = h.field.from_fraction(Fraction(-1, 2))
+        for i in range(h.dim):
+            for e in (h.basis_elem(i), h.basis_elem(i).scaled(minus_half)):
+                text = format_tensor(e)
+                assert parse_element(h, text) == e, f"{family}: {text}"
 
 
 def test_roundtrip_tensors_over_families(rng):
@@ -115,5 +124,5 @@ def test_roundtrip_cyclotomic_coefficients(h8, rng):
 
 def test_format_zero(en2):
     assert format_tensor(en2.zero_tensor(2)) == "0"
-    assert format_elem(en2.zero_tensor(1)) == "0"
+    assert format_tensor(en2.zero_tensor(1)) == "0"
     assert parse_element(en2, "0 (x) g") == en2.zero_tensor(2)

@@ -20,7 +20,6 @@ from hopflab.families import (
     build_h2n2,
     build_quantum_linear_space,
     build_radford,
-    coradical_projection,
     h8_idempotents,
     tensor_product,
 )
@@ -208,30 +207,6 @@ def test_en_product_signs_against_transposition_oracle():
                         continue
                     sign = (-1) ** (k * len(p)) * bubble_sign(p + q)
                     assert cell == {index((j + k) % 2, tuple(sorted(p + q))): one if sign == 1 else -one}
-
-
-def test_coradical_projection_en(en2):
-    proj = coradical_projection(en2)
-    g = en2.gen("g")
-    x1, x2 = en2.gen("x1"), en2.gen("x2")
-    assert proj.apply(g * x1 * x2) == proj.target.zero_tensor(1)
-    assert proj.apply(g) == proj.target.gen("g")
-    assert proj.verify().ok
-
-
-def test_coradical_projection_section(radford22):
-    proj = coradical_projection(radford22)
-    for j in range(proj.target.dim):
-        b = proj.target.basis_elem(j)
-        assert proj.apply(proj.include(b)) == b
-    assert proj.verify().ok
-
-
-def test_coradical_projection_unsupported(h8, ac4dual):
-    with pytest.raises(UnsupportedFamily):
-        coradical_projection(h8)
-    with pytest.raises(UnsupportedFamily):
-        coradical_projection(ac4dual)
 
 
 def test_constructor_refusals():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     apply_rows,
     batch_modes,
+    commutator,
     commutator_maps,
     copy_tables,
     direct_images,
@@ -47,7 +48,7 @@ from hopflab.hopf import (
     verify_hopf,
 )
 from hopflab.linalg import Subspace, kernel_of_rows
-from hopflab.precartier import analysis, commutant_of_coproducts, cqtr_rmul_map, eval_cqtr1, solve_rfree
+from hopflab.precartier import analysis, commutant_of_coproducts, cqtr_rmul_map, solve_rfree
 from hopflab.rmatrices import build_r
 from hopflab.scalars import CycField, FieldSpec
 
@@ -281,7 +282,7 @@ def _maps_under_test(h, batched=False):
         return [lambda t: b_apply(h, 2, t)]
     if batched:  # one commutator per generator, Delta(g) shared by every column
         return commutator_maps(h, _generator_elems(h))
-    return [lambda t, g=g: eval_cqtr1(h, t, g) for g in _generator_elems(h)]
+    return [lambda t, g=g: commutator(t, g) for g in _generator_elems(h)]
 
 
 @pytest.mark.parametrize("family", ["en:2", "h8", "h2n2:2"])
@@ -321,9 +322,9 @@ def test_cut_by_a_vanishing_map_returns_the_space():
     counits = [lambda t: t.apply_counit(1), lambda t: t.apply_counit(0)]
     assert restrict_and_cut(h, 2, rfree, counits) == rfree
     comm = analysis(h, "commutant")
-    assert restrict_and_cut(h, 2, comm, [lambda t: eval_cqtr1(h, t, h.gen("g"))]) == comm
+    assert restrict_and_cut(h, 2, comm, [lambda t: commutator(t, h.gen("g"))]) == comm
     whole = full_space(h, 2)
-    assert restrict_and_cut(h, 2, whole, [lambda t: eval_cqtr1(h, t, h.unit())]) == whole
+    assert restrict_and_cut(h, 2, whole, [lambda t: commutator(t, h.unit())]) == whole
 
 
 @pytest.mark.parametrize(

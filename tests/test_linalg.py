@@ -102,7 +102,7 @@ def test_subspace_calculus():
         a = _random_subspace(rng, ambient, rng.randint(0, ambient))
         b = _random_subspace(rng, ambient, rng.randint(0, ambient))
         assert a.intersect(a) == a
-        s = a.sum(b)
+        s = Subspace.from_vectors([*a.rows, *b.rows], ambient)
         i = a.intersect(b)
         assert s.dim + i.dim == a.dim + b.dim
         assert a.contains({})
@@ -130,7 +130,7 @@ def test_ambient_mismatch():
     a = Subspace.from_vectors([{0: Fraction(1)}], 2)
     b = Subspace.from_vectors([{0: Fraction(1)}], 3)
     with pytest.raises(AmbientDimensionMismatch):
-        a.sum(b)
+        a.intersect(b)
     with pytest.raises(AmbientDimensionMismatch):
         a == b
 
@@ -194,7 +194,7 @@ def test_zero_and_full_subspaces_keep_the_field(spec):
     two = f.from_int(2)
     line = Subspace.from_vectors([{0: two, 2: -two}], n)
     inside = Subspace.from_vectors([{0: two, 1: f.one}], n)
-    plane = inside.sum(Subspace.from_vectors([{2: f.one, 3: -two}], n))
+    plane = Subspace.from_vectors([*inside.rows, {2: f.one, 3: -two}], n)
     for a, b, expected in [(zero, full, zero), (full, zero, zero), (full, full, full), (zero, zero, zero),
                            (line, full, line), (full, line, line), (line, zero, zero), (line, plane, zero),
                            (plane, inside, inside), (inside, plane, inside)]:
@@ -374,7 +374,7 @@ def _subspace_pairs(draw, spec: str):
     if kind == "random":
         b = space(draw(st.integers(0, n)))
     elif kind == "nested":
-        b = a.sum(space(draw(st.integers(0, 2))))
+        b = Subspace.from_vectors([*a.rows, *space(draw(st.integers(0, 2))).rows], n)
     elif kind == "zero":
         b = Subspace(n, (), ())
     else:
@@ -451,6 +451,6 @@ def test_solve_and_intersect_make_one_kernel_call(monkeypatch):
     assert line.intersect(plane).dim == 0 and plane.intersect(line).dim == 0
     assert calls == [1, 1]
     calls.clear()
-    above = line.sum(Subspace.from_vectors([{2: Fraction(1)}], 3))
+    above = Subspace.from_vectors([*line.rows, {2: Fraction(1)}], 3)
     assert line.intersect(above) == line and above.intersect(line) == line
     assert calls == []

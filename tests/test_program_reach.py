@@ -1,0 +1,73 @@
+"""Every module-level name of the package serves the program.
+
+A function, class or assignment at the top level of ``src/hopflab/*.py``
+must be referenced from ``src/``, ``scripts/`` or ``perfbench/`` somewhere
+other than inside its own definition.  Code that only tests reach belongs in
+the tests, so this fails when a routine loses its last program caller.
+
+A reference is a name load, an attribute, an imported name, or a string
+constant that is exactly the name (``perfbench/child.py`` traces functions
+by name).  Dunder names are read by the interpreter, not by the program,
+and are not checked.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hopflab"
+PROGRAM_DIRS = ("src", "scripts", "perfbench")
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) for every top-level def, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id, node
+
+
+def _references(tree: ast.Module):
+    """(name, node) for every place a name is read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            yield node.value, node
+
+
+def _inside(node: ast.AST, outer: ast.AST) -> bool:
+    return outer.lineno <= node.lineno <= outer.end_lineno
+
+
+def unreached_names() -> list[str]:
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for top in PROGRAM_DIRS
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    refs: dict[str, list] = {}
+    for path, tree in trees.items():
+        for name, node in _references(tree):
+            refs.setdefault(name, []).append((path, node))
+    unreached = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, definition in _definitions(trees[path]):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if not any(where != path or not _inside(node, definition) for where, node in refs.get(name, [])):
+                unreached.append(f"{path.stem}.{name}")
+    return unreached
+
+
+def test_every_module_level_name_is_reached_by_the_program():
+    assert unreached_names() == []

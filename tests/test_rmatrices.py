@@ -12,12 +12,10 @@ from hopflab.rmatrices import (
     RSpec,
     _solve_inverse,
     build_r,
-    conjugation_identities_h8,
     enumerate_group_rmatrices,
     is_triangular,
     r_inverse,
     registered_rspecs,
-    rswap_identities_en,
     verify_qtr,
 )
 
@@ -212,26 +210,13 @@ def test_r_inverse_without_antipode_solves(en2, monkeypatch):
     assert rinv.coeffs == r_inverse(en2, r).coeffs
 
 
-def test_conjugation_identities(h8):
-    for k in (1, 3, 5, 7):
-        omega = h8.field.make_root(8) ** k
-        rep = conjugation_identities_h8(h8, omega)
-        assert rep.ok, rep.summary()
-
-
-def test_rswap_identities(en1, en2):
-    assert rswap_identities_en(en1, build_r(en1, "en-a:[[5]]")).ok
+def test_rswap_identities(en2):
+    """A consequence of the E(n) swap identities of the acceptance module:
+    R chi = -(g (x) g) chi R for chi = g x1 (x) x2."""
     r = build_r(en2, "en-a:[[1,2],[3,5]]")
-    assert rswap_identities_en(en2, r).ok
-    # consequence: R chi = -(g (x) g) chi R for chi = g x1 (x) x2
     chi = pe(en2, "g^1*x{1} (x) x{2}")
     gg = pe(en2, "g (x) g")
     assert r * chi == -(gg * chi * r)
-
-
-def test_rswap_rejects_other_families(h8):
-    with pytest.raises(FamilyMismatch):
-        rswap_identities_en(h8, h8.unit_tensor(2))
 
 
 def paper_h8_pm(h, alpha, beta):
