@@ -113,6 +113,8 @@ class _Parser:
                 div = self.parse_factor()
                 if isinstance(div, Tensor):
                     raise ExprError("division only by scalars", pos)
+                if not div:
+                    raise ExprError("division by zero", pos)
                 acc = self._mul(acc, self.h.field.one / div, pos)
             else:
                 return acc
@@ -216,8 +218,6 @@ def parse_element(h: HopfData, text: str):
 
 def _scalar_terms(field, c) -> list[tuple[Fraction, str]]:
     """Decompose a scalar into (rational, root-power-suffix) monomials."""
-    if isinstance(c, Fraction):
-        return [(c, "")]
     if hasattr(c, "coeffs"):  # cyclotomic
         out = []
         m = field.order
@@ -284,7 +284,10 @@ def parse_scalar(field, text: str):
                     den_kind, den_val, den_pos = tokens[i + 2]
                     if den_kind != "int":
                         raise ExprError("expected denominator", den_pos)
-                    acc = acc * field.from_fraction(Fraction(num, int(den_val)))
+                    den = int(den_val)
+                    if not field.from_int(den):
+                        raise ExprError("division by zero", den_pos)
+                    acc = acc * field.from_fraction(Fraction(num, den))
                     i += 3
                 else:
                     acc = acc * field.from_int(num)

@@ -199,7 +199,7 @@ def _from_letters(bare: HopfData, words: list[tuple], letters: list[tuple], gene
     deltas = {(): bare.unit_tensor(2).coeffs}
     for length in range(1, max(map(len, words)) + 1):
         layer = [w for w in words if len(w) == length]
-        sums = [[(None, deltas[w[:-1]], letters[w[-1]][0].coeffs)] for w in layer]
+        sums = [[(1, deltas[w[:-1]], letters[w[-1]][0].coeffs)] for w in layer]
         deltas.update(zip(layer, product_sums(bare, 2, sums)))
     antipode, counit = [], []
     for word in words:
@@ -608,14 +608,14 @@ def build(spec, field_spec: FieldSpec | None = None, checked: bool = True) -> Ho
     What this caches lives as long as the process and is never evicted: the
     ``_build_cached`` instance per (family, field, checked); on each instance,
     its term table ``mult_terms`` and the integer copies of it that tensor
-    products read (``HopfData.int_terms``: one per algebra over Q and F_p,
-    one per slot width used over a cyclotomic field), the generator
+    products read (``HopfData.int_terms``: one per algebra over F_p, one
+    per slot width used over a cyclotomic field, Q included), the generator
     certificate (``hopf.generators_span``, granted once ``verify_hopf``
     passed on the instance, as it has on every checked build), and the
     ``precartier.analysis`` memo of R-independent results
     (commutant, R-free space, cocycles, coboundaries); and, per interned
-    cyclotomic field, the ``CycElt`` product and sum caches, which stop
-    growing at 300000 entries each.  A long-lived process that builds many
+    cyclotomic field (Q among them), the ``CycElt`` product and sum caches,
+    which stop growing at 300000 entries each.  A long-lived process that builds many
     families holds all of them; cold processes are the measured
     configuration.
     """

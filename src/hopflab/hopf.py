@@ -47,75 +47,64 @@ sum a * b * v0 * v1 over the same terms, regrouped by distributivity, a ring
 identity, and canonical exact scalars are unique.
 
 Every product of 2- or 3-tensors is one call of the sum-of-products kernel
-``product_sum``: sum c * a * b over terms (c, a, b) of a scalar and two 2-
-or 3-tensors, with b None for a linear term c * a.  ``Tensor.__mul__`` is
-the one-term case (on elements it runs the loop over ``mult_terms`` directly:
-a single product of two elements is too small to pay for a lift),
-``quantize.PolyTensor`` sums each hbar-degree in one
-call, the evaluators of ``precartier`` (the C1 commutators, the
-R-multiplied C2 and C3 and the Cartier map) each evaluate their whole
-signed sum in one call, and the C1 recheck tests t Delta(g) - Delta(g) t
-with ``vanishes_all``.  Several sums can share one lift (``product_sums``,
-``vanishes_all``): ``map_rows`` evaluates a ``SumMap`` on all its columns
-that way, and the C1 recheck all its vectors, so an operand that every
-sum shares (Delta(g), R) is lifted once and, on the factorized loop, its
-L and R sums are formed once.  The kernel runs on Python ints, never on field
-elements, over every field (``field.lift_batch``): it lifts the c's once
-over their common denominator D_c (a c of None stands for the field's one,
-as in ``mult_terms``, and needs no multiplication when D_c = 1) and every
-operand once over one common denominator D, runs the 2- and 3-leg loops
-against ``int_terms`` into one int dict (c folded into one operand,
-linear terms scaled up to the same scale), and maps each output key back
-once (``field.unpack``).  ``vanishes_all`` instead applies the
-field's zero test (``field.is_zero``) to each int, with no element built.
-``int_terms`` is an int copy of ``mult_terms`` made once per algebra (per
-slot width over Q(zeta_M)): every entry is multiplied by the lcm D_m of
-the table's denominators, and a None (one) entry stays None when D_m = 1
-and becomes D_m otherwise.  Every output int is its exact value times
-den = D_c * D^2 * D_m^legs.
+``product_sum``: sum s * a * b over terms (s, a, b) of a sign s = +-1 and
+two 2- or 3-tensors.  ``Tensor.__mul__`` is the one-term case (on elements
+it runs the loop over ``mult_terms`` directly: a single product of two
+elements is too small to pay for a lift), ``quantize.PolyTensor`` sums each
+hbar-degree in one call, the evaluators of ``precartier`` (the C1
+commutators, the R-multiplied C2 and C3 and the Cartier map) each evaluate
+their whole signed sum in one call, and the C1 recheck tests
+t Delta(g) - Delta(g) t with ``vanishes_all``.  Several sums can share one
+lift (``product_sums``, ``vanishes_all``): ``map_rows`` evaluates a
+``SumMap`` on all its columns that way, and the C1 recheck all its vectors,
+so an operand that every sum shares (Delta(g), R) is lifted once and, on
+the factorized loop, its L and R sums are formed once.  The kernel runs on
+Python ints, never on field elements, over every field
+(``field.lift_batch``): it lifts every operand once over one common
+denominator D, runs the 2- and 3-leg loops against ``int_terms`` into one
+int dict (a sign -1 folded into one operand), and maps each output key
+back once (``field.unpack``).  ``vanishes_all`` instead applies the field's
+zero test (``field.is_zero``) to each int, with no element built.
+``int_terms`` is an int copy of ``mult_terms`` made once per algebra and
+slot width: every entry is multiplied by the lcm D_m of the table's
+denominators, and a None (one) entry stays None when D_m = 1 and becomes
+D_m otherwise.  Every output int is its exact value times
+den = D^2 * D_m^legs.
 
-- Over Q the ints are numerators over D_c or D; each nonzero output x becomes
-  Fraction(x, den), and the zero test is x == 0.  No packing: the
-  polynomials of the cyclotomic case have degree 0 here.
 - Over F_p the ints are the residues of the operands and of the table
-  (D_c = D = 1); each output is x mod p, and the zero test is x % p == 0.
-- Over Q(zeta_M) each coefficient x, times its D_c or D, is an integer polynomial in
+  (D = 1); each output is x mod p, and the zero test is x % p == 0.
+- Over Q(zeta_M) each coefficient x, times D, is an integer polynomial in
   Z[t], packed into one int as its value at t = 2^B (Kronecker
   substitution; von zur Gathen and Gerhard, Modern Computer Algebra,
   section 8.4).  Each output is unpacked in balanced base-2^B digits,
   reduced modulo Phi_M once and divided by den.  The zero test: a packed 0
   is zero; otherwise the balanced digits are reduced modulo Phi_M and
-  tested, with no ``CycElt`` built.
+  tested, with no ``CycElt`` built.  Over Q = Q(zeta_1) the polynomials
+  are constants, one slot wide: the int is the numerator x * D itself.
 
 Why the coefficients, and the zero tests, are exactly those of element
 arithmetic:
 
-- Every product term carries c, one factor from each operand and exactly
-  one table factor per leg, so it is its exact value times
-  D_c * D^2 * D_m^legs; a linear term c * a, lifted to D_c * D, is
-  multiplied by the integer D * D_m^legs.  In the factorized loop L and R
-  are scaled by D * D_m, and one of them by D_c too (the one whose operand
-  c is folded into).  So every
-  term, partial sum and output is the exact value times the same nonzero
-  integer den.
-- Z -> Q, Z -> F_p and the reduction Z[t] -> Z[zeta_M] = Z[t]/(Phi_M) are
-  ring morphisms, so summing unreduced integer products and mapping once
-  gives the field element of stepwise element arithmetic.  ``Fraction``,
-  ``PrimeElt`` and ``CycElt`` values are canonical (for ``CycElt``: den > 0,
+- Every product term carries one factor from each operand, its sign folded
+  into one of them, and exactly one table factor per leg, so it is its
+  exact value times D^2 * D_m^legs.  In the factorized loop L and R are
+  scaled by D * D_m.  So every term, partial sum and output is the exact
+  value times the same nonzero integer den.
+- Z -> F_p and the reduction Z[t] -> Z[zeta_M] = Z[t]/(Phi_M) are ring
+  morphisms, so summing unreduced integer products and mapping once gives
+  the field element of stepwise element arithmetic.  ``PrimeElt`` and
+  ``CycElt`` values are canonical (for ``CycElt``: den > 0,
   gcd(den, *nums) = 1), so the outputs are ``==`` and print identically,
   and an output is zero exactly when the field's zero test says so.
-- Over Q an int zero test is the zero test of the rational it stands for.
-  Over F_p the loops skip only true integer zeros, which are zero mod p
+- Over F_p the loops skip only true integer zeros, which are zero mod p
   too, and the final reduction mod p removes the rest.
 - Over Q(zeta_M), evaluation at 2^B is a ring morphism Z[t] -> Z, so every
   int in the loop is the value at 2^B of the corresponding unreduced
   polynomial.  It is injective on polynomials whose coefficients are all
   below 2^(B-1) in absolute value.  B is chosen with 2^(B-1) above the
-  bound sum_terms |c| * S_a * S_b * V^legs (a linear term:
-  |c| * S_a * D * D_m^legs), where |c| is the l1 norm of the lifted c (D_c
-  for a None c),
-  S_a and S_b the sums of the l1 norms of the lifted operand polynomials
-  and V bounds the l1 norm of every lifted table entry.  The l1 norm of a
+  bound sum_terms S_a * S_b * V^legs, where S_a and S_b are the sums of the
+  l1 norms of the lifted operand polynomials (a sign changes no norm) and
+  V bounds the l1 norm of every lifted table entry.  The l1 norm of a
   product is at most the product of the l1 norms, V >= D_m >= 1, and each
   output index gets at most one term per pair (ka, kb) of operand indices,
   so the bound covers every partial product, every term and every partial
@@ -127,14 +116,14 @@ arithmetic:
   that too.  An output coefficient sums one product of an L entry and an R
   entry per pair (i1, j0), so it and its partial sums stay below
   V^2 * sum_(i1, j0) (sum_i0 |a_(i0 i1)|) (sum_j1 |b_(j0 j1)|) = S_a * S_b * V^2.
-- Hence over Q(zeta_M) too a zero test on a packed int, on an output or on
-  an L or R entry, is a zero test of an unreduced polynomial: a skip on
-  zero never drops a nonzero term, and a packed zero is a field zero.  A
-  nonzero packed value can still stand for zero, a nonzero multiple of
-  Phi_M: its balanced digits are exactly the coefficients of that
-  polynomial (injectivity), so its remainder modulo Phi_M decides it.  On
-  h2n2:3 the coproduct check of ``verify_bialgebra`` meets 6561 such values
-  (12 distinct ones), which is why ``_zero_test`` memoizes per value.
+- Hence a zero test on a packed int, on an output or on an L or R entry,
+  is a zero test of an unreduced polynomial: a skip on zero never drops a
+  nonzero term, and a packed zero is a field zero.  A nonzero packed value
+  can still stand for zero, a nonzero multiple of Phi_M: its balanced
+  digits are exactly the coefficients of that polynomial (injectivity), so
+  its remainder modulo Phi_M decides it.  On h2n2:3 the coproduct check of
+  ``verify_bialgebra`` meets 6561 such values (12 distinct ones), which is
+  why ``_zero_test`` memoizes per value.
 
 ``verify_bialgebra`` runs its two large checks on the same lift and zero
 test.  Associativity sums, for each pair (i, j) and every k at once,
@@ -215,7 +204,7 @@ class HopfData:
 
     def int_terms(self, width) -> list:
         """``mult_terms`` over Z for the field's ``pack`` at ``width`` (a
-        slot width over Q(zeta_M), None over Q and F_p): each entry v as
+        slot width over Q(zeta_M), None over F_p): each entry v as
         ``field.pack(v, table_den, width)``, and a None entry as
         ``table_den`` unless that is 1.  Made once per width, one int cell
         per distinct cell."""
@@ -336,7 +325,7 @@ class Tensor:
                     if row[j]:
                         pairs.append((row[j], a * b))
             return Tensor._raw(h, 1, _cell_sum(pairs))
-        return Tensor._raw(h, self.legs, product_sum(h, self.legs, [(None, self.coeffs, other.coeffs)]))
+        return Tensor._raw(h, self.legs, product_sum(h, self.legs, [(1, self.coeffs, other.coeffs)]))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -557,13 +546,12 @@ def _cut(h: HopfData, legs: int, space: Subspace, op) -> Subspace:
 
 
 def product_sum(h: HopfData, legs: int, terms) -> dict:
-    """The coefficients of sum c * a * b over ``terms``, zeros dropped.
+    """The coefficients of sum s * a * b over ``terms``, zeros dropped.
 
-    ``terms`` holds (c, a, b) with c a field element, or None for the
-    field's one, and a, b coefficient dicts of ``legs``-tensors (2 or 3
-    legs), multiplied legwise; b None stands for the linear term c * a.
-    Runs on the integer lift of the module docstring and maps each output
-    back once."""
+    ``terms`` holds (s, a, b) with s a sign, 1 or -1, and a, b coefficient
+    dicts of ``legs``-tensors (2 or 3 legs), multiplied legwise.  Runs on
+    the integer lift of the module docstring and maps each output back
+    once."""
     return product_sums(h, legs, [terms])[0]
 
 
@@ -643,17 +631,14 @@ def _lifted_sums(h: HopfData, legs: int, sums) -> tuple:
     ``product_sum``) on one integer lift; ``ints`` yields one int dict per
     sum, in order, each int standing for its coefficient times den.
 
-    Every c is lifted over one common denominator D_c and every operand
-    dict over one common denominator D, over Q(zeta_M) packed at one width
-    whose bound covers each sum.  An operand dict passed more than once
-    (the same object) is lifted and prepared for the loop once, and kept
-    only while a sum still uses it.  c is folded into one operand of its
-    product, the one used fewer times in all (the smaller on a tie), so a
-    shared operand stays shared; a None c, the one, at D_c = 1 needs no
-    folding.  A linear term is scaled up by D * D_m^legs to the scale
-    den = D_c D^2 D_m^legs of the products."""
+    Every operand dict is lifted over one common denominator D, over
+    Q(zeta_M) packed at one width whose bound covers each sum.  An operand
+    dict passed more than once (the same object) is lifted and prepared for
+    the loop once, and kept only while a sum still uses it.  A sign -1 is
+    folded into one operand of its product, the one used fewer times in all
+    (the smaller on a tie), so a shared operand stays shared."""
     loop, prepare = _product_loop(h, legs)
-    coeffs, vecs, slot_of, uses, shapes = [], [], {}, [], []
+    vecs, slot_of, uses, shapes = [], {}, [], []
 
     def slot(vec) -> int:
         i = slot_of.get(id(vec))
@@ -665,23 +650,15 @@ def _lifted_sums(h: HopfData, legs: int, sums) -> tuple:
         return i
 
     for terms in sums:
-        shape = []  # (c index, a slot, b slot or None for a linear term)
-        for c, a, b in terms:
-            if (c is not None and not c) or not a or (b is not None and not b):
-                continue
-            coeffs.append(c)
-            shape.append((len(coeffs) - 1, slot(a), None if b is None else slot(b)))
-        shapes.append(shape)
-    if not coeffs:
+        shapes.append([(s, slot(a), slot(b)) for s, a, b in terms if a and b])
+    if not vecs:
         return iter([{} for _ in shapes]), None, 1
     table, table_den = h.table_norm**legs, h.table_den**legs
 
-    def bound(den, c_norms, sizes):
-        lin = den * table_den
-        return max(sum(c_norms[ci] * sizes[ai] * (lin if bi is None else sizes[bi] * table) for ci, ai, bi in shape) for shape in shapes)
+    def bound(_, sizes):
+        return max(sum(sizes[ai] * sizes[bi] * table for _, ai, bi in shape) for shape in shapes)
 
-    cden, den, width, cs, packed = h.field.lift_batch(coeffs, vecs, bound)
-    lin = den * table_den
+    den, width, packed = h.field.lift_batch(vecs, bound)
     total = list(uses)
     ready: dict = {}  # slot -> prepared operand, while a sum still uses it
 
@@ -698,20 +675,17 @@ def _lifted_sums(h: HopfData, legs: int, sums) -> tuple:
 
     def each():
         for shape in shapes:
-            products, linear = [], []
-            for ci, ai, bi in shape:
-                c = cs[ci]
-                if bi is None:
-                    linear.append((lin if c is None else c * lin, operand(ai, False)))
-                elif c is None:
+            products = []
+            for s, ai, bi in shape:
+                if s == 1:
                     products.append((operand(ai), operand(bi)))
                 elif (total[ai], len(packed[ai])) <= (total[bi], len(packed[bi])):
-                    products.append((prepare({k: c * x for k, x in operand(ai, False).items()}), operand(bi)))
+                    products.append((prepare({k: -x for k, x in operand(ai, False).items()}), operand(bi)))
                 else:
-                    products.append((operand(ai), prepare({k: c * x for k, x in operand(bi, False).items()})))
-            yield _int_sum(h, loop, width, products, linear)
+                    products.append((operand(ai), prepare({k: -x for k, x in operand(bi, False).items()})))
+            yield _int_sum(h, loop, width, products, ())
 
-    return each(), width, cden * den**2 * table_den
+    return each(), width, den**2 * table_den
 
 
 def _int_sum(h: HopfData, loop, width, products, linear) -> dict:
@@ -1093,11 +1067,11 @@ def _check_morphisms(h: HopfData, rep: VerifyReport) -> None:
     f, dim, labels = h.field, h.dim, h.labels
     norm, table_den = h.table_norm, h.table_den
 
-    def bound(den, _, sizes):
+    def bound(den, sizes):
         size = max(sizes)
         return size * size * norm**2 + dim * norm * size * den * table_den
 
-    _, den, width, _, deltas = f.lift_batch([], h.comult, bound)
+    den, width, deltas = f.lift_batch(h.comult, bound)
     scale = den * table_den
     int_terms = h.int_terms(width)
     loop, prepare = _product_loop(h, 2)

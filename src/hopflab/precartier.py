@@ -53,9 +53,9 @@ class PreCartierError(HopfError):
 # -- direct evaluators (the independent checkers) ------------------------------
 
 
-def _commutator_terms(h: HopfData, t: Tensor, d: Tensor) -> list:
+def _commutator_terms(t: Tensor, d: Tensor) -> list:
     """t d - d t as terms of ``hopf.product_sum``: one lift, one sum."""
-    return [(None, t.coeffs, d.coeffs), (-h.field.one, d.coeffs, t.coeffs)]
+    return [(1, t.coeffs, d.coeffs), (-1, d.coeffs, t.coeffs)]
 
 
 def eval_cqtr2(h: HopfData, r: Tensor, rinv: Tensor, t: Tensor) -> Tensor:
@@ -66,20 +66,18 @@ def eval_cqtr3(h: HopfData, r: Tensor, rinv: Tensor, t: Tensor) -> Tensor:
     return t.apply_delta(0) - t.leg(23) - rinv.leg(23) * t.leg(13) * r.leg(23)
 
 
-def cqtr_rmul_map(h: HopfData, r: Tensor, l: int) -> SumMap:
+def cqtr_rmul_map(r: Tensor, l: int) -> SumMap:
     """rl t_delta - rl t_l - t13 rl with rl = R_l, the R-multiplied C2
     (l = 12: t_delta = (Id (x) Delta)(t)) or C3 (l = 23: (Delta (x) Id)(t)),
     as one ``hopf.product_sum`` per tensor; R_l is formed once per map."""
     rl = r.leg(l).coeffs
     slot = 1 if l == 12 else 0
-    minus = -h.field.one
-    return SumMap(3, lambda t: [(None, rl, t.apply_delta(slot).coeffs), (minus, rl, t.leg(l).coeffs), (minus, t.leg(13).coeffs, rl)])
+    return SumMap(3, lambda t: [(1, rl, t.apply_delta(slot).coeffs), (-1, rl, t.leg(l).coeffs), (-1, t.leg(13).coeffs, rl)])
 
 
-def cartier_map(h: HopfData, r: Tensor) -> SumMap:
+def cartier_map(r: Tensor) -> SumMap:
     """R t - t_op R."""
-    minus = -h.field.one
-    return SumMap(2, lambda t: [(None, r.coeffs, t.coeffs), (minus, t.flip().coeffs, r.coeffs)])
+    return SumMap(2, lambda t: [(1, r.coeffs, t.coeffs), (-1, t.flip().coeffs, r.coeffs)])
 
 
 # -- solvers ---------------------------------------------------------------------
@@ -89,7 +87,7 @@ def commutant_of_coproducts(h: HopfData, elems) -> Subspace:
     """Tensors commuting with Delta(e) for every e in elems: the cut of
     H (x) H by the commutator t Delta(e) - Delta(e) t at each e, with
     Delta(e) formed once per e rather than once per basis tensor."""
-    return restrict_and_cut(h, 2, full_space(h, 2), [SumMap(2, lambda t, d=delta(e): _commutator_terms(h, t, d)) for e in elems])
+    return restrict_and_cut(h, 2, full_space(h, 2), [SumMap(2, lambda t, d=delta(e): _commutator_terms(t, d)) for e in elems])
 
 
 def _require_generators_span(h: HopfData) -> None:
@@ -105,7 +103,7 @@ def _commute_with_generators(h: HopfData, ts: list) -> bool:
     generator g, decided by the kernel's zero test.  Each generator's
     commutators run on one lift (``hopf.vanishes_all``), so Delta(g) is
     lifted, and its L and R sums formed, once for all of ``ts``."""
-    return all(vanishes_all(h, 2, [_commutator_terms(h, t, d) for t in ts]) for d in map(delta, _generator_elems(h)))
+    return all(vanishes_all(h, 2, [_commutator_terms(t, d) for t in ts]) for d in map(delta, _generator_elems(h)))
 
 
 def solve_rfree(h: HopfData) -> Subspace:
@@ -142,8 +140,8 @@ def solve_infinitesimal(h: HopfData, r: Tensor, rinv: Tensor | None = None) -> S
     and the counit conditions are asserted post-hoc.
     """
     _require_generators_span(h)
-    space = restrict_and_cut(h, 2, analysis(h, "commutant"), [cqtr_rmul_map(h, r, 12)])
-    space = restrict_and_cut(h, 2, space, [cqtr_rmul_map(h, r, 23)])
+    space = restrict_and_cut(h, 2, analysis(h, "commutant"), [cqtr_rmul_map(r, 12)])
+    space = restrict_and_cut(h, 2, space, [cqtr_rmul_map(r, 23)])
     if rinv is None:
         rinv = r_inverse(h, r)
     ts = [Tensor(h, 2, vec) for vec in space.rows]
@@ -159,7 +157,7 @@ def solve_infinitesimal(h: HopfData, r: Tensor, rinv: Tensor | None = None) -> S
 
 def cartier_subspace(h: HopfData, r: Tensor, chi_space: Subspace) -> Subspace:
     """Cut the solution space by R chi = chi_op R."""
-    return restrict_and_cut(h, 2, chi_space, [cartier_map(h, r)])
+    return restrict_and_cut(h, 2, chi_space, [cartier_map(r)])
 
 
 def cartier_coboundary_check(h: HopfData, chi_space: Subspace, cart: Subspace) -> bool:

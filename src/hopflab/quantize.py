@@ -71,7 +71,7 @@ class PolyTensor:
         out = []
         for d in range(len(a) + len(b) - 1):
             degrees = range(max(0, d - len(b) + 1), min(d, len(a) - 1) + 1)
-            out.append(Tensor._raw(h, legs, product_sum(h, legs, [(None, a[i].coeffs, b[d - i].coeffs) for i in degrees])))
+            out.append(Tensor._raw(h, legs, product_sum(h, legs, [(1, a[i].coeffs, b[d - i].coeffs) for i in degrees])))
         return PolyTensor(h, legs, out)
 
     def __eq__(self, other):

@@ -1,21 +1,22 @@
-"""Exact coefficient fields: rationals, cyclotomic extensions Q(zeta_M), prime fields.
+"""Exact coefficient fields: cyclotomic extensions Q(zeta_M) and prime fields.
 
 All downstream arithmetic is exact.  A field object hands out its own element
-type; elements of distinct field objects never mix.  The rational field uses
-plain ``fractions.Fraction`` values (the hot path for the sign-based families),
-cyclotomic fields use a small polynomial-quotient element, and the prime-field
-mode (p prime) exists for randomized cross-validation of cyclotomic results.
+type; elements of distinct field objects never mix.  Characteristic 0 has
+one field type, ``CycField``, with a small polynomial-quotient element: Q
+itself is Q(zeta_1) = Q[t]/(t - 1), of degree 1, whose elements print as
+their rationals.  The prime-field mode (p prime) exists for randomized
+cross-validation of cyclotomic results.
 
 Every field also serves the sum-of-products kernel of ``hopf``, which runs
 on Python ints instead of elements, through one interface: ``lift`` puts a
 batch of elements over one common denominator D and bounds their sizes,
 ``width`` turns a bound on a whole sum into the packing width, ``pack``
-turns x*D into an int, ``lift_batch`` does all three for the scalars and
-(with a denominator of their own) the coefficient dicts of one sum, ``unpack`` maps an int result back to the
-element it stands for, and ``is_zero`` decides whether it stands for zero
-without building the element.  Over Q the int is the numerator over D, over
-F_p the residue (D = 1), over Q(zeta_M) a Kronecker-packed integer
-polynomial (see ``CycField``).
+turns x*D into an int, ``lift_batch`` does all three for the coefficient
+dicts of one sum, ``unpack`` maps an int result back to the element it
+stands for, and ``is_zero`` decides whether it stands for zero without
+building the element.  Over F_p the int is the residue (D = 1), over
+Q(zeta_M) a Kronecker-packed integer polynomial (see ``CycField``), one
+slot wide over Q, where it is the numerator over D.
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         if m % d == 0:
             poly = _polydiv_exact(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
-
-
-def euler_phi(m: int) -> int:
-    return len(cyclotomic_polynomial(m)) - 1
 
 
 def _is_prime(n: int) -> bool:
@@ -263,6 +260,12 @@ class CycElt:
     def __repr__(self):
         return f"Cyc({self.field.order}; {list(self.nums)}/{self.den})"
 
+    def __str__(self):
+        """A rational prints as a ``Fraction`` does, any other element as its repr."""
+        if self.field.degree == 1:
+            return str(Fraction(self.nums[0], self.den))
+        return repr(self)
+
 
 def _canonical(nums: tuple, den: int) -> tuple:
     """Reduce to gcd(den, *nums) = 1 with den > 0."""
@@ -367,80 +370,6 @@ class PrimeElt:
         return f"F{self.field.p}({self.val})"
 
 
-class RationalField:
-    """Q, with elements represented as plain Fraction values."""
-
-    characteristic = 0
-    order = 1
-
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def from_fraction(self, q: Fraction) -> Fraction:
-        return Fraction(q)
-
-    def make_root(self, m: int) -> Fraction:
-        if m == 1:
-            return Fraction(1)
-        if m == 2:
-            return Fraction(-1)
-        raise OrderUnavailable(f"Q has no primitive root of order {m}")
-
-    def description(self) -> str:
-        return "Q"
-
-    # -- integer lift for hopf's tensor products: x*D is an integer ----------
-
-    @staticmethod
-    def lift(values) -> tuple[int, list]:
-        """Common denominator D of ``values`` (the lcm of their denominators)
-        and, per value x, |x*D|."""
-        values = list(values)
-        den = _lcm_den(values)
-        return den, [abs(x.numerator) * (den // x.denominator) for x in values]
-
-    @staticmethod
-    def pack(x: Fraction, den: int, width) -> int:
-        """The integer x*den, for den a multiple of x's denominator."""
-        return x.numerator * (den // x.denominator)
-
-    @staticmethod
-    def lift_batch(coeffs: list, vecs: list, bound) -> tuple:
-        """(D_c, D, width, ints, int vecs): the scalars ``coeffs`` as
-        numerators over their common denominator D_c, a None (one) as None
-        when D_c = 1 and as D_c otherwise, and the values of the coefficient
-        dicts ``vecs`` over theirs, D; no width, so ``bound`` is not
-        called."""
-        cden = _lcm_den(x for x in coeffs if x is not None)
-        den = 1
-        for vec in vecs:
-            den = _lcm_den(vec.values(), den)
-        one = None if cden == 1 else cden
-        ints = [one if x is None else x.numerator * (cden // x.denominator) for x in coeffs]
-        return cden, den, None, ints, [{k: x.numerator * (den // x.denominator) for k, x in vec.items()} for vec in vecs]
-
-    @staticmethod
-    def width(bound: int) -> None:
-        """No slot width: the ints are numerators."""
-        return None
-
-    @staticmethod
-    def unpack(n: int, width, den: int) -> Fraction:
-        return Fraction(n, den)
-
-    @staticmethod
-    def is_zero(n: int, width) -> bool:
-        return n == 0
-
-    def __repr__(self):
-        return "RationalField()"
-
-
 SLOT_ALIGN = 32  # slot widths are rounded up to this, so few packed tables exist
 
 
@@ -527,29 +456,20 @@ class CycField:
             acc = (acc << bits) + c
         return acc * (den // x.den)
 
-    def lift_batch(self, coeffs: list, vecs: list, bound) -> tuple:
-        """(D_c, D, bits, ints, int vecs): the elements ``coeffs`` packed
-        over their common denominator D_c, a None (one) as None when D_c = 1
-        and as D_c otherwise, and the values of the coefficient dicts
-        ``vecs`` over theirs, D, at the width for
-        ``bound(D, c_norms, vec_norms)``: a bound on the whole sum from D,
-        the l1 norm of each lifted c and the sum of the l1 norms of each
-        lifted dict."""
-        given = [x for x in coeffs if x is not None]
-        cden, norms = self.lift(given)
-        norm_iter = iter(norms)
-        c_norms = [cden if x is None else next(norm_iter) for x in coeffs]
+    def lift_batch(self, vecs: list, bound) -> tuple:
+        """(D, bits, int vecs): the values of the coefficient dicts ``vecs``
+        packed over their common denominator D, at the width for
+        ``bound(D, vec_norms)``: a bound on the whole sum from D and the sum
+        of the l1 norms of each lifted dict."""
         den = 1
         for vec in vecs:
             for x in vec.values():
                 if den % x.den:
                     den = den * x.den // math.gcd(den, x.den)
         vec_norms = [sum(sum(map(abs, x.nums)) * (den // x.den) for x in vec.values()) for vec in vecs]
-        bits = self.width(bound(den, c_norms, vec_norms))
+        bits = self.width(bound(den, vec_norms))
         pack = self.pack
-        one = None if cden == 1 else cden
-        ints = [one if x is None else pack(x, cden, bits) for x in coeffs]
-        return cden, den, bits, ints, [{k: pack(x, den, bits) for k, x in vec.items()} for vec in vecs]
+        return den, bits, [{k: pack(x, den, bits) for k, x in vec.items()} for vec in vecs]
 
     @staticmethod
     def width(bound: int) -> int:
@@ -573,9 +493,7 @@ class CycField:
     def make_root(self, m: int) -> CycElt:
         """Primitive m-th root of unity, when one exists in Q(zeta_M)."""
         big = self.order
-        if self.degree == 1:
-            raise AssertionError("degree-1 cyclotomic field should be RationalField")
-        zeta = CycElt(self, (0, 1) + (0,) * (self.degree - 2), 1)
+        zeta = CycElt(self, self._reduce_int([0, 1]), 1)  # t mod Phi_M: 1 at M = 1, -1 at M = 2
         if big % m == 0:
             return zeta ** (big // m)
         if big % 2 == 1 and (2 * big) % m == 0:
@@ -585,7 +503,7 @@ class CycField:
         raise OrderUnavailable(f"Q(zeta_{big}) has no primitive root of order {m}")
 
     def description(self) -> str:
-        return f"Q(z{self.order})"
+        return "Q" if self.degree == 1 else f"Q(z{self.order})"
 
     def __repr__(self):
         return f"CycField({self.order})"
@@ -642,12 +560,10 @@ class PrimeField:
         return x.val
 
     @staticmethod
-    def lift_batch(coeffs: list, vecs: list, bound) -> tuple:
-        """(1, 1, width, ints, int vecs): the residues of ``coeffs`` (None,
-        the one, stays None) and of the values of the dicts ``vecs``; no
-        width, so ``bound`` is not called."""
-        ints = [None if x is None else x.val for x in coeffs]
-        return 1, 1, None, ints, [{k: x.val for k, x in vec.items()} for vec in vecs]
+    def lift_batch(vecs: list, bound) -> tuple:
+        """(1, width, int vecs): the residues of the values of the dicts
+        ``vecs``; no width, so ``bound`` is not called."""
+        return 1, None, [{k: x.val for k, x in vec.items()} for vec in vecs]
 
     @staticmethod
     def width(bound: int) -> None:
@@ -681,15 +597,6 @@ def _digits(packed: int, bits: int) -> list:
     return poly
 
 
-def _lcm_den(values, den: int = 1) -> int:
-    """lcm of ``den`` and the denominators of rationals."""
-    for x in values:
-        d = x.denominator
-        if den % d:
-            den = den * d // math.gcd(den, d)
-    return den
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -709,8 +616,6 @@ def get_field(spec: FieldSpec):
     """Field objects are interned per spec so identity checks are sound."""
     if spec.mode == "prime":
         return PrimeField(spec)
-    if euler_phi(spec.order) == 1:
-        return RationalField(spec)
     return CycField(spec)
 
 
@@ -725,7 +630,7 @@ def primitive_roots(field, m: int) -> list:
     return [zeta**a for a in range(1, m + 1) if math.gcd(a, m) == 1]
 
 
-MODULAR_PRIME = 2**31 - 1  # the prime of ``residue_map`` over Q
+MODULAR_PRIME = 2**31 - 1  # the prime of ``residue_map`` on plain ints and Fractions
 
 
 class NotInImage(FieldError):
@@ -742,11 +647,11 @@ def residue_map(x) -> tuple:
     [0, p), and raises ``NotInImage`` when the element is outside its
     domain.
 
-    - Q: p = MODULAR_PRIME, a/b -> a * b^-1 mod p; the domain is Z[1/D]
-      for D prime to p.
-    - Q(zeta_M): p the least prime p = 1 mod M above 2^31, zeta -> omega, a
-      primitive M-th root of unity mod p.  omega is a root of Phi_M mod p,
-      so Z[zeta_M] -> F_p, zeta -> omega, is well defined.
+    - a plain int or Fraction: p = MODULAR_PRIME, a/b -> a * b^-1 mod p;
+      the domain is Z[1/D] for D prime to p.
+    - Q(zeta_M), Q being M = 1: p the least prime p = 1 mod M above 2^31,
+      zeta -> omega, a primitive M-th root of unity mod p.  omega is a root
+      of Phi_M mod p, so Z[zeta_M] -> F_p, zeta -> omega, is well defined.
     - F_p: the residues themselves."""
     if isinstance(x, PrimeElt):
         return _prime_residues(x.field)
@@ -785,7 +690,7 @@ def _prime_residues(field: "PrimeField") -> tuple:
 def _cyclotomic_residues(field: "CycField") -> tuple:
     m = field.order
     p = 2**31 + 1
-    while p % m != 1 or not _is_prime(p):
+    while (p - 1) % m or not _is_prime(p):
         p += 1
     factors = _prime_factors(m)
     for a in range(2, p):

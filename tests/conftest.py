@@ -119,7 +119,7 @@ def commutator_maps(h, elems) -> list:
     from hopflab.hopf import SumMap
     from hopflab.precartier import _commutator_terms
 
-    return [SumMap(2, lambda t, d=delta(e): _commutator_terms(h, t, d)) for e in elems]
+    return [SumMap(2, lambda t, d=delta(e): _commutator_terms(t, d)) for e in elems]
 
 
 def commutator(t, b):
@@ -151,9 +151,9 @@ def constraint_oracles(h, r=None) -> list:
     if r is not None:
         rinv = r_inverse(h, r)
         oracles += [
-            ("cqtr2", [cqtr_rmul_map(h, r, 12)], lambda t: not eval_cqtr2(h, r, rinv, t)),
-            ("cqtr3", [cqtr_rmul_map(h, r, 23)], lambda t: not eval_cqtr3(h, r, rinv, t)),
-            ("cartier", [cartier_map(h, r)], lambda t: not (r * t - t.flip() * r)),
+            ("cqtr2", [cqtr_rmul_map(r, 12)], lambda t: not eval_cqtr2(h, r, rinv, t)),
+            ("cqtr3", [cqtr_rmul_map(r, 23)], lambda t: not eval_cqtr3(h, r, rinv, t)),
+            ("cartier", [cartier_map(r)], lambda t: not (r * t - t.flip() * r)),
         ]
     return [(name, map_rows(h, 2, maps), vanishes) for name, maps, vanishes in oracles]
 

@@ -163,13 +163,14 @@ def test_command_output_bytes(capsys, argv, digest):
 
 
 @pytest.mark.parametrize("field", [None, "prime:97"])
-def test_quantize_report_bytes(capsys, field):
+def test_quantize_report_bytes(field):
     """E(3) quantization over Q and over F_97 (the integer lift of both, and
-    quasi-cocommutativity of R exp(hbar chi) on the generators): one output."""
+    quasi-cocommutativity of R exp(hbar chi) on the generators): one output,
+    printed by a fresh process, so no scalar cache of an earlier test is warm."""
     argv = ["quantize", "--family", "en:3", "--r", "enumerate"] + (["--field", field] if field else [])
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == "da507b111408722ecf6ac4c1028a043dbae505c111198568c62550bd10c0212b"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "hopflab.cli", *argv], env=env, capture_output=True, check=True, timeout=600)
+    assert hashlib.sha256(done.stdout).hexdigest() == "da507b111408722ecf6ac4c1028a043dbae505c111198568c62550bd10c0212b"
 
 
 @pytest.mark.parametrize("field", ["prime:4", "prime:9"])
@@ -239,6 +240,10 @@ def test_runconfig_no_tasks(capsys):
         ("h8", "h8omega:z4"),  # omega no primitive 8th root of unity
         ("en:2", "h8pm:+1,+1"),  # h8pm off the semisimple family
         ("h2n2:3", "h8pm:+1,+1"),  # h8pm on a member other than n = 2
+        ("en:1", "en-a:[[1/0]]"),  # a zero denominator in a scalar literal
+        ("h8", "h8omega:1/0"),
+        ("ac2n:2", "ac22:q=0,a=1/0"),
+        ("en:1", "explicit:1/0 (x) 1"),
     ],
 )
 def test_bad_r_spec_exit_2(capsys, family, rspec):
@@ -272,11 +277,14 @@ def test_bad_r_spec_exit_2(capsys, family, rspec):
         (["classify", "--family", "tensor(en:1"], "cannot parse tensor spec 'tensor(en:1'"),
         (["classify", "--family", "en:1,"], "family 'en:1,' has an empty parameter"),
         (["classify", "--family", "en:1,,2"], "family 'en:1,,2' has an empty parameter"),
+        (["classify", "--family", "en:1", "--field", "prime:97", "--r", "en-a:[[1/97]]"], "division by zero"),
+        (["quantize", "--family", "en:2", "--r", "en-a:[[0,0],[0,0]]", "--chi", "1/0"], "division by zero"),
     ],
     ids=[
         "en", "h8:3", "en:1,5", "radford:2", "en:0", "h2n2:1", "group:0", "radford:0,2",
         "h2n2:0", "h2n2:-3", "radford:1,0", "radford:-1,2", "tensor-h2n2:0", "en:2-F2", "chi",
         "en:x", "group:2,x", "tensor-unclosed", "en:1-trailing-comma", "en:1-empty-middle",
+        "en-a-1/97-F97", "chi-1/0",
     ],
 )
 def test_bad_family_or_chi_exit_2(capsys, argv, message):

@@ -276,7 +276,7 @@ def _maps_under_test(h, batched=False):
     """Plain callables, or with ``batched`` the ``SumMap`` form that
     ``map_rows`` evaluates on all columns on one lift."""
     if h.family.kind == "en":  # C2 in the R-multiplied form
-        c2 = cqtr_rmul_map(h, build_r(h, "en-a:[[1,2],[3,5]]"), 12)
+        c2 = cqtr_rmul_map(build_r(h, "en-a:[[1,2],[3,5]]"), 12)
         return [c2] if batched else [lambda t: c2(t)]
     if h.family.kind == "h8":  # the cobar differential b2
         return [lambda t: b_apply(h, 2, t)]
@@ -335,7 +335,7 @@ def test_cut_is_canonical_and_equals_the_intersection(family, rspec):
     the canonical RREF, and the space must be the intersection of the input
     with the kernel of the full matrix of the map."""
     h = build(family)
-    c2 = cqtr_rmul_map(h, build_r(h, rspec), 12)
+    c2 = cqtr_rmul_map(build_r(h, rspec), 12)
     space = analysis(h, "commutant")
     maps = [lambda t: c2(t)]
     cut = restrict_and_cut(h, 2, space, maps)
@@ -465,7 +465,8 @@ def _kernel_algebra(i):
     family, field, _ = KERNEL_ALGEBRAS[i]
     if family == "en:2 rescaled":
         h = build("en:2")
-        return rescaled(h, [Fraction(1) if i == h.unit_index else Fraction(i + 2, 2 * i + 3) for i in range(h.dim)])
+        f = h.field
+        return rescaled(h, [f.one if i == h.unit_index else f.from_fraction(Fraction(i + 2, 2 * i + 3)) for i in range(h.dim)])
     return build(family, FieldSpec.parse(field) if field else None)
 
 
@@ -518,8 +519,9 @@ def test_product_kernel_matches_reference(pair):
 @st.composite
 def product_sums(draw):
     """An algebra of KERNEL_ALGEBRAS, a leg count and one to four terms
-    (c, a, b) of the kernel, b None for a linear term and c None for the
-    field's one, with coefficients as in ``tensor_pairs``."""
+    (s, a, b) of the kernel, s a sign and b the unit tensor 1 (x) 1 (or
+    1 (x) 1 (x) 1) in a term that is linear in a, with coefficients as in
+    ``tensor_pairs``."""
     which = draw(st.integers(0, len(KERNEL_ALGEBRAS) - 1))
     h = _kernel_algebra(which)
     f = h.field
@@ -537,8 +539,8 @@ def product_sums(draw):
 
     terms = []
     for _ in range(draw(st.integers(1, 4))):
-        c = None if draw(st.integers(0, 3)) == 0 else scalar()  # None: the field's one
-        terms.append((c, tensor(), None if draw(st.booleans()) else tensor()))
+        s = draw(st.sampled_from((1, -1)))
+        terms.append((s, tensor(), h.unit_tensor(legs) if draw(st.booleans()) else tensor()))
     return h, legs, terms
 
 
@@ -551,31 +553,32 @@ def test_product_sum_matches_term_by_term_sum(case):
     that over Q(zeta_M) is in general a nonzero multiple of Phi_M)."""
     h, legs, terms = case
     ref = h.zero_tensor(legs)
-    for c, a, b in terms:
-        ref = ref + (a if b is None else reference_product(a, b)).scaled(h.field.one if c is None else c)
-    kernel_terms = [(c, a.coeffs, None if b is None else b.coeffs) for c, a, b in terms]
+    for s, a, b in terms:
+        prod = reference_product(a, b)
+        ref = ref + prod if s == 1 else ref - prod
+    kernel_terms = [(s, a.coeffs, b.coeffs) for s, a, b in terms]
     assert Tensor(h, legs, product_sum(h, legs, kernel_terms)) == ref
     assert vanishes_all(h, legs, [kernel_terms]) is (not ref)
-    assert vanishes_all(h, legs, [kernel_terms + [(-h.field.one, ref.coeffs, None)]])
+    assert vanishes_all(h, legs, [kernel_terms + [(-1, ref.coeffs, h.unit_tensor(legs).coeffs)]])
 
 
 @settings(max_examples=60, deadline=None)
 @given(product_sums())
 def test_sums_on_one_lift_match_each_sum(case):
     """``product_sums`` and ``vanishes_all`` run several term lists on one
-    lift, lifting an operand dict they share once and folding each c into
-    the operand used fewer times: every sum must equal its own
+    lift, lifting an operand dict they share once and folding each sign
+    -1 into the operand used fewer times: every sum must equal its own
     ``product_sum``.  The sums here share the same dict objects, also with
     the operands of a product swapped."""
     h, legs, terms = case
-    kernel_terms = [(c, a.coeffs, None if b is None else b.coeffs) for c, a, b in terms]
-    swapped = [(c, a, b) if b is None else (c, b, a) for c, a, b in kernel_terms]
+    kernel_terms = [(s, a.coeffs, b.coeffs) for s, a, b in terms]
+    swapped = [(s, b, a) for s, a, b in kernel_terms]
     sums = [kernel_terms, swapped, kernel_terms[:1], []]
     got = batched_product_sums(h, legs, sums)
     assert got == [product_sum(h, legs, s) for s in sums]
     assert vanishes_all(h, legs, sums) is not any(got)
-    minus = -h.field.one
-    assert vanishes_all(h, legs, [s + [(minus, x, None)] for s, x in zip(sums, got)])
+    unit = h.unit_tensor(legs).coeffs
+    assert vanishes_all(h, legs, [s + [(-1, x, unit)] for s, x in zip(sums, got)])
 
 
 def test_vanishes_reduces_modulo_phi():
@@ -584,9 +587,9 @@ def test_vanishes_reduces_modulo_phi():
     h = build("en:1", FieldSpec.parse("cyclotomic:3"))
     f = h.field
     z, one, u = f.make_root(3), f.one, h.unit_index * h.dim + h.unit_index
-    terms = [(one, {u: z * z}, {u: z}), (-one, {u: one}, {u: one})]
+    terms = [(1, {u: z * z}, {u: z}), (-1, {u: one}, {u: one})]
     assert vanishes_all(h, 2, [terms]) and product_sum(h, 2, terms) == {}
-    assert not vanishes_all(h, 2, [terms[:1]]) and not vanishes_all(h, 2, [[(z, {u: one}, None)]])
+    assert not vanishes_all(h, 2, [terms[:1]]) and not vanishes_all(h, 2, [[(-1, {u: z}, {u: one})]])
 
 
 # -- verify_bialgebra on the integer lift against the element-arithmetic oracle --
@@ -658,7 +661,8 @@ def test_integer_lift_scales_rational_tables(which):
     """The algebras where the integer lift over Q multiplies the table by D_m > 1."""
     h = _kernel_algebra(which)
     assert h.table_den > 1
-    assert all(v is not None for row in h.int_terms(None) for cell in row for _, v in cell)
+    width = h.field.width(h.table_norm)
+    assert all(v is not None for row in h.int_terms(width) for cell in row for _, v in cell)
 
 
 @pytest.mark.parametrize("which", [1, 2, 3, 4])
@@ -818,7 +822,7 @@ def _assert_loops_agree(a, b):
         assert loop(h.mult_terms, h.dim, a.coeffs, b.coeffs) == ref
     for monomial in (True, False):  # the kernel's loop choice: each loop on the integer lift
         with mock.patch.object(h, "monomial", monomial):
-            assert product_sum(h, 2, [(h.field.one, a.coeffs, b.coeffs)]) == ref
+            assert product_sum(h, 2, [(1, a.coeffs, b.coeffs)]) == ref
 
 
 @pytest.mark.parametrize("family", ["h2n2:3", "h8"])

@@ -230,7 +230,7 @@ def _scalars(spec: str):
         return st.builds(f.from_int, st.integers(-3, 3) | st.sampled_from([p, -p, p + 1, 2 * p - 1]))
     rational = st.builds(Fraction, st.integers(-3, 3) | st.sampled_from([p, -p, p + 1, 2 * p - 1]), st.sampled_from([1, 2, 3, p]))
     if spec == "Q":
-        return rational
+        return st.builds(f.from_fraction, rational)
     zeta = f.make_root(3)
     unlucky = zeta - phi(zeta)
     return st.builds(lambda a, b: a + b * zeta, rational, rational) | st.sampled_from([unlucky, unlucky + 1, zeta])

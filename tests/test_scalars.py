@@ -12,7 +12,6 @@ from hopflab.scalars import (
     NotInImage,
     OrderUnavailable,
     cyclotomic_polynomial,
-    euler_phi,
     get_field,
     make_root,
     primitive_roots,
@@ -20,6 +19,7 @@ from hopflab.scalars import (
 )
 
 Q = get_field(FieldSpec("cyclotomic", order=1))
+Q2 = get_field(FieldSpec("cyclotomic", order=2))
 Q8 = get_field(FieldSpec("cyclotomic", order=8))
 Q4 = get_field(FieldSpec("cyclotomic", order=4))
 F97 = get_field(FieldSpec("prime", p=97))
@@ -31,12 +31,15 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
     assert cyclotomic_polynomial(3) == (1, 1, 1)
-    assert euler_phi(8) == 4 and euler_phi(12) == 4
+    assert Q8.degree == 4 and get_field(FieldSpec("cyclotomic", order=12)).degree == 4
+    assert Q.degree == Q2.degree == 1
 
 
 def test_make_root_small_orders():
     assert make_root(Q, 1) == Q.one
     assert make_root(Q, 2) == -Q.one
+    assert make_root(Q2, 1) == Q2.one
+    assert make_root(Q2, 2) == -Q2.one  # zeta_2 = t mod (t + 1)
     z8 = make_root(Q8, 8)
     assert z8**4 == -Q8.one
     assert z8**8 == Q8.one
@@ -63,6 +66,8 @@ def test_make_root_in_odd_field_gets_even_orders():
 def test_order_unavailable():
     with pytest.raises(OrderUnavailable):
         make_root(Q, 3)
+    with pytest.raises(OrderUnavailable):
+        make_root(Q2, 4)
     with pytest.raises(OrderUnavailable):
         make_root(Q8, 3)
     with pytest.raises(OrderUnavailable):
@@ -164,7 +169,7 @@ def test_field_axioms(a, b, c):
         assert a * a.inverse() == Q8.one
 
 
-@pytest.mark.parametrize("order", [3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 24])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 24])
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(-30, 30), min_size=8, max_size=8), st.integers(1, 12))
 def test_inverse_by_the_norm(order, nums, den):
@@ -200,6 +205,41 @@ def test_residue_map_is_a_ring_morphism(a, b, n):
     assert phi(Q8.from_int(n)) == phi(n) == n % p
     zeta = make_root(Q8, 8)
     assert pow(phi(zeta), 4, p) == p - 1
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@settings(max_examples=30, deadline=None)
+@given(st.fractions(max_denominator=50), st.fractions(max_denominator=50))
+def test_residue_map_at_degree_one(order, a, b):
+    """The residue map of Q = Q(zeta_1) = Q(zeta_2): a prime above 2^31,
+    additive, multiplicative, and zeta_2 = -1 sent to p - 1."""
+    f = get_field(FieldSpec("cyclotomic", order=order))
+    x, y = f.from_fraction(a), f.from_fraction(b)
+    p, phi = residue_map(x)
+    assert p > 2**31
+    assert phi(x + y) == (phi(x) + phi(y)) % p
+    assert phi(x * y) == phi(x) * phi(y) % p
+    assert phi(x) == phi(a)
+    assert phi(make_root(f, 2)) == p - 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fractions(max_denominator=10**6), st.fractions(max_denominator=10**6))
+def test_degree_one_arithmetic_matches_fraction(a, b):
+    """Q(zeta_1) against ``fractions.Fraction``: +, -, *, /, ==, bool and
+    str agree, so a rational prints as its ``Fraction`` does."""
+    x, y = Q.from_fraction(a), Q.from_fraction(b)
+    assert x + y == Q.from_fraction(a + b)
+    assert x - y == Q.from_fraction(a - b)
+    assert x * y == Q.from_fraction(a * b)
+    assert (x == y) is (a == b)
+    assert bool(x) is bool(a)
+    assert str(x) == str(a) and str(x * y) == str(a * b)
+    if b:
+        assert str(x / y) == str(a / b)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
 
 
 def test_residue_map_domain():
