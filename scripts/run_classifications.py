@@ -4,7 +4,8 @@
 Runs each family with its registered (or enumerated) R-matrices, prints one
 summary line per report, and writes the full JSON bundle and prints its
 sha256, then how many exact kernels each route of ``linalg.kernel_of_rows``
-found.  Exits nonzero when any report misses its expected dimensions.
+found and how many of its modular passes it ran again on the next prime
+(``retries``).  Exits nonzero when any report misses its expected dimensions.
 """
 
 import argparse

@@ -9,12 +9,12 @@ rows.  Reduced row echelon form is canonical, which is what makes Subspace
 equality exact.
 
 ``kernel_of_rows`` is the one elimination under every kernel, cut,
-intersection and solve of the package (``Echelon`` spans, and runs its
-fallback).  ``Subspace.intersect`` cuts the smaller space by its residues
-modulo the larger; ``solve`` reads A x = b off the kernel of [-b | A], so
-its x vanishes at the pivots of ker A.  It runs a modular pass first and
-eliminates exactly only the rows that pass picks (the rank bound of
-FFPACK-style elimination; Dumas, Giorgi and Pernet, ISSAC 2004):
+intersection and solve of the package (``Echelon`` spans, and eliminates
+the rows it picks).  ``Subspace.intersect`` cuts the smaller space by its
+residues modulo the larger; ``solve`` reads A x = b off the kernel of
+[-b | A], so its x vanishes at the pivots of ker A.  It runs a modular
+pass first and eliminates exactly only the rows that pass picks (the rank
+bound of FFPACK-style elimination; Dumas, Giorgi and Pernet, ISSAC 2004):
 
 - The pass maps every entry to F_p by a ring morphism phi chosen from the
   entries' own field (``scalars.residue_map``) and eliminates on Python
@@ -33,10 +33,15 @@ FFPACK-style elimination; Dumas, Giorgi and Pernet, ISSAC 2004):
   0.1 s ``quantize en:3 --field prime:97`` process (2-vCPU machine,
   Python 3.11), so F_p takes this route too.
 - When a row fails that check (the prime was unlucky: rank A > rank phi(A))
-  or phi is undefined on an entry (p divides a denominator), the kernel is
-  taken by exact elimination of every row, ``exact_kernel``: the one exact
-  route that does not depend on the pass, kept as this fallback and as
-  the oracle of the tests.
+  or phi is undefined on an entry (p divides a denominator), the pass runs
+  again, on the rows read and then the rest, with the next prime of the
+  field (``residue_map(x, k + 1)``).  This ends, as each pass has a new
+  prime: only finitely many primes divide a denominator of an entry or
+  the norm of one nonzero r x r minor of A, r = rank A.  At any other
+  prime the F_p rank is r, so the r picked rows span the rows of A
+  exactly, and every row passes.  The result is the canonical RREF
+  whichever prime gave it.  Over F_p, phi is the identity, so the check
+  never fails; there is no next prime, and an entry outside F_p raises.
 - With pivot = largest column, RREF row c has entries only at c (the one)
   and at free columns f < c.  So the kernel vector
   v_f = e_f - sum_c R_c[f] e_c has its smallest column at f and is zero at
@@ -44,8 +49,9 @@ FFPACK-style elimination; Dumas, Giorgi and Pernet, ISSAC 2004):
   the kernel, and no elimination of the kernel itself is needed.
 
 ``ROUTES`` counts how each kernel was found, solves and intersections
-included: ``certified_zero`` (F_p rank ncols), ``picked_rows`` (exact
-elimination of S and the exact check) and ``fallback``.
+included: ``certified_zero`` (F_p rank ncols) and ``picked_rows`` (exact
+elimination of S and the exact check); ``retries`` counts the passes run
+again on the next prime.
 It is one tally per process, because ``kernel_of_rows`` keeps its
 (rows, ncols) signature: scripts print it, and tests read its differences.
 """
@@ -54,11 +60,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .scalars import NotInImage, residue_map
 
-ROUTES = {"certified_zero": 0, "picked_rows": 0, "fallback": 0}
+ROUTES = {"certified_zero": 0, "picked_rows": 0, "retries": 0}
 
 
 class LinAlgError(ValueError):
@@ -229,7 +234,8 @@ class Subspace:
 def kernel_of_rows(rows, ncols: int) -> Subspace:
     """Exact null space of the rows (an iterable of {col: scalar}), by the
     modular pass, the picked rows and the exact check of the module
-    docstring, or by ``exact_kernel`` when that check fails.
+    docstring, the pass run again on the next prime while the prime is
+    unlucky.
 
     The basis vectors carry the field's one at their free column, read off
     a pivot row (its leading coefficient), never divided out of an entry.
@@ -239,36 +245,31 @@ def kernel_of_rows(rows, ncols: int) -> Subspace:
     F_p rank reaches ``ncols`` the kernel is zero, whatever rows follow,
     and the rest of the iterable is not read."""
     rows = iter(rows)
-    seen: list[dict] = []  # every row read, in order
-    try:
-        picked = _modular_pass(rows, seen, ncols)
-    except NotInImage:
-        ROUTES["fallback"] += 1
-        return exact_kernel(chain(seen, rows), ncols)
-    if len(picked) == ncols:
-        ROUTES["certified_zero"] += 1
-        return Subspace(ncols, (), ())
-    free, one = _picked_rref(seen, picked, ncols)
-    is_picked = set(picked)
-    for i, row in enumerate(seen):
-        if i in is_picked:
-            continue
-        rest = {k: v for k, v in row.items() if v and k not in free}
-        for c, v in row.items():
-            if v and c in free:
-                vec_axpy(rest, free[c], v)
-        if rest:
-            ROUTES["fallback"] += 1
-            return exact_kernel(seen, ncols)
-    ROUTES["picked_rows"] += 1
-    return _max_pivot_kernel(free, ncols, one)
+    seen: list[dict] = []  # every row read, in order: a retry reads these first
+    attempt = 0  # the index of the residue map, one prime per pass
+    while True:
+        try:
+            picked = _modular_pass(rows, seen, ncols, attempt)
+        except NotInImage:
+            pass
+        else:
+            if len(picked) == ncols:
+                ROUTES["certified_zero"] += 1
+                return Subspace(ncols, (), ())
+            ker = _picked_kernel(seen, picked, ncols)
+            if ker is not None:
+                ROUTES["picked_rows"] += 1
+                return ker
+        ROUTES["retries"] += 1
+        attempt += 1
 
 
-def _picked_rref(seen: list, picked: list, ncols: int) -> tuple:
-    """(free, one): the exact RREF, with pivot = largest column, of the
-    picked rows of ``seen``, as {pivot c: {free column f: -R_c[f]}}, and
-    the field's one read off a pivot row (the integer 1 when nothing was
-    picked).  Their rank is the number picked, or phi was no morphism."""
+def _picked_kernel(seen: list, picked: list, ncols: int) -> Subspace | None:
+    """The kernel of the picked rows of ``seen``, from their exact RREF with
+    pivot = largest column (as {pivot c: {free column f: -R_c[f]}}, and the
+    field's one read off a pivot row, or the integer 1 when nothing was
+    picked); None when another row of ``seen`` fails the exact check.  The
+    rank of the picked rows is their number, or phi was no morphism."""
     ech = Echelon(ncols, last=True)
     for i in picked:
         ech.add_row(seen[i])
@@ -278,24 +279,34 @@ def _picked_rref(seen: list, picked: list, ncols: int) -> tuple:
     for c, row in ech.rref_rows():
         one = row.pop(c)
         free[c] = {k: -v for k, v in row.items()}
-    return free, one
+    is_picked = set(picked)
+    for i, row in enumerate(seen):
+        if i in is_picked:
+            continue
+        rest = {k: v for k, v in row.items() if v and k not in free}
+        for c, v in row.items():
+            if v and c in free:
+                vec_axpy(rest, free[c], v)
+        if rest:
+            return None
+    return _max_pivot_kernel(free, ncols, one)
 
 
-def _modular_pass(rows, seen: list, ncols: int) -> tuple:
-    """Read ``rows`` into ``seen`` and eliminate their images in F_p.
+def _modular_pass(rows, seen: list, ncols: int, attempt: int) -> list:
+    """Eliminate in F_p the images of the rows of ``seen``, then of the
+    rest of ``rows``, each appended to ``seen`` as it is read.
 
     Returns the indices into ``seen`` of the rows that raised the rank, in
     an elimination with pivot = largest column.  Stops reading at rank
-    ``ncols``.  The map is chosen from the first nonzero entry; raises
-    ``NotInImage`` where it is undefined.
-    Residues are memoized per entry object: every entry stays referenced
-    from ``seen`` for the whole pass, so an id is never reused."""
+    ``ncols``.  The map is the residue map number ``attempt`` of the field
+    of the first nonzero entry; raises ``NotInImage`` where it is undefined.
+    Residues are memoized per entry object, for this pass and its prime:
+    every entry stays referenced from ``seen``, so an id is never reused."""
     picked: list[int] = []
     piv: dict = {}  # pivot column -> {free column: residue}, fully reduced
     p = phi = None
     memo: dict = {}
-    for row in rows:
-        seen.append(row)
+    for i, row in enumerate(_replay(seen, rows)):
         res: dict = {}
         for k, v in row.items():
             x = memo.get(id(v))
@@ -303,7 +314,7 @@ def _modular_pass(rows, seen: list, ncols: int) -> tuple:
                 if not v:
                     continue
                 if phi is None:
-                    p, phi = residue_map(v)
+                    p, phi = residue_map(v, attempt)
                 x = memo[id(v)] = phi(v)
             if x:
                 res[k] = x
@@ -329,10 +340,19 @@ def _modular_pass(rows, seen: list, ncols: int) -> tuple:
                     else:
                         other.pop(k, None)
         piv[q] = new
-        picked.append(len(seen) - 1)
+        picked.append(i)
         if len(piv) == ncols:
             break
     return picked
+
+
+def _replay(seen: list, rows):
+    """The rows of ``seen``, then those of ``rows``, each appended to
+    ``seen`` as it is read."""
+    yield from seen
+    for row in rows:
+        seen.append(row)
+        yield row
 
 
 def _max_pivot_kernel(neg_rref: dict, ncols: int, one) -> Subspace:
@@ -344,35 +364,6 @@ def _max_pivot_kernel(neg_rref: dict, ncols: int, one) -> Subspace:
         for f, v in neg_rref[c].items():
             vecs[f][c] = v
     return Subspace(ncols, tuple(vecs.values()), tuple(vecs))
-
-
-def exact_kernel(rows, ncols: int) -> Subspace:
-    """Exact null space by elimination of every row over the field itself,
-    with pivot = smallest column, and the kernel vectors eliminated again
-    into canonical RREF; stops reading at rank ``ncols``.  The fallback of
-    ``kernel_of_rows`` and the oracle its tests compare it with."""
-    ech = Echelon(ncols)
-    for row in rows:
-        ech.add_row(row)
-        if ech.rank == ncols:
-            break
-    rr = ech.rref_rows()
-    one = 1
-    if rr:
-        c, row = rr[0]
-        one = row[c]
-    pivset = {c for c, _ in rr}
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        vec = {f: one}
-        for c, row in rr:
-            v = row.get(f)
-            if v:
-                vec[c] = -v
-        basis.append(vec)
-    return Subspace.from_vectors(basis, ncols)
 
 
 def solve(rows, ncols: int, rhs: dict) -> dict | None:

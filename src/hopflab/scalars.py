@@ -68,15 +68,31 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+MILLER_RABIN_LIMIT = 3317044064679887385961981  # the least strong pseudoprime to the bases 2..41
+
+
 def _is_prime(n: int) -> bool:
-    """Trial division."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin on the prime bases 2..41: no composite
+    below MILLER_RABIN_LIMIT (about 3.3e24) is a strong pseudoprime to all
+    of them (Sorenson and Webster, Math. Comp. 86, 2017).  A larger n
+    raises ``ValueError``."""
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(f"{n} is too large for the deterministic primality test (limit {MILLER_RABIN_LIMIT})")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
 
 
@@ -630,66 +646,54 @@ def primitive_roots(field, m: int) -> list:
     return [zeta**a for a in range(1, m + 1) if math.gcd(a, m) == 1]
 
 
-MODULAR_PRIME = 2**31 - 1  # the prime of ``residue_map`` on plain ints and Fractions
-
-
 class NotInImage(FieldError):
-    """An element outside the domain of the chosen residue map: one of
-    another field, or one whose denominator the prime divides."""
+    """An element whose denominator the prime of the chosen residue map
+    divides: outside the domain of that map, inside that of a later one."""
 
 
-def residue_map(x) -> tuple:
-    """(p, phi): a ring morphism phi into F_p, chosen from the field of the
-    element x, on Python ints.
+def residue_map(x, k: int = 0) -> tuple:
+    """(p, phi): the k-th ring morphism phi into F_p, k = 0, 1, ..., chosen
+    from the field of the element x, on Python ints.
 
-    phi maps an element of x's field (or a plain int or Fraction, the
-    rationals inside every field of characteristic 0) to its residue in
-    [0, p), and raises ``NotInImage`` when the element is outside its
-    domain.
+    phi maps an element of x's field (or a plain int or Fraction, read as
+    an element of it) to its residue in [0, p).  It raises ``NotInImage``
+    when p divides the element's denominator, and ``MixedFieldSpec`` on an
+    element of another field, which no map of x's field takes.
 
-    - a plain int or Fraction: p = MODULAR_PRIME, a/b -> a * b^-1 mod p;
-      the domain is Z[1/D] for D prime to p.
-    - Q(zeta_M), Q being M = 1: p the least prime p = 1 mod M above 2^31,
+    - Q(zeta_M), Q being M = 1: p the k-th prime p = 1 mod M above 2^31,
       zeta -> omega, a primitive M-th root of unity mod p.  omega is a root
-      of Phi_M mod p, so Z[zeta_M] -> F_p, zeta -> omega, is well defined.
-    - F_p: the residues themselves."""
+      of Phi_M mod p, so Z[zeta_M] -> F_p, zeta -> omega, is well defined,
+      and so is its extension to the elements whose denominators p does not
+      divide.  The primes are distinct, and there are infinitely many.
+    - a plain int or Fraction: the map of Q = Q(zeta_1).
+    - F_p: the residues themselves, for k = 0 only.  A rational whose
+      denominator p divides is no element of F_p: ZeroDivisionError."""
     if isinstance(x, PrimeElt):
+        if k:
+            raise FieldError(f"F_{x.field.p} has one residue map, the identity")
         return _prime_residues(x.field)
-    if isinstance(x, CycElt):
-        return _cyclotomic_residues(x.field)
     if isinstance(x, (int, Fraction)):
-        return MODULAR_PRIME, _rational_residue
-    raise NotInImage(f"no residue map for {type(x).__name__}")
-
-
-def _rational_residue(x, p: int = MODULAR_PRIME) -> int:
-    if type(x) is int:
-        return x % p
-    if not isinstance(x, Fraction):
-        raise NotInImage(f"{x!r} is not rational")
-    den = x.denominator
-    if den == 1:
-        return x.numerator % p
-    if den % p == 0:
-        raise NotInImage(f"{p} divides the denominator of {x}")
-    return x.numerator * pow(den, -1, p) % p
+        return _cyclotomic_residues(get_field(FieldSpec("cyclotomic")), k)
+    if isinstance(x, CycElt):
+        return _cyclotomic_residues(x.field, k)
+    raise MixedFieldSpec(f"no residue map for {type(x).__name__}")
 
 
 def _prime_residues(field: "PrimeField") -> tuple:
-    p = field.p
-
     def phi(x) -> int:
-        if isinstance(x, PrimeElt) and x.field is field:
-            return x.val
-        return _rational_residue(x, p)
+        if isinstance(x, (int, Fraction)):
+            x = field.from_fraction(Fraction(x))  # ZeroDivisionError when p divides the denominator
+        elif not isinstance(x, PrimeElt) or x.field is not field:
+            raise MixedFieldSpec(f"{x!r} is not in {field.description()}")
+        return x.val
 
-    return p, phi
+    return field.p, phi
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_residues(field: "CycField") -> tuple:
+def _cyclotomic_residues(field: "CycField", k: int) -> tuple:
     m = field.order
-    p = 2**31 + 1
+    p = _cyclotomic_residues(field, k - 1)[0] + 1 if k else 2**31 + 1
     while (p - 1) % m or not _is_prime(p):
         p += 1
     factors = _prime_factors(m)
@@ -697,13 +701,13 @@ def _cyclotomic_residues(field: "CycField") -> tuple:
         omega = pow(a, (p - 1) // m, p)
         if all(pow(omega, m // q, p) != 1 for q in factors):
             break
-    powers = [pow(omega, k, p) for k in range(field.degree)]
+    powers = [pow(omega, i, p) for i in range(field.degree)]
 
     def phi(x) -> int:
-        if not isinstance(x, CycElt):
-            return _rational_residue(x, p)
-        if x.field is not field:
-            raise NotInImage("a cyclotomic element of another field")
+        if isinstance(x, (int, Fraction)):
+            x = field.from_fraction(Fraction(x))
+        elif not isinstance(x, CycElt) or x.field is not field:
+            raise MixedFieldSpec(f"{x!r} is not in {field.description()}")
         acc = 0
         for n, w in zip(x.nums, powers):
             if n:

@@ -7,6 +7,7 @@ import pytest
 from hopflab.expressions import parse_element
 from hopflab.families import build
 from hopflab.hopf import HopfData, Tensor, VerifyReport, antipode, counit, delta
+from hopflab.linalg import Echelon, Subspace
 
 
 @pytest.fixture(scope="session")
@@ -156,6 +157,35 @@ def constraint_oracles(h, r=None) -> list:
             ("cartier", [cartier_map(r)], lambda t: not (r * t - t.flip() * r)),
         ]
     return [(name, map_rows(h, 2, maps), vanishes) for name, maps, vanishes in oracles]
+
+
+def exact_kernel(rows, ncols: int) -> Subspace:
+    """The oracle of ``linalg.kernel_of_rows``: the null space by elimination
+    of every row over the field itself, with pivot = smallest column, no
+    residue map and no prime, and the kernel vectors eliminated again into
+    canonical RREF; stops reading at rank ``ncols``."""
+    ech = Echelon(ncols)
+    for row in rows:
+        ech.add_row(row)
+        if ech.rank == ncols:
+            break
+    rr = ech.rref_rows()
+    one = 1
+    if rr:
+        c, row = rr[0]
+        one = row[c]
+    pivset = {c for c, _ in rr}
+    basis = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        vec = {f: one}
+        for c, row in rr:
+            v = row.get(f)
+            if v:
+                vec[c] = -v
+        basis.append(vec)
+    return Subspace.from_vectors(basis, ncols)
 
 
 def direct_images(maps, t) -> dict:

@@ -10,13 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import apply_rows, constraint_oracles, pe, random_sparse_tensor
+from conftest import apply_rows, batch_modes, constraint_oracles, pe, random_sparse_tensor
 from hopflab.cohomology import coboundaries, cocycles
 from hopflab.expressions import parse_element
 from hopflab.families import FamilySpec, build, h8_idempotents
 from hopflab.hopf import Tensor, delta, verify_hopf
 from hopflab.linalg import Subspace
 from hopflab.precartier import (
+    analysis,
     cartier_coboundary_check,
     cartier_subspace,
     classify,
@@ -27,6 +28,7 @@ from hopflab.quantize import verify_quantized_qtr
 from hopflab.rmatrices import (
     build_r,
     enumerate_group_rmatrices,
+    enumerate_rmatrices,
     is_triangular,
     r_inverse,
     verify_qtr,
@@ -152,22 +154,38 @@ def test_criterion_3_classification_dimensions():
             space = solve_infinitesimal(ac22, build_r(ac22, rtext))
             assert space.dim == 1
             assert space.contains(dict(member.coeffs))
+        solved = {}  # (family, R spec) -> solution space, read again by the HC assert
         # H8: zero for all eight structures
         h8 = build("h8")
         for rtext in _h8_rspecs():
-            assert solve_infinitesimal(h8, build_r(h8, rtext)).dim == 0, rtext
+            solved["h8", rtext] = space = solve_infinitesimal(h8, build_r(h8, rtext))
+            assert space.dim == 0, rtext
         # the n = 3 semisimple member: zero for every enumerated structure
         h3 = build("h2n2:3")
         survivors = enumerate_group_rmatrices(h3)
         assert survivors
         for spec in survivors:
-            assert solve_infinitesimal(h3, build_r(h3, spec)).dim == 0
+            solved["h2n2:3", str(spec)] = space = solve_infinitesimal(h3, build_r(h3, spec))
+            assert space.dim == 0
         # Radford: the R-free bound vanishes
         for spec in ("radford:2,2", "radford:2,3", "radford:3,2"):
             assert solve_rfree(build(spec)).dim == 0, spec
         # the dual 8-dimensional algebra: zero
         dual = build("ac4dual")
-        assert solve_infinitesimal(dual, build_r(dual, "ac4dual")).dim == 0
+        solved["ac4dual", "ac4dual"] = space = solve_infinitesimal(dual, build_r(dual, "ac4dual"))
+        assert space.dim == 0
+        # HC, the sixth condition of the precartier docstring: chi is a 2-cocycle
+        # of the cobar complex.  No solver cuts by it, so this is a check.
+        for family, mode in batch_modes():
+            if mode == "rfree":
+                continue
+            h = build(family)
+            z2 = analysis(h, "z2")
+            for spec in enumerate_rmatrices(h):
+                space = solved.get((family, str(spec)))
+                if space is None:
+                    space = solve_infinitesimal(h, build_r(h, spec))
+                assert all(z2.contains(v) for v in space.rows), f"HC: {family} {spec} has a solution outside Z^2"
 
 
 def test_criterion_4_cartier_subspaces():

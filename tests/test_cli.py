@@ -181,6 +181,20 @@ def test_composite_prime_field_exit_2(capsys, field):
     assert out == ""
 
 
+def test_large_prime_fields_are_decided_quickly(capsys):
+    """A 19-digit prime field builds well inside the timeout (trial division
+    took minutes); a 19-digit composite, and a prime beyond the exact range
+    of the primality test, exit 2."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["build", "--family", "en:1", "--field", "prime:1000000000000000003"]
+    done = subprocess.run([sys.executable, "-m", "hopflab.cli", *argv], env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0 and '"verified": true' in done.stdout
+    for p, message in ((10**18 + 1, "must be a prime"), (2**89 - 1, "too large")):
+        code, out, err = run_cli(capsys, "build", "--family", "en:1", "--field", f"prime:{p}")
+        assert code == 2 and err.startswith("config error:") and message in err
+        assert out == ""
+
+
 def test_out_file_and_table_format(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = main(["classify", "--family", "en:1", "--r", "en-a:[[0]]", "--out", str(path)])

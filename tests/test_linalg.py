@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import apply_rows
+from conftest import apply_rows, exact_kernel
 from hopflab.linalg import (
     ROUTES,
     AmbientDimensionMismatch,
     Echelon,
     Subspace,
-    exact_kernel,
     kernel_of_rows,
     solve,
     vec_axpy,
 )
 from hopflab import linalg
-from hopflab.scalars import MODULAR_PRIME, FieldSpec, get_field, residue_map
+from hopflab.scalars import FieldSpec, MixedFieldSpec, get_field, residue_map
 
 
 def mat(rows):
@@ -207,7 +206,7 @@ def _full(n, one):
     return Subspace(n, tuple({i: one} for i in range(n)), tuple(range(n)))
 
 
-# -- the modular route of kernel_of_rows against the exact fallback ----------
+# -- the modular route of kernel_of_rows against the exact oracle -----------
 
 def _same(a, b) -> bool:
     return list(a.rows) == list(b.rows) and a.pivot_cols == b.pivot_cols
@@ -258,7 +257,8 @@ def _matrices(draw, spec: str):
 @given(data=st.data())
 def test_modular_route_equals_exact_fallback(spec, data):
     """Dict-equal rows, equal pivots and the field's own element type,
-    whichever route the kernel took."""
+    whichever route the kernel took and whatever retries it made: the
+    oracle is ``exact_kernel``, an elimination with no prime."""
     rows, ncols = data.draw(_matrices(spec))
     got, want = kernel_of_rows(rows, ncols), exact_kernel(rows, ncols)
     assert _same(got, want)
@@ -267,20 +267,21 @@ def test_modular_route_equals_exact_fallback(spec, data):
         assert all(type(v) is typ for row in got.rows for v in row.values())
 
 
-P = MODULAR_PRIME
+P = residue_map(1)[0]  # the first prime of the residue maps of Q
 
 
-def test_unlucky_prime_over_q_falls_back():
+def test_unlucky_prime_over_q_retries():
     """{0: 1, 1: 1} and {0: 1, 1: 1 + p} agree mod p: the F_p rank is 1, the
-    exact check of the second row fails, and exact elimination finds rank 2."""
+    exact check of the second row fails, and the next prime finds rank 2."""
     rows = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1 + P)}]
     ker, routes = _routes(lambda: kernel_of_rows(rows, 2))
-    assert routes == {"fallback": 1}
+    assert routes == {"retries": 1, "certified_zero": 1}
     assert ker.dim == 0 and _same(ker, exact_kernel(rows, 2))
 
 
-def test_unlucky_prime_over_cyclotomic_falls_back():
-    """zeta - omega is nonzero, but the residue map sends it to zero."""
+def test_unlucky_prime_over_cyclotomic_retries():
+    """zeta - omega is nonzero, but the first residue map sends it to zero;
+    the next map sends zeta to another root."""
     f = get_field(FieldSpec.parse("cyclotomic:3"))
     p, phi = residue_map(f.one)
     zeta = f.make_root(3)
@@ -289,15 +290,39 @@ def test_unlucky_prime_over_cyclotomic_falls_back():
     assert unlucky and phi(unlucky) == 0
     for rows, ncols in (([{0: unlucky}], 1), ([{0: f.one, 1: zeta}, {0: f.one, 1: f.from_int(omega)}], 2)):
         ker, routes = _routes(lambda: kernel_of_rows(rows, ncols))
-        assert routes == {"fallback": 1}
+        assert routes == {"retries": 1, "certified_zero": 1}
         assert ker.dim == 0 and _same(ker, exact_kernel(rows, ncols))
 
 
-def test_denominator_divisible_by_the_prime_falls_back():
+def test_denominator_divisible_by_the_prime_retries():
     rows = [{0: Fraction(1, P), 1: Fraction(1)}, {0: Fraction(2, P), 1: Fraction(2)}]
     ker, routes = _routes(lambda: kernel_of_rows(rows, 2))
-    assert routes == {"fallback": 1}
+    assert routes == {"retries": 1, "picked_rows": 1}
     assert ker.basis() == [{0: Fraction(1), 1: Fraction(-1, P)}]
+    assert _same(ker, exact_kernel(rows, 2))
+    # mid-stream, from a one-pass iterator: the retry replays the rows read
+    # before the failing one and then reads the rest
+    rows = [{0: Fraction(1), 1: Fraction(2)}, {2: Fraction(1, P), 3: Fraction(1)}, {1: Fraction(3), 3: Fraction(1)}]
+    ker, routes = _routes(lambda: kernel_of_rows(iter(rows), 4))
+    assert routes == {"retries": 1, "picked_rows": 1}
+    assert ker.dim == 1 and _same(ker, exact_kernel(rows, 4))
+
+
+def test_entries_that_no_prime_maps_raise():
+    """A row mixing Q(zeta_3) and Q(zeta_4) entries, or rational rows with a
+    Q(zeta_3) entry, has no residue map at any prime: kernel_of_rows raises
+    on its first pass instead of trying prime after prime.  Over F_97, 1/97
+    is no element."""
+    z3 = get_field(FieldSpec.parse("cyclotomic:3")).make_root(3)
+    z4 = get_field(FieldSpec.parse("cyclotomic:4")).make_root(4)
+    before = dict(ROUTES)
+    for rows in ([{0: z3, 1: z4}], [{0: z4, 1: z3}], [{0: Fraction(1, 2)}, {0: Fraction(1), 1: z3}]):
+        with pytest.raises(MixedFieldSpec):
+            kernel_of_rows(rows, 2)
+    f97 = get_field(FieldSpec.parse("prime:97"))
+    with pytest.raises(ZeroDivisionError):
+        kernel_of_rows([{0: f97.one, 1: Fraction(1, 97)}], 2)
+    assert ROUTES == before
 
 
 def test_each_route_is_counted():
@@ -333,7 +358,7 @@ def test_int_entries_are_rationals():
     for rows, ncols, want in (
         ([{0: 3, 1: 1}], 2, ({0: 1, 1: -3},)),
         ([{0: 2, 1: 4}, {0: 1, 1: 2}], 2, ({0: 1, 1: Fraction(-1, 2)},)),
-        ([{0: 1, 1: 1}, {0: 1, 1: 1 + P}], 2, ()),  # through the fallback
+        ([{0: 1, 1: 1}, {0: 1, 1: 1 + P}], 2, ()),  # through a retry
     ):
         for ker in (kernel_of_rows(rows, ncols), exact_kernel(rows, ncols)):
             assert ker.rows == want

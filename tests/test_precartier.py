@@ -280,11 +280,10 @@ def test_batch_report_bytes_without_h2n2_3():
     assert hashlib.sha256(data).hexdigest() == "d78a1821fc8cd7ecb785905104b0f22e946171ad10aabcdaf11a972e6e96b14c"
 
 
-def test_batch_script_keeps_its_bundle_and_never_falls_back(tmp_path):
+def test_batch_script_keeps_its_bundle_and_never_retries(tmp_path):
     """``scripts/run_classifications.py`` in a cold process: every family,
-    h2n2:3 included, gives the pinned bundle, and no exact kernel leaves
-    the modular route for the fallback, so a silent loss of the fast route
-    fails here."""
+    h2n2:3 included, gives the pinned bundle, and no exact kernel needs a
+    second prime, so a silent loss of the first pass fails here."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_classifications.py"
     proc = subprocess.run(
         [sys.executable, str(script), "--out", str(tmp_path / "bundle.json")], capture_output=True, text=True, timeout=900
@@ -295,7 +294,7 @@ def test_batch_script_keeps_its_bundle_and_never_falls_back(tmp_path):
     prefix = "kernel routes "
     assert lines[-1].startswith(prefix)
     routes = {k: int(n) for k, n in (item.split("=") for item in lines[-1][len(prefix):].split())}
-    assert routes["fallback"] == 0
+    assert routes["retries"] == 0
     assert routes["certified_zero"] > 0 and routes["picked_rows"] > 0
 
 

@@ -1,9 +1,11 @@
-"""Every module-level name of the package serves the program.
+"""Every module-level name and every method of the package serves the program.
 
-A function, class or assignment at the top level of ``src/hopflab/*.py``
-must be referenced from ``src/``, ``scripts/`` or ``perfbench/`` somewhere
-other than inside its own definition.  Code that only tests reach belongs in
-the tests, so this fails when a routine loses its last program caller.
+A function, class or assignment at the top level of ``src/hopflab/*.py``,
+and a method of a class defined there, must be referenced from ``src/``,
+``scripts/`` or ``perfbench/`` somewhere other than inside its own
+definition.  Code that only tests reach belongs in the tests, so this fails
+when a routine loses its last program caller.  A method is matched by its
+name alone: a reference to any attribute of that name counts.
 
 A reference is a name load, an attribute, an imported name, or a string
 constant that is exactly the name (``perfbench/child.py`` traces functions
@@ -32,6 +34,15 @@ def _definitions(tree: ast.Module):
                         yield sub.id, node
 
 
+def _methods(tree: ast.Module):
+    """(name, node) for every function defined in the body of a top-level class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, node
+
+
 def _references(tree: ast.Module):
     """(name, node) for every place a name is read."""
     for node in ast.walk(tree):
@@ -49,7 +60,7 @@ def _inside(node: ast.AST, outer: ast.AST) -> bool:
     return outer.lineno <= node.lineno <= outer.end_lineno
 
 
-def unreached_names() -> list[str]:
+def unreached_names(definitions=_definitions) -> list[str]:
     trees = {
         path: ast.parse(path.read_text(), str(path))
         for top in PROGRAM_DIRS
@@ -61,7 +72,7 @@ def unreached_names() -> list[str]:
             refs.setdefault(name, []).append((path, node))
     unreached = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for name, definition in _definitions(trees[path]):
+        for name, definition in definitions(trees[path]):
             if name.startswith("__") and name.endswith("__"):
                 continue
             if not any(where != path or not _inside(node, definition) for where, node in refs.get(name, [])):
@@ -71,3 +82,7 @@ def unreached_names() -> list[str]:
 
 def test_every_module_level_name_is_reached_by_the_program():
     assert unreached_names() == []
+
+
+def test_every_method_is_reached_by_the_program():
+    assert unreached_names(_methods) == []

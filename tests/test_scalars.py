@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopflab.scalars import (
-    MODULAR_PRIME,
     CycElt,
+    FieldError,
     FieldSpec,
     MixedFieldSpec,
     NotInImage,
@@ -15,6 +15,7 @@ from hopflab.scalars import (
     get_field,
     make_root,
     primitive_roots,
+    _is_prime,
     residue_map,
 )
 
@@ -194,11 +195,12 @@ def test_canonical_form_idempotent(coeffs):
 
 
 @settings(max_examples=40, deadline=None)
-@given(scalars8, scalars8, st.integers(-5, 5))
-def test_residue_map_is_a_ring_morphism(a, b, n):
-    """The map of linalg's modular pass: additive, multiplicative, the
-    rationals inside Q(zeta_8) mapped as over Q, and zeta of order 8."""
-    p, phi = residue_map(a)
+@given(scalars8, scalars8, st.integers(-5, 5), st.integers(0, 2))
+def test_residue_map_is_a_ring_morphism(a, b, n, k):
+    """The maps of linalg's modular pass, the first and those of its
+    retries: additive, multiplicative, the rationals inside Q(zeta_8)
+    mapped as over Q, and zeta of order 8."""
+    p, phi = residue_map(a, k)
     assert p % 8 == 1 and p > 2**31
     assert phi(a + b) == (phi(a) + phi(b)) % p
     assert phi(a * b) == phi(a) * phi(b) % p
@@ -243,22 +245,29 @@ def test_degree_one_arithmetic_matches_fraction(a, b):
 
 
 def test_residue_map_domain():
-    """Outside the domain (p divides a denominator, or another field) the
-    map raises NotInImage; over F_p it is the identity on residues."""
+    """Where p divides a denominator the map raises NotInImage, and the
+    next map of the field is defined there; on another field it raises
+    MixedFieldSpec.  Over F_p it is the identity on residues."""
     p, phi = residue_map(Fraction(1, 3))
-    assert p == MODULAR_PRIME
+    assert (p, phi) == residue_map(Q.one) == residue_map(7)
     assert phi(Fraction(1, 3)) * 3 % p == 1
     with pytest.raises(NotInImage):
         phi(Fraction(1, p))
-    with pytest.raises(NotInImage):
+    p1, phi1 = residue_map(Fraction(1, 3), 1)
+    assert p1 > p and phi1(Fraction(1, p)) * p % p1 == 1
+    with pytest.raises(MixedFieldSpec):
         phi(Q8.one)
     p8, phi8 = residue_map(Q8.one)
-    with pytest.raises(NotInImage):
+    with pytest.raises(MixedFieldSpec):
         phi8(Q4.one)
     with pytest.raises(NotInImage):
         phi8(Q8.from_fraction(Fraction(1, p8)))
+    primes = [residue_map(Q8.one, k)[0] for k in range(4)]
+    assert primes == sorted(set(primes)) and all(q % 8 == 1 and _is_prime(q) for q in primes)
     p97, phi97 = residue_map(F97.one)
     assert p97 == 97 and phi97(F97.from_int(-1)) == 96 and phi97(Fraction(1, 2)) == 49
+    with pytest.raises(FieldError, match="one residue map"):
+        residue_map(F97.one, 1)
 
 
 def test_prime_field_roots():
@@ -291,3 +300,20 @@ def test_field_spec_rejects_non_prime_characteristic(text):
 def test_field_spec_accepts_primes():
     for p in (2, 3, 5, 97, 7919):
         assert FieldSpec.parse(f"prime:{p}").p == p
+
+
+def test_is_prime_is_exact_below_its_limit():
+    """Miller-Rabin on the bases 2..41 against trial division, on strong
+    pseudoprimes to the first 4, 9 and 12 prime bases, and on a 19-digit
+    prime; at the limit of its exact range it refuses to answer."""
+    sieve = [True] * 5000
+    sieve[0] = sieve[1] = False
+    for d in range(2, 71):
+        for m in range(d * d, 5000, d):
+            sieve[m] = False
+    assert [_is_prime(n) for n in range(5000)] == sieve
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(10**18 + 3) and not _is_prime(10**18 + 1)
+    with pytest.raises(ValueError, match="too large"):
+        _is_prime(3317044064679887385961981)
