@@ -32,10 +32,11 @@ L = sum_i0 a_(i0 i1) e_i0 e_j0 and R = sum_j1 b_(j0 j1) e_i1 e_j1, and add
 L (x) R.  A cell of s terms is then read once per pair (i1, j0) rather than
 once per pair of operand entries, and the merged L and R entries are
 multiplied once: on h2n2:3, where Delta(z) has 9 terms and 81 of the 324
-cells have 9, the C1 recheck of ``solve_rfree`` (82 vectors times 3
-coproducts) took 0.73 s with the pairwise loop and 0.28 s with this one
-(2-vCPU machine, Python 3.11).  On monomial tables factorization merges
-nothing and its bookkeeping costs more than it saves: products of 20 random
+cells have 9, the C1 recheck of the commutant (``precartier``; its 99
+vectors times 3 coproducts) took 0.11 s with the pairwise loop and
+0.038 s with this one, best of 5 (2-vCPU machine, Python 3.11).  On
+monomial tables factorization merges nothing and its bookkeeping costs
+more than it saves: products of 20 random
 8-entry tensors with every Delta(b), both ways round, took 0.022 -> 0.048 s
 on en:3 and 0.041 -> 0.078 s on ac2n:4 (and 0.08 -> 0.056 s on h8,
 1.4 -> 0.55 s on h2n2:3), so monomial tables keep the pairwise loop
@@ -52,8 +53,8 @@ two 2- or 3-tensors.  ``Tensor.__mul__`` is the one-term case (on elements
 it runs the loop over ``mult_terms`` directly: a single product of two
 elements is too small to pay for a lift), ``quantize.PolyTensor`` sums each
 hbar-degree in one call, the evaluators of ``precartier`` (the C1
-commutators, the R-multiplied C2 and C3 and the Cartier map) each evaluate
-their whole signed sum in one call, and the C1 recheck tests
+commutators, the R-multiplied C2 and C3, their unit slices and the Cartier
+map) each evaluate their whole signed sum in one call, and the C1 recheck tests
 t Delta(g) - Delta(g) t with ``vanishes_all``.  Several sums can share one
 lift (``product_sums``, ``vanishes_all``): ``map_rows`` evaluates a
 ``SumMap`` on all its columns that way, and the C1 recheck all its vectors,
@@ -375,6 +376,23 @@ class Tensor:
             out[idx] = v
         return Tensor(self.parent, 3, out)
 
+    def unit_slice(self, slot: int) -> "Tensor":
+        """The terms whose leg ``slot`` is the unit index, with that leg
+        dropped: the coefficients of e_u at the slot, one leg fewer.  The
+        slices the solvers cut by first read their coordinates this way."""
+        if not 0 <= slot < self.legs:
+            raise HopfError(f"slot {slot} of a {self.legs}-leg tensor")
+        dim, u = self.parent.dim, self.parent.unit_index
+        low = dim ** (self.legs - 1 - slot)
+        high = low * dim
+        out = {}
+        for k, v in self.coeffs.items():
+            head, rest = divmod(k, high)
+            i, tail = divmod(rest, low)
+            if i == u:
+                out[head * low + tail] = v
+        return Tensor._raw(self.parent, self.legs - 1, out)
+
     def tensor(self, other: "Tensor") -> "Tensor":
         """The outer product self (x) other, on self.legs + other.legs legs."""
         _check_parents(self, other)
@@ -468,7 +486,15 @@ def map_rows(h: HopfData, legs: int, maps, columns=None) -> dict:
     23.0 MB), and rows interleaved across maps made the h2n2:3 commutant
     three times slower (0.34 -> 1.14 s, 2-vCPU machine, Python 3.11).
     ``restrict_and_cut`` passes one map at a time.  A ``SumMap`` is
-    evaluated on all the columns at once (``product_sums``)."""
+    evaluated on all the columns at once (``product_sums``).
+
+    Every row of a map is made before ``kernel_of_rows`` reads one, even
+    when the kernel is certified zero by the first few.  So a map whose
+    kernel is decided by a few of its output coordinates is preceded, in
+    its cut, by a map of those coordinates alone: the unit slices of the
+    C2/C3 cuts (``precartier.cqtr_unit_slice_map``) and of Z^2
+    (``cohomology.b2_unit_slice``).  On the h2n2 benchmark classify that
+    took the rows handed to ``kernel_of_rows`` from 6519 to 1330."""
     if columns is None:
         one = h.field.one
         columns = [{c: one} for c in range(h.dim**legs)]
@@ -521,9 +547,12 @@ def restrict_and_cut(h: HopfData, legs: int, space: Subspace, maps) -> Subspace:
     basis coefficients and mapped back, and its rows are dropped before the
     next map is evaluated.  Put the cheap maps that cut most first: on
     h2n2:3 the group-likes x and y take the commutant's 324 columns to 162
-    before the 9-term Delta(z) is applied.  The result does not depend on
-    the order: it is the intersection of the kernels, and its basis is
-    canonical.  When a map has no nonzero image on the basis, the space is
+    before the 9-term Delta(z) is applied.  A map whose rows are some of a
+    later map's (a unit slice before its full map) cuts nothing away that
+    the later map would keep, and leaves it only the basis of its own
+    kernel, none when it is zero: no map is evaluated on an empty basis.
+    The result does not depend on the order: it is the intersection of the
+    kernels, and its basis is canonical.  When a map has no nonzero image on the basis, the space is
     kept as it is, so its coefficients keep their field type.  The mapped
     back vectors are already in canonical RREF (``Subspace.combine``), so
     each stage's result is a valid input space for the next."""
@@ -587,7 +616,7 @@ def vanishes_all(h: HopfData, legs: int, sums) -> bool:
     by the field's zero test on the lifted ints, with no output mapped
     back.  All of them run on one lift, so an operand dict that several sums share (the
     same object) is lifted once and, on the factorized loop, its L and R
-    sums are formed once: the C1 recheck of the 82 R-free vectors of
+    sums are formed once: the C1 recheck of the 99 commutant vectors of
     h2n2:3 shares Delta(z) this way."""
     ints, width, _ = _lifted_sums(h, legs, sums)
     test = _zero_test(h.field, width)

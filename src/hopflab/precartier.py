@@ -16,7 +16,20 @@ of every cut are built in one place, ``hopf.map_rows``.  C2/C3 enter in
 the R-multiplied equivalent form (left-multiplied by R12 resp. R23) so no
 inverse appears in row generation; the R^-1 form is kept as the
 independent recheck applied to every solution basis vector.  The counit
-conditions are implied and asserted, never cut by ``solve_infinitesimal``.
+conditions are implied and asserted, never cut by ``solve_infinitesimal``;
+so is HC.
+
+Each of C2 and C3 is cut by its unit slice first (``cqtr_unit_slice_map``):
+R12 has the unit on leg 2 and 1 * e_c = e_c, so the output coordinates of
+the R-multiplied C2 form whose leg 2 is the unit index u are a 2-leg map
+of their own, and C3 is the mirror image on leg 0.  The full 3-leg map then
+runs only on the basis that the slice left.  This is exactly the full cut:
+the slice's rows are a subset of the full map's, so its kernel contains
+the full kernel, and the full map cuts it down to that kernel, in
+canonical RREF.  On h2n2:3 the C2 slice has 324 rows against the full
+map's 3024 (R of bichar:[[0,0],[1,0]]) and already has rank 99 on the
+commutant's 99 columns, so the full map runs on no column.  ``cohomology.cocycles`` cuts Z^2 by the leg-0 = u
+slice of b^2 first, the same way.
 
 C1 is cut and rechecked against the generators of H only.  That covers
 every b because of the certificate ``hopf.generators_span``: the generator
@@ -26,6 +39,15 @@ after ``verify_hopf`` passed), so a tensor commuting with Delta(g) for every
 generator g commutes with Delta(w) for every accepted word w, hence with
 Delta(b) for every b by linearity.  Without the certificate the solvers
 raise.
+
+The recheck of C1 by direct evaluation runs once per algebra, on the basis
+c_1, ..., c_k of the commutant (``_checked_commutant``), whose vectors are
+sparse: 99 vectors with 432 nonzeros on h2n2:3, against the 82 R-free
+vectors with 2097.  Each basis vector v of the R-free space and of every
+solution space is then checked to lie in the commutant's span exactly
+(``Subspace.contains``).  That is as strong as evaluating the commutator
+on v itself: v = sum_i lambda_i c_i exactly and the commutator is linear,
+so [Delta(g), v] = sum_i lambda_i [Delta(g), c_i] = 0 for every generator g.
 """
 
 from __future__ import annotations
@@ -75,6 +97,24 @@ def cqtr_rmul_map(r: Tensor, l: int) -> SumMap:
     return SumMap(3, lambda t: [(1, rl, t.apply_delta(slot).coeffs), (-1, rl, t.leg(l).coeffs), (-1, t.leg(13).coeffs, rl)])
 
 
+def cqtr_unit_slice_map(r: Tensor, l: int) -> SumMap:
+    """The rows of ``cqtr_rmul_map(r, l)`` at the output coordinates whose
+    leg 2 (l = 12) or leg 0 (l = 23) is the unit index u, as a 2-leg map
+    (that leg dropped).  R_l has the unit on that leg, and 1 * e_c = e_c,
+    so there every product copies the leg of its other factor:
+
+      l = 12: R t_delta|leg2=u - R t - (t|leg1=u (x) 1) R,
+      l = 23: R t_delta|leg0=u - R t - (1 (x) t|leg0=u) R,
+
+    with t_delta as in ``cqtr_rmul_map``.  These rows are a subset of the
+    full map's, so their kernel contains the full kernel: a cut by this map
+    first, then by the full one, is the full cut."""
+    rc, one = r.coeffs, r.parent.unit()
+    if l == 12:
+        return SumMap(2, lambda t: [(1, rc, t.apply_delta(1).unit_slice(2).coeffs), (-1, rc, t.coeffs), (-1, t.unit_slice(1).tensor(one).coeffs, rc)])
+    return SumMap(2, lambda t: [(1, rc, t.apply_delta(0).unit_slice(0).coeffs), (-1, rc, t.coeffs), (-1, one.tensor(t.unit_slice(0)).coeffs, rc)])
+
+
 def cartier_map(r: Tensor) -> SumMap:
     """R t - t_op R."""
     return SumMap(2, lambda t: [(1, r.coeffs, t.coeffs), (-1, t.flip().coeffs, r.coeffs)])
@@ -106,14 +146,42 @@ def _commute_with_generators(h: HopfData, ts: list) -> bool:
     return all(vanishes_all(h, 2, [_commutator_terms(t, d) for t in ts]) for d in map(delta, _generator_elems(h)))
 
 
+def _checked_commutant(h: HopfData) -> Subspace:
+    """The commutant of the generators' coproducts, every basis vector
+    rechecked by direct evaluation against Delta(g) for each generator g:
+    an oracle independent of the elimination, run once per algebra (it is
+    ``analysis(h, "commutant")``).  A vector that fails raises."""
+    space = commutant_of_coproducts(h, _generator_elems(h))
+    ts = [Tensor(h, 2, vec) for vec in space.rows]
+    if not _commute_with_generators(h, ts):
+        witness = next(t for t in ts if not _commute_with_generators(h, [t]))
+        raise PreCartierError(f"a commutant vector of {h.name} violates C1 against a generator on recheck: {format_tensor(witness)}")
+    return space
+
+
+def _require_in_commutant(h: HopfData, space: Subspace, what: str) -> None:
+    """Every basis vector of ``space`` lies in the span of the rechecked
+    commutant, decided exactly (``Subspace.contains``); raises otherwise."""
+    commutant = analysis(h, "commutant")
+    for vec in space.rows:
+        if not commutant.contains(vec):
+            raise PreCartierError(f"{what} lies outside the commutant, so C1 fails on it: {format_tensor(Tensor(h, 2, vec))}")
+
+
 def solve_rfree(h: HopfData) -> Subspace:
     """Kernel of the C1 commutation rows plus both counit conditions: an
     R-independent upper bound for the solution space over any R.
 
     It is the counit cut of ``analysis(h, "commutant")``, whose C1 rows
-    come from the generators only.  Every kernel vector is rechecked by direct
-    evaluation against Delta(g) for each generator g, an oracle independent
-    of the elimination.  This implies C1 for every basis element because
+    come from the generators only.  C1 is rechecked without trusting the
+    elimination, in two exact steps.  Once per algebra,
+    ``_checked_commutant`` evaluates [Delta(g), c] directly on every basis
+    vector c of the commutant and each generator g.  Then every kernel
+    vector v is checked to lie in the commutant's span exactly
+    (``Subspace.contains``).  That is at least as strong as evaluating
+    [Delta(g), v] on v itself: v = sum_i lambda_i c_i exactly and the
+    commutator is linear, so [Delta(g), v] = sum_i lambda_i [Delta(g), c_i]
+    = 0.  This implies C1 for every basis element because
     ``generators_span`` holds: if chi commutes with Delta(g) for each
     generator g, and Delta(w*g) = Delta(w) Delta(g) for each accepted word
     w*g (checked by the certificate itself), then, H (x) H being associative
@@ -125,8 +193,7 @@ def solve_rfree(h: HopfData) -> Subspace:
     _require_generators_span(h)
     counits = [lambda t: t.apply_counit(1), lambda t: t.apply_counit(0)]
     space = restrict_and_cut(h, 2, analysis(h, "commutant"), counits)
-    if not _commute_with_generators(h, [Tensor(h, 2, vec) for vec in space.rows]):
-        raise PreCartierError("a kernel vector violates C1 against a generator on recheck")
+    _require_in_commutant(h, space, "an R-free kernel vector")
     return space
 
 
@@ -134,24 +201,35 @@ def solve_infinitesimal(h: HopfData, r: Tensor, rinv: Tensor | None = None) -> S
     """The full solution space of C1, C2, C3 for the given R: the C2 and
     then the C3 cut of ``analysis(h, "commutant")``.
 
-    Every basis vector of the result is rechecked by direct evaluation: C1
-    against the generators, all vectors on one lift (which covers every b
-    by ``generators_span``, see ``solve_rfree``), C2/C3 in the R^-1 form,
-    and the counit conditions are asserted post-hoc.
+    Each of C2 and C3 is cut first by its unit slice
+    (``cqtr_unit_slice_map``), then by the full R-multiplied map on the
+    basis the slice left.  The slice's rows are some of the full map's,
+    so its kernel contains the full kernel and the two cuts in a row give
+    exactly the full cut, in canonical RREF; when the slice's rows already
+    have rank ncols the full map runs on no column.
+
+    Every basis vector of the result is rechecked, independently of the
+    elimination: C1 by its exact membership in the commutant, whose basis
+    ``_checked_commutant`` rechecked against the generators once per
+    algebra (as strong as the direct evaluation on the vector, by
+    linearity, and it covers every b by ``generators_span``; see
+    ``solve_rfree``), C2/C3 by direct evaluation in the R^-1 form, and the
+    counit conditions and HC (b^2(chi) = 0, ``cohomology.b_apply``) are
+    asserted post-hoc.
     """
     _require_generators_span(h)
-    space = restrict_and_cut(h, 2, analysis(h, "commutant"), [cqtr_rmul_map(r, 12)])
-    space = restrict_and_cut(h, 2, space, [cqtr_rmul_map(r, 23)])
+    cuts = [cqtr_unit_slice_map(r, 12), cqtr_rmul_map(r, 12), cqtr_unit_slice_map(r, 23), cqtr_rmul_map(r, 23)]
+    space = restrict_and_cut(h, 2, analysis(h, "commutant"), cuts)
     if rinv is None:
         rinv = r_inverse(h, r)
-    ts = [Tensor(h, 2, vec) for vec in space.rows]
-    if not _commute_with_generators(h, ts):
-        raise PreCartierError("solution violates the C1 commutation on recheck")
-    for t in ts:
+    _require_in_commutant(h, space, "a solution")
+    for t in (Tensor(h, 2, vec) for vec in space.rows):
         if eval_cqtr2(h, r, rinv, t) or eval_cqtr3(h, r, rinv, t):
             raise PreCartierError("solution violates C2/C3 on direct recheck")
         if t.apply_counit(1) or t.apply_counit(0):
             raise PreCartierError("counit conditions fail on a solution: implication broken")
+        if cohomology.b_apply(h, 2, t):
+            raise PreCartierError(f"a solution for R = {format_tensor(r)} violates HC, b^2(chi) = 0: {format_tensor(t)}")
     return space
 
 
@@ -251,13 +329,13 @@ def analysis(h: HopfData, key: str) -> Subspace:
     """The R-independent artifact ``key`` of h, computed on first use and
     kept in the memo ``h._analysis_cache`` (the HopfData instances are
     interned by the build cache, so this is sound): "commutant" (the C1 cut
-    by the generators), "rfree" (``solve_rfree``), "z1" and "z2" (cobar
+    by the generators, rechecked by ``_checked_commutant``), "rfree" (``solve_rfree``), "z1" and "z2" (cobar
     cocycles) and "b2" (coboundaries).  Every reader goes through here, so
     each is computed once per algebra."""
     cache = h._analysis_cache
     if key not in cache:
         if key == "commutant":
-            cache[key] = commutant_of_coproducts(h, _generator_elems(h))
+            cache[key] = _checked_commutant(h)
         elif key == "rfree":
             cache[key] = solve_rfree(h)
         elif key in ("z1", "z2"):

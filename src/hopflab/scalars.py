@@ -112,10 +112,6 @@ class FieldSpec:
         if self.mode == "prime" and not _is_prime(self.p):
             raise ValueError(f"prime field characteristic must be a prime, not {self.p}")
 
-    @property
-    def characteristic(self) -> int:
-        return 0 if self.mode == "cyclotomic" else self.p
-
     @staticmethod
     def parse(text: str) -> "FieldSpec":
         m = re.fullmatch(r"cyclotomic:(\d+)", text)
@@ -613,18 +609,67 @@ def _digits(packed: int, bits: int) -> list:
     return poly
 
 
+TRIAL_DIVISION_BOUND = 1000  # _prime_factors divides by every d below this first
+
+
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, increasing.
+
+    Trial division by every d < TRIAL_DIVISION_BOUND, then Pollard-Brent
+    rho (``_rho_factor``) on what is left, each factor found confirmed by
+    ``_is_prime`` before it is kept.  Trial division alone runs about
+    sqrt(q) steps on n = 8q with q prime: minutes for
+    p - 1 = 1000000000000002136."""
     out = []
-    d = 2
-    while d * d <= n:
+    for d in range(2, TRIAL_DIVISION_BOUND):
+        if d * d > n:
+            break
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if _is_prime(m):
+            out.append(m)
+        else:
+            d = _rho_factor(m)
+            stack += [d, m // d]
+    return sorted(set(out))
+
+
+def _rho_factor(n: int) -> int:
+    """A factor 1 < d < n of the composite n, odd and with no prime factor
+    below TRIAL_DIVISION_BOUND: Pollard's rho with Brent's cycle finding
+    (Brent, BIT 20, 1980), the iteration x -> x^2 + c mod n from x = 2 for
+    c = 1, 2, ... until one gives a proper factor.  The differences are
+    multiplied together in blocks of 128 steps, one gcd per block, and a
+    block whose gcd is n is walked again one gcd per step."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 @lru_cache(maxsize=None)

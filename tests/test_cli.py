@@ -195,6 +195,17 @@ def test_large_prime_fields_are_decided_quickly(capsys):
         assert out == ""
 
 
+def test_large_prime_field_with_a_root_of_unity_is_quick():
+    """h8 needs a root of order 8, found from a generator of F_p^*, so
+    p - 1 = 8q (q a 17-digit prime) is factored: by trial division that
+    ran for longer than the timeout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["verify", "--family", "h8", "--field", "prime:1000000000000002137"]
+    done = subprocess.run([sys.executable, "-m", "hopflab.cli", *argv], env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert '"failures": []' in done.stdout
+
+
 def test_out_file_and_table_format(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = main(["classify", "--family", "en:1", "--r", "en-a:[[0]]", "--out", str(path)])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,14 +8,21 @@ from pathlib import Path
 import pytest
 
 from conftest import apply_rows, batch_modes, commutator_maps, constraint_oracles, copy_tables, pe, random_sparse_tensor
-from hopflab.cohomology import cocycles
+import hopflab.cohomology as cohomology
+import hopflab.precartier as pc
+from hopflab.cohomology import b2_unit_slice, b_apply, cocycles
+from hopflab.expressions import format_tensor
 from hopflab.families import build
-from hopflab.hopf import Tensor, _close_generator_words, generators_span, map_rows, multiply, verify_hopf
+from hopflab.hopf import Tensor, _close_generator_words, full_space, generators_span, map_rows, multiply, restrict_and_cut, verify_hopf
+from hopflab.linalg import Subspace
 from hopflab.precartier import (
     PreCartierError,
     cartier_coboundary_check,
     cartier_subspace,
+    analysis,
     classify,
+    cqtr_rmul_map,
+    cqtr_unit_slice_map,
     solve_infinitesimal,
     solve_rfree,
 )
@@ -342,3 +350,105 @@ def test_generators_span_rejects_non_multiplicative_coproduct(en2):
     assert generators_span(broken) is False
     with pytest.raises(PreCartierError, match="cannot certify C1"):
         solve_rfree(broken)
+
+
+def _unit_slice_rows(h, slice_map, full_map, leg, columns):
+    """(rows of the 2-leg slice map, rows of the 3-leg full map at the
+    coordinates whose ``leg`` is the unit index), both keyed by the full
+    map's coordinate."""
+    dim, u = h.dim, h.unit_index
+    low = dim ** (2 - leg)
+
+    def lift(k):  # the slice's coordinate with the unit put back on ``leg``
+        head, tail = divmod(k, low)
+        return (head * dim + u) * low + tail
+
+    sliced = {lift(k): row for (_, k), row in map_rows(h, 2, [slice_map], columns).items()}
+    full = {k: row for (_, k), row in map_rows(h, 2, [full_map], columns).items() if k // low % dim == u}
+    return sliced, full
+
+
+@pytest.mark.parametrize(
+    "family,rspec",
+    [("h2n2:3", "bichar:[[0,0],[1,0]]"), ("h2n2:3", "bichar:[[0,1],[2,0]]"), ("h8", "h8omega:z8^3"),
+     ("en:2", "en-a:[[1,2],[3,5]]"), ("ac2n:3", "ac22:q=1,a=1")],
+)
+def test_cqtr_unit_slices_are_rows_of_the_full_maps(family, rspec):
+    """The C2 (C3) unit slice is the R-multiplied C2 (C3) map read at the
+    coordinates whose leg 2 (leg 0) is the unit: the same rows, on the
+    commutant's basis and on random tensors."""
+    h = build(family)
+    r = build_r(h, rspec)
+    rng = random.Random(7)
+    columns = list(analysis(h, "commutant").rows) + [random_sparse_tensor(h, rng).coeffs for _ in range(4)]
+    for l, leg in ((12, 2), (23, 0)):
+        sliced, full = _unit_slice_rows(h, cqtr_unit_slice_map(r, l), cqtr_rmul_map(r, l), leg, columns)
+        assert sliced and sliced == full
+
+
+def test_cqtr_unit_slice_certifies_h2n2_3_alone():
+    """On h2n2:3 the C2 slice already cuts the commutant to zero, so the
+    full 3-leg map runs on no column."""
+    h = build("h2n2:3")
+    r = build_r(h, "bichar:[[0,0],[1,0]]")
+    assert restrict_and_cut(h, 2, analysis(h, "commutant"), [cqtr_unit_slice_map(r, 12)]).dim == 0
+
+
+@pytest.mark.parametrize("family", _batch_families())
+def test_b2_unit_slice_is_rows_of_b2(family):
+    """The Z^2 slice is b^2 read at the coordinates whose leg 0 is the unit,
+    on every basis tensor of H (x) H."""
+    h = build(family)
+    columns = full_space(h, 2).rows
+    sliced, full = _unit_slice_rows(h, lambda t: b2_unit_slice(h, t), lambda t: b_apply(h, 2, t), 0, columns)
+    assert sliced == full
+
+
+def _outside_commutant(h):
+    """A verified copy of h with its commutant computed, and x (x) 1, which
+    Delta(g) = g (x) g does not commute with (x g = -g x)."""
+    fresh = copy_tables(h)
+    assert verify_hopf(fresh).ok
+    analysis(fresh, "commutant")
+    x = pe(fresh, "x{1} (x) 1").coeffs
+    assert not fresh._analysis_cache["commutant"].contains(x)
+    return fresh, x
+
+
+def test_solvers_refuse_a_basis_vector_outside_the_commutant(en2, monkeypatch):
+    """A cut that hands back a vector outside the commutant is caught by the
+    exact membership check of both solvers."""
+    fresh, outside = _outside_commutant(en2)
+    cut = pc.restrict_and_cut
+    monkeypatch.setattr(pc, "restrict_and_cut", lambda h, legs, space, maps: Subspace.from_vectors([*cut(h, legs, space, maps).rows, outside], space.ambient_dim))
+    with pytest.raises(PreCartierError, match="outside the commutant"):
+        solve_rfree(fresh)
+    r = Tensor(fresh, 2, dict(build_r(en2, "en-a:[[0,0],[0,0]]").coeffs))
+    with pytest.raises(PreCartierError, match="outside the commutant"):
+        solve_infinitesimal(fresh, r)
+
+
+def test_commutant_recheck_catches_a_vector_that_breaks_c1(en2, monkeypatch):
+    """A commutant doctored with x (x) 1 fails the once-per-algebra C1
+    recheck against the generators, before any solver reads it, and is
+    not kept."""
+    fresh, outside = _outside_commutant(en2)
+    fresh._analysis_cache.clear()
+    commutant = pc.commutant_of_coproducts
+    monkeypatch.setattr(pc, "commutant_of_coproducts", lambda h, elems: Subspace.from_vectors([*commutant(h, elems).rows, outside], h.dim**2))
+    with pytest.raises(PreCartierError, match="violates C1 against a generator"):
+        solve_rfree(fresh)
+    assert "commutant" not in fresh._analysis_cache
+    with pytest.raises(PreCartierError, match="violates C1 against a generator"):
+        solve_infinitesimal(fresh, Tensor(fresh, 2, dict(build_r(en2, "en-a:[[0,0],[0,0]]").coeffs)))
+
+
+def test_hc_recheck_names_the_r_and_the_witness(en2, monkeypatch):
+    """A solution on which b^2 does not vanish raises, naming R and the
+    solution vector (b^2 doctored to the nonzero t (x) 1)."""
+    monkeypatch.setattr(cohomology, "b_apply", lambda h, n, t: t.tensor(h.unit()))
+    r = build_r(en2, "en-a:[[0,0],[0,0]]")
+    with pytest.raises(PreCartierError, match="violates HC") as err:
+        solve_infinitesimal(en2, r)
+    assert f"R = {format_tensor(r)} " in str(err.value)
+    assert str(err.value).endswith(": (g^1*x{1} (x) x{1})")  # the first basis vector of the solutions

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from hopflab.scalars import (
     make_root,
     primitive_roots,
     _is_prime,
+    _prime_factors,
     residue_map,
 )
 
@@ -317,3 +319,32 @@ def test_is_prime_is_exact_below_its_limit():
     assert _is_prime(10**18 + 3) and not _is_prime(10**18 + 1)
     with pytest.raises(ValueError, match="too large"):
         _is_prime(3317044064679887385961981)
+
+
+def _trial_division_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + ([n] if n > 1 else [])
+
+
+def test_prime_factors_agree_with_trial_division():
+    """Small n, random 9-digit n, and cofactors past the trial-division
+    bound that rho must split: prime powers, products of two primes above
+    the bound, and a smooth power."""
+    rng = random.Random(20261020)
+    cases = list(range(1, 3000)) + [rng.randrange(1, 10**9) for _ in range(300)]
+    cases += [1009**2, 1009**3, 1009 * 1013, 2 * 1013**2, 999983 * 1000003, 2**40, 3**25]
+    for n in cases:
+        assert _prime_factors(n) == _trial_division_factors(n), n
+
+
+def test_prime_factors_of_large_numbers():
+    assert _prime_factors(1000000000000002136) == [2, 125000000000000267]
+    assert _prime_factors(2**64 + 1) == [274177, 67280421310721]
+    assert _prime_factors((10**9 + 7) * (10**9 + 9) * 12) == [2, 3, 10**9 + 7, 10**9 + 9]
+    assert F97.generator() == 5  # the smallest primitive root mod 97
