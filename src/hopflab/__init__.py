@@ -3,7 +3,7 @@ finite-dimensional Hopf algebras."""
 
 __version__ = "0.1.0"
 
-from .scalars import FieldSpec, get_field, make_root, primitive_roots
+from .scalars import FieldSpec, get_field, make_root
 from .families import FamilySpec, build
 from .hopf import HopfData, Tensor, delta, counit, antipode, verify_bialgebra, verify_hopf
 
@@ -11,7 +11,6 @@ __all__ = [
     "FieldSpec",
     "get_field",
     "make_root",
-    "primitive_roots",
     "FamilySpec",
     "build",
     "HopfData",

@@ -22,7 +22,6 @@ from .rmatrices import (
     RSpecError,
     build_r,
     enumerate_rmatrices,
-    r_inverse,
     verify_qtr,
 )
 from .scalars import FieldSpec, OrderUnavailable
@@ -159,17 +158,21 @@ def run(cfg: RunConfig) -> int:
         out = []
         for spec in rs:
             r = build_r(h, spec)
-            rinv = r_inverse(h, r)  # R is checked at hbar^0 by verify_quantized_qtr
+            rrep = verify_qtr(h, r)
+            if not rrep.ok:
+                status = 1
+                sys.stderr.write(f"error: R {spec} fails the axioms: {rrep.summary()}\n")
+                continue
             if cfg.chi:
                 chis = [parse_element(h, cfg.chi)]
             else:
-                space = solve_infinitesimal(h, r, rinv=rinv)
+                space = solve_infinitesimal(h, r, rrep)
                 chis = [Tensor(h, 2, v) for v in space.basis()]
             for chi in chis:
                 if not isinstance(chi, Tensor) or chi.legs != 2:
                     sys.stderr.write("config error: --chi must be a 2-tensor\n")
                     return 2
-                qrep = verify_quantized_qtr(h, r, chi, rinv)
+                qrep = verify_quantized_qtr(h, r, chi, rrep.r_inv)
                 out.append({
                     "r": str(spec),
                     "chi": format_tensor(chi),

@@ -53,7 +53,7 @@ two 2- or 3-tensors.  ``Tensor.__mul__`` is the one-term case (on elements
 it runs the loop over ``mult_terms`` directly: a single product of two
 elements is too small to pay for a lift), ``quantize.PolyTensor`` sums each
 hbar-degree in one call, the evaluators of ``precartier`` (the C1
-commutators, the R-multiplied C2 and C3, their unit slices and the Cartier
+commutators, the R-multiplied C2, its unit slice and the Cartier
 map) each evaluate their whole signed sum in one call, and the C1 recheck tests
 t Delta(g) - Delta(g) t with ``vanishes_all``.  Several sums can share one
 lift (``product_sums``, ``vanishes_all``): ``map_rows`` evaluates a
@@ -492,7 +492,7 @@ def map_rows(h: HopfData, legs: int, maps, columns=None) -> dict:
     when the kernel is certified zero by the first few.  So a map whose
     kernel is decided by a few of its output coordinates is preceded, in
     its cut, by a map of those coordinates alone: the unit slices of the
-    C2/C3 cuts (``precartier.cqtr_unit_slice_map``) and of Z^2
+    C2 cut (``precartier.cqtr_unit_slice_map``) and of Z^2
     (``cohomology.b2_unit_slice``).  On the h2n2 benchmark classify that
     took the rows handed to ``kernel_of_rows`` from 6519 to 1330."""
     if columns is None:
@@ -517,7 +517,7 @@ class SumMap:
     one tensor it evaluates it; ``map_rows`` evaluates it on all of its
     columns on one lift, so the operands that every column's terms share
     (the same dict object, such as Delta(g) in a commutator or R in the
-    C2, C3 and Cartier forms) are lifted once and, on the factorized loop,
+    C2 and Cartier forms) are lifted once and, on the factorized loop,
     their L and R sums are formed once."""
 
     __slots__ = ("legs", "terms")
@@ -548,14 +548,15 @@ def restrict_and_cut(h: HopfData, legs: int, space: Subspace, maps) -> Subspace:
     next map is evaluated.  Put the cheap maps that cut most first: on
     h2n2:3 the group-likes x and y take the commutant's 324 columns to 162
     before the 9-term Delta(z) is applied.  A map whose rows are some of a
-    later map's (a unit slice before its full map) cuts nothing away that
-    the later map would keep, and leaves it only the basis of its own
-    kernel, none when it is zero: no map is evaluated on an empty basis.
-    The result does not depend on the order: it is the intersection of the
-    kernels, and its basis is canonical.  When a map has no nonzero image on the basis, the space is
-    kept as it is, so its coefficients keep their field type.  The mapped
-    back vectors are already in canonical RREF (``Subspace.combine``), so
-    each stage's result is a valid input space for the next."""
+    later map's (the unit slice of C2 or of b^2 before the full map) cuts
+    nothing away that the later map would keep, and leaves it only the
+    basis of its own kernel, none when it is zero: no map is evaluated on an
+    empty basis.  The result does not depend on the order: it is the
+    intersection of the kernels, and its basis is canonical.  When a map
+    has no nonzero image on the basis, the space is kept as it is, so its
+    coefficients keep their field type.  The mapped back vectors are
+    already in canonical RREF (``Subspace.combine``), so each stage's
+    result is a valid input space for the next."""
     for op in maps:
         space = _cut(h, legs, space, op)
     return space
@@ -1146,16 +1147,20 @@ def generators_span(h: HopfData) -> bool:
     holds on all of H.
 
     Closes the generator words under right multiplication by generators,
-    starting from 1 (with Delta(1) = 1 (x) 1 checked).  A product w*g that is
-    new modulo the span of the words accepted so far is accepted only after
-    Delta(w*g) = Delta(w) Delta(g) holds by direct evaluation.  The
-    certificate holds when the accepted words span H and ``verify_hopf`` has
-    passed on ``h`` (``h.hopf_verified``), which is what makes H, hence
-    H (x) H, associative: the arguments that use the certificate (C1 in
-    ``precartier``, quasi-cocommutativity in ``rmatrices.verify_qtr`` and
-    ``quantize.verify_quantized_qtr``) regroup products.  An unverified
-    instance is refused until ``verify_hopf`` passes on it.  The closure is
-    cached on the instance; its tables are immutable.
+    starting from 1; a product w*g that is new modulo the span of the words
+    accepted so far is accepted.  The certificate holds when the accepted
+    words span H and ``verify_hopf`` has passed on ``h``
+    (``h.hopf_verified``).  That pass makes H, hence H (x) H, associative,
+    and Delta a unital morphism: ``verify_bialgebra`` checked
+    Delta(1) = 1 (x) 1 (``comult.unit``) and Delta(e_i e_j) =
+    Delta(e_i) Delta(e_j) on every basis pair (``comult.morphism``), which
+    gives Delta(a b) = Delta(a) Delta(b) for all a, b by bilinearity, so
+    Delta(w*g) = Delta(w) Delta(g) along every word.  The arguments that use
+    the certificate (C1 in ``precartier``, quasi-cocommutativity in
+    ``rmatrices.verify_qtr`` and ``quantize.verify_quantized_qtr``) regroup
+    products and use both identities.  An unverified instance is refused
+    until ``verify_hopf`` passes on it.  The closure is cached on the
+    instance; its tables are immutable.
     """
     if not h.hopf_verified:
         return False
@@ -1177,26 +1182,22 @@ def _generator_indices(h: HopfData) -> list[int]:
 
 
 def _close_generator_words(h: HopfData) -> bool:
-    one2 = h.unit_tensor(2)
-    if delta(h.unit()) != one2:
-        return False
-    gens = [(g, delta(g)) for g in _generator_elems(h)]
+    """Do the generator words span H?  Delta is not evaluated on them: the
+    certificate is granted only after ``verify_hopf`` passed, and that
+    already makes Delta multiplicative and unital (``generators_span``)."""
+    gens = _generator_elems(h)
     span = Echelon(h.dim)
     span.add_row(h.unit().coeffs)
-    frontier = [(h.unit(), one2)]
+    frontier = [h.unit()]
     while frontier and span.rank < h.dim:
         grown = []
-        for w, dw in frontier:
-            for g, dg in gens:
+        for w in frontier:
+            for g in gens:
                 word = w * g
                 residue = span.reduce(word.coeffs)
-                if not residue:
-                    continue
-                dword = delta(word)
-                if dword != dw * dg:
-                    return False
-                span.add_row(residue)
-                grown.append((word, dword))
+                if residue:
+                    span.add_row(residue)
+                    grown.append(word)
         frontier = grown
     return span.rank == h.dim
 
@@ -1206,10 +1207,11 @@ def cocommutativity_indices(h: HopfData) -> list[int]:
     the generators when ``generators_span(h)`` holds, every index otherwise.
 
     Why the generators suffice: Delta(1) = 1 (x) 1 and
-    Delta(w*g) = Delta(w) Delta(g) along every accepted word (both checked by
-    the certificate), the flip is multiplicative on H (x) H, and H (x) H is
-    associative (``verify_hopf`` passed).  So if R Delta(w) = Delta^op(w) R
-    and R Delta(g) = Delta^op(g) R, then
+    Delta(w*g) = Delta(w) Delta(g) along every accepted word (both follow
+    from ``verify_hopf``, which the certificate requires; see
+    ``generators_span``), the flip is multiplicative on H (x) H, and
+    H (x) H is associative (the same ``verify_hopf``).  So if
+    R Delta(w) = Delta^op(w) R and R Delta(g) = Delta^op(g) R, then
     R Delta(w*g) = R Delta(w) Delta(g) = Delta^op(w) R Delta(g)
     = Delta^op(w) Delta^op(g) R = Delta^op(w*g) R.  By induction from w = 1
     this holds for every accepted word; they span H, and both sides are

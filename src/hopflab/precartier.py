@@ -10,35 +10,61 @@ Axioms, for a quasitriangular (H, R):
   E1, E2  both counit slots of chi vanish,
   HC      chi_12 + (Delta (x) Id)(chi) = chi_23 + (Id (x) Delta)(chi).
 
-The solver cuts: the commutant of the coproducts (C1) in H (x) H, then C2 on
-that, then C3 on the result, each step a ``hopf.restrict_and_cut``.  The rows
-of every cut are built in one place, ``hopf.map_rows``.  C2/C3 enter in
-the R-multiplied equivalent form (left-multiplied by R12 resp. R23) so no
-inverse appears in row generation; the R^-1 form is kept as the
-independent recheck applied to every solution basis vector.  The counit
-conditions are implied and asserted, never cut by ``solve_infinitesimal``;
-so is HC.
+HC says b^2(chi) = 0 in the cobar complex (``cohomology.b_apply``):
+b^2(chi) = 1 (x) chi - (Delta (x) Id)(chi) + (Id (x) Delta)(chi) - chi (x) 1.
 
-Each of C2 and C3 is cut by its unit slice first (``cqtr_unit_slice_map``):
-R12 has the unit on leg 2 and 1 * e_c = e_c, so the output coordinates of
-the R-multiplied C2 form whose leg 2 is the unit index u are a 2-leg map
-of their own, and C3 is the mirror image on leg 0.  The full 3-leg map then
-runs only on the basis that the slice left.  This is exactly the full cut:
-the slice's rows are a subset of the full map's, so its kernel contains
-the full kernel, and the full map cuts it down to that kernel, in
-canonical RREF.  On h2n2:3 the C2 slice has 324 rows against the full
-map's 3024 (R of bichar:[[0,0],[1,0]]) and already has rank 99 on the
-commutant's 99 columns, so the full map runs on no column.  ``cohomology.cocycles`` cuts Z^2 by the leg-0 = u
+The solver cuts ``analysis(h, "commutant_z2")``, the commutant of the
+coproducts (C1) in H (x) H intersected with Z^2 (HC), by C2 alone, in one
+``hopf.restrict_and_cut``.  The rows of every cut are built in one place,
+``hopf.map_rows``.  C2 enters in the R-multiplied equivalent form
+(left-multiplied by R12), so no inverse appears in row generation; the R^-1
+forms of C2 and C3 are kept as the independent recheck applied to every
+solution basis vector.  The counit conditions are implied and asserted,
+never cut.
+
+Why C3 is not cut: for an R that passed ``rmatrices.verify_qtr`` and a chi
+that satisfies C1, C3 holds exactly when HC does, given C2.  The axioms of
+R used below are Q1, R^-1 Delta^op(b) R = Delta(b), and Q3,
+(Delta (x) Id)(R) = R13 R23, with R invertible.  ``verify_qtr`` checks Q1
+on the generators, and it holds on all of H by the generator certificate
+(``hopf.cocommutativity_indices``); applied in the last two legs,
+R23^-1 (Id (x) Delta^op)(Y) R23 = (Id (x) Delta)(Y) for every Y in H (x) H.
+  (i)  Swapping legs 2 and 3 in C2 gives
+       (Id (x) Delta^op)(chi) = chi_13 + R13^-1 chi_12 R13.  Conjugate by
+       R23: the left side becomes (Id (x) Delta)(chi) by Q1, and
+       R23^-1 R13^-1 chi_12 R13 R23 = chi_12 because R13 R23 = (Delta (x) Id)(R)
+       by Q3, and chi_12 commutes with (Delta (x) Id)(Y) for every Y by C1.
+       So (Id (x) Delta)(chi) = chi_12 + R23^-1 chi_13 R23; against C2, that
+       is R12^-1 chi_13 R12 = R23^-1 chi_13 R23.
+  (ii) Put (i) into b^2:
+       b^2(chi) = chi_23 + R23^-1 chi_13 R23 - (Delta (x) Id)(chi), which
+       vanishes exactly when C3 holds.
+So {C1, C2, C3} and {C1, C2, HC} have the same solutions, and the solution
+space is the intersection of the commutant, Z^2 and ker C2.  HC does not
+follow from C1 alone (it fails on R-free vectors of en:2, h8 and h2n2:3),
+so the argument needs C2, and it needs R quasitriangular:
+``solve_infinitesimal`` refuses an R whose ``verify_qtr`` report is not ok.
+
+C2 is cut by its unit slice first (``cqtr_unit_slice_map``): R12 has the
+unit on leg 2 and 1 * e_c = e_c, so the output coordinates of the
+R-multiplied C2 form whose leg 2 is the unit index u are a 2-leg map of
+their own.  The full 3-leg map then runs only on the basis that the slice
+left.  This is exactly the full cut: the slice's rows are a subset of the
+full map's, so its kernel contains the full kernel, and the full map cuts
+it down to that kernel, in canonical RREF.  The start space is small:
+commutant intersected with Z^2 has 9 of the commutant's 99 dimensions on
+h2n2:3, 14 of 256 on h2n2:4, 10 of 44 on en:3 and 9 of 320 on ac2n:4.  On
+h2n2:3 (bichar:[[0,0],[1,0]]) the slice alone cuts it to zero, so the full
+map runs on no column.  ``cohomology.cocycles`` cuts Z^2 by the leg-0 = u
 slice of b^2 first, the same way.
 
 C1 is cut and rechecked against the generators of H only.  That covers
 every b because of the certificate ``hopf.generators_span``: the generator
-words accepted by its closure span H, Delta is checked to be multiplicative
-along each of them, and H is associative (the certificate is granted only
-after ``verify_hopf`` passed), so a tensor commuting with Delta(g) for every
-generator g commutes with Delta(w) for every accepted word w, hence with
-Delta(b) for every b by linearity.  Without the certificate the solvers
-raise.
+words accepted by its closure span H, and the certificate is granted only
+after ``verify_hopf`` passed, whose checks make Delta multiplicative and H
+associative, so a tensor commuting with Delta(g) for every generator g
+commutes with Delta(w) for every accepted word w, hence with Delta(b) for
+every b by linearity.  Without the certificate the solvers raise.
 
 The recheck of C1 by direct evaluation runs once per algebra, on the basis
 c_1, ..., c_k of the commutant (``_checked_commutant``), whose vectors are
@@ -60,10 +86,10 @@ from .families import FamilySpec, build
 from .hopf import HopfData, HopfError, SumMap, Tensor, _generator_elems, delta, full_space, generators_span, restrict_and_cut, vanishes_all
 from .linalg import Subspace
 from .rmatrices import (
+    QtrReport,
     RSpec,
     build_r,
     is_triangular,
-    r_inverse,
     verify_qtr,
 )
 
@@ -88,31 +114,26 @@ def eval_cqtr3(h: HopfData, r: Tensor, rinv: Tensor, t: Tensor) -> Tensor:
     return t.apply_delta(0) - t.leg(23) - rinv.leg(23) * t.leg(13) * r.leg(23)
 
 
-def cqtr_rmul_map(r: Tensor, l: int) -> SumMap:
-    """rl t_delta - rl t_l - t13 rl with rl = R_l, the R-multiplied C2
-    (l = 12: t_delta = (Id (x) Delta)(t)) or C3 (l = 23: (Delta (x) Id)(t)),
-    as one ``hopf.product_sum`` per tensor; R_l is formed once per map."""
-    rl = r.leg(l).coeffs
-    slot = 1 if l == 12 else 0
-    return SumMap(3, lambda t: [(1, rl, t.apply_delta(slot).coeffs), (-1, rl, t.leg(l).coeffs), (-1, t.leg(13).coeffs, rl)])
+def cqtr_rmul_map(r: Tensor) -> SumMap:
+    """R12 (Id (x) Delta)(t) - R12 t12 - t13 R12, the R-multiplied C2, as one
+    ``hopf.product_sum`` per tensor; R12 is formed once per map."""
+    r12 = r.leg(12).coeffs
+    return SumMap(3, lambda t: [(1, r12, t.apply_delta(1).coeffs), (-1, r12, t.leg(12).coeffs), (-1, t.leg(13).coeffs, r12)])
 
 
-def cqtr_unit_slice_map(r: Tensor, l: int) -> SumMap:
-    """The rows of ``cqtr_rmul_map(r, l)`` at the output coordinates whose
-    leg 2 (l = 12) or leg 0 (l = 23) is the unit index u, as a 2-leg map
-    (that leg dropped).  R_l has the unit on that leg, and 1 * e_c = e_c,
-    so there every product copies the leg of its other factor:
+def cqtr_unit_slice_map(r: Tensor) -> SumMap:
+    """The rows of ``cqtr_rmul_map(r)`` at the output coordinates whose leg 2
+    is the unit index u, as a 2-leg map (leg 2 dropped).  R12 has the unit
+    on leg 2, and 1 * e_c = e_c, so there every product copies the leg 2 of
+    its other factor:
 
-      l = 12: R t_delta|leg2=u - R t - (t|leg1=u (x) 1) R,
-      l = 23: R t_delta|leg0=u - R t - (1 (x) t|leg0=u) R,
+      R (Id (x) Delta)(t)|leg2=u - R t - (t|leg1=u (x) 1) R.
 
-    with t_delta as in ``cqtr_rmul_map``.  These rows are a subset of the
-    full map's, so their kernel contains the full kernel: a cut by this map
-    first, then by the full one, is the full cut."""
+    These rows are a subset of the full map's, so their kernel contains the
+    full kernel: a cut by this map first, then by the full one, is the full
+    cut."""
     rc, one = r.coeffs, r.parent.unit()
-    if l == 12:
-        return SumMap(2, lambda t: [(1, rc, t.apply_delta(1).unit_slice(2).coeffs), (-1, rc, t.coeffs), (-1, t.unit_slice(1).tensor(one).coeffs, rc)])
-    return SumMap(2, lambda t: [(1, rc, t.apply_delta(0).unit_slice(0).coeffs), (-1, rc, t.coeffs), (-1, one.tensor(t.unit_slice(0)).coeffs, rc)])
+    return SumMap(2, lambda t: [(1, rc, t.apply_delta(1).unit_slice(2).coeffs), (-1, rc, t.coeffs), (-1, t.unit_slice(1).tensor(one).coeffs, rc)])
 
 
 def cartier_map(r: Tensor) -> SumMap:
@@ -184,8 +205,9 @@ def solve_rfree(h: HopfData) -> Subspace:
     = 0.  This implies C1 for every basis element because
     ``generators_span`` holds: if chi commutes with Delta(g) for each
     generator g, and Delta(w*g) = Delta(w) Delta(g) for each accepted word
-    w*g (checked by the certificate itself), then, H (x) H being associative
-    (the certificate requires a passing ``verify_hopf``), by induction chi
+    w*g (Delta is multiplicative: ``verify_hopf``, which the certificate
+    requires, checked it on every basis pair), then, H (x) H being
+    associative (checked by the same ``verify_hopf``), by induction chi
     commutes with Delta(w) for every accepted word w; those words span H and
     Delta is linear, so chi commutes with Delta(b) for every b.  When the
     certificate fails, PreCartierError is raised.
@@ -197,31 +219,40 @@ def solve_rfree(h: HopfData) -> Subspace:
     return space
 
 
-def solve_infinitesimal(h: HopfData, r: Tensor, rinv: Tensor | None = None) -> Subspace:
-    """The full solution space of C1, C2, C3 for the given R: the C2 and
-    then the C3 cut of ``analysis(h, "commutant")``.
+def solve_infinitesimal(h: HopfData, r: Tensor, qrep: QtrReport | None = None) -> Subspace:
+    """The full solution space of C1, C2, C3 for the given R: the C2 cut of
+    ``analysis(h, "commutant_z2")``, the commutant intersected with Z^2.
+    By the argument of the module docstring that is the space of C1, C2
+    and C3 for a quasitriangular R, so C3 is not cut.
 
-    Each of C2 and C3 is cut first by its unit slice
-    (``cqtr_unit_slice_map``), then by the full R-multiplied map on the
-    basis the slice left.  The slice's rows are some of the full map's,
-    so its kernel contains the full kernel and the two cuts in a row give
-    exactly the full cut, in canonical RREF; when the slice's rows already
-    have rank ncols the full map runs on no column.
+    ``qrep`` is R's ``verify_qtr`` report, run here when none is passed.
+    An R whose report is not ok is refused (``PreCartierError`` naming R):
+    the argument needs Q1 and Q3.  The report's verified inverse serves
+    the rechecks.
+
+    C2 is cut first by its unit slice (``cqtr_unit_slice_map``), then by
+    the full R-multiplied map on the basis the slice left.  The slice's
+    rows are some of the full map's, so its kernel contains the full
+    kernel and the two cuts in a row give exactly the full cut, in
+    canonical RREF; when the slice's rows already have rank ncols the full
+    map runs on no column.
 
     Every basis vector of the result is rechecked, independently of the
     elimination: C1 by its exact membership in the commutant, whose basis
     ``_checked_commutant`` rechecked against the generators once per
     algebra (as strong as the direct evaluation on the vector, by
     linearity, and it covers every b by ``generators_span``; see
-    ``solve_rfree``), C2/C3 by direct evaluation in the R^-1 form, and the
-    counit conditions and HC (b^2(chi) = 0, ``cohomology.b_apply``) are
+    ``solve_rfree``), C2 and C3 by direct evaluation in the R^-1 form, and
+    the counit conditions and HC (b^2(chi) = 0, ``cohomology.b_apply``) are
     asserted post-hoc.
     """
     _require_generators_span(h)
-    cuts = [cqtr_unit_slice_map(r, 12), cqtr_rmul_map(r, 12), cqtr_unit_slice_map(r, 23), cqtr_rmul_map(r, 23)]
-    space = restrict_and_cut(h, 2, analysis(h, "commutant"), cuts)
-    if rinv is None:
-        rinv = r_inverse(h, r)
+    if qrep is None:
+        qrep = verify_qtr(h, r)
+    if not qrep.ok:
+        raise PreCartierError(f"R = {format_tensor(r)} fails the axioms, so C3 need not follow from C1, C2 and HC: {qrep.summary()}")
+    rinv = qrep.r_inv
+    space = restrict_and_cut(h, 2, analysis(h, "commutant_z2"), [cqtr_unit_slice_map(r), cqtr_rmul_map(r)])
     _require_in_commutant(h, space, "a solution")
     for t in (Tensor(h, 2, vec) for vec in space.rows):
         if eval_cqtr2(h, r, rinv, t) or eval_cqtr3(h, r, rinv, t):
@@ -329,8 +360,10 @@ def analysis(h: HopfData, key: str) -> Subspace:
     """The R-independent artifact ``key`` of h, computed on first use and
     kept in the memo ``h._analysis_cache`` (the HopfData instances are
     interned by the build cache, so this is sound): "commutant" (the C1 cut
-    by the generators, rechecked by ``_checked_commutant``), "rfree" (``solve_rfree``), "z1" and "z2" (cobar
-    cocycles) and "b2" (coboundaries).  Every reader goes through here, so
+    by the generators, rechecked by ``_checked_commutant``), "rfree"
+    (``solve_rfree``), "z1" and "z2" (cobar cocycles), "commutant_z2" (the
+    intersection of "commutant" and "z2", where every R-dependent cut
+    starts) and "b2" (coboundaries).  Every reader goes through here, so
     each is computed once per algebra."""
     cache = h._analysis_cache
     if key not in cache:
@@ -340,6 +373,8 @@ def analysis(h: HopfData, key: str) -> Subspace:
             cache[key] = solve_rfree(h)
         elif key in ("z1", "z2"):
             cache[key] = cohomology.cocycles(h, int(key[1]))
+        elif key == "commutant_z2":
+            cache[key] = analysis(h, "commutant").intersect(analysis(h, "z2"))
         else:  # "b2"
             cache[key] = cohomology.coboundaries(h, 2)
     return cache[key]
@@ -375,15 +410,14 @@ def classify(
         if not qrep.ok:
             raise PreCartierError(f"R fails the axioms: {qrep.summary()}")
         flags["r_verified"] = True
-        rinv = qrep.r_inv  # the verified two-sided inverse, reused below
-        flags["r_triangular"] = is_triangular(h, r, rinv)
+        flags["r_triangular"] = is_triangular(h, r, qrep.r_inv)
 
     rfree = analysis(h, "rfree")
     dims = {"rfree": rfree.dim}
     basis_exprs = []
     cart_exprs = []
     if r is not None:
-        chi_space = solve_infinitesimal(h, r, rinv=rinv)
+        chi_space = solve_infinitesimal(h, r, qrep)
         dims["precartier"] = chi_space.dim
         cart = cartier_subspace(h, r, chi_space)
         dims["cartier"] = cart.dim

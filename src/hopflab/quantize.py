@@ -156,12 +156,13 @@ def verify_quantized_qtr(h: HopfData, r: Tensor, chi: Tensor, rinv: Tensor | Non
     ``verify_hopf`` on ``h``, so H (x) H [hbar] is associative), every basis
     element otherwise; a failure names the basis label of b.
 
-    R itself need not have passed ``rmatrices.verify_qtr``: R is the hbar^0
-    coefficient of R exp(hbar chi), and R^-1 that of exp(-hbar chi) R^-1,
-    and the laws below compare polynomials coefficient by coefficient.  So
-    their hbar^0 parts are R's own axioms: both inverse laws for R and
-    ``rinv``, quasi-cocommutativity of R on the same b, and both hexagons
-    of R.  The counit, Yang-Baxter and antipode-inverse checks that
+    The report does not rely on R having passed ``rmatrices.verify_qtr``
+    (the ``quantize`` command runs that first, and refuses an R that fails
+    it before any chi is solved or read): R is the hbar^0 coefficient of
+    R exp(hbar chi), and R^-1 that of exp(-hbar chi) R^-1, and the laws
+    below compare polynomials coefficient by coefficient.  So their hbar^0
+    parts are R's own axioms: both inverse laws for R and ``rinv``,
+    quasi-cocommutativity of R on the same b, and both hexagons of R.  The counit, Yang-Baxter and antipode-inverse checks that
     ``verify_qtr`` adds follow from these (Kassel, Quantum Groups, VIII.2)."""
     if rinv is None:
         rinv = r_inverse(h, r)

@@ -378,10 +378,10 @@ def verify_qtr(h: HopfData, r: Tensor) -> QtrReport:
 
     Quasi-cocommutativity R Delta(b) = Delta^op(b) R is checked for b in
     ``hopf.cocommutativity_indices(h)``: the generators when the certificate
-    ``generators_span`` holds, which needs Delta multiplicative along the
-    generator words and a passing ``verify_hopf`` on ``h`` (H (x) H
-    associative); the argument that this covers every b is in that
-    function's docstring.  Otherwise every basis element is checked.  A
+    ``generators_span`` holds, which needs generator words that span H and
+    a passing ``verify_hopf`` on ``h`` (H (x) H associative, Delta a unital
+    morphism); the argument that this covers every b is in that function's
+    docstring.  Otherwise every basis element is checked.  A
     failure is recorded under the basis label of the b that failed.
 
     The inverse is ``r_inverse``'s, verified two-sided by multiplication, and

@@ -685,12 +685,6 @@ def make_root(field, m: int):
     return field.make_root(m)
 
 
-def primitive_roots(field, m: int) -> list:
-    """All phi(m) primitive m-th roots of unity, as powers zeta^a, gcd(a,m)=1."""
-    zeta = field.make_root(m)
-    return [zeta**a for a in range(1, m + 1) if math.gcd(a, m) == 1]
-
-
 class NotInImage(FieldError):
     """An element whose denominator the prime of the chosen residue map
     divides: outside the domain of that map, inside that of a later one."""

@@ -129,12 +129,32 @@ def commutator(t, b):
     return t * d - d * t
 
 
+def cqtr3_rmul_map(r):
+    """R23 (Delta (x) Id)(t) - R23 t23 - t13 R23, the R-multiplied C3: the
+    mirror of ``precartier.cqtr_rmul_map``.  Only the tests' reference
+    routes cut by it: for a quasitriangular R, C3 follows from C1, C2 and
+    HC (the ``precartier`` docstring), so the solver does not."""
+    from hopflab.hopf import SumMap
+
+    r23 = r.leg(23).coeffs
+    return SumMap(3, lambda t: [(1, r23, t.apply_delta(0).coeffs), (-1, r23, t.leg(23).coeffs), (-1, t.leg(13).coeffs, r23)])
+
+
+def cqtr3_unit_slice_map(r):
+    """The rows of ``cqtr3_rmul_map(r)`` whose leg 0 is the unit index, as a
+    2-leg map: R (Delta (x) Id)(t)|leg0=u - R t - (1 (x) t|leg0=u) R."""
+    from hopflab.hopf import SumMap
+
+    rc, one = r.coeffs, r.parent.unit()
+    return SumMap(2, lambda t: [(1, rc, t.apply_delta(0).unit_slice(0).coeffs), (-1, rc, t.coeffs), (-1, one.tensor(t.unit_slice(0)).coeffs, rc)])
+
+
 def constraint_oracles(h, r=None) -> list:
     """(name, rows, vanishes) for each map the solver cuts by: its rows from
     ``hopf.map_rows``, and whether its direct evaluator vanishes on a
     2-tensor.  C1 comes over every basis element and over the generators;
-    C2 and C3 are cut in the R-multiplied form and evaluated in the R^-1
-    form, the Cartier map by ``Tensor`` products."""
+    C2 and C3 come in the R-multiplied form (C3 from this module) and are
+    evaluated in the R^-1 form, the Cartier map by ``Tensor`` products."""
     from hopflab.cohomology import b_apply
     from hopflab.hopf import _generator_elems, map_rows
     from hopflab.precartier import cartier_map, cqtr_rmul_map, eval_cqtr2, eval_cqtr3
@@ -152,8 +172,8 @@ def constraint_oracles(h, r=None) -> list:
     if r is not None:
         rinv = r_inverse(h, r)
         oracles += [
-            ("cqtr2", [cqtr_rmul_map(r, 12)], lambda t: not eval_cqtr2(h, r, rinv, t)),
-            ("cqtr3", [cqtr_rmul_map(r, 23)], lambda t: not eval_cqtr3(h, r, rinv, t)),
+            ("cqtr2", [cqtr_rmul_map(r)], lambda t: not eval_cqtr2(h, r, rinv, t)),
+            ("cqtr3", [cqtr3_rmul_map(r)], lambda t: not eval_cqtr3(h, r, rinv, t)),
             ("cartier", [cartier_map(r)], lambda t: not (r * t - t.flip() * r)),
         ]
     return [(name, map_rows(h, 2, maps), vanishes) for name, maps, vanishes in oracles]

@@ -372,28 +372,8 @@ def test_failed_construction_exit_1(capsys, monkeypatch):
 
 
 def test_quantize_inverts_each_r_once(capsys, monkeypatch):
-    import hopflab.precartier as pc
-    import hopflab.quantize as qz
-    from hopflab.rmatrices import r_inverse
-
-    calls = []
-
-    def counting(h, r):
-        calls.append(r)
-        return r_inverse(h, r)
-
-    for module in (cli, pc, qz):
-        monkeypatch.setattr(module, "r_inverse", counting)
-    code, out, _ = run_cli(capsys, "quantize", "--family", "en:2", "--r", "enumerate")
-    assert code == 0
-    reps = json.loads(out)
-    assert len({rep["r"] for rep in reps}) == 3
-    assert len(reps) == 12  # four chi per R
-    assert len(calls) == 3
-
-
-def test_classify_inverts_each_r_once(capsys, monkeypatch):
-    import hopflab.precartier as pc
+    """``verify_qtr`` inverts each R, and the solver and the quantization
+    checks reuse its verified inverse."""
     import hopflab.quantize as qz
     import hopflab.rmatrices as rm
 
@@ -404,7 +384,28 @@ def test_classify_inverts_each_r_once(capsys, monkeypatch):
         calls.append(r)
         return r_inverse(h, r)
 
-    for module in (cli, pc, qz, rm):
+    for module in (qz, rm):
+        monkeypatch.setattr(module, "r_inverse", counting)
+    code, out, _ = run_cli(capsys, "quantize", "--family", "en:2", "--r", "enumerate")
+    assert code == 0
+    reps = json.loads(out)
+    assert len({rep["r"] for rep in reps}) == 3
+    assert len(reps) == 12  # four chi per R
+    assert len(calls) == 3
+
+
+def test_classify_inverts_each_r_once(capsys, monkeypatch):
+    import hopflab.quantize as qz
+    import hopflab.rmatrices as rm
+
+    calls = []
+    r_inverse = rm.r_inverse
+
+    def counting(h, r):
+        calls.append(r)
+        return r_inverse(h, r)
+
+    for module in (qz, rm):
         monkeypatch.setattr(module, "r_inverse", counting)
     code, out, _ = run_cli(capsys, "classify", "--family", "en:2", "--r", "enumerate")
     assert code == 0
@@ -427,10 +428,9 @@ def test_enumerate_with_nothing_to_enumerate_exit_2(capsys, task, family):
 @pytest.mark.parametrize("task", ["verify", "quantize", "enumerate-r"])
 def test_enumeration_survivors_are_verified_once(capsys, monkeypatch, task):
     """Each task builds every survivor of the h2n2:3 enumeration (9) once,
-    from its spec.  ``verify`` and ``enumerate-r`` check each R with one
-    ``verify_qtr``; ``quantize`` runs none and inverts each R once, as
-    ``verify_quantized_qtr`` checks R at hbar^0.  The quantize solve is
-    stubbed out (no chi): only the R's are counted."""
+    from its spec, and checks each R with one ``verify_qtr``, which inverts
+    it once.  The quantize solve is stubbed out (no chi): only the R's are
+    counted."""
     import hopflab.precartier as pc
     import hopflab.rmatrices as rm
     from hopflab.linalg import Subspace
@@ -444,19 +444,19 @@ def test_enumeration_survivors_are_verified_once(capsys, monkeypatch, task):
 
         return counted
 
-    monkeypatch.setattr(pc, "solve_infinitesimal", lambda h, r, rinv: Subspace(h.dim**2, (), ()))
+    monkeypatch.setattr(pc, "solve_infinitesimal", lambda h, r, qrep: Subspace(h.dim**2, (), ()))
     for module in (cli, rm):
         monkeypatch.setattr(module, "verify_qtr", counting(verified, rm.verify_qtr))
     monkeypatch.setattr(cli, "build_r", counting(builds, rm.build_r))
-    monkeypatch.setattr(cli, "r_inverse", counting(inverted, rm.r_inverse))
+    monkeypatch.setattr(rm, "r_inverse", counting(inverted, rm.r_inverse))
     argv = [task, "--family", "h2n2:3"] + ([] if task == "enumerate-r" else ["--r", "enumerate"])
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     if task == "verify":
         assert len(json.loads(out)["r_reports"]) == 9
     assert len(builds) == len(set(builds)) == 9
-    assert len(verified) == (0 if task == "quantize" else 9)
-    assert len(inverted) == (9 if task == "quantize" else 0)
+    assert len(verified) == 9
+    assert len(inverted) == 9
 
 
 def test_enumerate_r_exits_1_naming_an_r_that_fails(capsys, monkeypatch):
@@ -479,6 +479,18 @@ def test_enumerate_r_exits_1_naming_an_r_that_fails(capsys, monkeypatch):
     assert code == 1
     assert f"R {specs[0]} fails the axioms" in err and "qyb" in err
     assert [entry["r"] for entry in json.loads(out)] == specs[1:]
+
+
+def test_quantize_exits_1_naming_an_r_that_fails(capsys):
+    """``quantize`` verifies each R before it solves or reads ``--chi``: on
+    E(2), 1 (x) 1 fails quasi-cocommutativity, so it is named on stderr,
+    nothing is quantized for it, and the exit status is 1."""
+    for extra in ((), ("--chi", "g^1*x{1} (x) x{1}")):
+        code, out, err = run_cli(capsys, "quantize", "--family", "en:2", "--r", "explicit:1 (x) 1", *extra)
+        assert code == 1
+        assert "error: R explicit:1 (x) 1 fails the axioms" in err
+        assert "quasi-cocommutativity fails at x{1}" in err and "quasi-cocommutativity fails at x{2}" in err
+        assert json.loads(out) == []
 
 
 def test_out_path_that_cannot_be_written_exit_2(capsys, tmp_path):

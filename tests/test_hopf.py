@@ -276,7 +276,7 @@ def _maps_under_test(h, batched=False):
     """Plain callables, or with ``batched`` the ``SumMap`` form that
     ``map_rows`` evaluates on all columns on one lift."""
     if h.family.kind == "en":  # C2 in the R-multiplied form
-        c2 = cqtr_rmul_map(build_r(h, "en-a:[[1,2],[3,5]]"), 12)
+        c2 = cqtr_rmul_map(build_r(h, "en-a:[[1,2],[3,5]]"))
         return [c2] if batched else [lambda t: c2(t)]
     if h.family.kind == "h8":  # the cobar differential b2
         return [lambda t: b_apply(h, 2, t)]
@@ -335,7 +335,7 @@ def test_cut_is_canonical_and_equals_the_intersection(family, rspec):
     the canonical RREF, and the space must be the intersection of the input
     with the kernel of the full matrix of the map."""
     h = build(family)
-    c2 = cqtr_rmul_map(build_r(h, rspec), 12)
+    c2 = cqtr_rmul_map(build_r(h, rspec))
     space = analysis(h, "commutant")
     maps = [lambda t: c2(t)]
     cut = restrict_and_cut(h, 2, space, maps)

@@ -7,7 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from conftest import apply_rows, batch_modes, commutator_maps, constraint_oracles, copy_tables, pe, random_sparse_tensor
+from conftest import (
+    apply_rows,
+    batch_modes,
+    commutator_maps,
+    constraint_oracles,
+    copy_tables,
+    cqtr3_rmul_map,
+    cqtr3_unit_slice_map,
+    pe,
+    random_sparse_tensor,
+)
 import hopflab.cohomology as cohomology
 import hopflab.precartier as pc
 from hopflab.cohomology import b2_unit_slice, b_apply, cocycles
@@ -26,7 +36,7 @@ from hopflab.precartier import (
     solve_infinitesimal,
     solve_rfree,
 )
-from hopflab.rmatrices import build_r, enumerate_rmatrices
+from hopflab.rmatrices import build_r, enumerate_rmatrices, verify_qtr
 
 
 def test_cqtr1_block_zero_for_group_algebra(kc2):
@@ -338,15 +348,16 @@ def test_solvers_refuse_unchecked_instance_until_verified(en2):
 
 
 def test_generators_span_rejects_non_multiplicative_coproduct(en2):
-    """Delta(x1 x2) gains a 1 (x) 1 term: the generators still span, but the
-    closure reaches x1*x2 and its direct multiplicativity check fails."""
+    """Delta(x1 x2) gains a 1 (x) 1 term: the generators still span, so the
+    closure holds, but verify_hopf fails its comult.morphism check and the
+    certificate, which waits for a passing verify_hopf, is refused."""
     comult = [dict(d) for d in en2.comult]
     i12 = en2.index["x{1,2}"]
     unit2 = en2.unit_index * en2.dim + en2.unit_index
     comult[i12][unit2] = comult[i12].get(unit2, en2.field.zero) + en2.field.one
     broken = copy_tables(en2, comult=comult)
     assert not verify_hopf(broken).ok
-    assert _close_generator_words(broken) is False
+    assert _close_generator_words(broken) is True
     assert generators_span(broken) is False
     with pytest.raises(PreCartierError, match="cannot certify C1"):
         solve_rfree(broken)
@@ -376,13 +387,14 @@ def _unit_slice_rows(h, slice_map, full_map, leg, columns):
 def test_cqtr_unit_slices_are_rows_of_the_full_maps(family, rspec):
     """The C2 (C3) unit slice is the R-multiplied C2 (C3) map read at the
     coordinates whose leg 2 (leg 0) is the unit: the same rows, on the
-    commutant's basis and on random tensors."""
+    commutant's basis and on random tensors.  The C3 maps are the tests'
+    own (``conftest``), for the old route's oracle."""
     h = build(family)
     r = build_r(h, rspec)
     rng = random.Random(7)
     columns = list(analysis(h, "commutant").rows) + [random_sparse_tensor(h, rng).coeffs for _ in range(4)]
-    for l, leg in ((12, 2), (23, 0)):
-        sliced, full = _unit_slice_rows(h, cqtr_unit_slice_map(r, l), cqtr_rmul_map(r, l), leg, columns)
+    for slice_map, full_map, leg in ((cqtr_unit_slice_map(r), cqtr_rmul_map(r), 2), (cqtr3_unit_slice_map(r), cqtr3_rmul_map(r), 0)):
+        sliced, full = _unit_slice_rows(h, slice_map, full_map, leg, columns)
         assert sliced and sliced == full
 
 
@@ -391,7 +403,7 @@ def test_cqtr_unit_slice_certifies_h2n2_3_alone():
     full 3-leg map runs on no column."""
     h = build("h2n2:3")
     r = build_r(h, "bichar:[[0,0],[1,0]]")
-    assert restrict_and_cut(h, 2, analysis(h, "commutant"), [cqtr_unit_slice_map(r, 12)]).dim == 0
+    assert restrict_and_cut(h, 2, analysis(h, "commutant"), [cqtr_unit_slice_map(r)]).dim == 0
 
 
 @pytest.mark.parametrize("family", _batch_families())
@@ -445,10 +457,63 @@ def test_commutant_recheck_catches_a_vector_that_breaks_c1(en2, monkeypatch):
 
 def test_hc_recheck_names_the_r_and_the_witness(en2, monkeypatch):
     """A solution on which b^2 does not vanish raises, naming R and the
-    solution vector (b^2 doctored to the nonzero t (x) 1)."""
+    solution vector (b^2 doctored to the nonzero t (x) 1).  Z^2 is cut by
+    b^2 too, so the start space is computed before b^2 is doctored: the
+    test then runs alike alone and after others, and caches no Z^2 of the
+    doctored b^2 on the shared en:2."""
+    analysis(en2, "commutant_z2")
     monkeypatch.setattr(cohomology, "b_apply", lambda h, n, t: t.tensor(h.unit()))
     r = build_r(en2, "en-a:[[0,0],[0,0]]")
     with pytest.raises(PreCartierError, match="violates HC") as err:
         solve_infinitesimal(en2, r)
     assert f"R = {format_tensor(r)} " in str(err.value)
     assert str(err.value).endswith(": (g^1*x{1} (x) x{1})")  # the first basis vector of the solutions
+
+
+def test_solve_infinitesimal_refuses_an_r_that_fails_the_axioms(en2):
+    """C3 follows from C1, C2 and HC only for a quasitriangular R, so the
+    solver refuses any other and names it, whether it verifies R itself or
+    is handed R's report; 1 (x) 1 is no R on the non-cocommutative E(2)."""
+    r = en2.unit_tensor(2)
+    qrep = verify_qtr(en2, r)
+    assert not qrep.ok
+    for args in ((), (qrep,)):
+        with pytest.raises(PreCartierError, match="fails the axioms") as err:
+            solve_infinitesimal(en2, r, *args)
+        assert f"R = {format_tensor(r)} " in str(err.value) and "quasi-cocommutativity fails at x{1}" in str(err.value)
+
+
+def _routes_agree(h, spec):
+    """The solver's space (commutant and Z^2 cut by C2) equals the four-cut
+    route, the commutant cut by the unit slice of C2, full C2, the unit
+    slice of C3 and full C3, and the mirror route, commutant and Z^2 cut by
+    C3 alone (by the mirror argument through Q2, C2 holds given C1, C3 and
+    HC)."""
+    r = build_r(h, spec)
+    qrep = verify_qtr(h, r)
+    assert qrep.ok, spec
+    space = solve_infinitesimal(h, r, qrep)
+    c2 = [cqtr_unit_slice_map(r), cqtr_rmul_map(r)]
+    c3 = [cqtr3_unit_slice_map(r), cqtr3_rmul_map(r)]
+    old = restrict_and_cut(h, 2, analysis(h, "commutant"), c2 + c3)
+    mirror = restrict_and_cut(h, 2, analysis(h, "commutant_z2"), c3)
+    assert space == old == mirror, f"{h.name} {spec}"
+
+
+@pytest.mark.parametrize("family", [family for family, mode in batch_modes() if mode != "rfree"])
+def test_c3_follows_from_c1_c2_and_hc_on_every_batch_r(family):
+    h = build(family)
+    for spec in enumerate_rmatrices(h):
+        _routes_agree(h, spec)
+
+
+def test_c3_follows_from_c1_c2_and_hc_on_random_and_chosen_r():
+    """Seeded random A on E(2) and E(3), and bichar:[[0,1],[2,0]] on H_18
+    by name."""
+    rng = random.Random(28)
+    for n in (2, 3):
+        h = build(f"en:{n}")
+        for _ in range(4):
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            _routes_agree(h, "en-a:" + str(m).replace(" ", ""))
+    _routes_agree(build("h2n2:3"), "bichar:[[0,1],[2,0]]")

@@ -9,8 +9,10 @@ name alone: a reference to any attribute of that name counts.
 
 A reference is a name load, an attribute, an imported name, or a string
 constant that is exactly the name (``perfbench/child.py`` traces functions
-by name).  Dunder names are read by the interpreter, not by the program,
-and are not checked.
+by name).  The package's own re-exports, the imported names and the
+``__all__`` strings of ``src/hopflab/__init__.py``, are not references: a
+name that only they read is read by no program.  Dunder names are read by
+the interpreter, not by the program, and are not checked.
 """
 
 import ast
@@ -43,9 +45,23 @@ def _methods(tree: ast.Module):
                     yield node.name, node
 
 
-def _references(tree: ast.Module):
-    """(name, node) for every place a name is read."""
+def _reexports(tree: ast.Module) -> set:
+    """The import aliases and string constants of a package ``__init__``:
+    the names it re-exports and lists in ``__all__``."""
+    exports = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        or (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    ]
+    return {id(sub) for node in exports for sub in ast.walk(node) if isinstance(sub, (ast.alias, ast.Constant))}
+
+
+def _references(tree: ast.Module, skip=frozenset()):
+    """(name, node) for every place a name is read, apart from the nodes in ``skip``."""
     for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id, node
         elif isinstance(node, ast.Attribute):
@@ -68,7 +84,8 @@ def unreached_names(definitions=_definitions) -> list[str]:
     }
     refs: dict[str, list] = {}
     for path, tree in trees.items():
-        for name, node in _references(tree):
+        skip = _reexports(tree) if path == PACKAGE / "__init__.py" else frozenset()
+        for name, node in _references(tree, skip):
             refs.setdefault(name, []).append((path, node))
     unreached = []
     for path in sorted(PACKAGE.glob("*.py")):

