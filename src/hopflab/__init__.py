@@ -3,14 +3,13 @@ finite-dimensional Hopf algebras."""
 
 __version__ = "0.1.0"
 
-from .scalars import FieldSpec, get_field, make_root
+from .scalars import FieldSpec, get_field
 from .families import FamilySpec, build
 from .hopf import HopfData, Tensor, delta, counit, antipode, verify_bialgebra, verify_hopf
 
 __all__ = [
     "FieldSpec",
     "get_field",
-    "make_root",
     "FamilySpec",
     "build",
     "HopfData",

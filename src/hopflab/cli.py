@@ -151,6 +151,11 @@ def run(cfg: RunConfig) -> int:
         from .quantize import verify_quantized_qtr
 
         h = build(fam_spec, field_spec)
+        # a malformed --chi is a configuration error whatever R it meets
+        chi_arg = parse_element(h, cfg.chi) if cfg.chi else None
+        if chi_arg is not None and chi_arg.legs != 2:
+            sys.stderr.write("config error: --chi must be a 2-tensor\n")
+            return 2
         rs = _resolve_rs(cfg, h)
         if rs is None:
             sys.stderr.write("config error: quantize needs --r\n")
@@ -163,15 +168,12 @@ def run(cfg: RunConfig) -> int:
                 status = 1
                 sys.stderr.write(f"error: R {spec} fails the axioms: {rrep.summary()}\n")
                 continue
-            if cfg.chi:
-                chis = [parse_element(h, cfg.chi)]
+            if chi_arg is not None:
+                chis = [chi_arg]
             else:
                 space = solve_infinitesimal(h, r, rrep)
                 chis = [Tensor(h, 2, v) for v in space.basis()]
             for chi in chis:
-                if not isinstance(chi, Tensor) or chi.legs != 2:
-                    sys.stderr.write("config error: --chi must be a 2-tensor\n")
-                    return 2
                 qrep = verify_quantized_qtr(h, r, chi, rrep.r_inv)
                 out.append({
                     "r": str(spec),

@@ -3,7 +3,9 @@
 Terms are scalar-weighted words in family generators; `(x)` separates tensor
 slots and binds looser than `*` but parenthesized subexpressions may hold full
 tensor sums, so `1/2*(1 (x) 1 + g (x) g)` works.  Scalar literals are
-integers, fractions `a/b`, and roots of unity `z{M}^k`.
+integers, fractions `a/b`, and roots of unity `z{M}^k`.  A scalar of an R
+spec (``parse_scalar``) is any expression of this grammar that names no
+generator.
 """
 
 from __future__ import annotations
@@ -135,8 +137,9 @@ class _Parser:
             if not (kind2 == "op" and val2 == ")"):
                 raise ExprError("expected ')'", pos2)
             return inner
-        if kind == "op" and val == "-":
-            return -self.parse_factor()
+        if kind == "op" and val in "+-":
+            factor = self.parse_factor()
+            return -factor if val == "-" else factor
         raise ExprError(f"unexpected token {val!r}", pos)
 
     def _generator_power(self, name: str, pos: int):
@@ -199,17 +202,32 @@ class _Parser:
             raise ExprError(f"cannot multiply values: {exc}", pos)
 
 
-def parse_element(h: HopfData, text: str):
-    """Parse to a Tensor over h, an element of H when it has one leg; bare
-    scalars become multiples of 1."""
-    tokens = _tokenize(text)
-    p = _Parser(h, tokens)
+def _parse(h: HopfData, text: str):
+    """The value of the whole text: a field scalar, or a Tensor when it
+    names a generator or a tensor slot."""
+    p = _Parser(h, _tokenize(text))
     out = p.parse_tensorexpr()
     kind, val, pos = p.peek()
     if kind != "end":
         raise ExprError(f"trailing input {val!r}", pos)
+    return out
+
+
+def parse_element(h: HopfData, text: str):
+    """Parse to a Tensor over h, an element of H when it has one leg; bare
+    scalars become multiples of 1."""
+    out = _parse(h, text)
     if not isinstance(out, Tensor):
         return h.unit().scaled(out)
+    return out
+
+
+def parse_scalar(h: HopfData, text: str):
+    """A scalar of h's field: an expression of the grammar that names no
+    generator and no tensor slot."""
+    out = _parse(h, text)
+    if isinstance(out, Tensor):
+        raise ExprError(f"{text.strip()!r} is not a scalar")
     return out
 
 
@@ -261,51 +279,3 @@ def format_tensor(t: Tensor) -> str:
         for q, root in _scalar_terms(h.field, t.coeffs[idx]):
             parts.append(_format_term(q, root, word, not parts))
     return "".join(parts)
-
-
-def parse_scalar(field, text: str):
-    """Scalar literal: optional sign, '*'-joined ints, fractions and zM^k roots."""
-    tokens = _tokenize(text)
-    i = 0
-    sign = 1
-    while tokens[i][0] == "op" and tokens[i][1] in "+-":
-        if tokens[i][1] == "-":
-            sign = -sign
-        i += 1
-    acc = field.one
-    expect_factor = True
-    consumed = 0
-    while tokens[i][0] != "end":
-        kind, val, pos = tokens[i]
-        if expect_factor:
-            if kind == "int":
-                num = int(val)
-                if tokens[i + 1][0] == "op" and tokens[i + 1][1] == "/":
-                    den_kind, den_val, den_pos = tokens[i + 2]
-                    if den_kind != "int":
-                        raise ExprError("expected denominator", den_pos)
-                    den = int(den_val)
-                    if not field.from_int(den):
-                        raise ExprError("division by zero", den_pos)
-                    acc = acc * field.from_fraction(Fraction(num, den))
-                    i += 3
-                else:
-                    acc = acc * field.from_int(num)
-                    i += 1
-            elif kind == "root":
-                m = re.fullmatch(r"z(\d+)(?:\^(-?\d+))?", val)
-                acc = acc * field.make_root(int(m.group(1))) ** int(m.group(2) or 1)
-                i += 1
-            else:
-                raise ExprError(f"expected scalar factor, got {val!r}", pos)
-            expect_factor = False
-            consumed += 1
-        else:
-            if kind == "op" and val == "*":
-                expect_factor = True
-                i += 1
-            else:
-                raise ExprError(f"unexpected token {val!r} in scalar", pos)
-    if expect_factor or consumed == 0:
-        raise ExprError("empty or dangling scalar literal")
-    return acc if sign == 1 else -acc

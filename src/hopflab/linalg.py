@@ -1,12 +1,13 @@
 """Exact sparse linear algebra over a coefficient field.
 
-Vectors and matrix rows are dicts {index: nonzero scalar}.  Plain ``int``
-entries are rationals: they are read as ``Fraction``s, so a division never
-turns them into floats.  ``Echelon`` is plain Gaussian elimination, with
-pivot = smallest column by default; rows are reduced incrementally against
-the current echelon so very tall systems never hold more than ~ncols pivot
-rows.  Reduced row echelon form is canonical, which is what makes Subspace
-equality exact.
+Vectors and matrix rows are dicts {index: nonzero scalar}, every entry an
+element of one field of ``scalars`` (Q being Q(zeta_1)): the residue maps
+of ``kernel_of_rows`` take no other entry, and raise ``MixedFieldSpec`` on
+a plain int, a Fraction or an element of another field.  ``Echelon`` is
+plain Gaussian elimination, with pivot = smallest column by default; rows
+are reduced incrementally against the current echelon so very tall systems
+never hold more than ~ncols pivot rows.  Reduced row echelon form is
+canonical, which is what makes Subspace equality exact.
 
 ``kernel_of_rows`` is the one elimination under every kernel, cut,
 intersection and solve of the package (``Echelon`` spans, and eliminates
@@ -59,7 +60,6 @@ It is one tally per process, because ``kernel_of_rows`` keeps its
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .scalars import NotInImage, residue_map
 
@@ -105,11 +105,6 @@ def _reduce(row: dict, pivots: dict, lead) -> dict:
     return row
 
 
-def _exact_row(row: dict) -> dict:
-    """A copy of ``row`` without its zero entries, plain ints as Fractions."""
-    return {k: Fraction(v) if type(v) is int else v for k, v in row.items() if v}
-
-
 class Echelon:
     """Incrementally maintained row echelon over sparse rows, with pivot =
     smallest column, or largest column when ``last`` is set."""
@@ -120,8 +115,9 @@ class Echelon:
         self.pivots: dict[int, dict] = {}  # pivot column -> row (leading coeff 1)
 
     def reduce(self, row: dict) -> dict:
-        """Fully reduce a row against the current pivot rows."""
-        return _reduce(_exact_row(row), self.pivots, self.lead)
+        """Fully reduce a copy of a row, without its zero entries, against
+        the current pivot rows."""
+        return _reduce({k: v for k, v in row.items() if v}, self.pivots, self.lead)
 
     def add_row(self, row: dict) -> int | None:
         """Reduce and insert; returns the new pivot column, or None."""
@@ -131,7 +127,7 @@ class Echelon:
         c = self.lead(row)
         lead = row[c]
         if lead != 1:
-            inv = lead.inverse() if hasattr(lead, "inverse") else 1 / lead
+            inv = lead.inverse()
             row = {k: v * inv for k, v in row.items()}
         self.pivots[c] = row
         return c

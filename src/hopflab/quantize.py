@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 from .hopf import HopfData, HopfError, Tensor, VerifyReport, cocommutativity_indices, delta, product_sum
-from .rmatrices import r_inverse
 
 
 class QuantizeError(HopfError):
@@ -119,10 +118,9 @@ def exp_hbar(h: HopfData, chi: Tensor) -> PolyTensor:
     return PolyTensor(h, 2, coeffs)
 
 
-def check_commutation_hypotheses(h: HopfData, r: Tensor, chi: Tensor, rinv: Tensor | None = None) -> tuple[bool, bool]:
-    """chi_12 commutes with R12^-1 chi_13 R12, and the 23-leg analogue."""
-    if rinv is None:
-        rinv = r_inverse(h, r)
+def check_commutation_hypotheses(h: HopfData, r: Tensor, chi: Tensor, rinv: Tensor) -> tuple[bool, bool]:
+    """chi_12 commutes with R12^-1 chi_13 R12, and the 23-leg analogue;
+    ``rinv`` is R^-1."""
     k12 = rinv.leg(12) * chi.leg(13) * r.leg(12)
     c12 = chi.leg(12)
     first = c12 * k12 == k12 * c12
@@ -143,9 +141,10 @@ class QuantizationReport(VerifyReport):
         return f"{super().summary()}\n  {head}"
 
 
-def verify_quantized_qtr(h: HopfData, r: Tensor, chi: Tensor, rinv: Tensor | None = None) -> QuantizationReport:
+def verify_quantized_qtr(h: HopfData, r: Tensor, chi: Tensor, rinv: Tensor) -> QuantizationReport:
     """Check that R exp(hbar chi) satisfies the quasitriangularity axioms
-    degreewise-exactly, and that its inverse is exp(-hbar chi) R^-1.
+    degreewise-exactly, and that its inverse is exp(-hbar chi) R^-1, given
+    R^-1 as ``rinv`` (the ``quantize`` command passes ``QtrReport.r_inv``).
 
     Hypothesis status is reported separately from the axiom outcome so that
     necessity of the commutation hypotheses can be probed.
@@ -158,14 +157,12 @@ def verify_quantized_qtr(h: HopfData, r: Tensor, chi: Tensor, rinv: Tensor | Non
 
     The report does not rely on R having passed ``rmatrices.verify_qtr``
     (the ``quantize`` command runs that first, and refuses an R that fails
-    it before any chi is solved or read): R is the hbar^0 coefficient of
+    it before any chi is solved or checked): R is the hbar^0 coefficient of
     R exp(hbar chi), and R^-1 that of exp(-hbar chi) R^-1, and the laws
     below compare polynomials coefficient by coefficient.  So their hbar^0
     parts are R's own axioms: both inverse laws for R and ``rinv``,
     quasi-cocommutativity of R on the same b, and both hexagons of R.  The counit, Yang-Baxter and antipode-inverse checks that
     ``verify_qtr`` adds follow from these (Kassel, Quantum Groups, VIII.2)."""
-    if rinv is None:
-        rinv = r_inverse(h, r)
     hyp1, hyp2 = check_commutation_hypotheses(h, r, chi, rinv)
     exp_pos = exp_hbar(h, chi)
     k = len(exp_pos.coeffs)  # chi^(k-1) / (k-1)! is the last nonzero term

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .expressions import ExprError, parse_element, parse_scalar
@@ -104,10 +103,10 @@ def _parse_matrix(text: str, entry) -> list[list]:
     return [[entry(x) for x in row.split(",")] for row in re.findall(r"\[([^\[\]]*)\]", text)]
 
 
-def _parse_body_scalar(field, text: str):
+def _parse_body_scalar(h: HopfData, text: str):
     """A scalar of an R spec body; malformed text raises RSpecError."""
     try:
-        return parse_scalar(field, text)
+        return parse_scalar(h, text)
     except ExprError as exc:
         raise RSpecError(f"cannot parse scalar {text.strip()!r} of the R spec: {exc}") from None
 
@@ -180,8 +179,9 @@ def build_r_en(h: HopfData, A: list[list]) -> Tensor:
     return acc
 
 
-def build_r_ac22(h: HopfData, q: int, a) -> Tensor:
-    """The two 1-parameter triangular families: R_q (1 (x) 1 + a x (x) gx)."""
+def build_r_ac22(h: HopfData, q: int, a: str) -> Tensor:
+    """The two 1-parameter triangular families: R_q (1 (x) 1 + a x (x) gx),
+    the scalar a read from its spec text (``parse_scalar``)."""
     fam = h.family
     if fam is None or fam.kind != "ac2n":
         raise FamilyMismatch("ac22 R-matrices live on the A_{C2^n} family")
@@ -199,15 +199,12 @@ def build_r_ac22(h: HopfData, q: int, a) -> Tensor:
                     left = (g**i) * (hh**k)
                     right = (g ** ((j + q * (j + l)) % 2)) * (hh ** ((q * (j + l)) % 2))
                     rq = rq + left.tensor(right).scaled(sgn * quarter)
-    if not isinstance(a, (int, Fraction)) and not hasattr(a, "field"):
-        a = _parse_body_scalar(f, a)
-    elif isinstance(a, (int, Fraction)):
-        a = f.from_fraction(Fraction(a))
-    return rq * (h.unit_tensor(2) + x.tensor(g * x).scaled(a))
+    return rq * (h.unit_tensor(2) + x.tensor(g * x).scaled(_parse_body_scalar(h, a)))
 
 
-def build_r_h8_omega(h: HopfData, omega) -> Tensor:
-    """The four structures involving z, one per primitive 8th root.
+def build_r_h8_omega(h: HopfData, omega: str) -> Tensor:
+    """The four structures involving z, one per primitive 8th root omega,
+    read from its spec text (``parse_scalar``).
 
     The classical idempotent-block form of this tensor satisfies the hexagon
     identities only with the right-hand factors in reversed order; its flip
@@ -215,8 +212,7 @@ def build_r_h8_omega(h: HopfData, omega) -> Tensor:
     satisfies every conjugation identity of the block form.
     """
     f = h.field
-    if isinstance(omega, str):
-        omega = _parse_body_scalar(f, omega)
+    omega = _parse_body_scalar(h, omega)
     if omega**4 != -f.one:
         raise RSpecError("omega must be a primitive 8th root of unity")
     e1, ex, ey, exy = h8_idempotents(h)
@@ -294,10 +290,7 @@ def build_r(h: HopfData, spec: RSpec | str) -> Tensor:
     if isinstance(spec, str):
         spec = RSpec.parse(spec)
     if spec.kind == "en_a":
-        A = spec.params[0]
-        if isinstance(A, str):
-            A = _parse_matrix(A, lambda x: _parse_body_scalar(h.field, x))
-        return build_r_en(h, A)
+        return build_r_en(h, _parse_matrix(spec.params[0], lambda x: _parse_body_scalar(h, x)))
     if spec.kind == "ac22":
         return build_r_ac22(h, spec.params[0], spec.params[1])
     if spec.kind == "h8_pm":
@@ -412,11 +405,9 @@ def verify_qtr(h: HopfData, r: Tensor) -> QtrReport:
     return rep
 
 
-def is_triangular(h: HopfData, r: Tensor, rinv: Tensor | None = None) -> bool:
-    """R is triangular when its inverse is its flip.  ``rinv`` is the
-    inverse when the caller already holds it verified (``QtrReport.r_inv``)."""
-    if rinv is None:
-        rinv = r_inverse(h, r)
+def is_triangular(h: HopfData, r: Tensor, rinv: Tensor) -> bool:
+    """R is triangular when its inverse ``rinv`` (``QtrReport.r_inv``) is
+    its flip."""
     return rinv == r.flip()
 
 

@@ -7,6 +7,11 @@ itself is Q(zeta_1) = Q[t]/(t - 1), of degree 1, whose elements print as
 their rationals.  The prime-field mode (p prime) exists for randomized
 cross-validation of cyclotomic results.
 
+Element arithmetic reads a plain int or ``Fraction`` operand as an element,
+but ``residue_map``, the ring morphisms into F_p of the modular pass of
+``linalg``, takes field elements only: an int or a Fraction raises
+``MixedFieldSpec`` there, as an element of another field does.
+
 Every field also serves the sum-of-products kernel of ``hopf``, which runs
 on Python ints instead of elements, through one interface: ``lift`` puts a
 batch of elements over one common denominator D and bounds their sizes,
@@ -349,21 +354,23 @@ class PrimeElt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.val == 0:
-            raise ZeroDivisionError("prime-field division by zero")
-        return PrimeElt(self.field, self.val * pow(o.val, -1, self.field.p))
+        return self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return o * self.inverse()
+
+    def inverse(self) -> "PrimeElt":
+        """x^-1, the one route of ``/`` and of negative powers."""
+        if self.val == 0:
+            raise ZeroDivisionError("prime-field division by zero")
+        return PrimeElt(self.field, pow(self.val, -1, self.field.p))
 
     def __pow__(self, k: int):
         if k < 0:
-            if self.val == 0:
-                raise ZeroDivisionError("prime-field division by zero")
-            return PrimeElt(self.field, pow(pow(self.val, -1, self.field.p), -k, self.field.p))
+            return self.inverse() ** (-k)
         return PrimeElt(self.field, pow(self.val, k, self.field.p))
 
     def __bool__(self):
@@ -680,11 +687,6 @@ def get_field(spec: FieldSpec):
     return CycField(spec)
 
 
-def make_root(field, m: int):
-    """Primitive m-th root of unity in the given field."""
-    return field.make_root(m)
-
-
 class NotInImage(FieldError):
     """An element whose denominator the prime of the chosen residue map
     divides: outside the domain of that map, inside that of a later one."""
@@ -694,25 +696,22 @@ def residue_map(x, k: int = 0) -> tuple:
     """(p, phi): the k-th ring morphism phi into F_p, k = 0, 1, ..., chosen
     from the field of the element x, on Python ints.
 
-    phi maps an element of x's field (or a plain int or Fraction, read as
-    an element of it) to its residue in [0, p).  It raises ``NotInImage``
-    when p divides the element's denominator, and ``MixedFieldSpec`` on an
-    element of another field, which no map of x's field takes.
+    phi maps an element of x's field to its residue in [0, p).  It raises
+    ``NotInImage`` when p divides the element's denominator, and
+    ``MixedFieldSpec`` on anything else: an element of another field, a
+    plain int or a Fraction (a rational is a ``CycElt`` of Q = Q(zeta_1)),
+    as ``residue_map`` does on an x that is no field element.
 
     - Q(zeta_M), Q being M = 1: p the k-th prime p = 1 mod M above 2^31,
       zeta -> omega, a primitive M-th root of unity mod p.  omega is a root
       of Phi_M mod p, so Z[zeta_M] -> F_p, zeta -> omega, is well defined,
       and so is its extension to the elements whose denominators p does not
       divide.  The primes are distinct, and there are infinitely many.
-    - a plain int or Fraction: the map of Q = Q(zeta_1).
-    - F_p: the residues themselves, for k = 0 only.  A rational whose
-      denominator p divides is no element of F_p: ZeroDivisionError."""
+    - F_p: the residues themselves, for k = 0 only."""
     if isinstance(x, PrimeElt):
         if k:
             raise FieldError(f"F_{x.field.p} has one residue map, the identity")
         return _prime_residues(x.field)
-    if isinstance(x, (int, Fraction)):
-        return _cyclotomic_residues(get_field(FieldSpec("cyclotomic")), k)
     if isinstance(x, CycElt):
         return _cyclotomic_residues(x.field, k)
     raise MixedFieldSpec(f"no residue map for {type(x).__name__}")
@@ -720,9 +719,7 @@ def residue_map(x, k: int = 0) -> tuple:
 
 def _prime_residues(field: "PrimeField") -> tuple:
     def phi(x) -> int:
-        if isinstance(x, (int, Fraction)):
-            x = field.from_fraction(Fraction(x))  # ZeroDivisionError when p divides the denominator
-        elif not isinstance(x, PrimeElt) or x.field is not field:
+        if not isinstance(x, PrimeElt) or x.field is not field:
             raise MixedFieldSpec(f"{x!r} is not in {field.description()}")
         return x.val
 
@@ -743,9 +740,7 @@ def _cyclotomic_residues(field: "CycField", k: int) -> tuple:
     powers = [pow(omega, i, p) for i in range(field.degree)]
 
     def phi(x) -> int:
-        if isinstance(x, (int, Fraction)):
-            x = field.from_fraction(Fraction(x))
-        elif not isinstance(x, CycElt) or x.field is not field:
+        if not isinstance(x, CycElt) or x.field is not field:
             raise MixedFieldSpec(f"{x!r} is not in {field.description()}")
         acc = 0
         for n, w in zip(x.nums, powers):

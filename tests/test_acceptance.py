@@ -96,8 +96,9 @@ def test_criterion_2_quasitriangularity_suite():
         ac22 = build("ac2n:2")
         for rtext in ("ac22:q=0,a=1", "ac22:q=1,a=1", "ac22:q=0,a=-1/2", "ac22:q=1,a=0"):
             r = build_r(ac22, rtext)
-            assert verify_qtr(ac22, r).ok
-            assert is_triangular(ac22, r)
+            qrep = verify_qtr(ac22, r)
+            assert qrep.ok
+            assert is_triangular(ac22, r, qrep.r_inv)
         h8 = build("h8")
         for rtext in _h8_rspecs():
             assert verify_qtr(h8, build_r(h8, rtext)).ok, rtext
@@ -122,8 +123,9 @@ def test_criterion_2_quasitriangularity_suite():
             for m, symmetric in sample:
                 text = _mat_text([[str(v) for v in row] for row in m])
                 r = build_r(h, f"en-a:{text}")
-                assert verify_qtr(h, r).ok
-                assert is_triangular(h, r) == symmetric, f"en:{n} A={text}"
+                qrep = verify_qtr(h, r)
+                assert qrep.ok
+                assert is_triangular(h, r, qrep.r_inv) == symmetric, f"en:{n} A={text}"
 
 
 def test_criterion_3_classification_dimensions():
@@ -310,13 +312,14 @@ def test_criterion_7_quantization():
             h = build(f"ac2n:{n}")
             r = build_r(h, "ac22:q=0,a=1")
             chi = pe(h, "x (x) x*g").scaled(h.field.from_fraction(Fraction(3, 2)))
-            rep = verify_quantized_qtr(h, r, chi)
+            rep = verify_quantized_qtr(h, r, chi, verify_qtr(h, r).r_inv)
             assert rep.hypothesis_1 and rep.hypothesis_2 and rep.ok, rep.summary()
         for n in (1, 2):
             h = build(f"en:{n}")
             m = _en_sample_matrices(n, rng)["random"]
             r = build_r(h, f"en-a:{_mat_text(m)}")
-            space = solve_infinitesimal(h, r)
+            qrep = verify_qtr(h, r)
+            space = solve_infinitesimal(h, r, qrep)
             basis = [Tensor(h, 2, v) for v in space.basis()]
             combos = []
             for _ in range(3):
@@ -325,7 +328,7 @@ def test_criterion_7_quantization():
                     acc = acc + b.scaled(h.field.from_int(rng.randint(-3, 3)))
                 combos.append(acc)
             for chi in basis + combos:
-                rep = verify_quantized_qtr(h, r, chi)
+                rep = verify_quantized_qtr(h, r, chi, qrep.r_inv)
                 assert rep.hypothesis_1 and rep.hypothesis_2, rep.summary()
                 assert rep.ok, rep.summary()
 

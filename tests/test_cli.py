@@ -374,7 +374,6 @@ def test_failed_construction_exit_1(capsys, monkeypatch):
 def test_quantize_inverts_each_r_once(capsys, monkeypatch):
     """``verify_qtr`` inverts each R, and the solver and the quantization
     checks reuse its verified inverse."""
-    import hopflab.quantize as qz
     import hopflab.rmatrices as rm
 
     calls = []
@@ -384,8 +383,7 @@ def test_quantize_inverts_each_r_once(capsys, monkeypatch):
         calls.append(r)
         return r_inverse(h, r)
 
-    for module in (qz, rm):
-        monkeypatch.setattr(module, "r_inverse", counting)
+    monkeypatch.setattr(rm, "r_inverse", counting)
     code, out, _ = run_cli(capsys, "quantize", "--family", "en:2", "--r", "enumerate")
     assert code == 0
     reps = json.loads(out)
@@ -395,7 +393,6 @@ def test_quantize_inverts_each_r_once(capsys, monkeypatch):
 
 
 def test_classify_inverts_each_r_once(capsys, monkeypatch):
-    import hopflab.quantize as qz
     import hopflab.rmatrices as rm
 
     calls = []
@@ -405,8 +402,7 @@ def test_classify_inverts_each_r_once(capsys, monkeypatch):
         calls.append(r)
         return r_inverse(h, r)
 
-    for module in (qz, rm):
-        monkeypatch.setattr(module, "r_inverse", counting)
+    monkeypatch.setattr(rm, "r_inverse", counting)
     code, out, _ = run_cli(capsys, "classify", "--family", "en:2", "--r", "enumerate")
     assert code == 0
     assert len(json.loads(out)) == 3
@@ -482,15 +478,38 @@ def test_enumerate_r_exits_1_naming_an_r_that_fails(capsys, monkeypatch):
 
 
 def test_quantize_exits_1_naming_an_r_that_fails(capsys):
-    """``quantize`` verifies each R before it solves or reads ``--chi``: on
-    E(2), 1 (x) 1 fails quasi-cocommutativity, so it is named on stderr,
-    nothing is quantized for it, and the exit status is 1."""
+    """``quantize`` verifies each R before it solves for chi or quantizes a
+    well-formed ``--chi``: on E(2), 1 (x) 1 fails quasi-cocommutativity, so
+    it is named on stderr, nothing is quantized for it, and the exit status
+    is 1."""
     for extra in ((), ("--chi", "g^1*x{1} (x) x{1}")):
         code, out, err = run_cli(capsys, "quantize", "--family", "en:2", "--r", "explicit:1 (x) 1", *extra)
         assert code == 1
         assert "error: R explicit:1 (x) 1 fails the axioms" in err
         assert "quasi-cocommutativity fails at x{1}" in err and "quasi-cocommutativity fails at x{2}" in err
         assert json.loads(out) == []
+
+
+@pytest.mark.parametrize("chi", ["y7 (x) 1", "x1", "1/0"], ids=["unknown-generator", "one-leg", "division-by-zero"])
+def test_malformed_chi_exit_2_whichever_r_comes_with_it(capsys, chi):
+    """``quantize`` reads and checks ``--chi`` once, before it builds any R,
+    so a malformed ``--chi`` is a configuration error with an R that fails
+    the axioms (1 (x) 1 on E(1)) as with one that passes."""
+    for r in ("explicit:1 (x) 1", "en-a:[[0]]"):
+        code, out, err = run_cli(capsys, "quantize", "--family", "en:1", "--r", r, "--chi", chi)
+        assert code == 2, r
+        assert err.startswith("config error:") and "fails the axioms" not in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("family, r", [("en:2", "en-a:[[x1,0],[0,0]]"), ("ac2n:2", "ac22:q=1,a=g")])
+def test_r_spec_scalar_that_names_a_generator_exit_2(capsys, family, r):
+    """R-spec scalars are expressions of the element grammar without a
+    generator."""
+    code, out, err = run_cli(capsys, "classify", "--family", family, "--r", r)
+    assert code == 2
+    assert err.startswith("config error:") and "is not a scalar" in err
+    assert out == ""
 
 
 def test_out_path_that_cannot_be_written_exit_2(capsys, tmp_path):

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_sparse_tensor
 from hopflab.expressions import ExprError, format_tensor, parse_element, parse_scalar
 from hopflab.families import build
 from hopflab.hopf import Tensor
-from hopflab.scalars import FieldSpec, get_field
+from hopflab.scalars import FieldSpec
 
 
 def test_tensor_separator(ac22):
@@ -71,17 +74,62 @@ def test_mixed_leg_counts_are_refused(en2, text):
         parse_element(en2, text)
 
 
-def test_parse_scalar_forms():
-    Q8 = get_field(FieldSpec("cyclotomic", order=8))
-    assert parse_scalar(Q8, "3") == Q8.from_int(3)
-    assert parse_scalar(Q8, "-1/2") == Q8.from_fraction(Fraction(-1, 2))
+def test_parse_scalar_forms(h8):
+    Q8 = h8.field
+    assert parse_scalar(h8, "3") == Q8.from_int(3)
+    assert parse_scalar(h8, "-1/2") == Q8.from_fraction(Fraction(-1, 2))
     z = Q8.make_root(8)
-    assert parse_scalar(Q8, "z8^3") == z**3
-    assert parse_scalar(Q8, "-1/2*z8") == -(Q8.one / Q8.from_int(2)) * z
-    with pytest.raises(ExprError):
-        parse_scalar(Q8, "")
-    with pytest.raises(ExprError):
-        parse_scalar(Q8, "2*")
+    assert parse_scalar(h8, "z8^3") == z**3
+    assert parse_scalar(h8, "-1/2*z8") == -(Q8.one / Q8.from_int(2)) * z
+    assert parse_scalar(h8, "-(z8^3)") == z**7
+    for text in ("", "2*", "1/0", "2 3"):
+        with pytest.raises(ExprError):
+            parse_scalar(h8, text)
+    for text in ("x", "2*x*y - x*y", "1 (x) 1"):
+        with pytest.raises(ExprError, match="is not a scalar"):
+            parse_scalar(h8, text)
+
+
+@lru_cache(maxsize=None)
+def _algebra(family: str, field: str | None):
+    return build(family, FieldSpec.parse(field) if field else None)
+
+
+@st.composite
+def _literals(draw, field):
+    """(text, value): a scalar literal of the form that R specs have always
+    taken (signs, then '*'-joined ints, fractions a/b with b != 0 in the
+    field, and roots zM^k) and its value built directly."""
+    zero_mod = getattr(field, "p", 0)
+    signs = draw(st.lists(st.sampled_from("+-"), max_size=2))
+    texts, value = [], -field.one if signs.count("-") % 2 else field.one
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["int", "fraction", "root"]))
+        if kind == "int":
+            n = draw(st.integers(0, 200))
+            texts.append(str(n))
+            value = value * field.from_int(n)
+        elif kind == "fraction":
+            a = draw(st.integers(0, 200))
+            b = draw(st.integers(1, 200).filter(lambda b: not zero_mod or b % zero_mod))
+            texts.append(f"{a}/{b}")
+            value = value * field.from_fraction(Fraction(a, b))
+        else:
+            m, k = draw(st.sampled_from([1, 2, 4, 8])), draw(st.none() | st.integers(-9, 9))
+            texts.append(f"z{m}" if k is None else f"z{m}^{k}")
+            value = value * field.make_root(m) ** (1 if k is None else k)
+    return "".join(signs) + draw(st.sampled_from(["*", " * "])).join(texts), value
+
+
+@pytest.mark.parametrize("family, field", [("h8", None), ("en:2", "prime:97")])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_parse_scalar_reads_the_literal_forms(family, field, data):
+    """Over Q(zeta_8) and F_97, every literal of the old scalar forms parses
+    to the value built from its parts."""
+    h = _algebra(family, field)
+    text, value = data.draw(_literals(h.field))
+    assert parse_scalar(h, text) == value
 
 
 def test_roundtrip_elems(en2, rng):

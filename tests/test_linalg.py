@@ -19,8 +19,17 @@ from hopflab import linalg
 from hopflab.scalars import FieldSpec, MixedFieldSpec, get_field, residue_map
 
 
+Q = get_field(FieldSpec.parse("Q"))
+
+
+def q(num, den=1):
+    """The rational num/den as an element of Q = Q(zeta_1), the element
+    type that every rational entry of the program has."""
+    return Q.from_fraction(Fraction(num, den))
+
+
 def mat(rows):
-    return [{c: Fraction(v) for c, v in row.items() if v} for row in rows]
+    return [{c: q(v) for c, v in row.items() if v} for row in rows]
 
 
 def test_rref_examples():
@@ -28,7 +37,7 @@ def test_rref_examples():
     assert Subspace.from_vectors(mat([{0: 1}, {1: 1}, {2: 1}]), 3).dim == 3
     red = Subspace.from_vectors(mat([{0: 1, 1: 1}, {0: 1, 1: 1}]), 2)
     assert red.dim == 1
-    assert red.rows[0] == {0: 1, 1: 1}
+    assert red.rows[0] == {0: q(1), 1: q(1)}
 
 
 def test_kernel_examples():
@@ -36,7 +45,7 @@ def test_kernel_examples():
     assert kernel_of_rows(mat([{0: 1}, {1: 1}]), 2).dim == 0
     k = kernel_of_rows(mat([{0: 1, 1: -1}]), 2)
     assert k.dim == 1
-    assert k.rows[0] == {0: Fraction(1), 1: Fraction(1)}
+    assert k.rows[0] == {0: q(1), 1: q(1)}
 
 
 def _random_mat(rng, nrows, ncols, density=0.5):
@@ -45,7 +54,7 @@ def _random_mat(rng, nrows, ncols, density=0.5):
         row = {}
         for c in range(ncols):
             if rng.random() < density:
-                v = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                v = q(rng.randint(-5, 5), rng.randint(1, 4))
                 if v:
                     row[c] = v
         rows.append(row)
@@ -90,7 +99,7 @@ def test_rref_idempotent():
 def _random_subspace(rng, ambient, k):
     vecs = []
     for _ in range(k):
-        vecs.append({c: Fraction(rng.randint(-4, 4)) for c in range(ambient) if rng.random() < 0.6})
+        vecs.append({c: q(rng.randint(-4, 4)) for c in range(ambient) if rng.random() < 0.6})
     return Subspace.from_vectors(vecs, ambient)
 
 
@@ -126,8 +135,8 @@ def test_subspace_equality_is_mutual_membership():
 
 
 def test_ambient_mismatch():
-    a = Subspace.from_vectors([{0: Fraction(1)}], 2)
-    b = Subspace.from_vectors([{0: Fraction(1)}], 3)
+    a = Subspace.from_vectors([{0: q(1)}], 2)
+    b = Subspace.from_vectors([{0: q(1)}], 3)
     with pytest.raises(AmbientDimensionMismatch):
         a.intersect(b)
     with pytest.raises(AmbientDimensionMismatch):
@@ -136,21 +145,21 @@ def test_ambient_mismatch():
 
 def test_solve():
     # x0 + x1 = 3, x1 = 1 -> particular solution with zero free coords
-    sol = solve([{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}], 2, {0: Fraction(3), 1: Fraction(1)})
-    assert sol == {0: Fraction(2), 1: Fraction(1)}
+    sol = solve([{0: q(1), 1: q(1)}, {1: q(1)}], 2, {0: q(3), 1: q(1)})
+    assert sol == {0: q(2), 1: q(1)}
     # inconsistent
-    sol = solve([{0: Fraction(1)}, {0: Fraction(1)}], 1, {0: Fraction(1), 1: Fraction(2)})
+    sol = solve([{0: q(1)}, {0: q(1)}], 1, {0: q(1), 1: q(2)})
     assert sol is None
     # underdetermined: ker A = span{(1, -1/2)} has pivot 0, where x vanishes
-    sol = solve([{0: Fraction(1), 1: Fraction(2)}], 2, {0: Fraction(4)})
-    assert sol == {1: Fraction(2)}
+    sol = solve([{0: q(1), 1: q(2)}], 2, {0: q(4)})
+    assert sol == {1: q(2)}
 
 
 def test_echelon_incremental_rank():
     ech = Echelon(3)
-    assert ech.add_row({0: Fraction(1), 2: Fraction(1)}) == 0
-    assert ech.add_row({0: Fraction(2), 2: Fraction(2)}) is None
-    assert ech.add_row({1: Fraction(5)}) == 1
+    assert ech.add_row({0: q(1), 2: q(1)}) == 0
+    assert ech.add_row({0: q(2), 2: q(2)}) is None
+    assert ech.add_row({1: q(5)}) == 1
     assert ech.rank == 2
 
 
@@ -158,10 +167,10 @@ def test_kernel_of_rows_stops_at_full_rank():
     """Once the rank reaches ncols the kernel is zero: no further row is read."""
 
     def rows():
-        yield {0: Fraction(1), 2: Fraction(5)}
-        yield {0: Fraction(2), 2: Fraction(10)}  # dependent: the rank stays 1
-        yield {1: Fraction(3)}
-        yield {0: Fraction(1), 1: Fraction(1), 2: Fraction(-1)}  # full rank here
+        yield {0: q(1), 2: q(5)}
+        yield {0: q(2), 2: q(10)}  # dependent: the rank stays 1
+        yield {1: q(3)}
+        yield {0: q(1), 1: q(1), 2: q(-1)}  # full rank here
         raise AssertionError("a row was read past full rank")
 
     assert kernel_of_rows(rows(), 3).dim == 0
@@ -171,13 +180,13 @@ def test_kernel_of_rows_reads_every_row_below_full_rank():
     seen = []
 
     def rows():
-        for row in ({0: Fraction(1)}, {0: Fraction(2)}, {1: Fraction(1), 2: Fraction(1)}):
+        for row in ({0: q(1)}, {0: q(2)}, {1: q(1), 2: q(1)}):
             seen.append(row)
             yield row
 
     ker = kernel_of_rows(rows(), 3)
     assert len(seen) == 3
-    assert ker.basis() == [{1: Fraction(1), 2: Fraction(-1)}]
+    assert ker.basis() == [{1: q(1), 2: q(-1)}]
 
 
 @pytest.mark.parametrize("spec", ["Q", "cyclotomic:3", "prime:97"])
@@ -267,13 +276,13 @@ def test_modular_route_equals_exact_fallback(spec, data):
         assert all(type(v) is typ for row in got.rows for v in row.values())
 
 
-P = residue_map(1)[0]  # the first prime of the residue maps of Q
+P = residue_map(Q.one)[0]  # the first prime of the residue maps of Q
 
 
 def test_unlucky_prime_over_q_retries():
     """{0: 1, 1: 1} and {0: 1, 1: 1 + p} agree mod p: the F_p rank is 1, the
     exact check of the second row fails, and the next prime finds rank 2."""
-    rows = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1 + P)}]
+    rows = [{0: q(1), 1: q(1)}, {0: q(1), 1: q(1 + P)}]
     ker, routes = _routes(lambda: kernel_of_rows(rows, 2))
     assert routes == {"retries": 1, "certified_zero": 1}
     assert ker.dim == 0 and _same(ker, exact_kernel(rows, 2))
@@ -295,14 +304,14 @@ def test_unlucky_prime_over_cyclotomic_retries():
 
 
 def test_denominator_divisible_by_the_prime_retries():
-    rows = [{0: Fraction(1, P), 1: Fraction(1)}, {0: Fraction(2, P), 1: Fraction(2)}]
+    rows = [{0: q(1, P), 1: q(1)}, {0: q(2, P), 1: q(2)}]
     ker, routes = _routes(lambda: kernel_of_rows(rows, 2))
     assert routes == {"retries": 1, "picked_rows": 1}
-    assert ker.basis() == [{0: Fraction(1), 1: Fraction(-1, P)}]
+    assert ker.basis() == [{0: q(1), 1: q(-1, P)}]
     assert _same(ker, exact_kernel(rows, 2))
     # mid-stream, from a one-pass iterator: the retry replays the rows read
     # before the failing one and then reads the rest
-    rows = [{0: Fraction(1), 1: Fraction(2)}, {2: Fraction(1, P), 3: Fraction(1)}, {1: Fraction(3), 3: Fraction(1)}]
+    rows = [{0: q(1), 1: q(2)}, {2: q(1, P), 3: q(1)}, {1: q(3), 3: q(1)}]
     ker, routes = _routes(lambda: kernel_of_rows(iter(rows), 4))
     assert routes == {"retries": 1, "picked_rows": 1}
     assert ker.dim == 1 and _same(ker, exact_kernel(rows, 4))
@@ -311,26 +320,44 @@ def test_denominator_divisible_by_the_prime_retries():
 def test_entries_that_no_prime_maps_raise():
     """A row mixing Q(zeta_3) and Q(zeta_4) entries, or rational rows with a
     Q(zeta_3) entry, has no residue map at any prime: kernel_of_rows raises
-    on its first pass instead of trying prime after prime.  Over F_97, 1/97
-    is no element."""
+    on its first pass instead of trying prime after prime.  Over F_97, the
+    Fraction 1/97 is no element."""
     z3 = get_field(FieldSpec.parse("cyclotomic:3")).make_root(3)
     z4 = get_field(FieldSpec.parse("cyclotomic:4")).make_root(4)
     before = dict(ROUTES)
-    for rows in ([{0: z3, 1: z4}], [{0: z4, 1: z3}], [{0: Fraction(1, 2)}, {0: Fraction(1), 1: z3}]):
+    for rows in ([{0: z3, 1: z4}], [{0: z4, 1: z3}], [{0: q(1, 2)}, {0: q(1), 1: z3}]):
         with pytest.raises(MixedFieldSpec):
             kernel_of_rows(rows, 2)
     f97 = get_field(FieldSpec.parse("prime:97"))
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(MixedFieldSpec):
         kernel_of_rows([{0: f97.one, 1: Fraction(1, 97)}], 2)
     assert ROUTES == before
+
+
+@pytest.mark.parametrize("entry", [2, Fraction(1, 2)], ids=["int", "Fraction"])
+@pytest.mark.parametrize("spec", ["Q", "cyclotomic:3", "prime:97"])
+def test_int_and_fraction_entries_raise(spec, entry):
+    """A plain int or Fraction is no field element: as the first entry it
+    has no residue map, and after an element the map of that element's
+    field takes it as it takes an element of another field."""
+    one = get_field(FieldSpec.parse(spec)).one
+    before = dict(ROUTES)
+    for rows in ([{0: entry}], [{0: one, 1: entry}], [{1: one}, {0: entry}]):
+        with pytest.raises(MixedFieldSpec):
+            kernel_of_rows(rows, 2)
+    assert ROUTES == before
+    with pytest.raises(MixedFieldSpec):
+        residue_map(entry)
+    with pytest.raises(MixedFieldSpec):
+        residue_map(one)[1](entry)
 
 
 def test_each_route_is_counted():
     f97 = get_field(FieldSpec.parse("prime:97"))
     one, two = f97.one, f97.from_int(2)
     cases = [
-        ([{0: Fraction(1)}, {1: Fraction(2)}], 2, "certified_zero", 0),
-        ([{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(3), 1: Fraction(6)}], 2, "picked_rows", 1),
+        ([{0: q(1)}, {1: q(2)}], 2, "certified_zero", 0),
+        ([{0: q(1), 1: q(2)}, {0: q(3), 1: q(6)}], 2, "picked_rows", 1),
         ([{0: one, 1: two}, {0: two, 1: f97.from_int(4)}], 2, "picked_rows", 1),
         ([{0: one}, {1: two}], 2, "certified_zero", 0),
     ]
@@ -343,29 +370,12 @@ def test_each_route_is_counted():
 def test_max_pivot_kernel_is_canonical_without_elimination():
     """The picked-rows route returns the canonical RREF of the kernel as
     built, with keys in increasing order."""
-    rows = [{0: Fraction(1), 1: Fraction(2), 3: Fraction(1)}, {1: Fraction(1), 2: Fraction(-1)}]
+    rows = [{0: q(1), 1: q(2), 3: q(1)}, {1: q(1), 2: q(-1)}]
     ker = kernel_of_rows(rows, 4)
     assert ker.pivot_cols == (0, 1)
     assert [list(row) for row in ker.rows] == [[0, 3], [1, 2, 3]]
-    assert ker.rows == ({0: 1, 3: -1}, {1: 1, 2: 1, 3: -2})
+    assert ker.rows == ({0: q(1), 3: q(-1)}, {1: q(1), 2: q(1), 3: q(-2)})
     assert _same(ker, Subspace.from_vectors(ker.rows, 4))
-
-
-def test_int_entries_are_rationals():
-    """Plain ints are read as Fractions: no division makes a float."""
-    red = Subspace.from_vectors([{0: 2, 1: 1}], 2)
-    assert red.rows == ({0: 1, 1: Fraction(1, 2)},)
-    for rows, ncols, want in (
-        ([{0: 3, 1: 1}], 2, ({0: 1, 1: -3},)),
-        ([{0: 2, 1: 4}, {0: 1, 1: 2}], 2, ({0: 1, 1: Fraction(-1, 2)},)),
-        ([{0: 1, 1: 1}, {0: 1, 1: 1 + P}], 2, ()),  # through a retry
-    ):
-        for ker in (kernel_of_rows(rows, ncols), exact_kernel(rows, ncols)):
-            assert ker.rows == want
-            assert all(type(v) is Fraction for row in ker.rows for v in row.values())
-    assert all(type(v) is Fraction for v in red.rows[0].values())
-    sol = solve([{0: 2, 1: 4}], 2, {0: 3})
-    assert sol == {1: Fraction(3, 4)} and type(sol[1]) is Fraction
 
 
 # -- intersect and solve, the two routes into kernel_of_rows ---------------
@@ -468,14 +478,14 @@ def test_solve_and_intersect_make_one_kernel_call(monkeypatch):
         return orig(rows, ncols)
 
     monkeypatch.setattr(linalg, "kernel_of_rows", counting)
-    assert solve([{0: Fraction(1), 1: Fraction(1)}], 3, {0: Fraction(2)}) == {1: Fraction(2)}
+    assert solve([{0: q(1), 1: q(1)}], 3, {0: q(2)}) == {1: q(2)}
     assert calls == [4]
     calls.clear()
-    line = Subspace.from_vectors([{0: Fraction(1), 1: Fraction(1)}], 3)
-    plane = Subspace.from_vectors([{0: Fraction(1)}, {2: Fraction(1)}], 3)
+    line = Subspace.from_vectors([{0: q(1), 1: q(1)}], 3)
+    plane = Subspace.from_vectors([{0: q(1)}, {2: q(1)}], 3)
     assert line.intersect(plane).dim == 0 and plane.intersect(line).dim == 0
     assert calls == [1, 1]
     calls.clear()
-    above = Subspace.from_vectors([*line.rows, {2: Fraction(1)}], 3)
+    above = Subspace.from_vectors([*line.rows, {2: q(1)}], 3)
     assert line.intersect(above) == line and above.intersect(line) == line
     assert calls == []

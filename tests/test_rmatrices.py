@@ -76,12 +76,13 @@ def test_verify_qtr_en_various(en2, en3):
 
 def test_triangularity_iff_symmetric(en2):
     qtr_not_tri = build_r(en2, "en-a:[[0,1],[0,0]]")
-    assert verify_qtr(en2, qtr_not_tri).ok
-    assert not is_triangular(en2, qtr_not_tri)
-    for text in ("[[0,0],[0,0]]", "[[1,2],[2,5]]", "[[0,1],[1,0]]"):
-        assert is_triangular(en2, build_r(en2, f"en-a:{text}"))
-    for text in ("[[0,1],[-1,0]]", "[[1,2],[3,1]]"):
-        assert not is_triangular(en2, build_r(en2, f"en-a:{text}"))
+    qrep = verify_qtr(en2, qtr_not_tri)
+    assert qrep.ok
+    assert not is_triangular(en2, qtr_not_tri, qrep.r_inv)
+    for text, triangular in (("[[0,0],[0,0]]", True), ("[[1,2],[2,5]]", True), ("[[0,1],[1,0]]", True),
+                             ("[[0,1],[-1,0]]", False), ("[[1,2],[3,1]]", False)):
+        r = build_r(en2, f"en-a:{text}")
+        assert is_triangular(en2, r, verify_qtr(en2, r).r_inv) is triangular
 
 
 def test_ac22_r_families(ac22):
@@ -92,11 +93,10 @@ def test_ac22_r_families(ac22):
         " + 1/2*((x (x) g*x) + (x (x) x) + (g*x (x) g*x) - (g*x (x) x))",
     )
     assert r_lambda == printed
-    assert verify_qtr(ac22, r_lambda).ok
-    assert is_triangular(ac22, r_lambda)
-    r_nu = build_r(ac22, "ac22:q=1,a=1")
-    assert verify_qtr(ac22, r_nu).ok
-    assert is_triangular(ac22, r_nu)
+    for r in (r_lambda, build_r(ac22, "ac22:q=1,a=1")):
+        qrep = verify_qtr(ac22, r)
+        assert qrep.ok
+        assert is_triangular(ac22, r, qrep.r_inv)
 
 
 def test_ac22_rq_is_self_inverse(ac22):
@@ -112,6 +112,12 @@ def test_h8_all_eight_structures(h8):
             assert verify_qtr(h8, build_r(h8, f"h8pm:{a:+d},{b:+d}")).ok
     for k in (1, 3, 5, 7):
         assert verify_qtr(h8, build_r(h8, f"h8omega:z8^{k}")).ok
+
+
+def test_h8_omega_reads_any_scalar_expression(h8):
+    """omega is parsed by the element grammar, so a parenthesized power reads
+    as its value: -(zeta^3) = zeta^7."""
+    assert build_r(h8, "h8omega:-(z8^3)") == build_r(h8, "h8omega:z8^7")
 
 
 def test_h8_omega_requires_primitive_root(h8):

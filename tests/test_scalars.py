@@ -15,7 +15,6 @@ from hopflab.scalars import (
     OrderUnavailable,
     cyclotomic_polynomial,
     get_field,
-    make_root,
     _is_prime,
     _prime_factors,
     residue_map,
@@ -39,11 +38,11 @@ def test_cyclotomic_polynomials():
 
 
 def test_make_root_small_orders():
-    assert make_root(Q, 1) == Q.one
-    assert make_root(Q, 2) == -Q.one
-    assert make_root(Q2, 1) == Q2.one
-    assert make_root(Q2, 2) == -Q2.one  # zeta_2 = t mod (t + 1)
-    z8 = make_root(Q8, 8)
+    assert Q.make_root(1) == Q.one
+    assert Q.make_root(2) == -Q.one
+    assert Q2.make_root(1) == Q2.one
+    assert Q2.make_root(2) == -Q2.one  # zeta_2 = t mod (t + 1)
+    z8 = Q8.make_root(8)
     assert z8**4 == -Q8.one
     assert z8**8 == Q8.one
     for d in (2, 4):
@@ -52,7 +51,7 @@ def test_make_root_small_orders():
 
 def test_root_has_exact_order():
     for m in (2, 4, 8):
-        z = make_root(Q8, m)
+        z = Q8.make_root(m)
         assert z**m == Q8.one
         for d in range(1, m):
             if m % d == 0 and d < m:
@@ -61,28 +60,28 @@ def test_root_has_exact_order():
 
 def test_make_root_in_odd_field_gets_even_orders():
     Q3 = get_field(FieldSpec("cyclotomic", order=3))
-    m6 = make_root(Q3, 6)
+    m6 = Q3.make_root(6)
     assert m6**6 == Q3.one and m6**3 == -Q3.one and m6**2 != Q3.one
-    assert make_root(Q3, 2) == -Q3.one
+    assert Q3.make_root(2) == -Q3.one
 
 
 def test_order_unavailable():
     with pytest.raises(OrderUnavailable):
-        make_root(Q, 3)
+        Q.make_root(3)
     with pytest.raises(OrderUnavailable):
-        make_root(Q2, 4)
+        Q2.make_root(4)
     with pytest.raises(OrderUnavailable):
-        make_root(Q8, 3)
+        Q8.make_root(3)
     with pytest.raises(OrderUnavailable):
-        make_root(F97, 5)  # 5 does not divide 96
+        F97.make_root(5)  # 5 does not divide 96
 
 
 def test_field_ops_examples():
     assert Q.one / Q.from_int(2) == Q.from_fraction(Fraction(1, 2))
-    z = make_root(Q8, 8)
+    z = Q8.make_root(8)
     assert z * z**7 == Q8.one
     # (1 + z4)(1 - z4) = 2, against a brute-force polynomial oracle mod Phi_4
-    z4 = make_root(Q4, 4)
+    z4 = Q4.make_root(4)
     lhs = (Q4.one + z4) * (Q4.one - z4)
     assert lhs == Q4.from_int(2)
     assert _poly_mult_oracle([1, 1], [1, -1], 4) == [2, 0]
@@ -99,7 +98,7 @@ def test_from_coeffs_reduces_any_length():
 @given(st.lists(st.integers(-50, 50), max_size=20))
 def test_from_coeffs_matches_power_sum(coeffs):
     """``_reduce_int`` of c_0, c_1, ... is sum_k c_k zeta^k."""
-    z = make_root(Q8, 8)
+    z = Q8.make_root(8)
     expected = Q8.zero
     for k, c in enumerate(coeffs):
         expected = expected + Q8.from_int(c) * z**k
@@ -108,7 +107,7 @@ def test_from_coeffs_matches_power_sum(coeffs):
 
 def _power_sum(coeffs):
     """sum_k coeffs[k] zeta_8^k in Q8."""
-    z = make_root(Q8, 8)
+    z = Q8.make_root(8)
     return sum((Fraction(c) * z**k for k, c in enumerate(coeffs)), Q8.zero)
 
 
@@ -137,8 +136,8 @@ def test_division_errors():
 
 
 def test_mixed_field_error():
-    z8 = make_root(Q8, 8)
-    z4 = make_root(Q4, 4)
+    z8 = Q8.make_root(8)
+    z4 = Q4.make_root(4)
     with pytest.raises(MixedFieldSpec):
         z8 + z4
 
@@ -212,8 +211,8 @@ def test_residue_map_is_a_ring_morphism(a, b, n, k):
     assert p % 8 == 1 and p > 2**31
     assert phi(a + b) == (phi(a) + phi(b)) % p
     assert phi(a * b) == phi(a) * phi(b) % p
-    assert phi(Q8.from_int(n)) == phi(n) == n % p
-    zeta = make_root(Q8, 8)
+    assert phi(Q8.from_int(n)) == n % p
+    zeta = Q8.make_root(8)
     assert pow(phi(zeta), 4, p) == p - 1
 
 
@@ -229,8 +228,8 @@ def test_residue_map_at_degree_one(order, a, b):
     assert p > 2**31
     assert phi(x + y) == (phi(x) + phi(y)) % p
     assert phi(x * y) == phi(x) * phi(y) % p
-    assert phi(x) == phi(a)
-    assert phi(make_root(f, 2)) == p - 1
+    assert phi(x) == a.numerator * pow(a.denominator, -1, p) % p
+    assert phi(f.make_root(2)) == p - 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -256,13 +255,14 @@ def test_residue_map_domain():
     """Where p divides a denominator the map raises NotInImage, and the
     next map of the field is defined there; on another field it raises
     MixedFieldSpec.  Over F_p it is the identity on residues."""
-    p, phi = residue_map(Fraction(1, 3))
-    assert (p, phi) == residue_map(Q.one) == residue_map(7)
-    assert phi(Fraction(1, 3)) * 3 % p == 1
+    third = Q.from_fraction(Fraction(1, 3))
+    p, phi = residue_map(third)
+    assert (p, phi) == residue_map(Q.one) == residue_map(Q.from_int(7))
+    assert phi(third) * 3 % p == 1
     with pytest.raises(NotInImage):
-        phi(Fraction(1, p))
-    p1, phi1 = residue_map(Fraction(1, 3), 1)
-    assert p1 > p and phi1(Fraction(1, p)) * p % p1 == 1
+        phi(Q.from_fraction(Fraction(1, p)))
+    p1, phi1 = residue_map(third, 1)
+    assert p1 > p and phi1(Q.from_fraction(Fraction(1, p))) * p % p1 == 1
     with pytest.raises(MixedFieldSpec):
         phi(Q8.one)
     p8, phi8 = residue_map(Q8.one)
@@ -273,13 +273,13 @@ def test_residue_map_domain():
     primes = [residue_map(Q8.one, k)[0] for k in range(4)]
     assert primes == sorted(set(primes)) and all(q % 8 == 1 and _is_prime(q) for q in primes)
     p97, phi97 = residue_map(F97.one)
-    assert p97 == 97 and phi97(F97.from_int(-1)) == 96 and phi97(Fraction(1, 2)) == 49
+    assert p97 == 97 and phi97(F97.from_int(-1)) == 96 and phi97(F97.from_fraction(Fraction(1, 2))) == 49
     with pytest.raises(FieldError, match="one residue map"):
         residue_map(F97.one, 1)
 
 
 def test_prime_field_roots():
-    z8 = make_root(F97, 8)
+    z8 = F97.make_root(8)
     assert z8**8 == F97.one
     for d in (1, 2, 4):
         assert z8**d != F97.one
@@ -289,6 +289,19 @@ def test_prime_field_roots():
 def test_prime_field_fraction_embedding():
     half = F97.from_fraction(Fraction(1, 2))
     assert half + half == F97.one
+
+
+def test_prime_field_inverse():
+    """``inverse`` is the one route of ``/`` and of negative powers; zero has
+    no inverse."""
+    for n in range(1, 97):
+        x = F97.from_int(n)
+        assert x * x.inverse() == F97.one
+        assert F97.one / x == x.inverse() == x**-1 and x**-2 == x.inverse() ** 2
+    zero = F97.zero
+    for divide in (zero.inverse, lambda: F97.one / zero, lambda: 1 / zero, lambda: zero**-1):
+        with pytest.raises(ZeroDivisionError):
+            divide()
 
 
 def test_field_spec_parse():
