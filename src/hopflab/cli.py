@@ -174,7 +174,7 @@ def run(cfg: RunConfig) -> int:
                 space = solve_infinitesimal(h, r, rrep)
                 chis = [Tensor(h, 2, v) for v in space.basis()]
             for chi in chis:
-                qrep = verify_quantized_qtr(h, r, chi, rrep.r_inv)
+                qrep = verify_quantized_qtr(h, r, chi)
                 out.append({
                     "r": str(spec),
                     "chi": format_tensor(chi),

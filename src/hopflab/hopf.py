@@ -466,14 +466,15 @@ class Tensor:
 # -- linear maps on tensor powers ----------------------------------------
 
 
-def map_rows(h: HopfData, legs: int, maps, columns=None) -> dict:
+def map_rows(h: HopfData, legs: int, maps, columns) -> dict:
     """The matrix rows of linear maps on H^(x)legs, restricted to columns.
 
-    Column c is the tensor with coefficients ``columns[c]`` (by default the
-    standard basis tensor e_c).  Each map takes a ``legs``-tensor and
-    returns a Tensor.  The result maps (map index, output
-    coordinate) to the row {c: coefficient of that coordinate in map(column
-    c)}; rows that are identically zero are absent.  This is the one place
+    Column c is the tensor with coefficients ``columns[c]``, such as the
+    rows of a ``Subspace`` (``full_space(h, legs).rows`` is the standard
+    basis).  Each map takes a ``legs``-tensor and returns a Tensor.  The
+    result maps (map index, output coordinate) to the row
+    {c: coefficient of that coordinate in map(column c)}; rows that are
+    identically zero are absent.  This is the one place
     where map images are transposed into rows: every kernel, cut and solve
     of the package reads its equations from here.
 
@@ -495,9 +496,6 @@ def map_rows(h: HopfData, legs: int, maps, columns=None) -> dict:
     C2 cut (``precartier.cqtr_unit_slice_map``) and of Z^2
     (``cohomology.b2_unit_slice``).  On the h2n2 benchmark classify that
     took the rows handed to ``kernel_of_rows`` from 6519 to 1330."""
-    if columns is None:
-        one = h.field.one
-        columns = [{c: one} for c in range(h.dim**legs)]
     tensors = [Tensor(h, legs, vec) for vec in columns]
     rows: dict[tuple, dict] = {}
     for mi, op in enumerate(maps):

@@ -3,7 +3,8 @@
 Vectors and matrix rows are dicts {index: nonzero scalar}, every entry an
 element of one field of ``scalars`` (Q being Q(zeta_1)): the residue maps
 of ``kernel_of_rows`` take no other entry, and raise ``MixedFieldSpec`` on
-a plain int, a Fraction or an element of another field.  ``Echelon`` is
+a plain int, a Fraction or an element of another field; ``Echelon`` raises
+it on a pivot entry that is no field element.  ``Echelon`` is
 plain Gaussian elimination, with pivot = smallest column by default; rows
 are reduced incrementally against the current echelon so very tall systems
 never hold more than ~ncols pivot rows.  Reduced row echelon form is
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import NotInImage, residue_map
+from .scalars import CycElt, MixedFieldSpec, NotInImage, PrimeElt, residue_map
 
 ROUTES = {"certified_zero": 0, "picked_rows": 0, "retries": 0}
 
@@ -126,7 +127,9 @@ class Echelon:
             return None
         c = self.lead(row)
         lead = row[c]
-        if lead != 1:
+        if not isinstance(lead, (CycElt, PrimeElt)):
+            raise MixedFieldSpec(f"no field element: {lead!r}")
+        if lead != lead.field.one:
             inv = lead.inverse()
             row = {k: v * inv for k, v in row.items()}
         self.pivots[c] = row

@@ -83,10 +83,9 @@ from dataclasses import dataclass, field as dc_field
 from . import cohomology
 from .expressions import format_tensor, parse_element
 from .families import FamilySpec, build
-from .hopf import HopfData, HopfError, SumMap, Tensor, _generator_elems, delta, full_space, generators_span, restrict_and_cut, vanishes_all
+from .hopf import HopfData, HopfError, SumMap, Tensor, VerifyReport, _generator_elems, delta, full_space, generators_span, restrict_and_cut, vanishes_all
 from .linalg import Subspace
 from .rmatrices import (
-    QtrReport,
     RSpec,
     build_r,
     is_triangular,
@@ -106,12 +105,15 @@ def _commutator_terms(t: Tensor, d: Tensor) -> list:
     return [(1, t.coeffs, d.coeffs), (-1, d.coeffs, t.coeffs)]
 
 
-def eval_cqtr2(h: HopfData, r: Tensor, rinv: Tensor, t: Tensor) -> Tensor:
-    return t.apply_delta(1) - t.leg(12) - rinv.leg(12) * t.leg(13) * r.leg(12)
+def eval_cqtr2(h: HopfData, r: Tensor, t: Tensor) -> Tensor:
+    """C2 in the R^-1 form, R^-1 read as (S (x) Id)(R): the inverse of an R
+    that passed ``verify_qtr``."""
+    return t.apply_delta(1) - t.leg(12) - r.apply_antipode(0).leg(12) * t.leg(13) * r.leg(12)
 
 
-def eval_cqtr3(h: HopfData, r: Tensor, rinv: Tensor, t: Tensor) -> Tensor:
-    return t.apply_delta(0) - t.leg(23) - rinv.leg(23) * t.leg(13) * r.leg(23)
+def eval_cqtr3(h: HopfData, r: Tensor, t: Tensor) -> Tensor:
+    """C3 in the R^-1 form, as ``eval_cqtr2``."""
+    return t.apply_delta(0) - t.leg(23) - r.apply_antipode(0).leg(23) * t.leg(13) * r.leg(23)
 
 
 def cqtr_rmul_map(r: Tensor) -> SumMap:
@@ -219,7 +221,7 @@ def solve_rfree(h: HopfData) -> Subspace:
     return space
 
 
-def solve_infinitesimal(h: HopfData, r: Tensor, qrep: QtrReport | None = None) -> Subspace:
+def solve_infinitesimal(h: HopfData, r: Tensor, qrep: VerifyReport | None = None) -> Subspace:
     """The full solution space of C1, C2, C3 for the given R: the C2 cut of
     ``analysis(h, "commutant_z2")``, the commutant intersected with Z^2.
     By the argument of the module docstring that is the space of C1, C2
@@ -227,8 +229,8 @@ def solve_infinitesimal(h: HopfData, r: Tensor, qrep: QtrReport | None = None) -
 
     ``qrep`` is R's ``verify_qtr`` report, run here when none is passed.
     An R whose report is not ok is refused (``PreCartierError`` naming R):
-    the argument needs Q1 and Q3.  The report's verified inverse serves
-    the rechecks.
+    the argument needs Q1 and Q3.  The rechecks read R^-1 as
+    (S (x) Id)(R), which the report's ``antipode-inverse`` law verified.
 
     C2 is cut first by its unit slice (``cqtr_unit_slice_map``), then by
     the full R-multiplied map on the basis the slice left.  The slice's
@@ -251,11 +253,10 @@ def solve_infinitesimal(h: HopfData, r: Tensor, qrep: QtrReport | None = None) -
         qrep = verify_qtr(h, r)
     if not qrep.ok:
         raise PreCartierError(f"R = {format_tensor(r)} fails the axioms, so C3 need not follow from C1, C2 and HC: {qrep.summary()}")
-    rinv = qrep.r_inv
     space = restrict_and_cut(h, 2, analysis(h, "commutant_z2"), [cqtr_unit_slice_map(r), cqtr_rmul_map(r)])
     _require_in_commutant(h, space, "a solution")
     for t in (Tensor(h, 2, vec) for vec in space.rows):
-        if eval_cqtr2(h, r, rinv, t) or eval_cqtr3(h, r, rinv, t):
+        if eval_cqtr2(h, r, t) or eval_cqtr3(h, r, t):
             raise PreCartierError("solution violates C2/C3 on direct recheck")
         if t.apply_counit(1) or t.apply_counit(0):
             raise PreCartierError("counit conditions fail on a solution: implication broken")
@@ -410,7 +411,7 @@ def classify(
         if not qrep.ok:
             raise PreCartierError(f"R fails the axioms: {qrep.summary()}")
         flags["r_verified"] = True
-        flags["r_triangular"] = is_triangular(h, r, qrep.r_inv)
+        flags["r_triangular"] = is_triangular(h, r)
 
     rfree = analysis(h, "rfree")
     dims = {"rfree": rfree.dim}

@@ -118,9 +118,10 @@ def exp_hbar(h: HopfData, chi: Tensor) -> PolyTensor:
     return PolyTensor(h, 2, coeffs)
 
 
-def check_commutation_hypotheses(h: HopfData, r: Tensor, chi: Tensor, rinv: Tensor) -> tuple[bool, bool]:
+def check_commutation_hypotheses(h: HopfData, r: Tensor, chi: Tensor) -> tuple[bool, bool]:
     """chi_12 commutes with R12^-1 chi_13 R12, and the 23-leg analogue;
-    ``rinv`` is R^-1."""
+    R^-1 is (S (x) Id)(R), the inverse of an R that passed ``verify_qtr``."""
+    rinv = r.apply_antipode(0)
     k12 = rinv.leg(12) * chi.leg(13) * r.leg(12)
     c12 = chi.leg(12)
     first = c12 * k12 == k12 * c12
@@ -141,10 +142,10 @@ class QuantizationReport(VerifyReport):
         return f"{super().summary()}\n  {head}"
 
 
-def verify_quantized_qtr(h: HopfData, r: Tensor, chi: Tensor, rinv: Tensor) -> QuantizationReport:
+def verify_quantized_qtr(h: HopfData, r: Tensor, chi: Tensor) -> QuantizationReport:
     """Check that R exp(hbar chi) satisfies the quasitriangularity axioms
-    degreewise-exactly, and that its inverse is exp(-hbar chi) R^-1, given
-    R^-1 as ``rinv`` (the ``quantize`` command passes ``QtrReport.r_inv``).
+    degreewise-exactly, and that its inverse is exp(-hbar chi) R^-1, with
+    R^-1 read as (S (x) Id)(R).
 
     Hypothesis status is reported separately from the axiom outcome so that
     necessity of the commutation hypotheses can be probed.
@@ -160,10 +161,13 @@ def verify_quantized_qtr(h: HopfData, r: Tensor, chi: Tensor, rinv: Tensor) -> Q
     it before any chi is solved or checked): R is the hbar^0 coefficient of
     R exp(hbar chi), and R^-1 that of exp(-hbar chi) R^-1, and the laws
     below compare polynomials coefficient by coefficient.  So their hbar^0
-    parts are R's own axioms: both inverse laws for R and ``rinv``,
-    quasi-cocommutativity of R on the same b, and both hexagons of R.  The counit, Yang-Baxter and antipode-inverse checks that
-    ``verify_qtr`` adds follow from these (Kassel, Quantum Groups, VIII.2)."""
-    hyp1, hyp2 = check_commutation_hypotheses(h, r, chi, rinv)
+    parts are R's own axioms: both inverse laws for R and (S (x) Id)(R),
+    which together are ``verify_qtr``'s ``antipode-inverse`` law,
+    quasi-cocommutativity of R on the same b, and both hexagons of R.  The
+    counit and Yang-Baxter checks that ``verify_qtr`` adds follow from
+    these (Kassel, Quantum Groups, VIII.2)."""
+    hyp1, hyp2 = check_commutation_hypotheses(h, r, chi)
+    rinv = r.apply_antipode(0)
     exp_pos = exp_hbar(h, chi)
     k = len(exp_pos.coeffs)  # chi^(k-1) / (k-1)! is the last nonzero term
     rep = QuantizationReport(f"quantize({h.name})", hypothesis_1=hyp1, hypothesis_2=hyp2, nilpotency=k)

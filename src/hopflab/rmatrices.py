@@ -1,14 +1,19 @@
-"""Universal R-matrices: constructors, axiom verification, inverses, and the
-bicharacter enumeration of group-supported R-matrices.
+"""Universal R-matrices: constructors, axiom verification, the inverse, and
+the bicharacter enumeration of group-supported R-matrices.
 
-Axioms checked by verify_qtr:
+Laws checked by verify_qtr, in this order:
+  antipode-inverse  (S (x) Id)(R) is a two-sided inverse of R,
   Q1  R Delta(b) = Delta_op(b) R          for every b (on the generators
                                           under ``hopf.generators_span``,
                                           else on every basis element),
   Q2  (Id (x) Delta)(R) = R13 R12,
-  Q3  (Delta (x) Id)(R) = R13 R23,
-plus invertibility.  Derived sanity checks: both counit slots collapse R to 1
-and the quantum Yang-Baxter identity holds.
+  Q3  (Delta (x) Id)(R) = R13 R23.
+Derived sanity checks: both counit slots collapse R to 1 and the quantum
+Yang-Baxter identity holds.
+
+R^-1 is (S (x) Id)(R) throughout (Drinfeld; Kassel, Quantum Groups,
+Prop. VIII.2.4): callers that need the inverse of a verified R read it off
+``Tensor.apply_antipode(0)``, a slot map with no products.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from itertools import combinations
 
 from .expressions import ExprError, parse_element, parse_scalar
 from .families import h8_idempotents
-from .hopf import HopfData, HopfError, Tensor, VerifyReport, cocommutativity_indices, delta, map_rows
-from .linalg import solve, vec_axpy
+from .hopf import HopfData, HopfError, Tensor, VerifyReport, cocommutativity_indices, delta
+from .linalg import vec_axpy
 
 
 class RMatrixError(HopfError):
@@ -319,55 +324,40 @@ def build_r(h: HopfData, spec: RSpec | str) -> Tensor:
     raise RMatrixError(f"unknown R kind {spec.kind!r}")
 
 
-# -- inverses and verification ------------------------------------------------
+# -- the inverse and verification ---------------------------------------------
 
 
 def r_inverse(h: HopfData, r: Tensor) -> Tensor:
-    """Two-sided inverse of a 2-tensor in H (x) H.
+    """(S (x) Id)(R), when it is a two-sided inverse of R.
 
-    When H has an antipode, the candidate (S (x) Id)(R) is tried first: for a
-    quasitriangular R it is the inverse (Drinfeld; Kassel, Quantum Groups,
-    Prop. VIII.2.4).  It is returned only when R * cand = 1 (x) 1 and
-    cand * R = 1 (x) 1 both hold by multiplication, the same two-sided check
-    that ends the solve path.  Otherwise, and when H has no antipode, the
-    inverse comes from the exact linear solve of ``_solve_inverse``.  In an
-    associative algebra a two-sided inverse is unique, so both routes return
-    the same tensor, and a candidate that fails falls through to the solve,
-    which raises NotInvertible exactly when it did before.
+    For a quasitriangular R this candidate is the inverse (Drinfeld;
+    Kassel, Quantum Groups, Prop. VIII.2.4).  It is returned only when
+    R * cand = 1 (x) 1 and cand * R = 1 (x) 1 both hold by multiplication;
+    otherwise, and when H has no antipode table, NotInvertible is raised.
+    So an R that is invertible but not quasitriangular, whose inverse is
+    not (S (x) Id)(R), raises too.
     """
-    # a tensor of another algebra or leg count fails in the solve path, as before
-    if h.antipode is not None and r.parent is h and r.legs == 2:
-        cand = r.apply_antipode(0)
-        one2 = h.unit_tensor(2)
-        if r * cand == one2 and cand * r == one2:
-            return cand
-    return _solve_inverse(h, r)
-
-
-def _solve_inverse(h: HopfData, r: Tensor) -> Tensor:
-    """Two-sided inverse in H (x) H by exact linear solve."""
-    rows = map_rows(h, 2, [lambda t: r * t])
-    unit_key = (0, h.unit_index * h.dim + h.unit_index)
-    if unit_key not in rows:
-        raise NotInvertible("unit coordinate unreachable")
-    sol = solve(rows.values(), h.dim * h.dim, {list(rows).index(unit_key): h.field.one})
-    if sol is None:
-        raise NotInvertible("no right inverse")
-    x = Tensor(h, 2, sol)
+    if h.antipode is None:
+        raise NotInvertible(f"{h.name} carries no antipode table")
+    cand = r.apply_antipode(0)
     one2 = h.unit_tensor(2)
-    if r * x != one2 or x * r != one2:
-        raise NotInvertible("solve produced a one-sided candidate only")
-    return x
+    if r * cand != one2 or cand * r != one2:
+        raise NotInvertible("(S (x) Id)(R) is not a two-sided inverse of R")
+    return cand
 
 
-@dataclass
-class QtrReport(VerifyReport):
-    r_inv: Tensor | None = None
+def verify_qtr(h: HopfData, r: Tensor) -> VerifyReport:
+    """The inverse law, quasi-cocommutativity, both hexagons, plus the
+    derived counit and quantum Yang-Baxter checks, every law recorded
+    whatever the laws before it gave.
 
-
-def verify_qtr(h: HopfData, r: Tensor) -> QtrReport:
-    """Invertibility, quasi-cocommutativity, both hexagons, plus the derived
-    counit and quantum Yang-Baxter checks.
+    The one inverse law, ``antipode-inverse``, holds when ``r_inverse``
+    accepts (S (x) Id)(R) as a two-sided inverse of R, and its failure
+    carries ``r_inverse``'s message.  It is recorded first.  A two-sided
+    inverse is unique in an associative algebra, so the law holds exactly
+    when R is invertible and R^-1 = (S (x) Id)(R): the conjunction of an
+    invertibility law and of a comparison of (S (x) Id)(R) with R^-1.  No
+    other law reads R^-1.
 
     Quasi-cocommutativity R Delta(b) = Delta^op(b) R is checked for b in
     ``hopf.cocommutativity_indices(h)``: the generators when the certificate
@@ -376,20 +366,14 @@ def verify_qtr(h: HopfData, r: Tensor) -> QtrReport:
     morphism); the argument that this covers every b is in that function's
     docstring.  Otherwise every basis element is checked.  A
     failure is recorded under the basis label of the b that failed.
-
-    The inverse is ``r_inverse``'s, verified two-sided by multiplication, and
-    is kept as ``r_inv``.  The law ``antipode-inverse`` compares
-    (S (x) Id)(R) with that verified inverse; when ``r_inverse`` accepted the
-    antipode candidate this restates its two-sided check.
     """
-    rep = QtrReport(f"qtr({h.name})")
+    rep = VerifyReport(f"qtr({h.name})")
     try:
-        rinv = r_inverse(h, r)
+        r_inverse(h, r)
     except NotInvertible as exc:
-        rep.record("invertible", str(exc), False)
-        return rep
-    rep.record("invertible", "", True)
-    rep.r_inv = rinv
+        rep.record("antipode-inverse", str(exc), False)
+    else:
+        rep.record("antipode-inverse", "", True)
     for i in cocommutativity_indices(h):
         d = delta(h.basis_elem(i))
         rep.record("quasi-cocommutativity", h.labels[i], r * d == d.flip() * r)
@@ -400,15 +384,12 @@ def verify_qtr(h: HopfData, r: Tensor) -> QtrReport:
     rep.record("counit.left", "", r.apply_counit(0) == one)
     rep.record("counit.right", "", r.apply_counit(1) == one)
     rep.record("qyb", "", r12 * r13 * r23 == r23 * r13 * r12)
-    if h.antipode is not None and rep.ok:
-        rep.record("antipode-inverse", "", r.apply_antipode(0) == rinv)
     return rep
 
 
-def is_triangular(h: HopfData, r: Tensor, rinv: Tensor) -> bool:
-    """R is triangular when its inverse ``rinv`` (``QtrReport.r_inv``) is
-    its flip."""
-    return rinv == r.flip()
+def is_triangular(h: HopfData, r: Tensor) -> bool:
+    """A verified R is triangular when its inverse (S (x) Id)(R) is its flip."""
+    return r.apply_antipode(0) == r.flip()
 
 
 # -- enumeration ----------------------------------------------------------------

@@ -156,9 +156,8 @@ def constraint_oracles(h, r=None) -> list:
     C2 and C3 come in the R-multiplied form (C3 from this module) and are
     evaluated in the R^-1 form, the Cartier map by ``Tensor`` products."""
     from hopflab.cohomology import b_apply
-    from hopflab.hopf import _generator_elems, map_rows
+    from hopflab.hopf import _generator_elems, full_space, map_rows
     from hopflab.precartier import cartier_map, cqtr_rmul_map, eval_cqtr2, eval_cqtr3
-    from hopflab.rmatrices import r_inverse
 
     basis = [h.basis_elem(b) for b in range(h.dim)]
     gens = _generator_elems(h)
@@ -170,13 +169,35 @@ def constraint_oracles(h, r=None) -> list:
         ("cocycle", [lambda t: b_apply(h, 2, t)], lambda t: not b_apply(h, 2, t)),
     ]
     if r is not None:
-        rinv = r_inverse(h, r)
         oracles += [
-            ("cqtr2", [cqtr_rmul_map(r)], lambda t: not eval_cqtr2(h, r, rinv, t)),
-            ("cqtr3", [cqtr3_rmul_map(r)], lambda t: not eval_cqtr3(h, r, rinv, t)),
+            ("cqtr2", [cqtr_rmul_map(r)], lambda t: not eval_cqtr2(h, r, t)),
+            ("cqtr3", [cqtr3_rmul_map(r)], lambda t: not eval_cqtr3(h, r, t)),
             ("cartier", [cartier_map(r)], lambda t: not (r * t - t.flip() * r)),
         ]
-    return [(name, map_rows(h, 2, maps), vanishes) for name, maps, vanishes in oracles]
+    columns = full_space(h, 2).rows
+    return [(name, map_rows(h, 2, maps, columns), vanishes) for name, maps, vanishes in oracles]
+
+
+def solve_inverse(h, r) -> Tensor:
+    """The oracle of ``rmatrices.r_inverse``: the two-sided inverse of a
+    2-tensor by the exact linear solve of R x = 1 (x) 1 over all of H (x) H,
+    with no antipode; raises ``NotInvertible`` when there is none."""
+    from hopflab.hopf import full_space, map_rows
+    from hopflab.linalg import solve
+    from hopflab.rmatrices import NotInvertible
+
+    rows = map_rows(h, 2, [lambda t: r * t], full_space(h, 2).rows)
+    unit_key = (0, h.unit_index * h.dim + h.unit_index)
+    if unit_key not in rows:
+        raise NotInvertible("unit coordinate unreachable")
+    sol = solve(rows.values(), h.dim * h.dim, {list(rows).index(unit_key): h.field.one})
+    if sol is None:
+        raise NotInvertible("no right inverse")
+    x = Tensor(h, 2, sol)
+    one2 = h.unit_tensor(2)
+    if r * x != one2 or x * r != one2:
+        raise NotInvertible("solve produced a one-sided candidate only")
+    return x
 
 
 def exact_kernel(rows, ncols: int) -> Subspace:
@@ -190,10 +211,10 @@ def exact_kernel(rows, ncols: int) -> Subspace:
         if ech.rank == ncols:
             break
     rr = ech.rref_rows()
-    one = 1
-    if rr:
-        c, row = rr[0]
-        one = row[c]
+    if not rr:  # no entry names the field: the integer 1, as kernel_of_rows gives
+        return Subspace(ncols, tuple({f: 1} for f in range(ncols)), tuple(range(ncols)))
+    c, row = rr[0]
+    one = row[c]
     pivset = {c for c, _ in rr}
     basis = []
     for f in range(ncols):

@@ -98,7 +98,7 @@ def test_criterion_2_quasitriangularity_suite():
             r = build_r(ac22, rtext)
             qrep = verify_qtr(ac22, r)
             assert qrep.ok
-            assert is_triangular(ac22, r, qrep.r_inv)
+            assert is_triangular(ac22, r)
         h8 = build("h8")
         for rtext in _h8_rspecs():
             assert verify_qtr(h8, build_r(h8, rtext)).ok, rtext
@@ -125,7 +125,7 @@ def test_criterion_2_quasitriangularity_suite():
                 r = build_r(h, f"en-a:{text}")
                 qrep = verify_qtr(h, r)
                 assert qrep.ok
-                assert is_triangular(h, r, qrep.r_inv) == symmetric, f"en:{n} A={text}"
+                assert is_triangular(h, r) == symmetric, f"en:{n} A={text}"
 
 
 def test_criterion_3_classification_dimensions():
@@ -312,7 +312,7 @@ def test_criterion_7_quantization():
             h = build(f"ac2n:{n}")
             r = build_r(h, "ac22:q=0,a=1")
             chi = pe(h, "x (x) x*g").scaled(h.field.from_fraction(Fraction(3, 2)))
-            rep = verify_quantized_qtr(h, r, chi, verify_qtr(h, r).r_inv)
+            rep = verify_quantized_qtr(h, r, chi)
             assert rep.hypothesis_1 and rep.hypothesis_2 and rep.ok, rep.summary()
         for n in (1, 2):
             h = build(f"en:{n}")
@@ -328,7 +328,7 @@ def test_criterion_7_quantization():
                     acc = acc + b.scaled(h.field.from_int(rng.randint(-3, 3)))
                 combos.append(acc)
             for chi in basis + combos:
-                rep = verify_quantized_qtr(h, r, chi, qrep.r_inv)
+                rep = verify_quantized_qtr(h, r, chi)
                 assert rep.hypothesis_1 and rep.hypothesis_2, rep.summary()
                 assert rep.ok, rep.summary()
 

@@ -372,8 +372,8 @@ def test_failed_construction_exit_1(capsys, monkeypatch):
 
 
 def test_quantize_inverts_each_r_once(capsys, monkeypatch):
-    """``verify_qtr`` inverts each R, and the solver and the quantization
-    checks reuse its verified inverse."""
+    """``verify_qtr`` inverts each R; the solver and the quantization
+    checks read R^-1 as (S (x) Id)(R), which it verified, and invert none."""
     import hopflab.rmatrices as rm
 
     calls = []
@@ -459,14 +459,15 @@ def test_enumerate_r_exits_1_naming_an_r_that_fails(capsys, monkeypatch):
     """``enumerate-r`` verifies each R it prints; one that fails is named on
     stderr, left out of the output, and the exit status is 1."""
     from hopflab.families import build
-    from hopflab.rmatrices import QtrReport, enumerate_rmatrices
+    from hopflab.hopf import VerifyReport
+    from hopflab.rmatrices import enumerate_rmatrices
 
     specs = [str(spec) for spec in enumerate_rmatrices(build("h8"))]
     calls = []
 
     def failing_first(h, r):
         calls.append(r)
-        rep = QtrReport("qtr")
+        rep = VerifyReport("qtr")
         rep.record("qyb", "", len(calls) > 1)
         return rep
 
@@ -475,6 +476,17 @@ def test_enumerate_r_exits_1_naming_an_r_that_fails(capsys, monkeypatch):
     assert code == 1
     assert f"R {specs[0]} fails the axioms" in err and "qyb" in err
     assert [entry["r"] for entry in json.loads(out)] == specs[1:]
+
+
+def test_verify_exits_1_naming_the_inverse_law(capsys):
+    """x1 (x) x1 on E(1) has no inverse: ``verify`` lists the inverse law
+    first, then the other laws that fail, and exits 1."""
+    code, out, _ = run_cli(capsys, "verify", "--family", "en:1", "--r", "explicit:x1 (x) x1")
+    assert code == 1
+    rep = json.loads(out)["r_reports"][0]
+    assert rep["qtr_ok"] is False
+    assert rep["failures"][0] == ["antipode-inverse", "(S (x) Id)(R) is not a two-sided inverse of R"]
+    assert ["counit.left", ""] in rep["failures"][1:]
 
 
 def test_quantize_exits_1_naming_an_r_that_fails(capsys):

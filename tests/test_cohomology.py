@@ -2,7 +2,7 @@ import pytest
 
 from conftest import apply_rows, direct_images, pe, random_sparse_tensor
 from hopflab.cohomology import UnsupportedDegree, b_apply, coboundaries, cocycles
-from hopflab.hopf import Tensor, map_rows
+from hopflab.hopf import Tensor, full_space, map_rows
 
 
 def test_b1_of_unit(en1):
@@ -52,7 +52,7 @@ def test_en1_h2_generated_by_gx_x(en1):
 def test_b_matrix_agrees_with_direct_application(en2, rng):
     for n in (1, 2):
         maps = [lambda t: b_apply(en2, n, t)]
-        rows = map_rows(en2, n, maps)
+        rows = map_rows(en2, n, maps, full_space(en2, n).rows)
         for _ in range(10):
             t = random_sparse_tensor(en2, rng, legs=n, nnz=4)
             assert apply_rows(rows, t.coeffs) == direct_images(maps, t)
@@ -66,8 +66,8 @@ def test_unsupported_degree(en2):
 
 
 def test_composition_b2_b1_matrices(kc2):
-    b1 = map_rows(kc2, 1, [lambda t: b_apply(kc2, 1, t)])
-    b2 = map_rows(kc2, 2, [lambda t: b_apply(kc2, 2, t)])
+    b1 = map_rows(kc2, 1, [lambda t: b_apply(kc2, 1, t)], full_space(kc2, 1).rows)
+    b2 = map_rows(kc2, 2, [lambda t: b_apply(kc2, 2, t)], full_space(kc2, 2).rows)
     images = 0
     for c in range(kc2.dim):
         col = {k: v for (_, k), v in apply_rows(b1, {c: kc2.field.one}).items()}

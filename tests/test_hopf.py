@@ -300,7 +300,7 @@ def _assert_rows_agree_with_the_maps(family, batched):
     h = build(family)
     rng = random.Random(17)
     maps = _maps_under_test(h, batched)
-    rows = map_rows(h, 2, maps)
+    rows = map_rows(h, 2, maps, full_space(h, 2).rows)
     for _ in range(8):
         t = random_sparse_tensor(h, rng)
         assert apply_rows(rows, t.coeffs) == direct_images(maps, t)
@@ -341,7 +341,7 @@ def test_cut_is_canonical_and_equals_the_intersection(family, rspec):
     cut = restrict_and_cut(h, 2, space, maps)
     assert 0 < cut.dim < space.dim
     assert Subspace.from_vectors(list(cut.rows), cut.ambient_dim) == cut
-    assert cut == space.intersect(kernel_of_rows(map_rows(h, 2, maps).values(), h.dim**2))
+    assert cut == space.intersect(kernel_of_rows(map_rows(h, 2, maps, full_space(h, 2).rows).values(), h.dim**2))
 
 
 @pytest.mark.parametrize("field", ["Q", "cyclotomic:3", "prime:97"])

@@ -350,6 +350,10 @@ def test_int_and_fraction_entries_raise(spec, entry):
         residue_map(entry)
     with pytest.raises(MixedFieldSpec):
         residue_map(one)[1](entry)
+    # Echelon refuses a pivot entry that is no field element, the one 1 included
+    for vectors in ([{0: entry}], [{0: 1, 1: entry}], [{0: 1, 1: 3}], [{0: 2}]):
+        with pytest.raises(MixedFieldSpec):
+            Subspace.from_vectors(vectors, 2)
 
 
 def test_each_route_is_counted():

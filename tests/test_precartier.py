@@ -41,7 +41,7 @@ from hopflab.rmatrices import build_r, enumerate_rmatrices, verify_qtr
 
 def test_cqtr1_block_zero_for_group_algebra(kc2):
     """No C1 row survives on a commutative, cocommutative H."""
-    assert not map_rows(kc2, 2, commutator_maps(kc2, [kc2.basis_elem(b) for b in range(kc2.dim)]))
+    assert not map_rows(kc2, 2, commutator_maps(kc2, [kc2.basis_elem(b) for b in range(kc2.dim)]), full_space(kc2, 2).rows)
 
 
 def test_block_matrix_matches_direct_eval(en2, rng):

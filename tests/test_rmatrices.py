@@ -2,15 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import batch_modes, copy_tables, pe, registered_rs
-import hopflab.rmatrices as rm
+from conftest import batch_modes, copy_tables, pe, registered_rs, solve_inverse
 from hopflab.families import FamilySpec, build, h8_idempotents
 from hopflab.hopf import HopfData, Tensor, cocommutativity_indices, delta, generators_span, verify_hopf
 from hopflab.rmatrices import (
     FamilyMismatch,
     NotInvertible,
     RSpec,
-    _solve_inverse,
     build_r,
     enumerate_group_rmatrices,
     is_triangular,
@@ -78,11 +76,12 @@ def test_triangularity_iff_symmetric(en2):
     qtr_not_tri = build_r(en2, "en-a:[[0,1],[0,0]]")
     qrep = verify_qtr(en2, qtr_not_tri)
     assert qrep.ok
-    assert not is_triangular(en2, qtr_not_tri, qrep.r_inv)
+    assert not is_triangular(en2, qtr_not_tri)
     for text, triangular in (("[[0,0],[0,0]]", True), ("[[1,2],[2,5]]", True), ("[[0,1],[1,0]]", True),
                              ("[[0,1],[-1,0]]", False), ("[[1,2],[3,1]]", False)):
         r = build_r(en2, f"en-a:{text}")
-        assert is_triangular(en2, r, verify_qtr(en2, r).r_inv) is triangular
+        assert verify_qtr(en2, r).ok
+        assert is_triangular(en2, r) is triangular
 
 
 def test_ac22_r_families(ac22):
@@ -96,7 +95,7 @@ def test_ac22_r_families(ac22):
     for r in (r_lambda, build_r(ac22, "ac22:q=1,a=1")):
         qrep = verify_qtr(ac22, r)
         assert qrep.ok
-        assert is_triangular(ac22, r, qrep.r_inv)
+        assert is_triangular(ac22, r)
 
 
 def test_ac22_rq_is_self_inverse(ac22):
@@ -157,24 +156,14 @@ def test_r_inverse_examples(en2, h8):
         r_inverse(en2, en2.gen("x1").tensor(en2.gen("x1")))
 
 
-def _counting_solve(monkeypatch):
-    calls = []
-
-    def counting(h, r):
-        calls.append(r)
-        return _solve_inverse(h, r)
-
-    monkeypatch.setattr(rm, "_solve_inverse", counting)
-    return calls
-
-
-def test_r_inverse_candidate_equals_solve(en2, h8, monkeypatch):
-    calls = _counting_solve(monkeypatch)
+def test_r_inverse_candidate_equals_solve(en2, h8):
+    """(S (x) Id)(R) is the inverse that the solve oracle finds, on every
+    registered R of en:2 and h8 and on one R of every other batch family."""
     for h, family in ((en2, "en:2"), (h8, "h8")):
         for spec in registered_rspecs(FamilySpec.parse(family)):
             r = build_r(h, spec)
             rinv = r_inverse(h, r)
-            assert rinv == _solve_inverse(h, r), str(spec)
+            assert rinv == solve_inverse(h, r), str(spec)
             assert rinv == antipode_first_leg(r)
     # one R of every other batch family with R-matrices, an h2n2:3 survivor for the enumerated one
     for family, mode in batch_modes():
@@ -183,19 +172,26 @@ def test_r_inverse_candidate_equals_solve(en2, h8, monkeypatch):
         h = build(family)
         spec = "bichar:[[0,0],[1,0]]" if mode == "enumerate" else registered_rspecs(h.family)[0]
         r = build_r(h, spec)
-        assert r_inverse(h, r) == _solve_inverse(h, r) == antipode_first_leg(r), family
-    assert calls == []  # every registered R took the antipode candidate
+        assert r_inverse(h, r) == solve_inverse(h, r) == antipode_first_leg(r), family
 
 
-def test_r_inverse_falls_back_when_not_qtr(en1, monkeypatch):
-    r = pe(en1, "1 (x) 1 + x1 (x) x1")
-    assert not verify_qtr(en1, r).ok
-    one2 = en1.unit_tensor(2)
-    cand = antipode_first_leg(r)
-    assert r * cand != one2
-    calls = _counting_solve(monkeypatch)
-    assert r_inverse(en1, r) == pe(en1, "1 (x) 1 - x1 (x) x1")
-    assert len(calls) == 1
+# R on en:1 that are not quasitriangular, with their inverse (None: there is none)
+NOT_QTR = (("1 (x) 1 + x1 (x) x1", "1 (x) 1 - x1 (x) x1"), ("x1 (x) x1", None))
+
+
+def test_r_inverse_refuses_an_r_that_is_not_qtr(en1):
+    """(S (x) Id)(R) is no inverse of these R, so ``r_inverse`` raises,
+    whether R has an inverse (the solve oracle finds it) or none."""
+    for text, inverse in NOT_QTR:
+        r = pe(en1, text)
+        assert r * antipode_first_leg(r) != en1.unit_tensor(2)
+        with pytest.raises(NotInvertible):
+            r_inverse(en1, r)
+        if inverse is None:
+            with pytest.raises(NotInvertible):
+                solve_inverse(en1, r)
+        else:
+            assert solve_inverse(en1, r) == pe(en1, inverse)
 
 
 def test_r_inverse_not_invertible(en1):
@@ -204,16 +200,17 @@ def test_r_inverse_not_invertible(en1):
             r_inverse(en1, pe(en1, text))
 
 
-def test_r_inverse_without_antipode_solves(en2, monkeypatch):
+def test_r_inverse_without_antipode_raises(en2):
+    """With no antipode table there is no candidate, and no other route."""
     bare = HopfData(
         en2.field, en2.labels, en2.mult, en2.unit_index, en2.comult, en2.counit,
         None, en2.generators, "en2-without-antipode", en2.family,
     )
     r = build_r(en2, "en-a:[[1,2],[3,5]]")
-    calls = _counting_solve(monkeypatch)
-    rinv = r_inverse(bare, Tensor(bare, 2, dict(r.coeffs)))
-    assert len(calls) == 1
-    assert rinv.coeffs == r_inverse(en2, r).coeffs
+    with pytest.raises(NotInvertible, match="no antipode"):
+        r_inverse(bare, Tensor(bare, 2, dict(r.coeffs)))
+    rep = verify_qtr(bare, Tensor(bare, 2, dict(r.coeffs)))
+    assert rep.failures == [("antipode-inverse", "en2-without-antipode carries no antipode table")]
 
 
 def test_rswap_identities(en2):
@@ -376,13 +373,39 @@ def full_basis_qc_failures(h, r) -> set:
 
 
 QC_LAW = "quasi-cocommutativity"
-OTHER_LAWS = 7  # invertible, two hexagons, two counits, qyb, antipode-inverse
+OTHER_LAWS = 6  # antipode-inverse, two hexagons, two counits, qyb
+LAW_ORDER = ("antipode-inverse", QC_LAW, "hexagon.id-delta", "hexagon.delta-id", "counit.left", "counit.right", "qyb")
+
+
+def test_verify_qtr_lists_antipode_inverse_first_then_every_failing_law(en1):
+    """A failed inverse law does not end the report: every other law is
+    checked, and each one that fails by direct evaluation is listed after
+    it, in the order of ``verify_qtr``."""
+    one = en1.unit()
+    for text, _ in NOT_QTR:
+        r = pe(en1, text)
+        r12, r13, r23 = r.leg(12), r.leg(13), r.leg(23)
+        fails = {
+            QC_LAW: not full_basis_qc(en1, r),
+            "hexagon.id-delta": r.apply_delta(1) != r13 * r12,
+            "hexagon.delta-id": r.apply_delta(0) != r13 * r23,
+            "counit.left": r.apply_counit(0) != one,
+            "counit.right": r.apply_counit(1) != one,
+            "qyb": r12 * r13 * r23 != r23 * r13 * r12,
+        }
+        rep = verify_qtr(en1, r)
+        laws = [law for law, _ in rep.failures]
+        assert laws[0] == "antipode-inverse" and len(laws) > 1, text
+        assert laws == sorted(laws, key=LAW_ORDER.index)
+        assert set(laws[1:]) == {law for law, failed in fails.items() if failed}, text
+        assert rep.checks == len(en1.generators) + OTHER_LAWS
 
 
 @pytest.mark.parametrize("family,twist", [("en:2", "g"), ("ac2n:2", "g"), ("h8", "x"), ("h2n2:2", "x")])
 def test_verify_qtr_generator_certificate_agrees_with_full_basis(family, twist):
     """For every registered R, R (g (x) 1) (an invertible R failing
-    quasi-cocommutativity) and 2R (failing the hexagons only), the outcome
+    quasi-cocommutativity) and 2R (failing the hexagons, and the inverse
+    law as 2R (S (x) Id)(2R) = 4), the outcome
     with quasi-cocommutativity checked on the generators is the full-basis one."""
     h = build(family)
     gens = sorted(h.generators.values())
