@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .scalars import FieldSpec, get_field
 from .families import FamilySpec, build
-from .hopf import HopfData, Tensor, delta, counit, antipode, verify_bialgebra, verify_hopf
+from .hopf import HopfData, Tensor, delta, counit, verify_bialgebra, verify_hopf
 
 __all__ = [
     "FieldSpec",
@@ -16,7 +16,6 @@ __all__ = [
     "Tensor",
     "delta",
     "counit",
-    "antipode",
     "verify_bialgebra",
     "verify_hopf",
 ]

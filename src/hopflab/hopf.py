@@ -9,7 +9,7 @@ Tensor with one leg, made by the ``HopfData`` factories (``unit``,
 antipode act on any slot of any Tensor through one routine, which replaces
 the slot's e_i by the image of e_i from a table (``comult``, ``counit_images``
 or ``antipode``): ``apply_delta``, ``apply_counit`` and ``apply_antipode``,
-and ``delta`` and ``antipode`` are that routine on slot 0 of an element.
+and ``delta`` is that routine on slot 0 of an element.
 
 Axiom verification is exhaustive over basis tuples: multilinearity makes this
 a complete check.
@@ -303,16 +303,10 @@ class Tensor:
     def scaled(self, c) -> "Tensor":
         return Tensor(self.parent, self.legs, {k: c * v for k, v in self.coeffs.items()})
 
-    def __rmul__(self, c):
-        if isinstance(c, Tensor):
-            return NotImplemented
-        return self.scaled(c)
-
     def __mul__(self, other):
-        """Componentwise (legwise) algebra product of elements, 2- or
-        3-tensors; a non-Tensor operand is a scalar."""
-        if not isinstance(other, Tensor):
-            return self.scaled(other)
+        """Componentwise (legwise) algebra product of two Tensors of one
+        parent and leg count: elements, 2- or 3-tensors.  A scalar enters a
+        Tensor through ``scaled`` only."""
         _check_parents(self, other)
         if self.legs != other.legs:
             raise HopfError("tensor leg-count mismatch")
@@ -967,10 +961,6 @@ def _counit_of(h: HopfData, coeffs: dict):
         if e:
             acc = acc + c * e
     return acc
-
-
-def antipode(a: Tensor) -> Tensor:
-    return a.apply_antipode(0)
 
 
 def multiply(t: Tensor) -> Tensor:

@@ -41,31 +41,16 @@ class PolyTensor:
     def constant(t: Tensor) -> "PolyTensor":
         return PolyTensor(t.parent, t.legs, [t])
 
-    @staticmethod
-    def zero(parent: HopfData, legs: int = 2) -> "PolyTensor":
-        return PolyTensor(parent, legs, [])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def coeff(self, d: int) -> Tensor:
         if d < len(self.coeffs):
             return self.coeffs[d]
         return self.parent.zero_tensor(self.legs)
 
-    def __add__(self, other: "PolyTensor") -> "PolyTensor":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyTensor(self.parent, self.legs, [self.coeff(d) + other.coeff(d) for d in range(n)])
-
     def __mul__(self, other: "PolyTensor") -> "PolyTensor":
         """Convolution of coefficient sequences, legwise tensor products
-        inside: each hbar-degree d is one ``product_sum`` of a_i * b_(d-i)."""
-        if not isinstance(other, PolyTensor):
-            return PolyTensor(self.parent, self.legs, [c * other for c in self.coeffs])
+        inside: each hbar-degree d is one ``product_sum`` of a_i * b_(d-i),
+        so a zero operand gives the zero polynomial."""
         h, legs = self.parent, self.legs
-        if not self.coeffs or not other.coeffs:
-            return PolyTensor.zero(h, legs)
         a, b = self.coeffs, other.coeffs
         out = []
         for d in range(len(a) + len(b) - 1):
@@ -86,9 +71,6 @@ class PolyTensor:
 
     def apply_delta(self, slot: int) -> "PolyTensor":
         return PolyTensor(self.parent, self.legs + 1, [c.apply_delta(slot) for c in self.coeffs])
-
-    def flip(self) -> "PolyTensor":
-        return PolyTensor(self.parent, 2, [c.flip() for c in self.coeffs])
 
     def __repr__(self):
         return " + ".join(f"hbar^{d}*({c!r})" for d, c in enumerate(self.coeffs)) or "0"

@@ -66,10 +66,14 @@ class RSpec:
         if text == "ac4dual":
             return RSpec("ac4dual")
         if text.startswith("en-a:"):
-            return RSpec("en_a", (text[len("en-a:") :],))
+            body = text[len("en-a:") :]
+            _parse_matrix(body, str)  # the shape here, the scalars once the algebra is known
+            return RSpec("en_a", (body,))
         if text.startswith("ac22:"):
-            body = text[len("ac22:") :]
-            kv = dict(p.split("=", 1) for p in body.split(","))
+            pairs = [p.split("=", 1) for p in text[len("ac22:") :].split(",")]
+            kv = dict(pairs)
+            if len(kv) < len(pairs) or not kv.keys() <= {"q", "a"}:
+                raise RSpecError("an ac22 spec takes the keys q and a, each at most once")
             return RSpec("ac22", (int(kv["q"]), kv.get("a", "0")))
         if text.startswith("h8pm:"):
             a, b = text[len("h8pm:") :].split(",")
@@ -100,11 +104,15 @@ class RSpec:
         return self.kind
 
 
+MATRIX = re.compile(r"\s*\[\s*\[[^\[\]]*\](\s*,\s*\[[^\[\]]*\])*\s*\]\s*")
+
+
 def _parse_matrix(text: str, entry) -> list[list]:
-    """The rows of the text form [[..],[..]], each entry read by ``entry``."""
-    text = text.strip()
-    if not (text.startswith("[[") and text.endswith("]]")):
-        raise RSpecError(f"expected [[..],[..]] matrix, got {text!r}")
+    """The rows of the text form [[..],..,[..]], whitespace allowed between
+    brackets and commas, each entry read by ``entry``; any other text
+    raises RSpecError."""
+    if not MATRIX.fullmatch(text):
+        raise RSpecError(f"expected a matrix [[..],..,[..]], got {text.strip()!r}")
     return [[entry(x) for x in row.split(",")] for row in re.findall(r"\[([^\[\]]*)\]", text)]
 
 

@@ -7,10 +7,12 @@ itself is Q(zeta_1) = Q[t]/(t - 1), of degree 1, whose elements print as
 their rationals.  The prime-field mode (p prime) exists for randomized
 cross-validation of cyclotomic results.
 
-Element arithmetic reads a plain int or ``Fraction`` operand as an element,
-but ``residue_map``, the ring morphisms into F_p of the modular pass of
-``linalg``, takes field elements only: an int or a Fraction raises
-``MixedFieldSpec`` there, as an element of another field does.
+An element combines only with an element of its own field: element
+arithmetic and comparison raise ``MixedFieldSpec`` on an element of another
+field, a plain int or a ``Fraction`` (so a stale ``x == 1`` cannot quietly
+read False), and ``residue_map``, the ring morphisms into F_p of the modular
+pass of ``linalg``, does the same.  A scalar is made by its field:
+``from_int``, ``zero``, ``one`` and the quotients of these.
 
 Every field also serves the sum-of-products kernel of ``hopf``, which runs
 on Python ints instead of elements, through one interface: ``lift`` puts a
@@ -135,6 +137,20 @@ class FieldSpec:
         return f"prime:{self.p}"
 
 
+def _coerce(x, other):
+    """``other`` when it is an element of x's field, the one operand type of
+    x's arithmetic and comparison; None (so ``NotImplemented``) for a type
+    that is no scalar, so a comparison with ``None`` reads False.  An
+    element of another field, a plain int or a ``Fraction`` raises
+    ``MixedFieldSpec``."""
+    if isinstance(other, (CycElt, PrimeElt)):
+        if other.field is x.field:
+            return other
+    elif not isinstance(other, (int, Fraction)):
+        return None
+    raise MixedFieldSpec(f"{other!r} is not in {x.field.description()}")
+
+
 class CycElt:
     """Element of Q(zeta_M): integer coordinates over a common denominator in
     the power basis of Q[t]/(Phi_M).  Canonical form: den > 0 and
@@ -152,20 +168,8 @@ class CycElt:
         """Power-basis coordinates as Fractions (for printing/morphisms)."""
         return tuple(Fraction(n, self.den) for n in self.nums)
 
-    def _coerce(self, other):
-        if isinstance(other, CycElt):
-            if other.field is not self.field:
-                raise MixedFieldSpec("cyclotomic elements from different fields")
-            return other
-        if isinstance(other, int):
-            f = self.field
-            return CycElt(f, (other,) + (0,) * (f.degree - 1), 1)
-        if isinstance(other, Fraction):
-            return self.field.from_fraction(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self, other)
         if o is None:
             return NotImplemented
         f = self.field
@@ -184,25 +188,17 @@ class CycElt:
                 cache[key] = hit
         return CycElt(f, hit[0], hit[1])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return CycElt(self.field, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self, other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self, other)
         if o is None:
             return NotImplemented
         f = self.field
@@ -215,19 +211,11 @@ class CycElt:
                 cache[key] = hit
         return CycElt(f, hit[0], hit[1])
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self, other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def inverse(self) -> "CycElt":
         """x^-1 by the field norm.  For x = P(zeta)/d, let Q be the product
@@ -266,7 +254,7 @@ class CycElt:
         return any(self.nums)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self, other)
         if o is None:
             return NotImplemented
         return self.nums == o.nums and self.den == o.den
@@ -308,59 +296,32 @@ class PrimeElt:
         self.field = field
         self.val = val % field.p
 
-    def _coerce(self, other):
-        if isinstance(other, PrimeElt):
-            if other.field is not self.field:
-                raise MixedFieldSpec("prime-field elements from different fields")
-            return other
-        if isinstance(other, int):
-            return PrimeElt(self.field, other)
-        if isinstance(other, Fraction):
-            return self.field.from_fraction(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self, other)
         if o is None:
             return NotImplemented
         return PrimeElt(self.field, self.val + o.val)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return PrimeElt(self.field, -self.val)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self, other)
         if o is None:
             return NotImplemented
         return PrimeElt(self.field, self.val - o.val)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self, other)
         if o is None:
             return NotImplemented
         return PrimeElt(self.field, self.val * o.val)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self, other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def inverse(self) -> "PrimeElt":
         """x^-1, the one route of ``/`` and of negative powers."""
@@ -377,7 +338,7 @@ class PrimeElt:
         return self.val != 0
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self, other)
         if o is None:
             return NotImplemented
         return self.val == o.val
@@ -410,7 +371,6 @@ class CycField:
     characteristic = 0
 
     def __init__(self, spec: FieldSpec):
-        self.spec = spec
         self.order = spec.order
         self.modulus = cyclotomic_polynomial(self.order)
         self.degree = len(self.modulus) - 1
@@ -422,9 +382,6 @@ class CycField:
 
     def from_int(self, n: int) -> CycElt:
         return CycElt(self, (n,) + (0,) * (self.degree - 1), 1)
-
-    def from_fraction(self, q: Fraction) -> CycElt:
-        return CycElt(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def _reduce_int(self, poly) -> tuple:
         """Remainder of an integer polynomial (ascending coefficients, any
@@ -532,22 +489,14 @@ class PrimeField:
     """F_p; roots of unity of order m exist exactly when m | p-1."""
 
     def __init__(self, spec: FieldSpec):
-        self.spec = spec
         self.p = spec.p
         self.characteristic = spec.p
-        self.order = spec.p - 1
         self.zero = PrimeElt(self, 0)
         self.one = PrimeElt(self, 1)
         self._generator = None
 
     def from_int(self, n: int) -> PrimeElt:
         return PrimeElt(self, n)
-
-    def from_fraction(self, q: Fraction) -> PrimeElt:
-        den = q.denominator % self.p
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes in F_p")
-        return PrimeElt(self, q.numerator * pow(den, -1, self.p))
 
     def generator(self) -> int:
         if self._generator is None:

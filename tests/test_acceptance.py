@@ -6,11 +6,10 @@ captured output).  Tolerances are zero everywhere: the arithmetic is exact.
 
 import random
 from contextlib import contextmanager
-from fractions import Fraction
 
 import pytest
 
-from conftest import apply_rows, batch_modes, constraint_oracles, pe, random_sparse_tensor
+from conftest import apply_rows, batch_modes, constraint_oracles, pe, q, random_sparse_tensor
 from hopflab.cohomology import b_apply, coboundaries, cocycles
 from hopflab.expressions import parse_element
 from hopflab.families import FamilySpec, build, h8_idempotents
@@ -311,7 +310,7 @@ def test_criterion_7_quantization():
         for n in (2, 3):
             h = build(f"ac2n:{n}")
             r = build_r(h, "ac22:q=0,a=1")
-            chi = pe(h, "x (x) x*g").scaled(h.field.from_fraction(Fraction(3, 2)))
+            chi = pe(h, "x (x) x*g").scaled(q(h.field, 3, 2))
             rep = verify_quantized_qtr(h, r, chi)
             assert rep.hypothesis_1 and rep.hypothesis_2 and rep.ok, rep.summary()
         for n in (1, 2):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from hopflab import cli
 from hopflab.cli import RunConfig, main, run
+from hopflab.rmatrices import RSpec, RSpecError
 
 
 def run_cli(capsys, *argv):
@@ -269,6 +271,12 @@ def test_runconfig_no_tasks(capsys):
         ("h8", "h8omega:1/0"),
         ("ac2n:2", "ac22:q=0,a=1/0"),
         ("en:1", "explicit:1/0 (x) 1"),
+        ("h2n2:3", "bichar:[[0,0]junk[1,0]]"),  # text between the rows
+        ("h2n2:3", "bichar:[[0,0]][[1,0]]"),  # two matrices
+        ("h2n2:3", "bichar:[[0,0],[1,0],]]"),  # a trailing comma
+        ("en:2", "en-a:[[1,0]garbage[0,1]]"),
+        ("ac2n:2", "ac22:q=1,A=1"),  # a key other than q and a
+        ("ac2n:2", "ac22:q=1,a=1,q=0"),  # a repeated key
     ],
 )
 def test_bad_r_spec_exit_2(capsys, family, rspec):
@@ -276,6 +284,25 @@ def test_bad_r_spec_exit_2(capsys, family, rspec):
     assert code == 2
     assert err.startswith("config error:")
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "rspec",
+    [
+        "bichar:[[0,0]junk[1,0]]",
+        "bichar:[[0,0]][[1,0]]",
+        "bichar:[[0,0],[1,0],]]",
+        "en-a:[[1,0]garbage[0,1]]",
+        "ac22:q=1,A=1",
+        "ac22:q=1,a=1,q=0",
+    ],
+)
+def test_malformed_r_spec_is_named(rspec):
+    """Text that is not of its kind's form is refused when the spec is
+    parsed, and the error names the whole spec: junk between or after the
+    rows of a matrix, or an unknown or repeated ac22 key."""
+    with pytest.raises(RSpecError, match=re.escape(f"R spec {rspec!r}")):
+        RSpec.parse(rspec)
 
 
 @pytest.mark.parametrize(

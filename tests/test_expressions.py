@@ -1,12 +1,11 @@
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sparse_tensor
+from conftest import q, random_sparse_tensor
 from hopflab.expressions import ExprError, format_tensor, parse_element, parse_scalar
 from hopflab.families import build
 from hopflab.hopf import Tensor
@@ -77,7 +76,7 @@ def test_mixed_leg_counts_are_refused(en2, text):
 def test_parse_scalar_forms(h8):
     Q8 = h8.field
     assert parse_scalar(h8, "3") == Q8.from_int(3)
-    assert parse_scalar(h8, "-1/2") == Q8.from_fraction(Fraction(-1, 2))
+    assert parse_scalar(h8, "-1/2") == q(Q8, -1, 2)
     z = Q8.make_root(8)
     assert parse_scalar(h8, "z8^3") == z**3
     assert parse_scalar(h8, "-1/2*z8") == -(Q8.one / Q8.from_int(2)) * z
@@ -113,7 +112,7 @@ def _literals(draw, field):
             a = draw(st.integers(0, 200))
             b = draw(st.integers(1, 200).filter(lambda b: not zero_mod or b % zero_mod))
             texts.append(f"{a}/{b}")
-            value = value * field.from_fraction(Fraction(a, b))
+            value = value * q(field, a, b)
         else:
             m, k = draw(st.sampled_from([1, 2, 4, 8])), draw(st.none() | st.integers(-9, 9))
             texts.append(f"z{m}" if k is None else f"z{m}^{k}")
@@ -136,16 +135,14 @@ def test_roundtrip_elems(en2, rng):
     for _ in range(25):
         coeffs = {}
         for _ in range(4):
-            coeffs[rng.randrange(en2.dim)] = en2.field.from_fraction(
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            )
+            coeffs[rng.randrange(en2.dim)] = q(en2.field, rng.randint(-9, 9), rng.randint(1, 9))
         e = Tensor(en2, 1, coeffs)
         assert parse_element(en2, format_tensor(e)) == e
     # an element of H prints as its bare label: ``x`` inside ``(x)`` would
     # read as the tensor separator
     for family in ("h8", "ac2n:2", "radford:2,2", "h2n2:3"):
         h = build(family)
-        minus_half = h.field.from_fraction(Fraction(-1, 2))
+        minus_half = q(h.field, -1, 2)
         for i in range(h.dim):
             for e in (h.basis_elem(i), h.basis_elem(i).scaled(minus_half)):
                 text = format_tensor(e)

@@ -2,7 +2,6 @@ import functools
 import importlib.util
 import random
 import re
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +18,7 @@ from conftest import (
     direct_images,
     oracle_verify_bialgebra,
     pe,
+    q,
     random_sparse_tensor,
     verify_antipode_antihom,
 )
@@ -34,7 +34,6 @@ from hopflab.hopf import (
     _factored_operand,
     _factored_product,
     _product2,
-    antipode,
     counit,
     delta,
     full_space,
@@ -111,8 +110,8 @@ def _random_tensor(h, rng, legs):
     root = f.make_root(order)
     coeffs = {}
     for _ in range(6):
-        q = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-        coeffs[rng.randrange(h.dim**legs)] = f.from_fraction(q) * root ** rng.randrange(order)
+        c = q(f, rng.randint(-9, 9), rng.randint(1, 7))
+        coeffs[rng.randrange(h.dim**legs)] = c * root ** rng.randrange(order)
     return Tensor(h, legs, coeffs)
 
 
@@ -164,7 +163,7 @@ def test_slot_maps_match_the_legwise_expansion(family, field, rng):
                     assert image.legs == legs - 1 + width[name]
                     assert _by_legs(image) == _legwise_reference(t, slot, images), (name, legs, slot)
     x = h.basis_elem(1)
-    assert delta(x) == x.apply_delta(0) and antipode(x) == x.apply_antipode(0)
+    assert delta(x) == x.apply_delta(0)
     with pytest.raises(HopfError):
         x.apply_delta(1)
 
@@ -450,7 +449,7 @@ def rescaled(h, scales):
     """H in the basis e'_i = scales[i] e_i (one at the unit), every table
     rewritten, verified by ``verify_hopf``."""
     dim, c = h.dim, scales
-    assert c[h.unit_index] == 1
+    assert c[h.unit_index] == h.field.one
     mult = [[{k: v * c[i] * c[j] / c[k] for k, v in h.mult[i][j].items()} for j in range(dim)] for i in range(dim)]
     comult = [{ab: v * c[k] / (c[ab // dim] * c[ab % dim]) for ab, v in h.comult[k].items()} for k in range(dim)]
     counit = [e * c[k] for k, e in enumerate(h.counit)]
@@ -466,7 +465,7 @@ def _kernel_algebra(i):
     if family == "en:2 rescaled":
         h = build("en:2")
         f = h.field
-        return rescaled(h, [f.one if i == h.unit_index else f.from_fraction(Fraction(i + 2, 2 * i + 3)) for i in range(h.dim)])
+        return rescaled(h, [f.one if i == h.unit_index else q(f, i + 2, 2 * i + 3) for i in range(h.dim)])
     return build(family, FieldSpec.parse(field) if field else None)
 
 
@@ -501,8 +500,8 @@ def tensor_pairs(draw):
         coeffs = {}
         for idx in draw(st.lists(st.integers(0, h.dim**legs - 1), max_size=6, unique=True)):
             den = draw(st.integers(1, 10**6).filter(lambda d: not p or d % p))
-            q = Fraction(draw(st.integers(-(10**15), 10**15)), den)
-            coeffs[idx] = h.field.from_fraction(q) * root ** draw(st.integers(0, 7))
+            c = q(h.field, draw(st.integers(-(10**15), 10**15)), den)
+            coeffs[idx] = c * root ** draw(st.integers(0, 7))
         return Tensor(h, legs, coeffs)
 
     return tensor(), tensor()
@@ -531,7 +530,7 @@ def product_sums(draw):
 
     def scalar():
         den = draw(st.integers(1, 10**6).filter(lambda d: not p or d % p))
-        return f.from_fraction(Fraction(draw(st.integers(-(10**15), 10**15)), den)) * root ** draw(st.integers(0, 7))
+        return q(f, draw(st.integers(-(10**15), 10**15)), den) * root ** draw(st.integers(0, 7))
 
     def tensor():
         idxs = draw(st.lists(st.integers(0, h.dim**legs - 1), max_size=5, unique=True))
@@ -675,8 +674,8 @@ def test_integer_lift_dense_products(which, legs):
     f, p = h.field, h.field.characteristic
     n = h.dim**legs
     dens = [d for d in range(999_983, 10**6 + 40) if not p or d % p][:24]
-    a = {(37 * k + 5) % n: f.from_fraction(Fraction((-1) ** k * (10**15 - 3 * k), dens[k])) for k in range(12)}
-    b = {(53 * k + 11) % n: f.from_fraction(Fraction(10**15 // (k + 1), dens[12 + k])) for k in range(12)}
+    a = {(37 * k + 5) % n: q(f, (-1) ** k * (10**15 - 3 * k), dens[k]) for k in range(12)}
+    b = {(53 * k + 11) % n: q(f, 10**15 // (k + 1), dens[12 + k]) for k in range(12)}
     a, b = Tensor(h, legs, a), Tensor(h, legs, b)
     for x, y in ((a, b), (b, a), (a, a)):
         assert x * y == reference_product(x, y)
@@ -690,11 +689,11 @@ def test_product_kernel_wide_slots_three_legs(h2n2_3):
     dim3 = h.dim**3
     a, b = {}, {}
     for k in range(6):
-        a[(7 * k * k + 3) % dim3] = f.from_fraction(Fraction(10**15 - k, 999_983 + k)) * z**k
-        b[(11 * k + 5) % dim3] = f.from_fraction(Fraction(-(10**15) + 7 * k, 10**6 - k)) * z ** (k + 1)
+        a[(7 * k * k + 3) % dim3] = q(f, 10**15 - k, 999_983 + k) * z**k
+        b[(11 * k + 5) % dim3] = q(f, -(10**15) + 7 * k, 10**6 - k) * z ** (k + 1)
     for idx in ((17 * h.dim + 17) * h.dim + 17, (9 * h.dim + 12) * h.dim + 15):  # z-words in every leg
-        a[idx] = f.from_fraction(Fraction(10**15 + idx, 3))
-        b[idx] = f.from_fraction(Fraction(-(10**15) + idx, 7)) * z
+        a[idx] = q(f, 10**15 + idx, 3)
+        b[idx] = q(f, -(10**15) + idx, 7) * z
     a, b = Tensor(h, 3, a), Tensor(h, 3, b)
     assert a * b == reference_product(a, b)
     assert b * a == reference_product(b, a)
@@ -803,8 +802,8 @@ def _leg_sharing_pairs(h):
     dim, f = h.dim, h.field
     z = h.generators["z"]
     root = f.make_root(f.order) if type(f) is CycField else f.one
-    column = {i0 * dim + z: f.from_fraction(Fraction(10**15 - 7 * i0, 999_983 + i0)) * root**i0 for i0 in range(dim)}
-    row = {z * dim + j1: f.from_fraction(Fraction(-(10**15) + j1, 10**6 - j1)) * root ** (j1 + 1) for j1 in range(dim)}
+    column = {i0 * dim + z: q(f, 10**15 - 7 * i0, 999_983 + i0) * root**i0 for i0 in range(dim)}
+    row = {z * dim + j1: q(f, -(10**15) + j1, 10**6 - j1) * root ** (j1 + 1) for j1 in range(dim)}
     column, row, dz = Tensor(h, 2, column), Tensor(h, 2, row), delta(h.gen("z"))
     return [(column, row), (row, column), (column, dz), (dz, row), _cancelling_operands(h)]
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import apply_rows, exact_kernel
+from conftest import apply_rows, exact_kernel, q
 from hopflab.linalg import (
     ROUTES,
     AmbientDimensionMismatch,
@@ -22,14 +22,8 @@ from hopflab.scalars import FieldSpec, MixedFieldSpec, get_field, residue_map
 Q = get_field(FieldSpec.parse("Q"))
 
 
-def q(num, den=1):
-    """The rational num/den as an element of Q = Q(zeta_1), the element
-    type that every rational entry of the program has."""
-    return Q.from_fraction(Fraction(num, den))
-
-
 def mat(rows):
-    return [{c: q(v) for c, v in row.items() if v} for row in rows]
+    return [{c: q(Q, v) for c, v in row.items() if v} for row in rows]
 
 
 def test_rref_examples():
@@ -37,7 +31,7 @@ def test_rref_examples():
     assert Subspace.from_vectors(mat([{0: 1}, {1: 1}, {2: 1}]), 3).dim == 3
     red = Subspace.from_vectors(mat([{0: 1, 1: 1}, {0: 1, 1: 1}]), 2)
     assert red.dim == 1
-    assert red.rows[0] == {0: q(1), 1: q(1)}
+    assert red.rows[0] == {0: q(Q, 1), 1: q(Q, 1)}
 
 
 def test_kernel_examples():
@@ -45,7 +39,7 @@ def test_kernel_examples():
     assert kernel_of_rows(mat([{0: 1}, {1: 1}]), 2).dim == 0
     k = kernel_of_rows(mat([{0: 1, 1: -1}]), 2)
     assert k.dim == 1
-    assert k.rows[0] == {0: q(1), 1: q(1)}
+    assert k.rows[0] == {0: q(Q, 1), 1: q(Q, 1)}
 
 
 def _random_mat(rng, nrows, ncols, density=0.5):
@@ -54,7 +48,7 @@ def _random_mat(rng, nrows, ncols, density=0.5):
         row = {}
         for c in range(ncols):
             if rng.random() < density:
-                v = q(rng.randint(-5, 5), rng.randint(1, 4))
+                v = q(Q, rng.randint(-5, 5), rng.randint(1, 4))
                 if v:
                     row[c] = v
         rows.append(row)
@@ -99,7 +93,7 @@ def test_rref_idempotent():
 def _random_subspace(rng, ambient, k):
     vecs = []
     for _ in range(k):
-        vecs.append({c: q(rng.randint(-4, 4)) for c in range(ambient) if rng.random() < 0.6})
+        vecs.append({c: q(Q, rng.randint(-4, 4)) for c in range(ambient) if rng.random() < 0.6})
     return Subspace.from_vectors(vecs, ambient)
 
 
@@ -126,7 +120,7 @@ def test_subspace_equality_is_mutual_membership():
         ambient = rng.randint(2, 5)
         a = _random_subspace(rng, ambient, rng.randint(1, ambient))
         # same space from scaled, permuted spanning set
-        scaled = [{c: v * 3 for c, v in row.items()} for row in a.basis()]
+        scaled = [{c: v * Q.from_int(3) for c, v in row.items()} for row in a.basis()]
         rng.shuffle(scaled)
         b = Subspace.from_vectors(scaled, ambient)
         assert a == b
@@ -135,8 +129,8 @@ def test_subspace_equality_is_mutual_membership():
 
 
 def test_ambient_mismatch():
-    a = Subspace.from_vectors([{0: q(1)}], 2)
-    b = Subspace.from_vectors([{0: q(1)}], 3)
+    a = Subspace.from_vectors([{0: q(Q, 1)}], 2)
+    b = Subspace.from_vectors([{0: q(Q, 1)}], 3)
     with pytest.raises(AmbientDimensionMismatch):
         a.intersect(b)
     with pytest.raises(AmbientDimensionMismatch):
@@ -145,21 +139,21 @@ def test_ambient_mismatch():
 
 def test_solve():
     # x0 + x1 = 3, x1 = 1 -> particular solution with zero free coords
-    sol = solve([{0: q(1), 1: q(1)}, {1: q(1)}], 2, {0: q(3), 1: q(1)})
-    assert sol == {0: q(2), 1: q(1)}
+    sol = solve([{0: q(Q, 1), 1: q(Q, 1)}, {1: q(Q, 1)}], 2, {0: q(Q, 3), 1: q(Q, 1)})
+    assert sol == {0: q(Q, 2), 1: q(Q, 1)}
     # inconsistent
-    sol = solve([{0: q(1)}, {0: q(1)}], 1, {0: q(1), 1: q(2)})
+    sol = solve([{0: q(Q, 1)}, {0: q(Q, 1)}], 1, {0: q(Q, 1), 1: q(Q, 2)})
     assert sol is None
     # underdetermined: ker A = span{(1, -1/2)} has pivot 0, where x vanishes
-    sol = solve([{0: q(1), 1: q(2)}], 2, {0: q(4)})
-    assert sol == {1: q(2)}
+    sol = solve([{0: q(Q, 1), 1: q(Q, 2)}], 2, {0: q(Q, 4)})
+    assert sol == {1: q(Q, 2)}
 
 
 def test_echelon_incremental_rank():
     ech = Echelon(3)
-    assert ech.add_row({0: q(1), 2: q(1)}) == 0
-    assert ech.add_row({0: q(2), 2: q(2)}) is None
-    assert ech.add_row({1: q(5)}) == 1
+    assert ech.add_row({0: q(Q, 1), 2: q(Q, 1)}) == 0
+    assert ech.add_row({0: q(Q, 2), 2: q(Q, 2)}) is None
+    assert ech.add_row({1: q(Q, 5)}) == 1
     assert ech.rank == 2
 
 
@@ -167,10 +161,10 @@ def test_kernel_of_rows_stops_at_full_rank():
     """Once the rank reaches ncols the kernel is zero: no further row is read."""
 
     def rows():
-        yield {0: q(1), 2: q(5)}
-        yield {0: q(2), 2: q(10)}  # dependent: the rank stays 1
-        yield {1: q(3)}
-        yield {0: q(1), 1: q(1), 2: q(-1)}  # full rank here
+        yield {0: q(Q, 1), 2: q(Q, 5)}
+        yield {0: q(Q, 2), 2: q(Q, 10)}  # dependent: the rank stays 1
+        yield {1: q(Q, 3)}
+        yield {0: q(Q, 1), 1: q(Q, 1), 2: q(Q, -1)}  # full rank here
         raise AssertionError("a row was read past full rank")
 
     assert kernel_of_rows(rows(), 3).dim == 0
@@ -180,13 +174,13 @@ def test_kernel_of_rows_reads_every_row_below_full_rank():
     seen = []
 
     def rows():
-        for row in ({0: q(1)}, {0: q(2)}, {1: q(1), 2: q(1)}):
+        for row in ({0: q(Q, 1)}, {0: q(Q, 2)}, {1: q(Q, 1), 2: q(Q, 1)}):
             seen.append(row)
             yield row
 
     ker = kernel_of_rows(rows(), 3)
     assert len(seen) == 3
-    assert ker.basis() == [{1: q(1), 2: q(-1)}]
+    assert ker.basis() == [{1: q(Q, 1), 2: q(Q, -1)}]
 
 
 @pytest.mark.parametrize("spec", ["Q", "cyclotomic:3", "prime:97"])
@@ -236,12 +230,16 @@ def _scalars(spec: str):
     p, phi = residue_map(f.one)
     if spec.startswith("prime"):
         return st.builds(f.from_int, st.integers(-3, 3) | st.sampled_from([p, -p, p + 1, 2 * p - 1]))
-    rational = st.builds(Fraction, st.integers(-3, 3) | st.sampled_from([p, -p, p + 1, 2 * p - 1]), st.sampled_from([1, 2, 3, p]))
+    rational = st.builds(
+        lambda num, den: q(f, num, den),
+        st.integers(-3, 3) | st.sampled_from([p, -p, p + 1, 2 * p - 1]),
+        st.sampled_from([1, 2, 3, p]),
+    )
     if spec == "Q":
-        return st.builds(f.from_fraction, rational)
+        return rational
     zeta = f.make_root(3)
-    unlucky = zeta - phi(zeta)
-    return st.builds(lambda a, b: a + b * zeta, rational, rational) | st.sampled_from([unlucky, unlucky + 1, zeta])
+    unlucky = zeta - f.from_int(phi(zeta))
+    return st.builds(lambda a, b: a + b * zeta, rational, rational) | st.sampled_from([unlucky, unlucky + f.one, zeta])
 
 
 @st.composite
@@ -250,13 +248,14 @@ def _matrices(draw, spec: str):
     them, shuffled, so that kernels are often nonzero and many rows are
     dependent."""
     scalars = _scalars(spec)
+    f = get_field(FieldSpec.parse(spec))
     ncols = draw(st.integers(1, 5))
     base = [{c: draw(scalars) for c in range(ncols) if draw(st.booleans())} for _ in range(draw(st.integers(0, 3)))]
     rows = list(base)
     for _ in range(draw(st.integers(0, 4))):
         combo: dict = {}
         for b in base:
-            vec_axpy(combo, b, draw(st.integers(-2, 2)))
+            vec_axpy(combo, b, f.from_int(draw(st.integers(-2, 2))))
         rows.append(combo)
     return draw(st.permutations(rows)), ncols
 
@@ -282,7 +281,7 @@ P = residue_map(Q.one)[0]  # the first prime of the residue maps of Q
 def test_unlucky_prime_over_q_retries():
     """{0: 1, 1: 1} and {0: 1, 1: 1 + p} agree mod p: the F_p rank is 1, the
     exact check of the second row fails, and the next prime finds rank 2."""
-    rows = [{0: q(1), 1: q(1)}, {0: q(1), 1: q(1 + P)}]
+    rows = [{0: q(Q, 1), 1: q(Q, 1)}, {0: q(Q, 1), 1: q(Q, 1 + P)}]
     ker, routes = _routes(lambda: kernel_of_rows(rows, 2))
     assert routes == {"retries": 1, "certified_zero": 1}
     assert ker.dim == 0 and _same(ker, exact_kernel(rows, 2))
@@ -295,7 +294,7 @@ def test_unlucky_prime_over_cyclotomic_retries():
     p, phi = residue_map(f.one)
     zeta = f.make_root(3)
     omega = phi(zeta)
-    unlucky = zeta - omega
+    unlucky = zeta - f.from_int(omega)
     assert unlucky and phi(unlucky) == 0
     for rows, ncols in (([{0: unlucky}], 1), ([{0: f.one, 1: zeta}, {0: f.one, 1: f.from_int(omega)}], 2)):
         ker, routes = _routes(lambda: kernel_of_rows(rows, ncols))
@@ -304,14 +303,14 @@ def test_unlucky_prime_over_cyclotomic_retries():
 
 
 def test_denominator_divisible_by_the_prime_retries():
-    rows = [{0: q(1, P), 1: q(1)}, {0: q(2, P), 1: q(2)}]
+    rows = [{0: q(Q, 1, P), 1: q(Q, 1)}, {0: q(Q, 2, P), 1: q(Q, 2)}]
     ker, routes = _routes(lambda: kernel_of_rows(rows, 2))
     assert routes == {"retries": 1, "picked_rows": 1}
-    assert ker.basis() == [{0: q(1), 1: q(-1, P)}]
+    assert ker.basis() == [{0: q(Q, 1), 1: q(Q, -1, P)}]
     assert _same(ker, exact_kernel(rows, 2))
     # mid-stream, from a one-pass iterator: the retry replays the rows read
     # before the failing one and then reads the rest
-    rows = [{0: q(1), 1: q(2)}, {2: q(1, P), 3: q(1)}, {1: q(3), 3: q(1)}]
+    rows = [{0: q(Q, 1), 1: q(Q, 2)}, {2: q(Q, 1, P), 3: q(Q, 1)}, {1: q(Q, 3), 3: q(Q, 1)}]
     ker, routes = _routes(lambda: kernel_of_rows(iter(rows), 4))
     assert routes == {"retries": 1, "picked_rows": 1}
     assert ker.dim == 1 and _same(ker, exact_kernel(rows, 4))
@@ -325,7 +324,7 @@ def test_entries_that_no_prime_maps_raise():
     z3 = get_field(FieldSpec.parse("cyclotomic:3")).make_root(3)
     z4 = get_field(FieldSpec.parse("cyclotomic:4")).make_root(4)
     before = dict(ROUTES)
-    for rows in ([{0: z3, 1: z4}], [{0: z4, 1: z3}], [{0: q(1, 2)}, {0: q(1), 1: z3}]):
+    for rows in ([{0: z3, 1: z4}], [{0: z4, 1: z3}], [{0: q(Q, 1, 2)}, {0: q(Q, 1), 1: z3}]):
         with pytest.raises(MixedFieldSpec):
             kernel_of_rows(rows, 2)
     f97 = get_field(FieldSpec.parse("prime:97"))
@@ -360,8 +359,8 @@ def test_each_route_is_counted():
     f97 = get_field(FieldSpec.parse("prime:97"))
     one, two = f97.one, f97.from_int(2)
     cases = [
-        ([{0: q(1)}, {1: q(2)}], 2, "certified_zero", 0),
-        ([{0: q(1), 1: q(2)}, {0: q(3), 1: q(6)}], 2, "picked_rows", 1),
+        ([{0: q(Q, 1)}, {1: q(Q, 2)}], 2, "certified_zero", 0),
+        ([{0: q(Q, 1), 1: q(Q, 2)}, {0: q(Q, 3), 1: q(Q, 6)}], 2, "picked_rows", 1),
         ([{0: one, 1: two}, {0: two, 1: f97.from_int(4)}], 2, "picked_rows", 1),
         ([{0: one}, {1: two}], 2, "certified_zero", 0),
     ]
@@ -374,11 +373,11 @@ def test_each_route_is_counted():
 def test_max_pivot_kernel_is_canonical_without_elimination():
     """The picked-rows route returns the canonical RREF of the kernel as
     built, with keys in increasing order."""
-    rows = [{0: q(1), 1: q(2), 3: q(1)}, {1: q(1), 2: q(-1)}]
+    rows = [{0: q(Q, 1), 1: q(Q, 2), 3: q(Q, 1)}, {1: q(Q, 1), 2: q(Q, -1)}]
     ker = kernel_of_rows(rows, 4)
     assert ker.pivot_cols == (0, 1)
     assert [list(row) for row in ker.rows] == [[0, 3], [1, 2, 3]]
-    assert ker.rows == ({0: q(1), 3: q(-1)}, {1: q(1), 2: q(1), 3: q(-2)})
+    assert ker.rows == ({0: q(Q, 1), 3: q(Q, -1)}, {1: q(Q, 1), 2: q(Q, 1), 3: q(Q, -2)})
     assert _same(ker, Subspace.from_vectors(ker.rows, 4))
 
 
@@ -436,8 +435,8 @@ def test_intersect_equals_stacked_annihilators(spec, data):
         assert all(type(v) is type(one) for row in got.rows for v in row.values())
 
 
-def _evaluate(row: dict, x: dict):
-    acc = 0
+def _evaluate(row: dict, x: dict, zero):
+    acc = zero
     for c, v in row.items():
         if c in x:
             acc = acc + v * x[c]
@@ -456,9 +455,10 @@ def test_solve_properties(spec, data):
     x zero at every pivot of ker A.  Half the right-hand sides are A x0."""
     rows, ncols = data.draw(_matrices(spec))
     scalars = _scalars(spec)
+    zero = get_field(FieldSpec.parse(spec)).zero
     if data.draw(st.booleans()):
         x0 = {c: data.draw(scalars) for c in range(ncols)}
-        rhs = {r: _evaluate(row, x0) for r, row in enumerate(rows)}
+        rhs = {r: _evaluate(row, x0, zero) for r, row in enumerate(rows)}
     else:
         rhs = {r: data.draw(scalars) for r in range(len(rows)) if data.draw(st.booleans())}
     x = solve(rows, ncols, rhs)
@@ -466,7 +466,7 @@ def test_solve_properties(spec, data):
     assert (x is None) == (_rank(rows, ncols) < _rank(aug, ncols + 1))
     if x is not None:
         for r, row in enumerate(rows):
-            assert not (_evaluate(row, x) - rhs.get(r, 0))
+            assert not (_evaluate(row, x, zero) - rhs.get(r, zero))
         assert not set(x) & set(exact_kernel(rows, ncols).pivot_cols)
 
 
@@ -482,14 +482,14 @@ def test_solve_and_intersect_make_one_kernel_call(monkeypatch):
         return orig(rows, ncols)
 
     monkeypatch.setattr(linalg, "kernel_of_rows", counting)
-    assert solve([{0: q(1), 1: q(1)}], 3, {0: q(2)}) == {1: q(2)}
+    assert solve([{0: q(Q, 1), 1: q(Q, 1)}], 3, {0: q(Q, 2)}) == {1: q(Q, 2)}
     assert calls == [4]
     calls.clear()
-    line = Subspace.from_vectors([{0: q(1), 1: q(1)}], 3)
-    plane = Subspace.from_vectors([{0: q(1)}, {2: q(1)}], 3)
+    line = Subspace.from_vectors([{0: q(Q, 1), 1: q(Q, 1)}], 3)
+    plane = Subspace.from_vectors([{0: q(Q, 1)}, {2: q(Q, 1)}], 3)
     assert line.intersect(plane).dim == 0 and plane.intersect(line).dim == 0
     assert calls == [1, 1]
     calls.clear()
-    above = Subspace.from_vectors([*line.rows, {2: q(1)}], 3)
+    above = Subspace.from_vectors([*line.rows, {2: q(Q, 1)}], 3)
     assert line.intersect(above) == line and above.intersect(line) == line
     assert calls == []

@@ -1,8 +1,6 @@
-from fractions import Fraction
-
 import pytest
 
-from conftest import copy_tables, pe, registered_rs
+from conftest import copy_tables, pe, q, registered_rs
 from hopflab.families import build
 from hopflab.hopf import Tensor, delta, generators_span, verify_hopf
 from hopflab.precartier import solve_infinitesimal
@@ -38,7 +36,7 @@ def test_exp_examples(ac22):
     assert exp_hbar(ac22, ac22.zero_tensor(2)) == PolyTensor.constant(ac22.unit_tensor(2))
     chi = pe(ac22, "x (x) x*g")
     e = exp_hbar(ac22, chi)
-    assert e.degree == 1
+    assert len(e.coeffs) - 1 == 1
     assert e.coeff(0) == ac22.unit_tensor(2)
     assert e.coeff(1) == chi
     eneg = exp_hbar(ac22, -chi)
@@ -48,7 +46,7 @@ def test_exp_examples(ac22):
 def test_exp_inverse_higher_degree(en2):
     chi = pe(en2, "(g^1*x{1} (x) x{1}) + (g^1*x{2} (x) x{2})")
     e = exp_hbar(en2, chi)
-    assert e.degree == 2
+    assert len(e.coeffs) - 1 == 2
     assert e.coeff(2) == (chi * chi).scaled(en2.field.one / en2.field.from_int(2))
     assert e * exp_hbar(en2, -chi) == PolyTensor.constant(en2.unit_tensor(2))
 
@@ -61,8 +59,14 @@ def test_polytensor_associative(en2, rng):
         for _ in range(3)
     ]
     a, b, c = ts
+
+    def plus(x, y):
+        return PolyTensor(en2, 2, [x.coeff(d) + y.coeff(d) for d in range(max(len(x.coeffs), len(y.coeffs)))])
+
     assert (a * b) * c == a * (b * c)
-    assert (a + b) * c == a * c + b * c
+    assert plus(a, b) * c == plus(a * c, b * c)
+    zero = PolyTensor(en2, 2, [])
+    assert a * zero == zero * a == zero and not zero
 
 
 def test_hypotheses_trivial_and_families(ac22, en2):
@@ -84,7 +88,7 @@ def test_hypotheses_trivial_and_families(ac22, en2):
 def test_hypotheses_scale_invariant(en2, rng):
     r = build_r(en2, "en-a:[[1,0],[0,1]]")
     chi = pe(en2, "g^1*x{1} (x) x{1}")
-    c = en2.field.from_fraction(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+    c = q(en2.field, rng.randint(1, 9), rng.randint(1, 9))
     assert check_commutation_hypotheses(en2, r, chi.scaled(c)) == (True, True)
 
 
@@ -143,7 +147,7 @@ def test_en3_cube_coefficient_collapses_mod_three():
     h3 = build("en:3", FieldSpec("prime", p=3))
     chi3 = pe(h3, "(g^1*x{1} (x) x{1}) + (g^1*x{2} (x) x{2}) + (g^1*x{3} (x) x{3})")
     assert len(_powers(h3, chi3)) == 3
-    assert exp_hbar(h3, chi3).degree == 2
+    assert len(exp_hbar(h3, chi3).coeffs) - 1 == 2
 
 
 def test_hypothesis_status_reported_separately(en1):

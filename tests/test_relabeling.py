@@ -14,8 +14,6 @@ each solved space must equal the space solved on the conjugate algebra: a
 route that does not depend on which root of unity the solvers see.
 """
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,7 +64,7 @@ def sigma(x, k: int):
     """sigma_k(x) for x in Q(zeta_M): zeta -> zeta^k, by field arithmetic."""
     f = x.field
     zeta = f.make_root(f.order)
-    return sum((n * zeta ** (i * k) for i, n in enumerate(x.nums)), f.zero) * Fraction(1, x.den)
+    return sum((f.from_int(n) * zeta ** (i * k) for i, n in enumerate(x.nums)), f.zero) / f.from_int(x.den)
 
 
 def conjugate(h: HopfData, k: int) -> HopfData:

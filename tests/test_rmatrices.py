@@ -24,6 +24,9 @@ def test_rspec_parsing():
     assert RSpec.parse("h8pm:+1,-1") == RSpec("h8_pm", (1, -1))
     assert RSpec.parse("h8omega:z8").kind == "h8_omega"
     assert RSpec.parse("bichar:[[1,0],[0,1]]") == RSpec("bichar", (((1, 0), (0, 1)),))
+    assert RSpec.parse("bichar: [ [0, 0] ,\t[1, 0] ] ") == RSpec("bichar", (((0, 0), (1, 0)),))
+    assert RSpec.parse("en-a:[[1, 0], [0, 1]]") == RSpec("en_a", ("[[1, 0], [0, 1]]",))
+    assert RSpec.parse("ac22:q=1") == RSpec("ac22", (1, "0"))
     assert RSpec.parse("ac4dual").kind == "ac4dual"
     with pytest.raises(ValueError):
         RSpec.parse("mystery:1")

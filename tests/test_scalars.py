@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import q
+from hopflab.families import build
 from hopflab.scalars import (
     CycElt,
     FieldError,
@@ -25,6 +28,7 @@ Q2 = get_field(FieldSpec("cyclotomic", order=2))
 Q8 = get_field(FieldSpec("cyclotomic", order=8))
 Q4 = get_field(FieldSpec("cyclotomic", order=4))
 F97 = get_field(FieldSpec("prime", p=97))
+F5 = get_field(FieldSpec("prime", p=5))
 
 
 def test_cyclotomic_polynomials():
@@ -77,7 +81,8 @@ def test_order_unavailable():
 
 
 def test_field_ops_examples():
-    assert Q.one / Q.from_int(2) == Q.from_fraction(Fraction(1, 2))
+    half = Q.one / Q.from_int(2)
+    assert (half.nums, half.den) == ((1,), 2)
     z = Q8.make_root(8)
     assert z * z**7 == Q8.one
     # (1 + z4)(1 - z4) = 2, against a brute-force polynomial oracle mod Phi_4
@@ -108,7 +113,7 @@ def test_from_coeffs_matches_power_sum(coeffs):
 def _power_sum(coeffs):
     """sum_k coeffs[k] zeta_8^k in Q8."""
     z = Q8.make_root(8)
-    return sum((Fraction(c) * z**k for k, c in enumerate(coeffs)), Q8.zero)
+    return sum((q(Q8, c) * z**k for k, c in enumerate(coeffs)), Q8.zero)
 
 
 def _poly_mult_oracle(a, b, order):
@@ -136,10 +141,37 @@ def test_division_errors():
 
 
 def test_mixed_field_error():
-    z8 = Q8.make_root(8)
-    z4 = Q4.make_root(4)
-    with pytest.raises(MixedFieldSpec):
-        z8 + z4
+    """An element combines only with an element of its own field, over Q,
+    Q(zeta_3), Q(zeta_8) and F_97.  An int, a Fraction or an element of
+    another field raises MixedFieldSpec as the right operand of +, -, *, /
+    and ==, so a stale ``x == 1`` cannot read False; an int or a Fraction
+    on the left raises TypeError, as there are no reflected operators; a
+    Tensor takes no scalar through * on either side.  A type that is no
+    scalar compares unequal, and ``scaled`` is how a scalar enters a
+    Tensor."""
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq, operator.ne)
+    foreigns = (1, 0, Fraction(1, 2), Q4.make_root(4), F5.from_int(2))
+    for spec in ("Q", "cyclotomic:3", "cyclotomic:8", "prime:97"):
+        f = get_field(FieldSpec.parse(spec))
+        x = f.make_root(2) + f.from_int(3)
+        t = build("en:1", FieldSpec.parse(spec)).gen("g")
+        for foreign in foreigns:
+            for op in ops:
+                with pytest.raises(MixedFieldSpec):
+                    op(x, foreign)
+                with pytest.raises((TypeError, MixedFieldSpec)):
+                    op(foreign, x)
+            with pytest.raises(TypeError):
+                foreign * t
+            with pytest.raises((TypeError, AttributeError)):
+                t * foreign
+        with pytest.raises(TypeError):
+            x * t
+        with pytest.raises((TypeError, AttributeError)):
+            t * x
+        assert t.scaled(x).coeffs == {k: x * v for k, v in t.coeffs.items()}
+        assert (x == None) is False and (x != None) is True and x not in (None, "x")  # noqa: E711
+        assert {None: 0, x: 1}[x] == 1
 
 
 def primitive_roots(field, m: int) -> list:
@@ -160,7 +192,7 @@ def test_primitive_roots():
 
 
 scalars8 = st.builds(
-    lambda nums, den: CycElt(Q8, tuple(nums)) * Fraction(1, den),
+    lambda nums, den: CycElt(Q8, tuple(nums)) / Q8.from_int(den),
     st.lists(st.integers(-30, 30), min_size=4, max_size=4),
     st.integers(1, 12),
 )
@@ -183,7 +215,7 @@ def test_field_axioms(a, b, c):
 def test_inverse_by_the_norm(order, nums, den):
     """x x^-1 = 1 for every nonzero x of Q(zeta_M), up to degree 8."""
     f = get_field(FieldSpec("cyclotomic", order=order))
-    x = CycElt(f, tuple(nums[: f.degree])) * Fraction(1, den)
+    x = CycElt(f, tuple(nums[: f.degree])) / f.from_int(den)
     if x:
         assert x * x.inverse() == f.one
         assert x.inverse().inverse() == x
@@ -223,7 +255,7 @@ def test_residue_map_at_degree_one(order, a, b):
     """The residue map of Q = Q(zeta_1) = Q(zeta_2): a prime above 2^31,
     additive, multiplicative, and zeta_2 = -1 sent to p - 1."""
     f = get_field(FieldSpec("cyclotomic", order=order))
-    x, y = f.from_fraction(a), f.from_fraction(b)
+    x, y = q(f, a), q(f, b)
     p, phi = residue_map(x)
     assert p > 2**31
     assert phi(x + y) == (phi(x) + phi(y)) % p
@@ -237,10 +269,10 @@ def test_residue_map_at_degree_one(order, a, b):
 def test_degree_one_arithmetic_matches_fraction(a, b):
     """Q(zeta_1) against ``fractions.Fraction``: +, -, *, /, ==, bool and
     str agree, so a rational prints as its ``Fraction`` does."""
-    x, y = Q.from_fraction(a), Q.from_fraction(b)
-    assert x + y == Q.from_fraction(a + b)
-    assert x - y == Q.from_fraction(a - b)
-    assert x * y == Q.from_fraction(a * b)
+    x, y = q(Q, a), q(Q, b)
+    assert x + y == q(Q, a + b)
+    assert x - y == q(Q, a - b)
+    assert x * y == q(Q, a * b)
     assert (x == y) is (a == b)
     assert bool(x) is bool(a)
     assert str(x) == str(a) and str(x * y) == str(a * b)
@@ -255,25 +287,25 @@ def test_residue_map_domain():
     """Where p divides a denominator the map raises NotInImage, and the
     next map of the field is defined there; on another field it raises
     MixedFieldSpec.  Over F_p it is the identity on residues."""
-    third = Q.from_fraction(Fraction(1, 3))
+    third = q(Q, 1, 3)
     p, phi = residue_map(third)
     assert (p, phi) == residue_map(Q.one) == residue_map(Q.from_int(7))
     assert phi(third) * 3 % p == 1
     with pytest.raises(NotInImage):
-        phi(Q.from_fraction(Fraction(1, p)))
+        phi(q(Q, 1, p))
     p1, phi1 = residue_map(third, 1)
-    assert p1 > p and phi1(Q.from_fraction(Fraction(1, p))) * p % p1 == 1
+    assert p1 > p and phi1(q(Q, 1, p)) * p % p1 == 1
     with pytest.raises(MixedFieldSpec):
         phi(Q8.one)
     p8, phi8 = residue_map(Q8.one)
     with pytest.raises(MixedFieldSpec):
         phi8(Q4.one)
     with pytest.raises(NotInImage):
-        phi8(Q8.from_fraction(Fraction(1, p8)))
+        phi8(q(Q8, 1, p8))
     primes = [residue_map(Q8.one, k)[0] for k in range(4)]
-    assert primes == sorted(set(primes)) and all(q % 8 == 1 and _is_prime(q) for q in primes)
+    assert primes == sorted(set(primes)) and all(r % 8 == 1 and _is_prime(r) for r in primes)
     p97, phi97 = residue_map(F97.one)
-    assert p97 == 97 and phi97(F97.from_int(-1)) == 96 and phi97(F97.from_fraction(Fraction(1, 2))) == 49
+    assert p97 == 97 and phi97(F97.from_int(-1)) == 96 and phi97(q(F97, 1, 2)) == 49
     with pytest.raises(FieldError, match="one residue map"):
         residue_map(F97.one, 1)
 
@@ -287,8 +319,8 @@ def test_prime_field_roots():
 
 
 def test_prime_field_fraction_embedding():
-    half = F97.from_fraction(Fraction(1, 2))
-    assert half + half == F97.one
+    half = q(F97, 1, 2)
+    assert half + half == F97.one and half == F97.from_int(49)
 
 
 def test_prime_field_inverse():
@@ -299,7 +331,7 @@ def test_prime_field_inverse():
         assert x * x.inverse() == F97.one
         assert F97.one / x == x.inverse() == x**-1 and x**-2 == x.inverse() ** 2
     zero = F97.zero
-    for divide in (zero.inverse, lambda: F97.one / zero, lambda: 1 / zero, lambda: zero**-1):
+    for divide in (zero.inverse, lambda: F97.one / zero, lambda: zero**-1):
         with pytest.raises(ZeroDivisionError):
             divide()
 
