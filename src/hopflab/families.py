@@ -1,5 +1,8 @@
-"""Constructors for the Hopf algebra families under study; each produces a
-verified HopfData with frozen canonical basis labels.
+"""Constructors for the Hopf algebra families under study; each builds a
+HopfData with frozen canonical basis labels over the field it is given.
+``build`` is the one entry point: it picks the family's field
+(``FamilySpec.default_field_spec`` unless one is given), dispatches to the
+constructor, and runs ``verify_hopf`` on what it returns.
 
 Every family but tensor products is presented by letters, each basis element
 a word in them.  Delta is an algebra map and S an anti-algebra map, so
@@ -161,41 +164,20 @@ def _bare_algebra(field, labels, mult, unit_index, name):
     return HopfData(field, labels, mult, unit_index, zero2, zero1, None, {}, name)
 
 
-def _finish(
-    field,
-    labels,
-    mult,
-    unit_index,
-    comult,
-    counit,
-    antipode,
-    generators,
-    name,
-    family,
-    checked: bool,
-) -> HopfData:
-    h = HopfData(field, labels, mult, unit_index, comult, counit, antipode, generators, name, family)
-    if checked:
-        rep = verify_hopf(h)
-        if not rep.ok:
-            raise ConstructionError(rep.summary())
-    return h
-
-
 def _words(exps: list[tuple]) -> list[tuple]:
     """The letter word y_1^a_1 ... y_L^a_L of each exponent vector a."""
     return [tuple(t for t, e in enumerate(a) for _ in range(e)) for a in exps]
 
 
-def _from_letters(bare: HopfData, words: list[tuple], letters: list[tuple], generators: dict, family, checked: bool) -> HopfData:
+def _from_letters(bare: HopfData, words: list[tuple], letters: list[tuple], generators: dict, family) -> HopfData:
     """The Hopf algebra on the algebra ``bare`` whose basis element i is the
     product of the letters of ``words[i]`` (letter indices, in order), with
     ``letters[t]`` = (Delta, S, epsilon) of letter t: Delta(word) =
     Delta(word less its last letter) Delta(last letter), one ``product_sums``
     per word length, so each letter's Delta is lifted once per length;
     S(word) the reversed product of the letters' S; epsilon(word) the product
-    of the letters' epsilon.  Every prefix of a word must be a word; a checked
-    build refuses words that do not multiply to the basis."""
+    of the letters' epsilon.  Every prefix of a word must be a word;
+    ``verify_hopf`` refuses words that do not multiply to the basis."""
     deltas = {(): bare.unit_tensor(2).coeffs}
     for length in range(1, max(map(len, words)) + 1):
         layer = [w for w in words if len(w) == length]
@@ -209,27 +191,21 @@ def _from_letters(bare: HopfData, words: list[tuple], letters: list[tuple], gene
         antipode.append(s.coeffs)
         counit.append(e)
     comult = [deltas[w] for w in words]
-    return _finish(bare.field, bare.labels, bare.mult, bare.unit_index, comult, counit, antipode, generators, bare.name, family, checked)
+    return HopfData(bare.field, bare.labels, bare.mult, bare.unit_index, comult, counit, antipode, generators, bare.name, family)
 
 
 # -- group algebras ---------------------------------------------------------
 
 
-def build_group_algebra(
-    invariants: tuple,
-    field=None,
-    checked: bool = True,
-) -> HopfData:
+def build_group_algebra(invariants: tuple, field) -> HopfData:
     """Group algebra of the abelian group prod C_{n_i}: the quantum linear
     space on the group-like letters of order > 1 (k with no invariants)."""
     invariants = tuple(int(n) for n in invariants)
     family = FamilySpec("group", invariants)
-    if field is None:
-        field = get_field(FieldSpec("cyclotomic", order=1))
     letters = [(f"g{i+1}", n) for i, n in enumerate(invariants) if n > 1]
     exps = list(itertools.product(*(range(n) for _, n in letters)))
     name = "k[" + "x".join(f"C{n}" for n in invariants) + "]" if invariants else "k"
-    return build_quantum_linear_space(letters, {}, exps, _monomial_label([g for g, _ in letters]), field, name, family, checked)
+    return build_quantum_linear_space(letters, {}, exps, _monomial_label([g for g, _ in letters]), field, name, family)
 
 
 # -- quantum linear spaces -----------------------------------------------------
@@ -243,15 +219,14 @@ def build_quantum_linear_space(
     field,
     name: str,
     family: FamilySpec | None = None,
-    checked: bool = True,
 ) -> HopfData:
     """The quantum linear space of the module docstring.  ``letters`` in word
     order: ``(name, order)`` for a group-like, ``(name, N, g, h)`` for a
     skew-primitive, with g, h as {group letter: exponent}.
     ``commute[(t, s)] = c_ts`` (absent pairs commute); ``exps`` lists the basis
-    exponent vectors in index order, ``label`` names each.  A checked build
-    runs ``verify_hopf``, which refuses a datum that presents no Hopf algebra
-    (for instance N other than the order of chi(g h^-1))."""
+    exponent vectors in index order, ``label`` names each.  ``verify_hopf``
+    refuses a datum that presents no Hopf algebra (for instance N other than
+    the order of chi(g h^-1))."""
     bare, monomial = _qls_algebra(letters, commute, exps, label, field, name)
     images = []  # (Delta, S, epsilon) of each letter
     for letter in letters:
@@ -263,7 +238,7 @@ def build_quantum_linear_space(
             images.append((y.tensor(y), monomial({letter[0]: -1}), field.one))
     words = _words(exps)
     generators = {letter[0]: words.index((t,)) for t, letter in enumerate(letters)}
-    return _from_letters(bare, words, images, generators, family, checked)
+    return _from_letters(bare, words, images, generators, family)
 
 
 def _qls_algebra(letters, commute, exps, label, field, name) -> tuple:
@@ -349,50 +324,43 @@ def _radford_datum(field, r: int, n: int):
     return letters, commute, list(itertools.product(range(r * n), range(n))), _monomial_label(["g", "x"])
 
 
-def _excluding_char2(field):
-    if field is None:
-        field = get_field(FieldSpec("cyclotomic", order=1))
+def _excluding_char2(field) -> None:
     if field.characteristic == 2:
         raise ParameterError("characteristic 2 is excluded for this family")
-    return field
 
 
-def build_en(n: int, field=None, checked: bool = True) -> HopfData:
+def build_en(n: int, field) -> HopfData:
     """The 2^(n+1)-dimensional Hopf algebra with an involutive group-like g and
     n anticommuting square-zero skew-primitive generators."""
-    family = FamilySpec("en", (n,))
-    field = _excluding_char2(field)
-    return build_quantum_linear_space(*_en_datum(field, n), field, f"E({n})", family, checked)
+    _excluding_char2(field)
+    return build_quantum_linear_space(*_en_datum(field, n), field, f"E({n})", FamilySpec("en", (n,)))
 
 
-def build_ac2n(n: int, field=None, checked: bool = True) -> HopfData:
+def build_ac2n(n: int, field) -> HopfData:
     """Pointed Hopf algebra of dimension 2^(n+1) with group-like coradical
     k C_2^n, all of whose group-likes anticommute with the skew-primitive x."""
-    family = FamilySpec("ac2n", (n,))
-    field = _excluding_char2(field)
+    _excluding_char2(field)
     name = "A_{C2xC2}" if n == 2 else f"A_{{C2^{n}}}"
-    return build_quantum_linear_space(*_ac2n_datum(field, n), field, name, family, checked)
+    return build_quantum_linear_space(*_ac2n_datum(field, n), field, name, FamilySpec("ac2n", (n,)))
 
 
-def build_radford(r: int, n: int, field=None, checked: bool = True) -> HopfData:
+def build_radford(r: int, n: int, field) -> HopfData:
     """Pointed Hopf algebra of dimension r n^2 on a group-like g of order rn
     and a skew-primitive x with xg = q gx and x^n = 0."""
-    family = FamilySpec("radford", (r, n))
-    if field is None:
-        field = get_field(family.default_field_spec())
-    return build_quantum_linear_space(*_radford_datum(field, r, n), field, f"H_({r},{n})", family, checked)
+    return build_quantum_linear_space(*_radford_datum(field, r, n), field, f"H_({r},{n})", FamilySpec("radford", (r, n)))
 
 
 # -- the semisimple family on commuting group-likes swapped by z -------------
 
 
-def build_h2n2(n: int, field=None, checked: bool = True, name: str | None = None, family: FamilySpec | None = None) -> HopfData:
+def build_h2n2(n: int, field, family: FamilySpec | None = None) -> HopfData:
     """Semisimple Hopf algebra of dimension 2n^2: commuting group-likes x, y
     of order n, an element z with zx = yz, zy = xz, and z^2 equal to the
     group-algebra element (1/n) sum q^{-ij} x^i y^j.
 
     With the basis {x^i y^j z^t, t = 0, 1} this is the unique relation for
-    the square of z compatible with the Hopf axioms (checked at build time).
+    the square of z compatible with the Hopf axioms (``verify_hopf`` checks
+    it).  ``family`` h8 names the n = 2 member H8.
     The product table is its own (z^2 in kG is no quantum-linear-space
     relation); the words are x^i y^j z^t, and the letters' data
     Delta(x) = x (x) x, Delta(y) = y (x) y,
@@ -400,8 +368,6 @@ def build_h2n2(n: int, field=None, checked: bool = True, name: str | None = None
     S(y) = y^(n-1), S(z) = z, epsilon 1 on each.
     """
     family = family or FamilySpec("h2n2", (n,))
-    if field is None:
-        field = get_field(FieldSpec("cyclotomic", order=n))
     p = field.characteristic
     if p and (2 * n) % p == 0:
         raise ParameterError(f"characteristic {p} divides 2n")
@@ -426,20 +392,14 @@ def build_h2n2(n: int, field=None, checked: bool = True, name: str | None = None
             else:
                 row.append({idx(i1 + j2 + a, j1 + i2 + b, 0): zsq[a * n + b] for a in range(n) for b in range(n)})
         mult.append(row)
-    bare = _bare_algebra(field, list(map(_monomial_label("xyz"), exps)), mult, 0, name or f"H_{{2*{n}^2}}")
+    name = "H8" if family.kind == "h8" else f"H_{{2*{n}^2}}"
+    bare = _bare_algebra(field, list(map(_monomial_label("xyz"), exps)), mult, 0, name)
     x, y, z = (bare.basis_elem(idx(*a)) for a in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     # Delta(z) = sum_(a,b) n^-1 q^(-ab) x^a z (x) y^b z
     delta_z = Tensor(bare, 2, {idx(a, 0, 1) * dim + idx(0, b, 1): zsq[a * n + b] for a in range(n) for b in range(n)})
     letters = [(x.tensor(x), x ** (n - 1), one), (y.tensor(y), y ** (n - 1), one), (delta_z, z, one)]
     generators = {"x": idx(1, 0, 0), "y": idx(0, 1, 0), "z": idx(0, 0, 1)}
-    return _from_letters(bare, _words(exps), letters, generators, family, checked)
-
-
-def build_h8(field=None, checked: bool = True) -> HopfData:
-    """The 8-dimensional semisimple algebra: the n = 2 member of the family."""
-    if field is None:
-        field = get_field(FieldSpec("cyclotomic", order=8))
-    return build_h2n2(2, field, checked, name="H8", family=FamilySpec("h8", ()))
+    return _from_letters(bare, _words(exps), letters, generators, family)
 
 
 def h8_idempotents(h: HopfData) -> list[Tensor]:
@@ -463,13 +423,11 @@ def h8_idempotents(h: HopfData) -> list[Tensor]:
 # -- the dual 8-dimensional algebra with non-group-like coradical ------------
 
 
-def build_ac4dual(field=None, checked: bool = True) -> HopfData:
+def build_ac4dual(field) -> HopfData:
     """The 8-dimensional algebra on g (order 4) and x with
     x^2 = 0, xg = w gx for a primitive 4th root w, and twisted coproduct
     Delta(g) = g (x) g - 2 gx (x) g^3 x: the quantum linear space on the
     letters (x, g), Delta(x) = 1 (x) x + x (x) g^2, with its own Delta(g)."""
-    if field is None:
-        field = get_field(FieldSpec("cyclotomic", order=4))
     letters = [("x", 2, {}, {"g": 2}), ("g", 4)]
     exps = list(itertools.product((0, 1), range(4)))
     bare, monomial = _qls_algebra(letters, {("g", "x"): field.make_root(4) ** 3}, exps, _monomial_label("xg"), field, "(A''_C4)*")
@@ -481,13 +439,13 @@ def build_ac4dual(field=None, checked: bool = True) -> HopfData:
         (g.tensor(g) - (g * x).tensor(g3 * x).scaled(field.from_int(2)), g3, field.one),
     ]
     generators = {"g": bare.index["g"], "x": bare.index["x"]}
-    return _from_letters(bare, _words(exps), images, generators, FamilySpec("ac4dual", ()), checked)
+    return _from_letters(bare, _words(exps), images, generators, FamilySpec("ac4dual", ()))
 
 
 # -- tensor products ----------------------------------------------------------
 
 
-def tensor_product(a: HopfData, b: HopfData, checked: bool = True) -> HopfData:
+def tensor_product(a: HopfData, b: HopfData) -> HopfData:
     """Componentwise product, coproduct with the middle flip, S = S (x) S."""
     if a.field is not b.field:
         raise ConstructionError("tensor factors must share one field")
@@ -560,19 +518,8 @@ def tensor_product(a: HopfData, b: HopfData, checked: bool = True) -> HopfData:
         generators[key] = idx(a.unit_index, gj)
 
     fam = FamilySpec("tensor", (a.family, b.family)) if (a.family and b.family) else None
-    return _finish(
-        field,
-        labels,
-        mult,
-        idx(a.unit_index, b.unit_index),
-        comult,
-        counit,
-        antipode,
-        generators,
-        f"{a.name}(x){b.name}",
-        fam,
-        checked,
-    )
+    unit_index = idx(a.unit_index, b.unit_index)
+    return HopfData(field, labels, mult, unit_index, comult, counit, antipode, generators, f"{a.name}(x){b.name}", fam)
 
 
 # -- registry -------------------------------------------------------------------
@@ -580,30 +527,44 @@ def tensor_product(a: HopfData, b: HopfData, checked: bool = True) -> HopfData:
 
 @lru_cache(maxsize=None)
 def _build_cached(spec: FamilySpec, field_spec: FieldSpec, checked: bool) -> HopfData:
+    """The HopfData of ``spec`` over the field of ``field_spec``; with
+    ``checked``, ``verify_hopf`` must pass on it (on each tensor factor
+    first), or ConstructionError names the violated laws."""
     field = get_field(field_spec)
-    if spec.kind == "group":
-        return build_group_algebra(spec.params, field, checked=checked)
-    if spec.kind == "en":
-        return build_en(spec.params[0], field, checked=checked)
-    if spec.kind == "ac2n":
-        return build_ac2n(spec.params[0], field, checked=checked)
-    if spec.kind == "h2n2":
-        return build_h2n2(spec.params[0], field, checked=checked)
-    if spec.kind == "h8":
-        return build_h8(field, checked=checked)
-    if spec.kind == "radford":
-        return build_radford(spec.params[0], spec.params[1], field, checked=checked)
-    if spec.kind == "ac4dual":
-        return build_ac4dual(field, checked=checked)
-    if spec.kind == "tensor":
-        a = _build_cached(spec.params[0], field_spec, checked)
-        b = _build_cached(spec.params[1], field_spec, checked)
-        return tensor_product(a, b, checked=checked)
-    raise UnsupportedFamily(spec.kind)
+    kind, params = spec.kind, spec.params
+    if kind == "group":
+        h = build_group_algebra(params, field)
+    elif kind == "en":
+        h = build_en(*params, field)
+    elif kind == "ac2n":
+        h = build_ac2n(*params, field)
+    elif kind == "h2n2":
+        h = build_h2n2(*params, field)
+    elif kind == "h8":
+        h = build_h2n2(2, field, spec)
+    elif kind == "radford":
+        h = build_radford(*params, field)
+    elif kind == "ac4dual":
+        h = build_ac4dual(field)
+    elif kind == "tensor":
+        h = tensor_product(*(_build_cached(factor, field_spec, checked) for factor in params))
+    else:
+        raise UnsupportedFamily(kind)
+    if checked:
+        rep = verify_hopf(h)
+        if not rep.ok:
+            raise ConstructionError(rep.summary())
+    return h
 
 
 def build(spec, field_spec: FieldSpec | None = None, checked: bool = True) -> HopfData:
-    """Build (and cache) the verified HopfData for a family spec or its string form.
+    """Build (and cache) the HopfData for a family spec or its string form.
+
+    The field is ``field_spec``, or the family's own
+    ``FamilySpec.default_field_spec`` when none is given.  With ``checked``
+    (the default) ``_build_cached`` runs ``verify_hopf`` on the instance,
+    and on each tensor factor first, and raises ConstructionError unless it
+    passes; the constructors themselves verify nothing.
 
     What this caches lives as long as the process and is never evicted: the
     ``_build_cached`` instance per (family, field, checked); on each instance,

@@ -53,7 +53,10 @@ class RSpec:
 
     @staticmethod
     def parse(text: str) -> "RSpec":
-        """Parse the text form; any malformed text raises RSpecError."""
+        """Parse the text form; any malformed text raises RSpecError.  Every
+        text part is stripped, and an ``en-a`` matrix kept in the compact
+        form [[a,b],[c,d]], so that ``str`` gives one text per R whatever
+        whitespace the spec had."""
         try:
             return RSpec._parse(text.strip())
         except KeyError as exc:
@@ -66,25 +69,28 @@ class RSpec:
         if text == "ac4dual":
             return RSpec("ac4dual")
         if text.startswith("en-a:"):
-            body = text[len("en-a:") :]
-            _parse_matrix(body, str)  # the shape here, the scalars once the algebra is known
-            return RSpec("en_a", (body,))
+            # the shape here, the scalars once the algebra is known
+            return RSpec("en_a", (_matrix_text(_parse_matrix(text[len("en-a:") :], str.strip)),))
         if text.startswith("ac22:"):
-            pairs = [p.split("=", 1) for p in text[len("ac22:") :].split(",")]
+            pairs = [[s.strip() for s in p.split("=", 1)] for p in text[len("ac22:") :].split(",")]
+            if any(len(p) != 2 for p in pairs):
+                raise RSpecError(f"expected {AC22_FORM}")
             kv = dict(pairs)
             if len(kv) < len(pairs) or not kv.keys() <= {"q", "a"}:
                 raise RSpecError("an ac22 spec takes the keys q and a, each at most once")
-            return RSpec("ac22", (int(kv["q"]), kv.get("a", "0")))
+            return RSpec("ac22", (_int(kv["q"], AC22_FORM), kv.get("a", "0")))
         if text.startswith("h8pm:"):
-            a, b = text[len("h8pm:") :].split(",")
-            return RSpec("h8_pm", (int(a), int(b)))
+            signs = text[len("h8pm:") :].split(",")
+            if len(signs) != 2:
+                raise RSpecError(f"expected {H8PM_FORM}")
+            return RSpec("h8_pm", tuple(_int(sign, H8PM_FORM) for sign in signs))
         if text.startswith("h8omega:"):
-            return RSpec("h8_omega", (text[len("h8omega:") :],))
+            return RSpec("h8_omega", (text[len("h8omega:") :].strip(),))
         if text.startswith("bichar:"):
             mat = _parse_matrix(text[len("bichar:") :], int)
             return RSpec("bichar", (tuple(tuple(r) for r in mat),))
         if text.startswith("explicit:"):
-            return RSpec("explicit", (text[len("explicit:") :],))
+            return RSpec("explicit", (text[len("explicit:") :].strip(),))
         raise ValueError("unknown R kind")
 
     def __str__(self) -> str:
@@ -97,14 +103,15 @@ class RSpec:
         if self.kind == "h8_omega":
             return f"h8omega:{self.params[0]}"
         if self.kind == "bichar":
-            rows = ",".join("[" + ",".join(str(x) for x in r) + "]" for r in self.params[0])
-            return f"bichar:[{rows}]"
+            return f"bichar:{_matrix_text(self.params[0])}"
         if self.kind == "explicit":
             return f"explicit:{self.params[0]}"
         return self.kind
 
 
 MATRIX = re.compile(r"\s*\[\s*\[[^\[\]]*\](\s*,\s*\[[^\[\]]*\])*\s*\]\s*")
+AC22_FORM = "ac22:q=<int>,a=<scalar>"
+H8PM_FORM = "h8pm:<±1>,<±1>"
 
 
 def _parse_matrix(text: str, entry) -> list[list]:
@@ -114,6 +121,19 @@ def _parse_matrix(text: str, entry) -> list[list]:
     if not MATRIX.fullmatch(text):
         raise RSpecError(f"expected a matrix [[..],..,[..]], got {text.strip()!r}")
     return [[entry(x) for x in row.split(",")] for row in re.findall(r"\[([^\[\]]*)\]", text)]
+
+
+def _matrix_text(rows) -> str:
+    """The compact text form [[a,b],[c,d]] of a matrix."""
+    return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in rows) + "]"
+
+
+def _int(text: str, form: str) -> int:
+    """An integer part of an R spec of the form ``form``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise RSpecError(f"expected {form}, got {text.strip()!r}") from None
 
 
 def _parse_body_scalar(h: HopfData, text: str):
@@ -438,9 +458,8 @@ def registered_rspecs(family_spec) -> list[RSpec]:
     kind = family_spec.kind
     if kind == "en":
         n = family_spec.params[0]
-        zero = "[" + ",".join("[" + ",".join("0" for _ in range(n)) + "]" for _ in range(n)) + "]"
-        ident = "[" + ",".join("[" + ",".join("1" if i == j else "0" for j in range(n)) + "]" for i in range(n)) + "]"
-        lower = "[" + ",".join("[" + ",".join("1" if i == j + 1 else "0" for j in range(n)) + "]" for i in range(n)) + "]"
+        zero = _matrix_text([[0] * n] * n)
+        ident, lower = (_matrix_text([[int(i == j + k) for j in range(n)] for i in range(n)]) for k in (0, 1))
         return [RSpec("en_a", (zero,)), RSpec("en_a", (ident,)), RSpec("en_a", (lower,))]
     if kind == "ac2n":
         return [RSpec("ac22", (0, "0")), RSpec("ac22", (0, "1")), RSpec("ac22", (1, "0")), RSpec("ac22", (1, "1"))]

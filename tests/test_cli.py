@@ -277,6 +277,9 @@ def test_runconfig_no_tasks(capsys):
         ("en:2", "en-a:[[1,0]garbage[0,1]]"),
         ("ac2n:2", "ac22:q=1,A=1"),  # a key other than q and a
         ("ac2n:2", "ac22:q=1,a=1,q=0"),  # a repeated key
+        ("ac2n:2", "ac22:q"),  # a part with no value
+        ("ac2n:2", "ac22:q=x"),  # q no integer
+        ("h8", "h8pm:1"),  # one sign
     ],
 )
 def test_bad_r_spec_exit_2(capsys, family, rspec):
@@ -295,14 +298,48 @@ def test_bad_r_spec_exit_2(capsys, family, rspec):
         "en-a:[[1,0]garbage[0,1]]",
         "ac22:q=1,A=1",
         "ac22:q=1,a=1,q=0",
+        "ac22:q",
+        "ac22:q=x",
+        "h8pm:1",
     ],
 )
 def test_malformed_r_spec_is_named(rspec):
     """Text that is not of its kind's form is refused when the spec is
     parsed, and the error names the whole spec: junk between or after the
-    rows of a matrix, or an unknown or repeated ac22 key."""
+    rows of a matrix, an unknown or repeated ac22 key, an ac22 part that is
+    no key=value or a q that is no integer, or an h8pm body that is no pair
+    of integers."""
     with pytest.raises(RSpecError, match=re.escape(f"R spec {rspec!r}")):
         RSpec.parse(rspec)
+
+
+@pytest.mark.parametrize(
+    "rspec, form",
+    [
+        ("ac22:q", "ac22:q=<int>,a=<scalar>"),
+        ("ac22:q=x", "ac22:q=<int>,a=<scalar>"),
+        ("h8pm:1", "h8pm:<±1>,<±1>"),
+        ("h8pm:+1,x", "h8pm:<±1>,<±1>"),
+    ],
+)
+def test_malformed_r_spec_names_its_form(capsys, rspec, form):
+    """A malformed ac22 or h8pm body is refused naming the whole spec and the
+    form it should have, in the exception and in the CLI's exit-2 message."""
+    with pytest.raises(RSpecError, match=re.escape(f"R spec {rspec!r}") + ".*" + re.escape(f"expected {form}")):
+        RSpec.parse(rspec)
+    family = "ac2n:2" if rspec.startswith("ac22") else "h8"
+    code, out, err = run_cli(capsys, "classify", "--family", family, "--r", rspec)
+    assert (code, out) == (2, "")
+    assert f"expected {form}" in err
+
+
+def test_report_r_is_one_string_per_spec(capsys):
+    """Whitespace in an en-a spec leaves the report's bytes unchanged: its r
+    is the compact form of the matrix."""
+    spaced = run_cli(capsys, "classify", "--family", "en:2", "--r", "en-a: [[1, 0], [0, 1]]")
+    compact = run_cli(capsys, "classify", "--family", "en:2", "--r", "en-a:[[1,0],[0,1]]")
+    assert spaced == compact
+    assert spaced[0] == 0 and json.loads(spaced[1])["r"] == "en-a:[[1,0],[0,1]]"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import pe
+from hopflab import families
 from hopflab.families import (
     ConstructionError,
     FamilySpec,
@@ -83,7 +85,7 @@ def test_en_antipode_square_is_conjugation_by_g(en3):
 
 
 def test_radford_coproduct_formula_matches_products():
-    h = build_radford(2, 3, checked=False)
+    h = build_radford(2, 3, get_field(FieldSpec("cyclotomic", order=6)))
     dg, dx = delta(h.gen("g")), delta(h.gen("x"))
     for l in range(6):
         for m in range(3):
@@ -131,7 +133,7 @@ def test_h8_idempotents_wrong_family(en2):
 
 
 def test_h2n2_at_two_equals_h8(h8):
-    other = build_h2n2(2, h8.field, checked=False)
+    other = build_h2n2(2, h8.field)
     assert other.labels == h8.labels
     assert other.mult == h8.mult
     assert other.comult == h8.comult
@@ -149,8 +151,8 @@ def test_h8_printed_coproduct_of_z(h8):
 
 
 def test_tensor_product_with_trivial_factor(en2):
-    triv = build_group_algebra((), en2.field, checked=False)
-    prod = tensor_product(en2, triv, checked=False)
+    triv = build_group_algebra((), en2.field)
+    prod = tensor_product(en2, triv)
     assert prod.dim == en2.dim
     assert prod.mult == en2.mult
     assert prod.comult == en2.comult
@@ -179,7 +181,7 @@ def test_ac2n_group_likes_anticommute_with_x():
 def test_en_product_signs_against_transposition_oracle():
     """(g^j x_P)(g^k x_Q) = (-1)^(k|P|) sign(P, Q) g^(j+k) x_(P u Q) on E(5), where
     sign(P, Q) sorts the concatenation P Q by transpositions, and 0 when P, Q meet."""
-    h = build_en(5, checked=False)
+    h = build_en(5, get_field(FieldSpec("cyclotomic", order=1)))
     one = h.field.one
 
     def bubble_sign(seq):
@@ -221,20 +223,42 @@ def test_constructor_refusals():
         build_radford(2, 3, get_field(FieldSpec("cyclotomic", order=1)))
 
 
-def test_from_letters_refuses_a_wrong_word_table():
-    """A checked ``_from_letters`` build whose words do not multiply to the
-    basis is refused: on C2 x C2 with the words of g1 and g2 swapped, each
-    gets the other's Delta and S."""
+def _c2xc2(words):
+    """C2 x C2 from ``_from_letters`` on the group-like letters g1, g2 of
+    order 2, basis element i taken to be the product of ``words[i]``."""
     field = get_field(FieldSpec("cyclotomic", order=1))
     letters = [("g1", 2), ("g2", 2)]
-    exps = list(product((0, 1), repeat=2))
-    bare, monomial = _qls_algebra(letters, {}, exps, lambda a: f"g1^{a[0]}*g2^{a[1]}", field, "kC2xC2")
+    bare, monomial = _qls_algebra(letters, {}, list(product((0, 1), repeat=2)), lambda a: f"g1^{a[0]}*g2^{a[1]}", field, "kC2xC2")
     images = [(g.tensor(g), g, field.one) for g in (monomial({"g1": 1}), monomial({"g2": 1}))]
-    words = _words(exps)
+    return _from_letters(bare, words, images, {}, None)
+
+
+# the words of g1 and g2 swapped: each basis element gets the other's Delta and S
+SWAPPED_WORDS = [(), (0,), (1,), (0, 1)]
+
+
+def test_from_letters_refuses_a_wrong_word_table():
+    """``verify_hopf`` refuses a ``_from_letters`` algebra whose words do not
+    multiply to the basis: C2 x C2 with the words of g1 and g2 swapped."""
+    words = _words(list(product((0, 1), repeat=2)))
     assert words == [(), (1,), (0,), (0, 1)]
-    assert _from_letters(bare, words, images, {}, None, checked=True).comult == build("group:2,2").comult
+    assert _c2xc2(words).comult == build("group:2,2").comult
+    rep = verify_hopf(_c2xc2(SWAPPED_WORDS))
+    assert not rep.ok
+    assert "violations in" in rep.summary()
+
+
+def test_build_refuses_what_verify_hopf_refuses(monkeypatch):
+    """``build`` alone runs ``verify_hopf``: with the group-algebra
+    constructor returning the swapped-word C2 x C2 algebra and an empty build
+    cache, a checked build raises ConstructionError and an unchecked one
+    returns the instance."""
+    swapped = _c2xc2(SWAPPED_WORDS)
+    monkeypatch.setattr(families, "build_group_algebra", lambda *args, **kwargs: swapped)
+    monkeypatch.setattr(families, "_build_cached", lru_cache(maxsize=None)(families._build_cached.__wrapped__))
     with pytest.raises(ConstructionError, match="violations in"):
-        _from_letters(bare, [(), (0,), (1,), (0, 1)], images, {}, None, checked=True)
+        build("group:2,2")
+    assert build("group:2,2", checked=False) is swapped
 
 
 def test_group_algebra_structure():
@@ -266,7 +290,7 @@ def skew_data(draw):
     return m, skews, orders
 
 
-def skew_algebra(m, skews, orders, checked):
+def skew_algebra(m, skews, orders):
     field = get_field(FieldSpec("cyclotomic", order=m))
     zeta = field.make_root(m)
     names = ["g"] + [f"x{i}" for i in range(1, len(skews) + 1)]
@@ -283,13 +307,13 @@ def skew_algebra(m, skews, orders, checked):
     def label(a):
         return "*".join(f"{n}^{e}" for n, e in zip(names, a) if e) or "1"
 
-    return build_quantum_linear_space(letters, commute, exps, label, field, "qls", checked=checked)
+    return build_quantum_linear_space(letters, commute, exps, label, field, "qls")
 
 
 @settings(max_examples=12, deadline=None)
 @given(skew_data())
 def test_quantum_linear_space_builder_is_hopf(case):
-    rep = verify_hopf(skew_algebra(*case, checked=False))
+    rep = verify_hopf(skew_algebra(*case))
     assert rep.ok, rep.summary()
 
 
@@ -301,5 +325,4 @@ def test_quantum_linear_space_wrong_nilpotency_refused(case, data):
     wrong = [n for n in range(2, 64 // other + 1) if n != orders[0]]
     assume(wrong)
     orders = [data.draw(st.sampled_from(wrong))] + orders[1:]
-    with pytest.raises(ConstructionError):
-        skew_algebra(m, skews, orders, checked=True)
+    assert not verify_hopf(skew_algebra(m, skews, orders)).ok

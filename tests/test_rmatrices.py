@@ -25,11 +25,32 @@ def test_rspec_parsing():
     assert RSpec.parse("h8omega:z8").kind == "h8_omega"
     assert RSpec.parse("bichar:[[1,0],[0,1]]") == RSpec("bichar", (((1, 0), (0, 1)),))
     assert RSpec.parse("bichar: [ [0, 0] ,\t[1, 0] ] ") == RSpec("bichar", (((0, 0), (1, 0)),))
-    assert RSpec.parse("en-a:[[1, 0], [0, 1]]") == RSpec("en_a", ("[[1, 0], [0, 1]]",))
+    assert RSpec.parse("en-a:[[1, 0], [0, 1]]") == RSpec("en_a", ("[[1,0],[0,1]]",))
     assert RSpec.parse("ac22:q=1") == RSpec("ac22", (1, "0"))
     assert RSpec.parse("ac4dual").kind == "ac4dual"
     with pytest.raises(ValueError):
         RSpec.parse("mystery:1")
+
+
+@pytest.mark.parametrize(
+    "variants",
+    [
+        ("en-a:[[1,0],[0,1]]", "en-a: [[1, 0], [0, 1]]", " en-a:[ [ 1 ,0 ] ,\t[0, 1 ] ] "),
+        ("ac22:q=1,a=1", "ac22:q=1, a=1", "ac22: q = 1 ,a= 1 "),
+        ("h8pm:+1,-1", "h8pm: +1 , -1", " h8pm:1,-1"),
+        ("h8omega:z8^3", "h8omega: z8^3", "h8omega:z8^3 \t"),
+        ("bichar:[[0,0],[1,0]]", "bichar: [ [0, 0] ,\t[1, 0] ] "),
+        ("explicit:1 (x) 1", "explicit: 1 (x) 1 ", "explicit:\t1 (x) 1"),
+        ("ac4dual", " ac4dual "),
+    ],
+)
+def test_rspec_whitespace_variants_agree(variants):
+    """Whitespace variants of one spec parse to one RSpec, whose ``str`` is
+    the compact form: every text part is stripped, an en-a matrix kept as
+    [[a,b],[c,d]]."""
+    specs = [RSpec.parse(text) for text in variants]
+    assert all(spec == specs[0] for spec in specs)
+    assert {str(spec) for spec in specs} == {variants[0]}
 
 
 def test_en_r_with_zero_matrix_is_group_term(en2):
