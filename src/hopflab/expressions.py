@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .hopf import HopfData, Tensor
+from .hopf import HopfData, HopfError, Tensor
 
 
 class ExprError(ValueError):
@@ -184,7 +184,7 @@ class _Parser:
             if not isinstance(b, Tensor) and isinstance(a, Tensor):
                 b = self.h.unit_tensor(a.legs).scaled(b)
             return a + b
-        except Exception as exc:  # mismatched arity
+        except HopfError as exc:  # mismatched arity
             raise ExprError(f"cannot add values: {exc}", pos)
 
     def _mul(self, a, b, pos):
@@ -198,7 +198,7 @@ class _Parser:
             if b_t:
                 return b.scaled(a)
             return a * b
-        except Exception as exc:
+        except HopfError as exc:  # mismatched arity
             raise ExprError(f"cannot multiply values: {exc}", pos)
 
 

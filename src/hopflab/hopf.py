@@ -19,9 +19,9 @@ The structure tables are immutable after construction.  HopfData derives from
 (i, j) a tuple of (k, v) pairs with the zero entries of ``mult[i][j]`` dropped
 and v = None where the coefficient is the field's one.  Every product, of
 elements (1-leg tensors) and of 2- and 3-tensors, runs over this table, so it
-skips zero cells, never multiplies by one and zero-tests after each
-multiplication.  The counit is made into a table of images once too:
-``counit_images[i]`` is {0: epsilon(e_i)}, empty where epsilon(e_i) = 0.
+skips zero cells and never multiplies by one.  The counit is made into a
+table of images once too: ``counit_images[i]`` is {0: epsilon(e_i)}, empty
+where epsilon(e_i) = 0.
 
 The table is ``monomial`` when no cell has more than one term (every family
 but the generalized Kac-Paljutkin algebras H_(2n^2), H_8 among them).  On
@@ -339,36 +339,37 @@ class Tensor:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def flip(self) -> "Tensor":
-        """x (x) y -> y (x) x."""
-        if self.legs != 2:
-            raise HopfError("flip is defined on 2-tensors")
+    def permute(self, order) -> "Tensor":
+        """The leg permutation with leg k of the result leg ``order[k]`` of
+        self, for any leg count; ``order`` must be a permutation of
+        range(legs).  It copies coefficients and multiplies nothing.  The
+        product of H^(x)legs is taken leg by leg, so a leg permutation is an
+        algebra automorphism of it, whatever the axioms of H."""
+        if sorted(order) != list(range(self.legs)):
+            raise HopfError(f"{tuple(order)} is not a permutation of the legs of a {self.legs}-leg tensor")
         dim = self.parent.dim
         out = {}
-        for k, v in self.coeffs.items():
-            i, j = divmod(k, dim)
-            out[j * dim + i] = v
-        return Tensor(self.parent, 2, out)
+        for key, v in self.coeffs.items():
+            idx = self._split(key)
+            new = 0
+            for p in order:
+                new = new * dim + idx[p]
+            out[new] = v
+        return Tensor._raw(self.parent, self.legs, out)
 
     def leg(self, placement: int) -> "Tensor":
-        """Embed a 2-tensor into legs {12, 13, 23} of the cube, unit elsewhere."""
+        """Embed a 2-tensor into legs 12, 13 or 23 of H^(x)3, the unit on
+        the third: self (x) 1, its legs 2 and 3 swapped, and 1 (x) self."""
         if self.legs != 2:
             raise HopfError("leg embedding is defined on 2-tensors")
-        dim = self.parent.dim
-        u = self.parent.unit_index
-        out = {}
-        for k, v in self.coeffs.items():
-            i, j = divmod(k, dim)
-            if placement == 12:
-                idx = (i * dim + j) * dim + u
-            elif placement == 13:
-                idx = (i * dim + u) * dim + j
-            elif placement == 23:
-                idx = (u * dim + i) * dim + j
-            else:
-                raise HopfError("placement must be one of 12, 13, 23")
-            out[idx] = v
-        return Tensor(self.parent, 3, out)
+        one = self.parent.unit()
+        if placement == 12:
+            return self.tensor(one)
+        if placement == 13:
+            return self.tensor(one).permute((0, 2, 1))
+        if placement == 23:
+            return one.tensor(self)
+        raise HopfError("placement must be one of 12, 13, 23")
 
     def unit_slice(self, slot: int) -> "Tensor":
         """The terms whose leg ``slot`` is the unit index, with that leg
@@ -732,8 +733,15 @@ def _product2(terms: list, dim: int, ca: dict, cb: dict, out: dict | None = None
     """Coefficients of a * b for 2-tensors, from a term table, added into
     ``out`` (a new dict by default), which is returned.
 
-    Every multiplication actually performed is followed by a zero test; a
-    term None stands for the coefficient one and is not multiplied by.
+    A term None stands for the coefficient one and is not multiplied by.
+    No product is zero-tested, because none can be zero: every operand
+    entry and every table term is a nonzero element of a ring without zero
+    divisors.  On the kernel's ints that is Z, and a lifted entry is a
+    residue in [1, p) or the packed value of a nonzero polynomial (packing
+    is injective at the chosen width); ``int_terms`` holds no zero either.
+    On field elements it is the field.  Only a sum can vanish, and a
+    cancelled entry is deleted.  (A zero term would not change an output
+    anyway: ``_unpacked`` drops it, and the zero test passes it.)
     """
     split = [(kb // dim, kb % dim, b) for kb, b in cb.items()]
     if out is None:
@@ -746,23 +754,11 @@ def _product2(terms: list, dim: int, ca: dict, cb: dict, out: dict | None = None
             if not t0 or not t1:
                 continue
             c = a * b
-            if not c:
-                continue
             for k0, v0 in t0:
-                if v0 is None:
-                    c0 = c
-                else:
-                    c0 = c * v0
-                    if not c0:
-                        continue
+                c0 = c if v0 is None else c * v0
                 base = k0 * dim
                 for k1, v1 in t1:
-                    if v1 is None:
-                        w = c0
-                    else:
-                        w = c0 * v1
-                        if not w:
-                            continue
+                    w = c0 if v1 is None else c0 * v1
                     idx = base + k1
                     cur = out.get(idx)
                     if cur is None:
@@ -792,9 +788,9 @@ def _factored_product(terms: list, dim: int, a: tuple, b: tuple, out: dict) -> d
     L = sum_i0 a_(i0 i1) e_i0 e_j0 and R = sum_j1 b_(j0 j1) e_i1 e_j1.  Each
     cell is expanded once per pair (i1, j0), and each pair of L and R entries
     is multiplied once, instead of expanding every pair of cells.  Cancelled
-    entries of L and R are dropped and every product is zero-tested, so
-    nothing is ever multiplied by zero or by a None (one) table entry.  The
-    operands' caches keep each L sum of a and each R sum of b for later
+    entries of L and R are dropped, so nothing is ever multiplied by zero or
+    by a None (one) table entry, and no product is zero (see ``_product2``).
+    The operands' caches keep each L sum of a and each R sum of b for later
     products.
     """
     return _add_outer(dim, _factored_pairs(terms, a[0], b[1], a[2], b[3]), out)
@@ -838,14 +834,12 @@ def _factored_pairs(terms: list, left: dict, right: dict, lcache: dict, rcache: 
 
 def _add_outer(dim: int, pairs, out: dict) -> dict:
     """Add L (x) R for each (L, R) of ``pairs`` into ``out``, which is
-    returned; every product is zero-tested."""
+    returned; L and R hold no zero entries, so no product is zero."""
     for lsum, rsum in pairs:
         for k0, l in lsum.items():
             base = k0 * dim
             for k1, r in rsum.items():
                 w = l * r
-                if not w:
-                    continue
                 idx = base + k1
                 cur = out.get(idx)
                 if cur is None:
@@ -905,30 +899,13 @@ def _product3(terms: list, dim: int, ca: dict, cb: dict, out: dict | None = None
             if not t0 or not t1 or not t2:
                 continue
             c = a * b
-            if not c:
-                continue
             for k0, v0 in t0:
-                if v0 is None:
-                    c0 = c
-                else:
-                    c0 = c * v0
-                    if not c0:
-                        continue
+                c0 = c if v0 is None else c * v0
                 for k1, v1 in t1:
-                    if v1 is None:
-                        c01 = c0
-                    else:
-                        c01 = c0 * v1
-                        if not c01:
-                            continue
+                    c01 = c0 if v1 is None else c0 * v1
                     base = (k0 * dim + k1) * dim
                     for k2, v2 in t2:
-                        if v2 is None:
-                            w = c01
-                        else:
-                            w = c01 * v2
-                            if not w:
-                                continue
+                        w = c01 if v2 is None else c01 * v2
                         idx = base + k2
                         cur = out.get(idx)
                         if cur is None:

@@ -105,13 +105,13 @@ def _commutator_terms(t: Tensor, d: Tensor) -> list:
     return [(1, t.coeffs, d.coeffs), (-1, d.coeffs, t.coeffs)]
 
 
-def eval_cqtr2(h: HopfData, r: Tensor, t: Tensor) -> Tensor:
+def eval_cqtr2(r: Tensor, t: Tensor) -> Tensor:
     """C2 in the R^-1 form, R^-1 read as (S (x) Id)(R): the inverse of an R
     that passed ``verify_qtr``."""
     return t.apply_delta(1) - t.leg(12) - r.apply_antipode(0).leg(12) * t.leg(13) * r.leg(12)
 
 
-def eval_cqtr3(h: HopfData, r: Tensor, t: Tensor) -> Tensor:
+def eval_cqtr3(r: Tensor, t: Tensor) -> Tensor:
     """C3 in the R^-1 form, as ``eval_cqtr2``."""
     return t.apply_delta(0) - t.leg(23) - r.apply_antipode(0).leg(23) * t.leg(13) * r.leg(23)
 
@@ -140,7 +140,7 @@ def cqtr_unit_slice_map(r: Tensor) -> SumMap:
 
 def cartier_map(r: Tensor) -> SumMap:
     """R t - t_op R."""
-    return SumMap(2, lambda t: [(1, r.coeffs, t.coeffs), (-1, t.flip().coeffs, r.coeffs)])
+    return SumMap(2, lambda t: [(1, r.coeffs, t.coeffs), (-1, t.permute((1, 0)).coeffs, r.coeffs)])
 
 
 # -- solvers ---------------------------------------------------------------------
@@ -256,7 +256,7 @@ def solve_infinitesimal(h: HopfData, r: Tensor, qrep: VerifyReport | None = None
     space = restrict_and_cut(h, 2, analysis(h, "commutant_z2"), [cqtr_unit_slice_map(r), cqtr_rmul_map(r)])
     _require_in_commutant(h, space, "a solution")
     for t in (Tensor(h, 2, vec) for vec in space.rows):
-        if eval_cqtr2(h, r, t) or eval_cqtr3(h, r, t):
+        if eval_cqtr2(r, t) or eval_cqtr3(r, t):
             raise PreCartierError("solution violates C2/C3 on direct recheck")
         if t.apply_counit(1) or t.apply_counit(0):
             raise PreCartierError("counit conditions fail on a solution: implication broken")
@@ -411,7 +411,7 @@ def classify(
         if not qrep.ok:
             raise PreCartierError(f"R fails the axioms: {qrep.summary()}")
         flags["r_verified"] = True
-        flags["r_triangular"] = is_triangular(h, r)
+        flags["r_triangular"] = is_triangular(r)
 
     rfree = analysis(h, "rfree")
     dims = {"rfree": rfree.dim}

@@ -100,14 +100,15 @@ def exp_hbar(h: HopfData, chi: Tensor) -> PolyTensor:
     return PolyTensor(h, 2, coeffs)
 
 
-def check_commutation_hypotheses(h: HopfData, r: Tensor, chi: Tensor) -> tuple[bool, bool]:
+def check_commutation_hypotheses(r: Tensor, chi: Tensor) -> tuple[bool, bool]:
     """chi_12 commutes with R12^-1 chi_13 R12, and the 23-leg analogue;
     R^-1 is (S (x) Id)(R), the inverse of an R that passed ``verify_qtr``."""
     rinv = r.apply_antipode(0)
-    k12 = rinv.leg(12) * chi.leg(13) * r.leg(12)
+    chi13 = chi.leg(13)
+    k12 = rinv.leg(12) * chi13 * r.leg(12)
     c12 = chi.leg(12)
     first = c12 * k12 == k12 * c12
-    k23 = rinv.leg(23) * chi.leg(13) * r.leg(23)
+    k23 = rinv.leg(23) * chi13 * r.leg(23)
     c23 = chi.leg(23)
     second = c23 * k23 == k23 * c23
     return first, second
@@ -148,7 +149,7 @@ def verify_quantized_qtr(h: HopfData, r: Tensor, chi: Tensor) -> QuantizationRep
     quasi-cocommutativity of R on the same b, and both hexagons of R.  The
     counit and Yang-Baxter checks that ``verify_qtr`` adds follow from
     these (Kassel, Quantum Groups, VIII.2)."""
-    hyp1, hyp2 = check_commutation_hypotheses(h, r, chi)
+    hyp1, hyp2 = check_commutation_hypotheses(r, chi)
     rinv = r.apply_antipode(0)
     exp_pos = exp_hbar(h, chi)
     k = len(exp_pos.coeffs)  # chi^(k-1) / (k-1)! is the last nonzero term
@@ -166,11 +167,12 @@ def verify_quantized_qtr(h: HopfData, r: Tensor, chi: Tensor) -> QuantizationRep
     for i in cocommutativity_indices(h):
         d = delta(h.basis_elem(i))
         rep.record(
-            "quasi-cocommutativity", h.labels[i], rt * PolyTensor.constant(d) == PolyTensor.constant(d.flip()) * rt
+            "quasi-cocommutativity", h.labels[i], rt * PolyTensor.constant(d) == PolyTensor.constant(d.permute((1, 0))) * rt
         )
 
-    rep.record("hexagon.id-delta", "", rt.apply_delta(1) == rt.leg(13) * rt.leg(12))
-    rep.record("hexagon.delta-id", "", rt.apply_delta(0) == rt.leg(13) * rt.leg(23))
+    rt13 = rt.leg(13)
+    rep.record("hexagon.id-delta", "", rt.apply_delta(1) == rt13 * rt.leg(12))
+    rep.record("hexagon.delta-id", "", rt.apply_delta(0) == rt13 * rt.leg(23))
 
     # first-order coefficient of R^-1 Rtilde recovers chi exactly
     series = PolyTensor.constant(rinv) * rt

@@ -177,9 +177,9 @@ def constraint_oracles(h, r=None) -> list:
     ]
     if r is not None:
         oracles += [
-            ("cqtr2", [cqtr_rmul_map(r)], lambda t: not eval_cqtr2(h, r, t)),
-            ("cqtr3", [cqtr3_rmul_map(r)], lambda t: not eval_cqtr3(h, r, t)),
-            ("cartier", [cartier_map(r)], lambda t: not (r * t - t.flip() * r)),
+            ("cqtr2", [cqtr_rmul_map(r)], lambda t: not eval_cqtr2(r, t)),
+            ("cqtr3", [cqtr3_rmul_map(r)], lambda t: not eval_cqtr3(r, t)),
+            ("cartier", [cartier_map(r)], lambda t: not (r * t - t.permute((1, 0)) * r)),
         ]
     columns = full_space(h, 2).rows
     return [(name, map_rows(h, 2, maps, columns), vanishes) for name, maps, vanishes in oracles]

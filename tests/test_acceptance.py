@@ -97,7 +97,7 @@ def test_criterion_2_quasitriangularity_suite():
             r = build_r(ac22, rtext)
             qrep = verify_qtr(ac22, r)
             assert qrep.ok
-            assert is_triangular(ac22, r)
+            assert is_triangular(r)
         h8 = build("h8")
         for rtext in _h8_rspecs():
             assert verify_qtr(h8, build_r(h8, rtext)).ok, rtext
@@ -124,7 +124,7 @@ def test_criterion_2_quasitriangularity_suite():
                 r = build_r(h, f"en-a:{text}")
                 qrep = verify_qtr(h, r)
                 assert qrep.ok
-                assert is_triangular(h, r) == symmetric, f"en:{n} A={text}"
+                assert is_triangular(r) == symmetric, f"en:{n} A={text}"
 
 
 def test_criterion_3_classification_dimensions():

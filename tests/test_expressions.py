@@ -73,6 +73,22 @@ def test_mixed_leg_counts_are_refused(en2, text):
         parse_element(en2, text)
 
 
+@pytest.mark.parametrize("op,text", [("__mul__", "(1 (x) g)*(g (x) 1)"), ("__add__", "1 (x) g + g (x) 1")])
+def test_a_fault_in_tensor_arithmetic_is_not_a_config_error(en2, monkeypatch, op, text):
+    """Only a ``HopfError`` (a leg-count mismatch) becomes an ``ExprError``:
+    any other exception raised inside the tensor arithmetic propagates."""
+    original = getattr(Tensor, op)
+
+    def faulty(self, other):
+        if self.legs == 2:
+            raise RuntimeError("fault inside tensor arithmetic")
+        return original(self, other)
+
+    monkeypatch.setattr(Tensor, op, faulty)
+    with pytest.raises(RuntimeError, match="fault inside"):
+        parse_element(en2, text)
+
+
 def test_parse_scalar_forms(h8):
     Q8 = h8.field
     assert parse_scalar(h8, "3") == Q8.from_int(3)

@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import itertools
 import random
 import re
 from pathlib import Path
@@ -206,9 +207,51 @@ def test_parent_mismatch(en1):
         en1.gen("g") * other.gen("g")
 
 
-def test_flip_involutive(en2, rng):
-    t = random_sparse_tensor(en2, rng)
-    assert t.flip().flip() == t
+def _leg_by_index_table(t, placement):
+    """The reference embedding of a 2-tensor into legs 12, 13 or 23 of the
+    cube, by the index of each entry."""
+    dim, u = t.parent.dim, t.parent.unit_index
+    out = {}
+    for k, v in t.coeffs.items():
+        i, j = divmod(k, dim)
+        out[{12: (i * dim + j) * dim + u, 13: (i * dim + u) * dim + j, 23: (u * dim + i) * dim + j}[placement]] = v
+    return Tensor(t.parent, 3, out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["en:2", "h8"]), st.sampled_from([2, 3]), st.integers(0, 2**32))
+def test_permute_is_an_automorphism(family, legs, seed):
+    """On the monomial table of en:2 and the factorized 2-leg loop of h8:
+    every leg permutation is multiplicative, permuting back by the inverse
+    permutation is the identity, and leg 13 is leg 12 with legs 2 and 3
+    swapped."""
+    h, rng = build(family), random.Random(seed)
+    a, b = (random_sparse_tensor(h, rng, legs=legs, nnz=8) for _ in range(2))
+    for p in itertools.permutations(range(legs)):
+        inverse = tuple(sorted(range(legs), key=p.__getitem__))
+        assert (a * b).permute(p) == a.permute(p) * b.permute(p)
+        assert a.permute(p).permute(inverse) == a
+    if legs == 2:
+        for placement in (12, 13, 23):
+            assert a.leg(placement) == _leg_by_index_table(a, placement)
+        assert a.leg(13) == a.leg(12).permute((0, 2, 1))
+
+
+def test_permute_moves_each_leg(en2):
+    """Leg k of the result is leg order[k] of the input: a 3-cycle tells
+    this convention from its inverse."""
+    x, g = en2.gen("x1"), en2.gen("g")
+    three = en2.field.from_int(3)
+    t = x.tensor(g).tensor(x * g).scaled(three)
+    assert t.permute((2, 0, 1)) == (x * g).tensor(x).tensor(g).scaled(three)
+    assert t.permute((1, 2, 0)) == g.tensor(x * g).tensor(x).scaled(three)
+
+
+@pytest.mark.parametrize("legs,order", [(2, (0, 0)), (3, (0, 1)), (3, (0, 0, 1)), (2, (1, 2)), (3, (0, 1, 2, 3))])
+def test_permute_refuses_a_non_permutation(en2, legs, order):
+    t = en2.unit_tensor(legs)
+    with pytest.raises(HopfError, match="not a permutation"):
+        t.permute(order)
 
 
 def test_counit_multiplicative(en2):

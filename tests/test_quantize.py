@@ -72,9 +72,9 @@ def test_polytensor_associative(en2, rng):
 def test_hypotheses_trivial_and_families(ac22, en2):
     r = build_r(ac22, "ac22:q=0,a=1")
     assert verify_qtr(ac22, r).ok
-    assert check_commutation_hypotheses(ac22, r, ac22.zero_tensor(2)) == (True, True)
+    assert check_commutation_hypotheses(r, ac22.zero_tensor(2)) == (True, True)
     chi = pe(ac22, "x (x) x*g")
-    assert check_commutation_hypotheses(ac22, r, chi) == (True, True)
+    assert check_commutation_hypotheses(r, chi) == (True, True)
     # both sides are in fact zero
     k12 = r.apply_antipode(0).leg(12) * chi.leg(13) * r.leg(12)
     assert not (chi.leg(12) * k12)
@@ -82,14 +82,14 @@ def test_hypotheses_trivial_and_families(ac22, en2):
         r2 = build_r(en2, rtext)
         chi = pe(en2, "g^1*x{1} (x) x{2}")
         assert verify_qtr(en2, r2).ok
-        assert check_commutation_hypotheses(en2, r2, chi) == (True, True)
+        assert check_commutation_hypotheses(r2, chi) == (True, True)
 
 
 def test_hypotheses_scale_invariant(en2, rng):
     r = build_r(en2, "en-a:[[1,0],[0,1]]")
     chi = pe(en2, "g^1*x{1} (x) x{1}")
     c = q(en2.field, rng.randint(1, 9), rng.randint(1, 9))
-    assert check_commutation_hypotheses(en2, r, chi.scaled(c)) == (True, True)
+    assert check_commutation_hypotheses(r, chi.scaled(c)) == (True, True)
 
 
 def test_verify_quantized_ac2n():
@@ -170,7 +170,7 @@ def full_basis_quantized_qc_failures(h, r, chi) -> set:
     out = set()
     for i in range(h.dim):
         d = delta(h.basis_elem(i))
-        if rt * PolyTensor.constant(d) != PolyTensor.constant(d.flip()) * rt:
+        if rt * PolyTensor.constant(d) != PolyTensor.constant(d.permute((1, 0))) * rt:
             out.add(h.labels[i])
     return out
 
